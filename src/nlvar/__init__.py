@@ -2,7 +2,7 @@
 and optimality verification via the variational integral equation."""
 
 from .energy import EnergyReport, NonFiniteEnergyError, energy, energy_gradient, \
-    energy_value, refine_and_compare
+    energy_value, refine_and_compare, value_and_grad
 from .grid import Grid1D, GridError, NodalFunction, difference_quotient, \
     make_uniform_grid
 from .integrands import Integrand, check_derivatives, half_square, \

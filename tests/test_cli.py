@@ -9,8 +9,12 @@ from nlvar.cli import (
     SpecError,
     main,
     parse_config,
+    sup_distance_between_levels,
 )
 from nlvar.curveio import read_curve
+from nlvar.grid import Grid1D, NodalFunction
+from nlvar.integrands import half_square
+from nlvar.optimality import residual_report
 
 
 class TestConfigParsing:
@@ -111,6 +115,10 @@ class TestResidualCommand:
         out = capsys.readouterr().out
         sup = float(out.split("norm_sup:")[1].strip().split()[0])
         assert sup >= 2 * np.log(3.0) - 0.05
+        u = NodalFunction.linear(Grid1D(128), 0.0, 1.0)
+        central = residual_report(u, half_square()).norm_l2_central
+        assert out.splitlines()[-2].startswith("norm_sup: ")
+        assert out.splitlines()[-1] == f"norm_l2_central: {central:.6g}"
 
     def test_zero_two_well(self, capsys):
         code = main(["residual", "--integrand", "two-well", "--u", "zero",
@@ -136,6 +144,15 @@ class TestReproduceCommand:
         x2, y2 = read_curve(tmp_path / "fig1_k2.csv")
         assert y2[0] == pytest.approx(2.0)
         assert "k_normalized: 2.516208882" in capsys.readouterr().out
+
+    def test_level_distance_respects_sign_symmetry(self):
+        coarse = NodalFunction(Grid1D(4), np.array([0.0, 0.2, 0.3, 0.1, 0.0]))
+        prolonged = np.interp(Grid1D(8).nodes, Grid1D(4).nodes, coarse.values)
+        bump = np.zeros(9)
+        bump[3] = 0.01
+        for sign in (1.0, -1.0):
+            fine = NodalFunction(Grid1D(8), sign * prolonged + bump)
+            assert sup_distance_between_levels(coarse, fine) == pytest.approx(0.01)
 
     def test_fig4_two_levels_and_idempotent(self, tmp_path, capsys):
         out1 = tmp_path / "a"

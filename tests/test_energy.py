@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from nlvar.energy import (
+    BLOCK_ELEMS,
     NonFiniteEnergyError,
     energy,
     energy_gradient,
     energy_value,
     refine_and_compare,
+    value_and_grad,
 )
-from nlvar.grid import NodalFunction, make_uniform_grid
+from nlvar.grid import Grid1D, NodalFunction, make_uniform_grid
 from nlvar.integrands import (
     Integrand,
     half_square,
@@ -20,6 +22,32 @@ from nlvar.integrands import (
 
 ALL = [power_p(2), power_p(3), power_p(4), half_square(), quadratic_mass(),
        two_well_full(), two_well_bare()]
+
+
+def dense_quadrature(u, integrand):
+    """Per-row energies, energy and gradient from full n x n matrices."""
+    g = u.grid
+    h, m, um = g.h, g.midpoints, u.midpoint_values
+    dm = m[None, :] - m[:, None]
+    np.fill_diagonal(dm, 1.0)
+    D = (um[None, :] - um[:, None]) / dm
+    np.fill_diagonal(D, u.slopes)
+    np.fill_diagonal(dm, 0.0)
+    x, ux = m[:, None], um[:, None]
+    rows = h * h * integrand.evaluate(x, ux, D).sum(axis=1)
+    A = integrand.w_u(x, ux, D)
+    B = integrand.w_U(x, ux, D)
+    C = np.zeros_like(B)
+    off = dm != 0.0
+    C[off] = B[off] / dm[off]
+    g_um = A.sum(axis=1) - C.sum(axis=1) + C.sum(axis=0)
+    grad_nodes = np.zeros(g.n + 1)
+    grad_nodes[:-1] += 0.5 * g_um
+    grad_nodes[1:] += 0.5 * g_um
+    Bd = np.diag(B)
+    grad_nodes[1:] += Bd / h
+    grad_nodes[:-1] -= Bd / h
+    return rows, float(rows.sum()), h * h * grad_nodes[1:-1]
 
 
 def fd_gradient(grid, vals, integrand, step=1e-6):
@@ -140,6 +168,49 @@ class TestEnergyGradient:
             gf = fd_gradient(g, vals, integrand)
             rel = np.abs(ga - gf) / np.maximum(np.abs(gf), 1.0)
             assert rel.max() <= 1e-6, f"seed {seed}: {rel.max():.3g}"
+
+
+class TestBlockedKernel:
+    N = 1000  # several row blocks and a shorter last one
+
+    def test_several_ragged_blocks(self):
+        rows = BLOCK_ELEMS // self.N
+        assert self.N // rows > 1 and self.N % rows != 0
+
+    @pytest.mark.parametrize("integrand", ALL, ids=lambda i: i.name)
+    def test_bit_identical_to_dense(self, integrand):
+        rng = np.random.default_rng(3)
+        u = NodalFunction(make_uniform_grid(self.N), rng.uniform(-1, 1, self.N + 1))
+        rows, value, grad = dense_quadrature(u, integrand)
+        report = energy(u, integrand, breakdown=True)
+        assert np.array_equal(report.breakdown, rows)
+        assert report.value == value
+        assert np.array_equal(energy_gradient(u, integrand), grad)
+        fused = value_and_grad(u, integrand)
+        assert fused[0] == energy_value(u, integrand)
+        assert np.array_equal(fused[1], energy_gradient(u, integrand))
+
+    def test_non_finite_names_point_in_later_block(self):
+        g = make_uniform_grid(self.N)
+        x_bad = g.midpoints[500]
+        assert 500 >= BLOCK_ELEMS // self.N
+        spiked = Integrand(
+            w=lambda x, u, U: np.where(x == x_bad, np.nan, 1.0) * U**2,
+            w_u=lambda x, u, U: np.zeros_like(U),
+            w_U=lambda x, u, U: 2.0 * U,
+            p=2.0,
+            name="spiked",
+        )
+        u = NodalFunction.linear(g, 0.0, 1.0)
+        for kernel in (energy_value, value_and_grad):
+            with pytest.raises(NonFiniteEnergyError) as excinfo:
+                kernel(u, spiked)
+            assert f"(x={x_bad:.6g}, X={g.midpoints[0]:.6g})" in str(excinfo.value)
+
+    def test_affine_exactness_at_large_n(self):
+        # the dense n x n fields would need several GB here
+        u = NodalFunction.linear(Grid1D(8192), 0.25, 1.0)
+        assert energy_value(u, half_square()) == pytest.approx(0.5 * 0.75**2, rel=1e-12)
 
 
 class TestRefineAndCompare:

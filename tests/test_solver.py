@@ -3,7 +3,7 @@ import pytest
 
 from nlvar.energy import energy_value
 from nlvar.grid import NodalFunction, make_uniform_grid
-from nlvar.integrands import half_square, quadratic_mass, two_well_bare
+from nlvar.integrands import half_square, power_p, quadratic_mass, two_well_bare
 from nlvar.solver import (
     ContinuationResult,
     SolverConfig,
@@ -115,6 +115,16 @@ class TestMinimize:
         cfg = SolverConfig(grad_tol=1e-5, max_iters=20000, memory=0)
         res = minimize(quadratic_mass(), make_uniform_grid(16), (0.0, 1.0), "linear", cfg)
         assert res.converged
+
+    def test_non_finite_trial_step_is_rejected(self):
+        # the first full steps overflow |U|^40; they must shrink, not raise
+        with np.errstate(over="ignore"):
+            res = minimize(power_p(40), make_uniform_grid(64), (0.0, 1.0), "hat",
+                           SolverConfig(max_iters=50))
+        energies = [e for e, _ in res.trace]
+        assert res.iters == 50
+        assert np.all(np.isfinite(energies))
+        assert all(b <= a for a, b in zip(energies, energies[1:]))
 
     def test_max_iters_reports_nonconvergence(self):
         cfg = SolverConfig(grad_tol=1e-14, max_iters=3)
