@@ -16,13 +16,12 @@ from typing import Optional
 
 import numpy as np
 
-from .curveio import CurveFormatError, read_nodal_function, write_curve, write_svg
-from .energy import NonFiniteEnergyError, energy
-from .grid import Grid1D, GridError, NodalFunction
+from .curveio import read_nodal_function, write_curve, write_svg
+from .energy import energy
+from .grid import Grid1D, NodalFunction
 from .integrands import Integrand, integrand_by_name
 from .optimality import residual_report
-from .reference import local_exp_solution, normalize_k, ode_approx_derivative, \
-    ode_approx_profile
+from .reference import local_exp_solution, normalize_k, ode_approx_derivative
 from .solver import LineSearchError, SolverConfig, default_grad_tol, \
     make_initial_guess, minimize
 
@@ -43,9 +42,6 @@ PROBLEMS = {
     "bolza": ("two-well", (0.0, 0.0), "zero"),
     "bolza-bare": ("two-well-bare", (0.0, 0.0), "zero"),
 }
-
-FIGURES = ("fig1-ode-approx", "fig2-problem1", "fig3-quad-mass", "fig4-bolza")
-
 
 class SpecError(ValueError):
     """Unusable experiment specification."""
@@ -131,21 +127,24 @@ def build_spec(args: argparse.Namespace) -> ExperimentSpec:
     return replace(spec, **overrides)
 
 
-def _resolve_problem(spec: ExperimentSpec) -> tuple[Integrand, tuple[float, float], str]:
-    if spec.problem is not None:
-        if spec.problem not in PROBLEMS:
-            raise SpecError(
-                f"unknown problem {spec.problem!r}; choose from {sorted(PROBLEMS)}"
-            )
-        name, bc, init = PROBLEMS[spec.problem]
-        return integrand_by_name(spec.integrand or name), bc, spec.init or init
-    if spec.integrand is None:
-        raise SpecError("either problem or integrand must be given")
+def _integrand(name: Optional[str], what: str) -> Integrand:
+    """The density called name; SpecError if it is missing or unknown."""
+    if name is None:
+        raise SpecError(f"{what} needs an integrand name")
     try:
-        integrand = integrand_by_name(spec.integrand)
+        return integrand_by_name(name)
     except KeyError as exc:
-        raise SpecError(str(exc)) from None
-    return integrand, spec.bc, spec.init or "linear"
+        raise SpecError(exc.args[0]) from None
+
+
+def _resolve_problem(spec: ExperimentSpec) -> tuple[Integrand, tuple[float, float], str]:
+    if spec.problem is None:
+        integrand = _integrand(spec.integrand, "minimize without a problem")
+        return integrand, spec.bc, spec.init or "linear"
+    if spec.problem not in PROBLEMS:
+        raise SpecError(f"unknown problem {spec.problem!r}; choose from {sorted(PROBLEMS)}")
+    name, bc, init = PROBLEMS[spec.problem]
+    return _integrand(spec.integrand or name, spec.problem), bc, spec.init or init
 
 
 def _load_input_curve(spec: ExperimentSpec) -> NodalFunction:
@@ -160,12 +159,14 @@ def _load_input_curve(spec: ExperimentSpec) -> NodalFunction:
     return read_nodal_function(path)
 
 
-def _solver_config(spec: ExperimentSpec, n: int) -> SolverConfig:
-    return SolverConfig(
-        max_iters=spec.max_iters,
-        grad_tol=spec.grad_tol if spec.grad_tol is not None else default_grad_tol(n),
-        seed=spec.seed,
-    )
+def _solve(spec: ExperimentSpec, init: Optional[NodalFunction] = None):
+    """(integrand, MinimizeResult) of spec's problem on spec.n cells, from
+    init if given, else from the problem's initial guess."""
+    integrand, bc, default_init = _resolve_problem(spec)
+    grad_tol = spec.grad_tol if spec.grad_tol is not None else default_grad_tol(spec.n)
+    cfg = SolverConfig(max_iters=spec.max_iters, grad_tol=grad_tol, seed=spec.seed)
+    init = default_init if init is None else init
+    return integrand, minimize(integrand, Grid1D(spec.n), bc, init=init, cfg=cfg)
 
 
 def _outdir(spec: ExperimentSpec) -> Path:
@@ -186,12 +187,7 @@ def sup_distance_between_levels(coarse: NodalFunction, fine: NodalFunction) -> f
 
 
 def cmd_energy(spec: ExperimentSpec) -> int:
-    if spec.integrand is None:
-        raise SpecError("energy needs an integrand name")
-    try:
-        integrand = integrand_by_name(spec.integrand)
-    except KeyError as exc:
-        raise SpecError(str(exc)) from None
+    integrand = _integrand(spec.integrand, "energy")
     u = _load_input_curve(spec)
     report = energy(u, integrand)
     print(f"integrand: {report.integrand}")
@@ -201,9 +197,8 @@ def cmd_energy(spec: ExperimentSpec) -> int:
 
 
 def cmd_minimize(spec: ExperimentSpec) -> int:
-    integrand, bc, init = _resolve_problem(spec)
-    grid = Grid1D(spec.n)
-    result = minimize(integrand, grid, bc, init=init, cfg=_solver_config(spec, spec.n))
+    integrand, result = _solve(spec)
+    grid = result.u.grid
 
     out = _outdir(spec)
     tag = spec.problem or integrand.name.replace(":", "")
@@ -231,12 +226,7 @@ def cmd_minimize(spec: ExperimentSpec) -> int:
 
 
 def cmd_residual(spec: ExperimentSpec) -> int:
-    if spec.integrand is None:
-        raise SpecError("residual needs an integrand name")
-    try:
-        integrand = integrand_by_name(spec.integrand)
-    except KeyError as exc:
-        raise SpecError(str(exc)) from None
+    integrand = _integrand(spec.integrand, "residual")
     u = _load_input_curve(spec)
     report = residual_report(u, integrand)
     print("x,residual")
@@ -250,87 +240,101 @@ def cmd_residual(spec: ExperimentSpec) -> int:
 
 def cmd_reproduce(spec: ExperimentSpec) -> int:
     if spec.figure not in FIGURES:
-        raise SpecError(f"unknown figure {spec.figure!r}; choose from {FIGURES}")
-    out = _outdir(spec)
+        raise SpecError(f"unknown figure {spec.figure!r}; choose from {tuple(FIGURES)}")
+    # each figure fixes its own density and initial guess
+    return FIGURES[spec.figure](replace(spec, integrand=None, init=None), _outdir(spec))
 
-    if spec.figure == "fig1-ode-approx":
-        xs = np.linspace(0.0, 1.0, 512)
-        k_norm = normalize_k()
-        curves = []
-        for label, k in (("k-normalized", k_norm), ("k2", 2.0)):
-            ys = ode_approx_derivative(xs, k)
-            write_curve(out / f"fig1_{label}.csv", xs, ys)
-            curves.append((f"{label} (k={k:.6g})", xs, ys))
-        print(f"k_normalized: {k_norm:.10g}")
-        print("k_display: 2  # scale used by the original drawing")
-        if spec.svg:
-            write_svg(out / "fig1.svg", curves, title="approximate optimal derivative")
-        return EXIT_OK
 
-    if spec.figure == "fig2-problem1":
-        n = spec.n
-        grid = Grid1D(n)
-        result = minimize(
-            integrand_by_name("half-square"), grid, (0.0, 1.0),
-            init="linear", cfg=_solver_config(spec, n),
-        )
-        write_curve(out / f"fig2_minimizer_n{n}.csv", grid.nodes, result.u.values)
-        deriv = np.diff(result.u.values) / grid.h
-        write_curve(out / f"fig2_derivative_n{n}.csv", grid.midpoints, deriv)
-        print(f"energy: {result.energy:.17g}")
-        if spec.svg:
-            write_svg(out / "fig2.svg",
-                      [("minimizer", grid.nodes, result.u.values),
-                       ("derivative", grid.midpoints, deriv)],
-                      title="homogeneous quadratic case")
-        return EXIT_OK if result.converged else EXIT_NOCONV
+# -- figures ---------------------------------------------------------------
 
-    if spec.figure == "fig3-quad-mass":
-        n = spec.n
-        grid = Grid1D(n)
-        result = minimize(
-            integrand_by_name("quad-mass"), grid, (0.0, 1.0),
-            init="linear", cfg=_solver_config(spec, n),
-        )
-        overlay = local_exp_solution(grid.nodes)
-        write_curve(out / f"fig3_minimizer_n{n}.csv", grid.nodes, result.u.values)
-        write_curve(out / f"fig3_local_exp_n{n}.csv", grid.nodes, overlay)
-        sup = float(np.max(np.abs(result.u.values - overlay)))
-        print(f"energy: {result.energy:.17g}")
-        print(f"sup_distance_to_local_solution: {sup:.6g}")
-        if spec.svg:
-            write_svg(out / "fig3.svg",
-                      [("non-local minimizer", grid.nodes, result.u.values),
-                       ("local solution", grid.nodes, overlay)],
-                      title="quadratic case with mass term")
-        return EXIT_OK if result.converged else EXIT_NOCONV
 
-    # fig4-bolza: two discretization levels of the bare two-well problem,
-    # descending from the trivial map (plus a tiny seeded kick: the exact
-    # zero function is itself a critical point and descent would not move)
-    integrand = integrand_by_name("two-well-bare")
-    levels = (spec.n // 2, spec.n)
-    results = {}
+def fig1_ode_approx(spec: ExperimentSpec, out: Path) -> int:
+    xs = np.linspace(0.0, 1.0, 512)
+    k_norm = normalize_k()
     curves = []
-    for n in levels:
-        grid = Grid1D(n)
+    for label, k in (("k-normalized", k_norm), ("k2", 2.0)):
+        ys = ode_approx_derivative(xs, k)
+        write_curve(out / f"fig1_{label}.csv", xs, ys)
+        curves.append((f"{label} (k={k:.6g})", xs, ys))
+    print(f"k_normalized: {k_norm:.10g}")
+    print("k_display: 2  # scale used by the original drawing")
+    if spec.svg:
+        write_svg(out / "fig1.svg", curves, title="approximate optimal derivative")
+    return EXIT_OK
+
+
+def fig2_problem1(spec: ExperimentSpec, out: Path) -> int:
+    n = spec.n
+    _, result = _solve(replace(spec, problem="problem1"))
+    grid = result.u.grid
+    write_curve(out / f"fig2_minimizer_n{n}.csv", grid.nodes, result.u.values)
+    deriv = np.diff(result.u.values) / grid.h
+    write_curve(out / f"fig2_derivative_n{n}.csv", grid.midpoints, deriv)
+    print(f"energy: {result.energy:.17g}")
+    if spec.svg:
+        write_svg(out / "fig2.svg",
+                  [("minimizer", grid.nodes, result.u.values),
+                   ("derivative", grid.midpoints, deriv)],
+                  title="homogeneous quadratic case")
+    return EXIT_OK if result.converged else EXIT_NOCONV
+
+
+def fig3_quad_mass(spec: ExperimentSpec, out: Path) -> int:
+    n = spec.n
+    _, result = _solve(replace(spec, problem="quad-mass"))
+    grid = result.u.grid
+    overlay = local_exp_solution(grid.nodes)
+    write_curve(out / f"fig3_minimizer_n{n}.csv", grid.nodes, result.u.values)
+    write_curve(out / f"fig3_local_exp_n{n}.csv", grid.nodes, overlay)
+    sup = float(np.max(np.abs(result.u.values - overlay)))
+    print(f"energy: {result.energy:.17g}")
+    print(f"sup_distance_to_local_solution: {sup:.6g}")
+    if spec.svg:
+        write_svg(out / "fig3.svg",
+                  [("non-local minimizer", grid.nodes, result.u.values),
+                   ("local solution", grid.nodes, overlay)],
+                  title="quadratic case with mass term")
+    return EXIT_OK if result.converged else EXIT_NOCONV
+
+
+def fig4_bolza(spec: ExperimentSpec, out: Path) -> int:
+    # two discretization levels of the bare two-well problem, descending
+    # from the trivial map (plus a tiny seeded kick: the exact zero function
+    # is itself a critical point and descent would not move)
+    results = []
+    curves = []
+    for n in (spec.n // 2, spec.n):
         rng = np.random.default_rng(spec.seed)
         vals = np.zeros(n + 1)
         vals[1:-1] += 1e-2 * rng.uniform(-1.0, 1.0, n - 1)
-        init = NodalFunction(grid, vals, left_bc=0.0, right_bc=0.0)
-        result = minimize(integrand, grid, (0.0, 0.0), init=init,
-                          cfg=_solver_config(spec, n))
-        results[n] = result
-        write_curve(out / f"fig4_bolza_bare_n{n}.csv", grid.nodes, result.u.values)
-        curves.append((f"n={n}", grid.nodes, result.u.values))
+        kick = NodalFunction(Grid1D(n), vals, left_bc=0.0, right_bc=0.0)
+        _, result = _solve(replace(spec, problem="bolza-bare", n=n), init=kick)
+        results.append(result)
+        nodes = result.u.grid.nodes
+        write_curve(out / f"fig4_bolza_bare_n{n}.csv", nodes, result.u.values)
+        curves.append((f"n={n}", nodes, result.u.values))
         print(f"n={n} energy: {result.energy:.17g} grad_norm: {result.grad_norm:.3g}")
-    sup = sup_distance_between_levels(results[levels[0]].u, results[levels[1]].u)
+    sup = sup_distance_between_levels(results[0].u, results[1].u)
     print(f"sup_distance_between_levels: {sup:.6g}")
     print(NONCONVEX_WARNING)
     if spec.svg:
         write_svg(out / "fig4.svg", curves, title="non-convex two-well case")
-    ok = all(r.converged for r in results.values())
-    return EXIT_OK if ok else EXIT_NOCONV
+    return EXIT_OK if all(r.converged for r in results) else EXIT_NOCONV
+
+
+FIGURES = {
+    "fig1-ode-approx": fig1_ode_approx,
+    "fig2-problem1": fig2_problem1,
+    "fig3-quad-mass": fig3_quad_mass,
+    "fig4-bolza": fig4_bolza,
+}
+
+COMMANDS = {
+    "energy": cmd_energy,
+    "minimize": cmd_minimize,
+    "residual": cmd_residual,
+    "reproduce": cmd_reproduce,
+}
 
 
 # -- entry point -----------------------------------------------------------
@@ -384,18 +388,11 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        spec = build_spec(args)
-        if args.command == "energy":
-            return cmd_energy(spec)
-        if args.command == "minimize":
-            return cmd_minimize(spec)
-        if args.command == "residual":
-            return cmd_residual(spec)
-        return cmd_reproduce(spec)
-    except (SpecError, CurveFormatError, GridError, KeyError, FileNotFoundError) as exc:
+        return COMMANDS[args.command](build_spec(args))
+    except (ValueError, OSError) as exc:  # SpecError, GridError, CurveFormatError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC
-    except (NonFiniteEnergyError, LineSearchError, ArithmeticError) as exc:
+    except (ArithmeticError, LineSearchError) as exc:  # NonFiniteEnergyError too
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

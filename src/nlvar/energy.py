@@ -85,6 +85,18 @@ def _density_row_sums(integrand: Integrand, x, ux, D, X) -> np.ndarray:
     return _finite(integrand.evaluate(x, ux, D), f"W({integrand.name})", x, X).sum(axis=1)
 
 
+def _total(per_row: np.ndarray, integrand: Integrand, m: np.ndarray) -> float:
+    """Sum of the per-row energies h^2 * sum_j W. A row sum can overflow
+    where every W is finite; finite rows never overflow the total (it is at
+    most h times the largest float), so one check of the total finds it."""
+    total = float(per_row.sum())
+    if not np.isfinite(total):
+        i = np.isfinite(per_row).argmin()
+        raise NonFiniteEnergyError(
+            f"sum of W({integrand.name}) over X overflows at x={m[i]:.6g}")
+    return total
+
+
 @dataclass(frozen=True)
 class EnergyReport:
     """Energy value plus provenance; breakdown holds per-row partial sums."""
@@ -104,7 +116,7 @@ def energy(u: NodalFunction, integrand: Integrand, breakdown: bool = False) -> E
         sums[rows] = _density_row_sums(integrand, x, ux, D, m)
     per_row = h * h * sums
     return EnergyReport(
-        value=float(per_row.sum()),
+        value=_total(per_row, integrand, m),
         n=u.grid.n,
         integrand=integrand.name,
         breakdown=per_row if breakdown else None,
@@ -158,7 +170,7 @@ def value_and_grad(u: NodalFunction, integrand: Integrand) -> tuple[float, np.nd
     grad_nodes[1:] += Bd / h
     grad_nodes[:-1] -= Bd / h
 
-    return float((h * h * w_rows).sum()), h * h * grad_nodes[1:-1]
+    return _total(h * h * w_rows, integrand, m), h * h * grad_nodes[1:-1]
 
 
 def energy_gradient(u: NodalFunction, integrand: Integrand) -> np.ndarray:

@@ -13,16 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-__all__ = [
-    "GridError",
-    "Grid1D",
-    "NodalFunction",
-    "make_uniform_grid",
-    "difference_quotient",
-]
-
-# relative half-width (in units of h) below which |t - s| counts as diagonal
-DIAGONAL_TOL = 1e-9
+__all__ = ["GridError", "Grid1D", "NodalFunction"]
 
 
 class GridError(ValueError):
@@ -62,17 +53,6 @@ class Grid1D:
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "midpoints", midpoints)
-
-    def cell_of(self, t: float) -> int:
-        """Index of the cell containing t, clamped to 0..n-1."""
-        if not 0.0 <= t <= 1.0:
-            raise GridError(f"coordinate {t} outside [0, 1]")
-        return min(int(t / self.h), self.n - 1)
-
-
-def make_uniform_grid(n: int) -> Grid1D:
-    """Uniform grid with n cells on (0, 1); requires n >= 2."""
-    return Grid1D(n)
 
 
 @dataclass(frozen=True)
@@ -129,10 +109,6 @@ class NodalFunction:
         vals = np.asarray(f(grid.nodes), dtype=float)
         return cls(grid, vals, left_bc=left_bc, right_bc=right_bc)
 
-    def with_values(self, values: np.ndarray) -> "NodalFunction":
-        """Same grid and end conditions, new nodal values."""
-        return NodalFunction(self.grid, values, self.left_bc, self.right_bc)
-
     # -- evaluation --------------------------------------------------------
 
     def __call__(self, t):
@@ -152,15 +128,3 @@ class NodalFunction:
     def midpoint_values(self) -> np.ndarray:
         """Exact values at cell midpoints (average of adjacent nodes)."""
         return 0.5 * (self.values[:-1] + self.values[1:])
-
-
-def difference_quotient(u: NodalFunction, s: float, t: float) -> float:
-    """Non-local difference quotient (u(t) - u(s)) / (t - s).
-
-    On the diagonal (|t - s| below h * 1e-9) returns the slope of the cell
-    containing (s + t) / 2, which is the X -> x limit for piecewise-linear u.
-    """
-    if abs(t - s) <= u.grid.h * DIAGONAL_TOL:
-        cell = u.grid.cell_of(0.5 * (s + t))
-        return float(u.slopes[cell])
-    return (u(t) - u(s)) / (t - s)

@@ -44,18 +44,11 @@ class Integrand:
     def evaluate(self, x, u, U):
         return self.w(np.asarray(x, float), np.asarray(u, float), np.asarray(U, float))
 
-    def grad(self, x, u, U):
-        """(dW/du, dW/dU) at the probe point."""
-        x = np.asarray(x, float)
-        u = np.asarray(u, float)
-        U = np.asarray(U, float)
-        return self.w_u(x, u, U), self.w_U(x, u, U)
-
 
 def power_p(p: float) -> Integrand:
     """W = |U|^p (homogeneous problem with end conditions u(0)=0, u(1)=1)."""
-    if p <= 1:
-        raise ValueError(f"growth exponent must exceed 1, got {p}")
+    if not (np.isfinite(p) and p > 1):
+        raise ValueError(f"growth exponent must be finite and exceed 1, got {p}")
     return Integrand(
         w=lambda x, u, U: np.abs(U) ** p,
         w_u=lambda x, u, U: np.zeros_like(U),
@@ -160,10 +153,10 @@ def check_derivatives(
     err_u = 0.0
     err_U = 0.0
     for x, u, U in probes:
-        x = np.asarray(x, float)
+        x, u, U = (np.asarray(a, float) for a in (x, u, U))
         fd_u = (integrand.evaluate(x, u + step, U) - integrand.evaluate(x, u - step, U)) / (2 * step)
         fd_U = (integrand.evaluate(x, u, U + step) - integrand.evaluate(x, u, U - step)) / (2 * step)
-        au, aU = integrand.grad(x, u, U)
+        au, aU = integrand.w_u(x, u, U), integrand.w_U(x, u, U)
         err_u = max(err_u, abs(float(au) - float(fd_u)) / max(1.0, abs(float(fd_u))))
         err_U = max(err_U, abs(float(aU) - float(fd_U)) / max(1.0, abs(float(fd_U))))
     return DerivativeCheckReport(max_err_u=err_u, max_err_U=err_U, tol=tol)

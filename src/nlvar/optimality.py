@@ -20,46 +20,13 @@ separate entry point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .grid import NodalFunction
 from .integrands import Integrand
 
-__all__ = [
-    "ResidualReport",
-    "ndiv",
-    "pv_log",
-    "residual",
-    "residual_report",
-    "check_inteqo",
-    "kernel_K",
-]
-
-
-def ndiv(F: Callable[[float, float], float], x: float, X: float) -> float:
-    """Non-local divergence (F(x, X) + F(X, x)) / (X - x); x != X required."""
-    if X == x:
-        raise ZeroDivisionError("non-local divergence is singular at X = x")
-    return (F(x, X) + F(X, x)) / (X - x)
-
-
-def pv_log(x: float) -> float:
-    """Principal value of int_0^1 dX / (X - x), equal to log((1-x)/x)."""
-    if not 0.0 < x < 1.0:
-        raise ValueError(f"principal value needs x strictly inside (0, 1), got {x}")
-    return float(np.log((1.0 - x) / x))
-
-
-def kernel_K(x: float, X: float) -> float:
-    """Kernel x(1-x)/(X-x) + 1_{(0,x)}(X) of the integrated quadratic
-    optimality equation int K(x, X) u'(X) dX = x."""
-    if not 0.0 < x < 1.0 or not 0.0 < X < 1.0:
-        raise ValueError("kernel arguments must lie strictly inside (0, 1)")
-    if X == x:
-        raise ZeroDivisionError("kernel is singular at X = x")
-    return x * (1.0 - x) / (X - x) + (1.0 if X < x else 0.0)
+__all__ = ["ResidualReport", "residual", "residual_report"]
 
 
 def _node_index(u: NodalFunction, x: float) -> int:
@@ -126,46 +93,23 @@ class ResidualReport:
     boundary_excluded: bool = True
 
 
-def _make_report(x_points, residuals, h, exclude_boundary):
-    n = residuals.size + 1
+def residual_report(
+    u: NodalFunction, integrand: Integrand, exclude_boundary: bool = True
+) -> ResidualReport:
+    """Residual at every interior node plus l2 and sup norms."""
+    g = u.grid
+    n, h = g.n, g.h
+    residuals = np.array(
+        [_paired_sum(_residual_terms(u, integrand, k), k) for k in range(1, n)]
+    )
     sup_set = residuals[1:-1] if exclude_boundary and residuals.size > 2 else residuals
     lo = max(n // 4, 1)
     central = residuals[lo - 1:(n - lo)]
     return ResidualReport(
-        x_points=x_points,
+        x_points=g.nodes[1:-1],
         residuals=residuals,
         norm_l2=float(np.sqrt(h * np.sum(residuals**2))),
         norm_sup=float(np.max(np.abs(sup_set))) if sup_set.size else 0.0,
         norm_l2_central=float(np.sqrt(h * np.sum(central**2))),
         boundary_excluded=exclude_boundary,
     )
-
-
-def residual_report(
-    u: NodalFunction, integrand: Integrand, exclude_boundary: bool = True
-) -> ResidualReport:
-    """Residual at every interior node plus l2 and sup norms."""
-    g = u.grid
-    xs = g.nodes[1:-1]
-    vals = np.array(
-        [_paired_sum(_residual_terms(u, integrand, k), k) for k in range(1, g.n)]
-    )
-    return _make_report(xs, vals, g.h, exclude_boundary)
-
-
-def check_inteqo(u: NodalFunction, exclude_boundary: bool = True) -> ResidualReport:
-    """Specialized quadratic-case residual int (u(X) - u(x)) / (X - x)^2 dX.
-
-    For the half-square density this equals -1/2 times the general residual,
-    an algebraic identity independent of u.
-    """
-    g = u.grid
-    m = g.midpoints
-    um = u.midpoint_values
-    xs = g.nodes[1:-1]
-    vals = np.empty(g.n - 1)
-    for k in range(1, g.n):
-        dX = m - g.nodes[k]
-        terms = g.h * (um - u.values[k]) / dX**2
-        vals[k - 1] = _paired_sum(terms, k)
-    return _make_report(xs, vals, g.h, exclude_boundary)

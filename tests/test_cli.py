@@ -59,11 +59,42 @@ class TestEnergyCommand:
     def test_unknown_integrand(self, capsys):
         code = main(["energy", "--integrand", "nope", "--u", "linear", "--n", "16"])
         assert code == EXIT_SPEC
+        assert capsys.readouterr().err == "error: unknown integrand 'nope'\n"
 
     def test_missing_curve_file(self, tmp_path):
         code = main(["energy", "--integrand", "half-square",
                      "--u", str(tmp_path / "absent.csv")])
         assert code == EXIT_SPEC
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("argv, message", [
+        (["energy", "--integrand", "power:1", "--u", "linear"],
+         "growth exponent must be finite and exceed 1, got 1.0"),
+        (["energy", "--integrand", "power:nan", "--u", "linear", "--n", "8"],
+         "growth exponent must be finite and exceed 1, got nan"),
+        (["residual", "--integrand", "power:x", "--u", "linear"],
+         "bad exponent in integrand name 'power:x'"),
+        (["minimize", "--problem", "problem1", "--integrand", "bogus"],
+         "unknown integrand 'bogus'"),
+        (["minimize", "--problem", "problem1", "--init", "bogus"],
+         "unknown initial-guess policy 'bogus'"),
+        (["minimize", "--problem", "problem1", "--max-iters", "0"], "max_iters must be >= 1"),
+    ], ids=["power-1", "power-nan", "bad-exponent",
+            "problem-with-unknown-integrand", "unknown-init", "zero-max-iters"])
+    def test_spec_error_exits_2(self, argv, message, tmp_path, capsys):
+        assert main(argv + ["--out", str(tmp_path)]) == EXIT_SPEC
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", [["energy", "--u", "linear"], ["minimize"]],
+                             ids=["energy", "minimize"])
+    def test_row_sum_overflow_exits_3(self, command, tmp_path, capsys):
+        argv = command + ["--integrand", "power:40", "--bc", "0,4.73e7", "--n", "64",
+                          "--out", str(tmp_path)]
+        with np.errstate(over="ignore"):
+            assert main(argv) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err == "numeric error: sum of W(power:40) over X overflows at x=0.0078125\n"
 
 
 class TestMinimizeCommand:
@@ -167,6 +198,41 @@ class TestReproduceCommand:
         for name in ("fig4_bolza_bare_n32.csv", "fig4_bolza_bare_n64.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
         assert first == second
+
+
+class TestOutputLayout:
+    """The files each command writes and the keys of its stdout lines, at a
+    small n; `main` dispatches through tables, so a lost or renamed entry
+    shows up here."""
+
+    @pytest.mark.parametrize("argv, files, keys", [
+        (["reproduce", "fig1-ode-approx"],
+         {"fig1.svg", "fig1_k-normalized.csv", "fig1_k2.csv"},
+         ["k_normalized", "k_display"]),
+        (["reproduce", "fig2-problem1"],
+         {"fig2.svg", "fig2_minimizer_n16.csv", "fig2_derivative_n16.csv"},
+         ["energy"]),
+        (["reproduce", "fig3-quad-mass"],
+         {"fig3.svg", "fig3_minimizer_n16.csv", "fig3_local_exp_n16.csv"},
+         ["energy", "sup_distance_to_local_solution"]),
+        (["reproduce", "fig4-bolza"],
+         {"fig4.svg", "fig4_bolza_bare_n8.csv", "fig4_bolza_bare_n16.csv"},
+         ["n=8 energy", "n=16 energy", "sup_distance_between_levels", "warning"]),
+        (["minimize", "--problem", "problem1"],
+         {"problem1_n16.csv", "problem1_n16.svg"},
+         ["integrand", "n", "energy", "grad_norm", "iters", "curve"]),
+        (["minimize", "--problem", "quad-mass"],
+         {"quad-mass_n16.csv", "quad-mass_n16_local_exp.csv", "quad-mass_n16.svg"},
+         ["integrand", "n", "energy", "grad_norm", "iters", "curve"]),
+        (["minimize", "--problem", "bolza"],
+         {"bolza_n16.csv", "bolza_n16.svg"},
+         ["warning", "integrand", "n", "energy", "grad_norm", "iters", "curve"]),
+    ], ids=["fig1", "fig2", "fig3", "fig4", "problem1", "quad-mass", "bolza"])
+    def test_files_and_stdout_keys(self, argv, files, keys, tmp_path, capsys):
+        assert main(argv + ["--n", "16", "--svg", "--out", str(tmp_path)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert {p.name for p in tmp_path.iterdir()} == files
+        assert [line.split(":", 1)[0] for line in out.splitlines()] == keys
 
 
 def _reported_energy(out: str) -> float:

@@ -8,12 +8,12 @@ from nlvar.curveio import (
     write_curve,
     write_svg,
 )
-from nlvar.grid import make_uniform_grid
+from nlvar.grid import Grid1D
 
 
 class TestCurveRoundTrip:
     def test_full_precision(self, tmp_path):
-        g = make_uniform_grid(64)
+        g = Grid1D(64)
         rng = np.random.default_rng(3)
         u = rng.normal(size=65)
         path = tmp_path / "c.csv"
@@ -23,7 +23,7 @@ class TestCurveRoundTrip:
         assert np.array_equal(u2, u)
 
     def test_read_nodal_function(self, tmp_path):
-        g = make_uniform_grid(16)
+        g = Grid1D(16)
         path = tmp_path / "c.csv"
         write_curve(path, g.nodes, np.linspace(0, 1, 17))
         u = read_nodal_function(path)

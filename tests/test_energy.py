@@ -10,7 +10,7 @@ from nlvar.energy import (
     refine_and_compare,
     value_and_grad,
 )
-from nlvar.grid import Grid1D, NodalFunction, make_uniform_grid
+from nlvar.grid import Grid1D, NodalFunction
 from nlvar.integrands import (
     Integrand,
     half_square,
@@ -67,26 +67,26 @@ def fd_gradient(grid, vals, integrand, step=1e-6):
 class TestEnergyValues:
     @pytest.mark.parametrize("n", [4, 16, 64])
     def test_linear_power2_is_one(self, n):
-        u = NodalFunction.linear(make_uniform_grid(n), 0.0, 1.0)
+        u = NodalFunction.linear(Grid1D(n), 0.0, 1.0)
         assert energy_value(u, power_p(2)) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("p", [2, 3, 4])
     @pytest.mark.parametrize("c", [0.0, 1.0, -3.0])
     def test_constants_have_zero_energy(self, p, c):
-        u = NodalFunction.constant(make_uniform_grid(16), c)
+        u = NodalFunction.constant(Grid1D(16), c)
         assert energy_value(u, power_p(p)) <= 1e-14
 
     def test_zero_function_two_well_bare(self):
-        u = NodalFunction.constant(make_uniform_grid(64), 0.0)
+        u = NodalFunction.constant(Grid1D(64), 0.0)
         assert energy_value(u, two_well_bare()) == pytest.approx(0.25, abs=1e-13)
 
     def test_linear_half_square(self):
-        u = NodalFunction.linear(make_uniform_grid(32), 0.0, 1.0)
+        u = NodalFunction.linear(Grid1D(32), 0.0, 1.0)
         assert energy_value(u, half_square()) == pytest.approx(0.5, abs=1e-13)
 
     def test_breakdown_reproduces_value(self):
         rng = np.random.default_rng(5)
-        u = NodalFunction(make_uniform_grid(16), rng.normal(size=17))
+        u = NodalFunction(Grid1D(16), rng.normal(size=17))
         report = energy(u, two_well_full(), breakdown=True)
         assert report.breakdown.sum() == report.value
         assert energy(u, two_well_full()).value == report.value
@@ -99,23 +99,33 @@ class TestEnergyValues:
             p=2.0,
             name="log-slope",
         )
-        u = NodalFunction(make_uniform_grid(8), np.linspace(1, 0, 9))
+        u = NodalFunction(Grid1D(8), np.linspace(1, 0, 9))
         with np.errstate(invalid="ignore"):
             with pytest.raises(NonFiniteEnergyError):
                 energy_value(u, exploding)
+
+
+    def test_row_sum_overflow_reported(self):
+        # each |U|^40 is finite, about 1e307, but a row of 64 of them is not
+        u = NodalFunction.linear(Grid1D(64), 0.0, 4.73e7)
+        assert np.isfinite(power_p(40).evaluate(0.5, 0.0, 4.73e7))
+        for kernel in (energy_value, value_and_grad):
+            with np.errstate(over="ignore"):
+                with pytest.raises(NonFiniteEnergyError, match=r"overflows at x=0\.0078125$"):
+                    kernel(u, power_p(40))
 
 
 class TestEnergyProperties:
     @pytest.mark.parametrize("integrand", ALL, ids=lambda i: i.name)
     def test_nonnegative(self, integrand):
         rng = np.random.default_rng(11)
-        u = NodalFunction(make_uniform_grid(24), rng.uniform(-2, 2, 25))
+        u = NodalFunction(Grid1D(24), rng.uniform(-2, 2, 25))
         assert energy_value(u, integrand) >= 0.0
 
     @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
     def test_power_homogeneity(self, p):
         rng = np.random.default_rng(2)
-        g = make_uniform_grid(20)
+        g = Grid1D(20)
         vals = rng.uniform(-1, 1, 21)
         base = energy_value(NodalFunction(g, vals), power_p(p))
         for lam in (0.5, 2.0, 5.0):
@@ -128,7 +138,7 @@ class TestEnergyProperties:
     )
     def test_translation_invariance_without_mass_term(self, integrand):
         rng = np.random.default_rng(9)
-        g = make_uniform_grid(20)
+        g = Grid1D(20)
         vals = rng.uniform(-1, 1, 21)
         base = energy_value(NodalFunction(g, vals), integrand)
         shifted = energy_value(NodalFunction(g, vals + 3.7), integrand)
@@ -136,7 +146,7 @@ class TestEnergyProperties:
 
     def test_reflection_equivariance_half_square(self):
         rng = np.random.default_rng(13)
-        g = make_uniform_grid(32)
+        g = Grid1D(32)
         vals = rng.uniform(0, 1, 33)
         vals[0], vals[-1] = 0.0, 1.0
         reflected = 1.0 - vals[::-1]
@@ -147,7 +157,7 @@ class TestEnergyProperties:
 
 class TestEnergyGradient:
     def test_linear_half_square_matches_fd(self):
-        g = make_uniform_grid(16)
+        g = Grid1D(16)
         u = NodalFunction.linear(g, 0.0, 1.0)
         ga = energy_gradient(u, half_square())
         gf = fd_gradient(g, u.values.copy(), half_square())
@@ -155,12 +165,12 @@ class TestEnergyGradient:
         assert rel.max() <= 1e-6
 
     def test_zero_function_two_well_bare_is_critical(self):
-        u = NodalFunction.constant(make_uniform_grid(32), 0.0)
+        u = NodalFunction.constant(Grid1D(32), 0.0)
         assert np.array_equal(energy_gradient(u, two_well_bare()), np.zeros(31))
 
     @pytest.mark.parametrize("integrand", ALL, ids=lambda i: i.name)
     def test_random_vectors_match_fd(self, integrand):
-        g = make_uniform_grid(32)
+        g = Grid1D(32)
         for seed in range(10):
             rng = np.random.default_rng(seed)
             vals = rng.uniform(-1, 1, 33)
@@ -180,7 +190,7 @@ class TestBlockedKernel:
     @pytest.mark.parametrize("integrand", ALL, ids=lambda i: i.name)
     def test_bit_identical_to_dense(self, integrand):
         rng = np.random.default_rng(3)
-        u = NodalFunction(make_uniform_grid(self.N), rng.uniform(-1, 1, self.N + 1))
+        u = NodalFunction(Grid1D(self.N), rng.uniform(-1, 1, self.N + 1))
         rows, value, grad = dense_quadrature(u, integrand)
         report = energy(u, integrand, breakdown=True)
         assert np.array_equal(report.breakdown, rows)
@@ -191,7 +201,7 @@ class TestBlockedKernel:
         assert np.array_equal(fused[1], energy_gradient(u, integrand))
 
     def test_non_finite_names_point_in_later_block(self):
-        g = make_uniform_grid(self.N)
+        g = Grid1D(self.N)
         x_bad = g.midpoints[500]
         assert 500 >= BLOCK_ELEMS // self.N
         spiked = Integrand(

@@ -1,37 +1,38 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import given, strategies as st
 
-from nlvar.grid import (
-    Grid1D,
-    GridError,
-    NodalFunction,
-    difference_quotient,
-    make_uniform_grid,
-)
+from nlvar.energy import _quotient_blocks
+from nlvar.grid import Grid1D, GridError, NodalFunction
 
 EPS = np.finfo(float).eps
 
 
+def quotients(u):
+    """The n x n difference quotients D(m_i, m_j) the energy kernel uses,
+    stacked from its row blocks; the cell slope sits on the diagonal."""
+    return np.vstack([D for *_, D in _quotient_blocks(u)])
+
+
 class TestGridConstruction:
     def test_n4_nodes_and_midpoints(self):
-        g = make_uniform_grid(4)
+        g = Grid1D(4)
         assert np.allclose(g.nodes, [0, 0.25, 0.5, 0.75, 1.0], atol=0)
         assert np.allclose(g.midpoints, [0.125, 0.375, 0.625, 0.875], atol=0)
 
     def test_n2(self):
-        g = make_uniform_grid(2)
+        g = Grid1D(2)
         assert g.h == 0.5
         assert g.nodes.size == 3
 
     @pytest.mark.parametrize("n", [1, 0, -3])
     def test_too_few_cells_rejected(self, n):
         with pytest.raises(GridError):
-            make_uniform_grid(n)
+            Grid1D(n)
 
     @pytest.mark.parametrize("n", [2, 7, 64, 511])
     def test_invariants(self, n):
-        g = make_uniform_grid(n)
+        g = Grid1D(n)
         assert g.nodes[0] == 0.0 and g.nodes[-1] == 1.0
         assert np.all(np.diff(g.nodes) > 0)
         assert abs(g.h * n - 1.0) <= 4 * EPS
@@ -40,38 +41,38 @@ class TestGridConstruction:
         assert np.all(g.midpoints < g.nodes[1:])
 
     def test_arrays_immutable(self):
-        g = make_uniform_grid(8)
+        g = Grid1D(8)
         with pytest.raises(ValueError):
             g.nodes[0] = 0.5
 
 
 class TestNodalFunction:
     def test_length_mismatch(self):
-        g = make_uniform_grid(4)
+        g = Grid1D(4)
         with pytest.raises(GridError):
             NodalFunction(g, np.zeros(4))
 
     def test_bc_violation(self):
-        g = make_uniform_grid(4)
+        g = Grid1D(4)
         with pytest.raises(GridError):
             NodalFunction(g, np.zeros(5), left_bc=1.0)
 
     def test_identity_eval(self):
-        u = NodalFunction.linear(make_uniform_grid(10), 0.0, 1.0)
+        u = NodalFunction.linear(Grid1D(10), 0.0, 1.0)
         assert u(0.3) == pytest.approx(0.3, abs=4 * EPS)
 
     def test_constant_eval(self):
-        u = NodalFunction.constant(make_uniform_grid(5), 2.5)
+        u = NodalFunction.constant(Grid1D(5), 2.5)
         for t in (0.0, 0.37, 1.0):
             assert u(t) == 2.5
 
     def test_hat_eval(self):
-        g = make_uniform_grid(2)
+        g = Grid1D(2)
         u = NodalFunction(g, np.array([0.0, 0.5, 0.0]))
         assert u(0.25) == pytest.approx(0.25, abs=4 * EPS)
 
     def test_out_of_domain(self):
-        u = NodalFunction.constant(make_uniform_grid(4), 0.0)
+        u = NodalFunction.constant(Grid1D(4), 0.0)
         with pytest.raises(GridError):
             u(1.0001)
         with pytest.raises(GridError):
@@ -79,7 +80,7 @@ class TestNodalFunction:
 
     def test_exact_at_nodes_and_linear_between(self):
         rng = np.random.default_rng(7)
-        g = make_uniform_grid(17)
+        g = Grid1D(17)
         vals = rng.normal(size=18)
         u = NodalFunction(g, vals)
         assert np.array_equal(u(g.nodes), vals)
@@ -91,45 +92,33 @@ class TestNodalFunction:
 
 class TestDifferenceQuotient:
     def test_affine_everywhere(self):
-        u = NodalFunction.linear(make_uniform_grid(8), 0.0, 1.0)
-        for s, t in [(0.1, 0.9), (0.5, 0.125), (0.3, 0.3), (0.0, 1.0)]:
-            assert difference_quotient(u, s, t) == pytest.approx(1.0, abs=1e-13)
+        u = NodalFunction.linear(Grid1D(8), 0.0, 1.0)
+        assert np.max(np.abs(quotients(u) - 1.0)) <= 1e-13
 
     def test_constant_zero(self):
-        u = NodalFunction.constant(make_uniform_grid(8), 3.0)
-        assert difference_quotient(u, 0.2, 0.7) == 0.0
+        u = NodalFunction.constant(Grid1D(8), 3.0)
+        assert np.array_equal(quotients(u), np.zeros((8, 8)))
 
     def test_hat_endpoints(self):
-        g = make_uniform_grid(2)
-        u = NodalFunction(g, np.array([0.0, 0.5, 0.0]))
-        assert difference_quotient(u, 0.0, 1.0) == 0.0
+        # the two midpoints of the n = 2 hat carry equal values
+        u = NodalFunction(Grid1D(2), np.array([0.0, 0.5, 0.0]))
+        assert np.array_equal(quotients(u), [[1.0, 0.0], [0.0, -1.0]])
 
     def test_diagonal_is_cell_slope(self):
-        g = make_uniform_grid(4)
+        g = Grid1D(4)
         u = NodalFunction(g, np.array([0.0, 1.0, 0.5, 0.5, 2.0]))
-        assert difference_quotient(u, 0.1, 0.1) == pytest.approx(4.0)
-        assert difference_quotient(u, 0.3, 0.3) == pytest.approx(-2.0)
+        assert np.array_equal(np.diag(quotients(u)), [4.0, -2.0, 0.0, 6.0])
 
-    @given(
-        s=st.floats(0.0, 1.0),
-        t=st.floats(0.0, 1.0),
-        seed=st.integers(0, 2**16),
-    )
-    def test_symmetry(self, s, t, seed):
+    @given(n=st.integers(2, 40), seed=st.integers(0, 2**16))
+    def test_symmetry(self, n, seed):
         rng = np.random.default_rng(seed)
-        u = NodalFunction(make_uniform_grid(6), rng.uniform(-2, 2, 7))
-        assert difference_quotient(u, s, t) == difference_quotient(u, t, s)
+        D = quotients(NodalFunction(Grid1D(n), rng.uniform(-2, 2, n + 1)))
+        assert np.array_equal(D, D.T)
 
-    @given(c=st.floats(-10, 10), s=st.floats(0.0, 1.0), t=st.floats(0.0, 1.0))
-    def test_translation_invariance(self, c, s, t):
+    @given(c=st.floats(-10, 10))
+    def test_translation_invariance(self, c):
         rng = np.random.default_rng(3)
         vals = rng.uniform(-1, 1, 9)
-        g = make_uniform_grid(8)
-        u = NodalFunction(g, vals)
-        u_shift = NodalFunction(g, vals + c)
-        # keep |s - t| away from the diagonal tolerance, where the quotient
-        # switches to the cell slope and cancellation amplifies the shift
-        assume(s == t or abs(s - t) > 1e-6)
-        assert difference_quotient(u_shift, s, t) == pytest.approx(
-            difference_quotient(u, s, t), abs=1e-9
-        )
+        g = Grid1D(8)
+        shifted = quotients(NodalFunction(g, vals + c))
+        assert np.max(np.abs(shifted - quotients(NodalFunction(g, vals)))) <= 1e-9

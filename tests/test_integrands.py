@@ -36,18 +36,19 @@ class TestEvaluate:
         assert half_square().evaluate(0.0, 5.0, 3.0) == 4.5
 
 
+def partials(integrand, x, u, U):
+    return integrand.w_u(x, u, U), integrand.w_U(x, u, U)
+
+
 class TestGrad:
     def test_half_square(self):
-        wu, wU = half_square().grad(0.2, 7.0, 3.0)
-        assert (wu, wU) == (0.0, 3.0)
+        assert partials(half_square(), 0.2, 7.0, 3.0) == (0.0, 3.0)
 
     def test_two_well_bare_well_bottom(self):
-        wu, wU = two_well_bare().grad(0.2, 0.0, 1.0)
-        assert (wu, wU) == (0.0, 0.0)
+        assert partials(two_well_bare(), 0.2, 0.0, 1.0) == (0.0, 0.0)
 
     def test_two_well_full_critical_slope(self):
-        wu, wU = two_well_full().grad(0.2, 2.0, 0.0)
-        assert (wu, wU) == (2.0, 0.0)
+        assert partials(two_well_full(), 0.2, 2.0, 0.0) == (2.0, 0.0)
 
 
 class TestDerivativeConsistency:
@@ -123,3 +124,10 @@ class TestNameResolution:
     def test_unknown_names(self, name):
         with pytest.raises(KeyError):
             integrand_by_name(name)
+
+    @pytest.mark.parametrize("p", [1.0, 0.5, -2.0, float("nan"), float("inf"), -float("inf")])
+    def test_bad_exponents(self, p):
+        with pytest.raises(ValueError, match="finite and exceed 1"):
+            power_p(p)
+        with pytest.raises(ValueError, match="finite and exceed 1"):
+            integrand_by_name(f"power:{p}")

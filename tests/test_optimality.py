@@ -1,114 +1,98 @@
 import numpy as np
 import pytest
 
-from nlvar.grid import NodalFunction, make_uniform_grid
+from nlvar.grid import Grid1D, NodalFunction
 from nlvar.integrands import half_square, two_well_full
-from nlvar.optimality import (
-    check_inteqo,
-    kernel_K,
-    ndiv,
-    pv_log,
-    residual,
-    residual_report,
-)
+from nlvar.optimality import residual, residual_report
 from nlvar.solver import SolverConfig, minimize
 
 LN3 = np.log(3.0)
 
 
-class TestNdiv:
-    def test_antisymmetric_kernel_vanishes(self):
-        F = lambda x, X: X - x
-        assert ndiv(F, 0.2, 0.9) == 0.0
+def quadratic_check(u):
+    """int (u(X) - u(x)) / (X - x)^2 dX at the interior nodes, which for the
+    half-square density is -1/2 times the residual, for any u."""
+    return -0.5 * residual_report(u, half_square()).residuals
 
-    def test_constant_kernel(self):
-        F = lambda x, X: 1.0
-        assert ndiv(F, 0.25, 0.75) == pytest.approx(4.0)
 
-    def test_unit_slope_quotient(self):
-        u = NodalFunction.linear(make_uniform_grid(8), 0.0, 1.0)
-        from nlvar.grid import difference_quotient
-
-        F = lambda x, X: difference_quotient(u, x, X)
-        assert ndiv(F, 0.25, 0.75) == pytest.approx(4.0)
-
-    def test_singular_diagonal(self):
-        with pytest.raises(ZeroDivisionError):
-            ndiv(lambda x, X: 1.0, 0.5, 0.5)
+def discrete_pv(n):
+    """Interior nodes and the paired midpoint quadrature of the principal
+    value int_0^1 dX / (X - x) = log((1 - x) / x): the quadratic check of
+    the identity map."""
+    u = NodalFunction.linear(Grid1D(n), 0.0, 1.0)
+    return u.grid.nodes[1:-1], quadratic_check(u)
 
 
 class TestPvLog:
     def test_center(self):
-        assert pv_log(0.5) == 0.0
+        x, pv = discrete_pv(128)
+        assert pv[63] == 0.0
 
     def test_quarter_points(self):
-        assert pv_log(0.25) == pytest.approx(LN3, rel=1e-14)
-        assert pv_log(0.75) == pytest.approx(-LN3, rel=1e-14)
+        # the quadrature error at a fixed interior x is O(h^2), 3.6e-5 here
+        x, pv = discrete_pv(128)
+        assert (x[31], x[95]) == (0.25, 0.75)
+        assert abs(pv[31] - LN3) <= 1e-4
+        assert pv[95] == -pv[31]
 
     @pytest.mark.parametrize("x", [0.0, 1.0, -0.1, 1.5])
     def test_domain(self, x):
+        u = NodalFunction.linear(Grid1D(16), 0.0, 1.0)
         with pytest.raises(ValueError):
-            pv_log(x)
+            residual(u, half_square(), x)
 
     @pytest.mark.parametrize("n", [32, 64, 128])
     def test_paired_quadrature_mean_error_first_order(self, n):
         # pairs cancel exactly; the leftover one-sided tail carries the error.
         # Averaged over interior nodes the error behaves like C/n; the
         # node-wise maximum sits at the boundary-adjacent nodes and is O(1).
-        g = make_uniform_grid(n)
-        u = NodalFunction.linear(g, 0.0, 1.0)
-        report = check_inteqo(u)
-        errors = np.abs(report.residuals - np.log((1.0 - report.x_points) / report.x_points))
+        x, pv = discrete_pv(n)
+        errors = np.abs(pv - np.log((1.0 - x) / x))
         assert errors.mean() <= 0.13 / n
 
     def test_paired_quadrature_mean_error_halves(self):
         means = []
         for n in (64, 128):
-            g = make_uniform_grid(n)
-            u = NodalFunction.linear(g, 0.0, 1.0)
-            report = check_inteqo(u)
-            errors = np.abs(
-                report.residuals - np.log((1.0 - report.x_points) / report.x_points)
-            )
-            means.append(errors.mean())
+            x, pv = discrete_pv(n)
+            means.append(np.abs(pv - np.log((1.0 - x) / x)).mean())
         assert 0.4 <= means[1] / means[0] <= 0.6
 
 
 class TestResidual:
     def test_bolza_trivial_solution(self):
-        u = NodalFunction.constant(make_uniform_grid(128), 0.0)
+        u = NodalFunction.constant(Grid1D(128), 0.0)
         for x in (0.25, 0.5, 1.0 / 128.0):
             assert abs(residual(u, two_well_full(), x)) <= 1e-10
 
     def test_linear_half_square_quarter_point(self):
-        u = NodalFunction.linear(make_uniform_grid(128), 0.0, 1.0)
+        u = NodalFunction.linear(Grid1D(128), 0.0, 1.0)
         assert residual(u, half_square(), 0.25) == pytest.approx(-2 * LN3, abs=1e-2)
 
     def test_linear_half_square_center_vanishes(self):
-        u = NodalFunction.linear(make_uniform_grid(128), 0.0, 1.0)
+        u = NodalFunction.linear(Grid1D(128), 0.0, 1.0)
         assert abs(residual(u, half_square(), 0.5)) <= 1e-10
 
     @pytest.mark.parametrize("x", [0.0, 1.0, 0.255])
     def test_non_node_rejected(self, x):
-        u = NodalFunction.linear(make_uniform_grid(100), 0.0, 1.0)
+        u = NodalFunction.linear(Grid1D(100), 0.0, 1.0)
         with pytest.raises(ValueError):
             residual(u, half_square(), x)
 
 
 class TestResidualReport:
     def test_bolza_trivial_norms(self):
-        u = NodalFunction.constant(make_uniform_grid(128), 0.0)
+        u = NodalFunction.constant(Grid1D(128), 0.0)
         report = residual_report(u, two_well_full())
         assert report.norm_sup <= 1e-10
         assert report.norm_l2 <= 1e-10
 
     def test_linear_half_square_sup_attained_near_quarter_points(self):
-        u = NodalFunction.linear(make_uniform_grid(128), 0.0, 1.0)
+        u = NodalFunction.linear(Grid1D(128), 0.0, 1.0)
         report = residual_report(u, half_square())
         assert report.norm_sup >= 2 * LN3 * (1 - 1e-2)
 
     def test_norms_recomputable(self):
-        u = NodalFunction.linear(make_uniform_grid(64), 0.0, 1.0)
+        u = NodalFunction.linear(Grid1D(64), 0.0, 1.0)
         report = residual_report(u, half_square())
         h = 1.0 / 64
         assert report.norm_l2 == pytest.approx(
@@ -120,66 +104,32 @@ class TestResidualReport:
         # discrete stationarity shows up in the central band; the end-point
         # layers of the p=2 minimizer dominate the all-node l2 norm
         cfg = SolverConfig(grad_tol=1e-8, max_iters=50000)
-        res = minimize(half_square(), make_uniform_grid(128), (0.0, 1.0), "linear", cfg)
+        res = minimize(half_square(), Grid1D(128), (0.0, 1.0), "linear", cfg)
         report = residual_report(res.u, half_square())
         assert report.norm_l2_central <= 1e-2
 
 
 class TestCheckInteqo:
     def test_constant_vanishes(self):
-        u = NodalFunction.constant(make_uniform_grid(32), 4.0)
-        report = check_inteqo(u)
-        assert np.max(np.abs(report.residuals)) == 0.0
+        u = NodalFunction.constant(Grid1D(32), 4.0)
+        assert np.max(np.abs(quadratic_check(u))) == 0.0
 
     def test_linear_quarter_point(self):
-        u = NodalFunction.linear(make_uniform_grid(128), 0.0, 1.0)
+        u = NodalFunction.linear(Grid1D(128), 0.0, 1.0)
         k = 32  # node x = 0.25
-        assert report_value(u, k) == pytest.approx(LN3, abs=1e-2)
+        assert quadratic_check(u)[k - 1] == pytest.approx(LN3, abs=1e-2)
 
     def test_half_square_identity_minus_two(self):
         # Ndiv W_U = 2 (u(X)-u(x))/(X-x)^2 for the quadratic density, so the
-        # general residual equals -2 times the specialized one, for any u
+        # general residual equals -2 times the specialized sum, for any u
         rng = np.random.default_rng(21)
-        u = NodalFunction(make_uniform_grid(64), rng.uniform(-1, 1, 65))
+        g = Grid1D(64)
+        u = NodalFunction(g, rng.uniform(-1, 1, 65))
         general = residual_report(u, half_square()).residuals
-        special = check_inteqo(u).residuals
+        x, m = g.nodes[1:-1, None], g.midpoints[None, :]
+        ux, um = u.values[1:-1, None], u.midpoint_values[None, :]
+        special = g.h * ((um - ux) / (m - x) ** 2).sum(axis=1)
         assert np.max(np.abs(general + 2.0 * special)) <= 1e-10
-
-
-def report_value(u, k):
-    report = check_inteqo(u)
-    return report.residuals[k - 1]
-
-
-class TestKernelK:
-    def test_right_of_singularity(self):
-        assert kernel_K(0.5, 0.75) == pytest.approx(1.0)
-
-    def test_left_of_singularity(self):
-        assert kernel_K(0.5, 0.25) == pytest.approx(0.0)
-
-    def test_singular_and_domain(self):
-        with pytest.raises(ZeroDivisionError):
-            kernel_K(0.5, 0.5)
-        with pytest.raises(ValueError):
-            kernel_K(0.0, 0.5)
-
-    def test_linear_function_fails_integrated_equation(self):
-        # for v = u' = 1 the left side at x = 1/4 is x(1-x) ln 3 + x, which
-        # misses the right side x by about 0.206: the linear function is not
-        # a solution of the integrated optimality equation
-        x = 0.25
-        n = 2048
-        g = make_uniform_grid(n)
-        terms = np.array([kernel_K(x, X) for X in g.midpoints]) * g.h
-        k = n // 4
-        w = min(k, n - k)
-        paired = terms[k - w:k][::-1] + terms[k:k + w]
-        singles = terms[k + w:] if k <= n - k else terms[:k - w]
-        lhs = paired.sum() + singles.sum()
-        analytic = x * (1 - x) * np.log(3.0) + x
-        assert lhs == pytest.approx(analytic, abs=1e-3)
-        assert abs(lhs - x) == pytest.approx(0.2060, abs=1e-3)
 
 
 class TestStationarityTransfer:
@@ -187,6 +137,6 @@ class TestStationarityTransfer:
         cfg = SolverConfig(grad_tol=1e-8, max_iters=50000)
         norms = []
         for n in (32, 64, 128):
-            res = minimize(half_square(), make_uniform_grid(n), (0.0, 1.0), "linear", cfg)
+            res = minimize(half_square(), Grid1D(n), (0.0, 1.0), "linear", cfg)
             norms.append(residual_report(res.u, half_square()).norm_l2_central)
         assert norms[1] <= norms[0] and norms[2] <= norms[1]

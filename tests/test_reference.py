@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nlvar.grid import make_uniform_grid
+from nlvar.grid import Grid1D
 from nlvar.reference import (
     holder_exponent,
     local_exp_solution,
@@ -60,22 +60,22 @@ class TestNormalizeK:
 
 class TestOdeApproxProfile:
     def test_end_and_mid_values(self):
-        profile = ode_approx_profile(make_uniform_grid(128))
+        profile = ode_approx_profile(Grid1D(128))
         assert profile.u(0.0) == 0.0
         assert profile.u(1.0) == pytest.approx(1.0, abs=1e-6)
         assert profile.u(0.5) == pytest.approx(0.5, abs=1e-6)
 
     def test_reflection_identity(self):
-        profile = ode_approx_profile(make_uniform_grid(64))
+        profile = ode_approx_profile(Grid1D(64))
         xs = np.linspace(0.0, 1.0, 101)
         assert np.max(np.abs(profile.u(xs) + profile.u(1.0 - xs) - 1.0)) <= 1e-6
 
     def test_explicit_scale_changes_range(self):
-        profile = ode_approx_profile(make_uniform_grid(32), k=2.0)
+        profile = ode_approx_profile(Grid1D(32), k=2.0)
         assert profile.u(1.0) == pytest.approx(2.0 / K_NORMALIZED, rel=1e-6)
 
     def test_derivative_attached(self):
-        profile = ode_approx_profile(make_uniform_grid(32))
+        profile = ode_approx_profile(Grid1D(32))
         assert profile.u_prime(0.5) == pytest.approx(profile.params["k"] / 4.0, rel=1e-12)
 
 

@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from nlvar.energy import energy_value
-from nlvar.grid import NodalFunction, make_uniform_grid
+from nlvar.grid import Grid1D, NodalFunction
 from nlvar.integrands import half_square, power_p, quadratic_mass, two_well_bare
 from nlvar.solver import (
     ContinuationResult,
@@ -39,16 +41,16 @@ class TestConfigValidation:
 
 class TestInitialGuess:
     def test_linear(self):
-        u = make_initial_guess(make_uniform_grid(4), (0.0, 1.0), "linear")
+        u = make_initial_guess(Grid1D(4), (0.0, 1.0), "linear")
         assert np.allclose(u.values, [0, 0.25, 0.5, 0.75, 1.0])
 
     def test_zero_keeps_ends(self):
-        u = make_initial_guess(make_uniform_grid(4), (0.0, 1.0), "zero")
+        u = make_initial_guess(Grid1D(4), (0.0, 1.0), "zero")
         assert u.values[0] == 0.0 and u.values[-1] == 1.0
         assert np.all(u.values[1:-1] == 0.0)
 
     def test_random_is_seeded(self):
-        g = make_uniform_grid(16)
+        g = Grid1D(16)
         u1 = make_initial_guess(g, (0.0, 1.0), "random", seed=5)
         u2 = make_initial_guess(g, (0.0, 1.0), "random", seed=5)
         u3 = make_initial_guess(g, (0.0, 1.0), "random", seed=6)
@@ -56,56 +58,56 @@ class TestInitialGuess:
         assert not np.array_equal(u1.values, u3.values)
 
     def test_infeasible_nodal_init_rejected(self):
-        g = make_uniform_grid(4)
+        g = Grid1D(4)
         bad = NodalFunction(g, np.ones(5))
         with pytest.raises(ValueError):
             make_initial_guess(g, (0.0, 1.0), bad)
 
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
-            make_initial_guess(make_uniform_grid(4), (0.0, 1.0), "spline")
+            make_initial_guess(Grid1D(4), (0.0, 1.0), "spline")
 
 
 class TestMinimize:
     def test_half_square_beats_linear(self):
-        res = minimize(half_square(), make_uniform_grid(64), (0.0, 1.0), "linear", TIGHT)
+        res = minimize(half_square(), Grid1D(64), (0.0, 1.0), "linear", TIGHT)
         assert res.converged
         assert res.energy < 0.5 - 1e-3
 
     def test_quadratic_mass_unique_minimizer(self):
-        g = make_uniform_grid(64)
+        g = Grid1D(64)
         r1 = minimize(quadratic_mass(), g, (0.0, 1.0), "linear", TIGHT)
         r2 = minimize(quadratic_mass(), g, (0.0, 1.0), "random", TIGHT)
         assert r1.converged and r2.converged
         assert np.max(np.abs(r1.u.values - r2.u.values)) <= 1e-5
 
     def test_two_well_bare_zero_start_never_increases(self):
-        res = minimize(two_well_bare(), make_uniform_grid(64), (0.0, 0.0), "zero", TIGHT)
+        res = minimize(two_well_bare(), Grid1D(64), (0.0, 0.0), "zero", TIGHT)
         assert res.energy <= 0.25
 
     def test_energy_trace_monotone(self):
-        res = minimize(quadratic_mass(), make_uniform_grid(48), (0.0, 1.0), "random", TIGHT)
+        res = minimize(quadratic_mass(), Grid1D(48), (0.0, 1.0), "random", TIGHT)
         energies = [e for e, _ in res.trace]
         assert all(b <= a for a, b in zip(energies, energies[1:]))
 
     def test_end_values_bit_exact(self):
-        res = minimize(half_square(), make_uniform_grid(32), (0.25, 0.75), "linear", TIGHT)
+        res = minimize(half_square(), Grid1D(32), (0.25, 0.75), "linear", TIGHT)
         assert res.u.values[0] == 0.25 and res.u.values[-1] == 0.75
 
     def test_result_energy_consistent(self):
-        res = minimize(half_square(), make_uniform_grid(32), (0.0, 1.0), "linear", TIGHT)
+        res = minimize(half_square(), Grid1D(32), (0.0, 1.0), "linear", TIGHT)
         assert res.energy == pytest.approx(
             energy_value(res.u, half_square()), rel=1e-14
         )
         assert res.converged and res.grad_norm <= TIGHT.grad_tol
 
     def test_quadratic_minimizer_reflection_symmetry(self):
-        res = minimize(half_square(), make_uniform_grid(64), (0.0, 1.0), "linear", TIGHT)
+        res = minimize(half_square(), Grid1D(64), (0.0, 1.0), "linear", TIGHT)
         v = res.u.values
         assert np.max(np.abs(v + v[::-1] - 1.0)) <= 10 * TIGHT.grad_tol
 
     def test_deterministic_traces(self):
-        g = make_uniform_grid(32)
+        g = Grid1D(32)
         r1 = minimize(two_well_bare(), g, (0.0, 0.0), "random", TIGHT)
         r2 = minimize(two_well_bare(), g, (0.0, 0.0), "random", TIGHT)
         assert r1.trace == r2.trace
@@ -113,13 +115,15 @@ class TestMinimize:
 
     def test_plain_gradient_descent_mode(self):
         cfg = SolverConfig(grad_tol=1e-5, max_iters=20000, memory=0)
-        res = minimize(quadratic_mass(), make_uniform_grid(16), (0.0, 1.0), "linear", cfg)
+        res = minimize(quadratic_mass(), Grid1D(16), (0.0, 1.0), "linear", cfg)
         assert res.converged
 
     def test_non_finite_trial_step_is_rejected(self):
-        # the first full steps overflow |U|^40; they must shrink, not raise
-        with np.errstate(over="ignore"):
-            res = minimize(power_p(40), make_uniform_grid(64), (0.0, 1.0), "hat",
+        # the first full steps overflow |U|^40; they must shrink, not raise,
+        # and the overflow of a rejected trial must not warn either
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = minimize(power_p(40), Grid1D(64), (0.0, 1.0), "hat",
                            SolverConfig(max_iters=50))
         energies = [e for e, _ in res.trace]
         assert res.iters == 50
@@ -128,7 +132,7 @@ class TestMinimize:
 
     def test_max_iters_reports_nonconvergence(self):
         cfg = SolverConfig(grad_tol=1e-14, max_iters=3)
-        res = minimize(half_square(), make_uniform_grid(32), (0.0, 1.0), "linear", cfg)
+        res = minimize(half_square(), Grid1D(32), (0.0, 1.0), "linear", cfg)
         assert not res.converged
         assert res.iters == 3
 
