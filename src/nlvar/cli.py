@@ -301,6 +301,8 @@ def fig4_bolza(spec: ExperimentSpec, out: Path) -> int:
     # two discretization levels of the bare two-well problem, descending
     # from the trivial map (plus a tiny seeded kick: the exact zero function
     # is itself a critical point and descent would not move)
+    if spec.n < 4:
+        raise SpecError(f"fig4-bolza also solves at n // 2, so it needs n >= 4, got {spec.n}")
     results = []
     curves = []
     for n in (spec.n // 2, spec.n):

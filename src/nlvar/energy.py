@@ -112,11 +112,14 @@ def energy(u: NodalFunction, integrand: Integrand, breakdown: bool = False) -> E
     h = u.grid.h
     m = u.grid.midpoints
     sums = np.empty(u.grid.n)
-    for rows, x, ux, _, D in _quotient_blocks(u):
-        sums[rows] = _density_row_sums(integrand, x, ux, D, m)
-    per_row = h * h * sums
+    # every non-finite W or sum raises, so numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows, x, ux, _, D in _quotient_blocks(u):
+            sums[rows] = _density_row_sums(integrand, x, ux, D, m)
+        per_row = h * h * sums
+        value = _total(per_row, integrand, m)
     return EnergyReport(
-        value=_total(per_row, integrand, m),
+        value=value,
         n=u.grid.n,
         integrand=integrand.name,
         breakdown=per_row if breakdown else None,
@@ -135,8 +138,18 @@ def value_and_grad(u: NodalFunction, integrand: Integrand) -> tuple[float, np.nd
     Each midpoint value depends on its two adjacent nodes with weight 1/2;
     each off-diagonal quotient D_ij depends on midpoint values i and j; the
     diagonal D_ii is the cell slope with nodal weights -1/h, +1/h. End
-    values are fixed, so the gradient has length n - 1.
+    values are fixed, so the gradient has length n - 1. A non-finite value
+    or gradient raises NonFiniteEnergyError.
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, grad = _value_and_grad(u, integrand)
+    if not np.all(np.isfinite(grad)):
+        x = u.grid.nodes[1 + np.isfinite(grad).argmin()]
+        raise NonFiniteEnergyError(f"gradient of W({integrand.name}) non-finite at x={x:.6g}")
+    return value, grad
+
+
+def _value_and_grad(u: NodalFunction, integrand: Integrand) -> tuple[float, np.ndarray]:
     g = u.grid
     h, n, m = g.h, g.n, g.midpoints
     w_rows = np.empty(n)

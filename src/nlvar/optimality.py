@@ -23,28 +23,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .energy import NonFiniteEnergyError, _block_rows
 from .grid import NodalFunction
 from .integrands import Integrand
 
 __all__ = ["ResidualReport", "residual", "residual_report"]
 
 
-def _node_index(u: NodalFunction, x: float) -> int:
-    g = u.grid
-    k = int(round(x / g.h))
-    if not 1 <= k <= g.n - 1 or abs(k * g.h - x) > 4 * np.finfo(float).eps:
-        raise ValueError(f"x={x} is not an interior node of the n={g.n} grid")
-    return k
-
-
 def _paired_sum(terms: np.ndarray, k: int) -> float:
-    """Accumulate per-cell terms with symmetric pairing around node k.
-
-    Midpoints m_{k-1-r} and m_{k+r} sit at equal distances (r + 1/2) h from
-    x_k; their contributions are added pairwise first, realizing the
-    principal value discretely. Cells outside the symmetric window sum
-    singly.
-    """
+    """Accumulate per-cell terms with symmetric pairing around node k:
+    midpoints m_{k-1-r} and m_{k+r} sit at equal distances (r + 1/2) h from
+    x_k and are added pairwise first, realizing the principal value
+    discretely; cells outside the symmetric window sum singly."""
     n = terms.size
     w = min(k, n - k)
     pairs = terms[k - w:k][::-1] + terms[k:k + w]
@@ -52,24 +42,35 @@ def _paired_sum(terms: np.ndarray, k: int) -> float:
     return float(pairs.sum() + singles.sum())
 
 
-def _residual_terms(u: NodalFunction, integrand: Integrand, k: int) -> np.ndarray:
+def _residuals(u: NodalFunction, integrand: Integrand, lo: int, hi: int) -> np.ndarray:
+    """R(x_k) at the interior nodes lo <= k < hi, from the per-cell terms of
+    _block_rows(n) nodes at a time, one row per node."""
     g = u.grid
-    m = g.midpoints
-    x = g.nodes[k]
-    ux = u.values[k]
-    um = u.midpoint_values
-    dX = m - x
-    D = (um - ux) / dX
-    wU_here = integrand.w_U(np.full_like(m, x), np.full_like(m, ux), D)
-    wU_there = integrand.w_U(m, um, D)
-    wu_here = integrand.w_u(np.full_like(m, x), np.full_like(m, ux), D)
-    return g.h * (-(wU_here + wU_there) / dX + wu_here)
+    m, um, h, b = g.midpoints, u.midpoint_values, g.h, _block_rows(g.n)
+    out = np.empty(hi - lo)
+    # a non-finite term makes its residual non-finite, which raises below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k0 in range(lo, hi, b):
+            k1 = min(k0 + b, hi)
+            x, ux = g.nodes[k0:k1, None], u.values[k0:k1, None]
+            dX = m - x
+            D = (um - ux) / dX
+            T = h * (-(integrand.w_U(x, ux, D) + integrand.w_U(m, um, D)) / dX
+                     + integrand.w_u(x, ux, D))
+            out[k0 - lo:k1 - lo] = [_paired_sum(t, k) for t, k in zip(T, range(k0, k1))]
+    if not np.all(np.isfinite(out)):
+        x = g.nodes[lo + np.isfinite(out).argmin()]
+        raise NonFiniteEnergyError(f"residual of {integrand.name} non-finite at x={x:.6g}")
+    return out
 
 
 def residual(u: NodalFunction, integrand: Integrand, x: float) -> float:
     """Optimality residual R(x) at an interior grid node x."""
-    k = _node_index(u, x)
-    return _paired_sum(_residual_terms(u, integrand, k), k)
+    g = u.grid
+    k = int(round(x / g.h))
+    if not 1 <= k <= g.n - 1 or abs(k * g.h - x) > 4 * np.finfo(float).eps:
+        raise ValueError(f"x={x} is not an interior node of the n={g.n} grid")
+    return float(_residuals(u, integrand, k, k + 1)[0])
 
 
 @dataclass(frozen=True)
@@ -99,17 +100,14 @@ def residual_report(
     """Residual at every interior node plus l2 and sup norms."""
     g = u.grid
     n, h = g.n, g.h
-    residuals = np.array(
-        [_paired_sum(_residual_terms(u, integrand, k), k) for k in range(1, n)]
-    )
+    residuals = _residuals(u, integrand, 1, n)
     sup_set = residuals[1:-1] if exclude_boundary and residuals.size > 2 else residuals
     lo = max(n // 4, 1)
-    central = residuals[lo - 1:(n - lo)]
     return ResidualReport(
         x_points=g.nodes[1:-1],
         residuals=residuals,
         norm_l2=float(np.sqrt(h * np.sum(residuals**2))),
         norm_sup=float(np.max(np.abs(sup_set))) if sup_set.size else 0.0,
-        norm_l2_central=float(np.sqrt(h * np.sum(central**2))),
+        norm_l2_central=float(np.sqrt(h * np.sum(residuals[lo - 1:n - lo] ** 2))),
         boundary_excluded=exclude_boundary,
     )

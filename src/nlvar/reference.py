@@ -55,6 +55,14 @@ def _shape(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _shape_at(t: float) -> float:
+    """_shape at one point, for quad: the same formula on a Python float,
+    through numpy's exp and log (math's can differ in the last bit)."""
+    if not 0.0 < t < 1.0:
+        return 1.0
+    return float(np.exp(2.0 * t * np.log(t) + 2.0 * (1.0 - t) * np.log(1.0 - t)))
+
+
 def ode_approx_derivative(x, k: float):
     """Approximate optimal derivative k x^{2x} (1-x)^{2(1-x)}, extended
     continuously by the value k at the end points."""
@@ -68,8 +76,7 @@ def ode_approx_derivative(x, k: float):
 def normalize_k() -> float:
     """Constant k with 1/k = int_0^1 x^{2x} (1-x)^{2(1-x)} dx, so that the
     approximate derivative integrates to 1."""
-    total, _ = quad(lambda t: float(_shape(np.atleast_1d(t))[0]), 0.0, 1.0,
-                    epsabs=_QUAD_EPSABS, limit=200)
+    total, _ = quad(_shape_at, 0.0, 1.0, epsabs=_QUAD_EPSABS, limit=200)
     return 1.0 / total
 
 
@@ -85,9 +92,8 @@ def ode_approx_profile(grid: Grid1D, k: Optional[float] = None) -> ReferenceProf
     elif k <= 0:
         raise ValueError(f"scale constant must be positive, got {k}")
     increments = np.empty(grid.n)
-    f = lambda t: float(_shape(np.atleast_1d(t))[0])
     for i in range(grid.n):
-        val, _ = quad(f, grid.nodes[i], grid.nodes[i + 1],
+        val, _ = quad(_shape_at, grid.nodes[i], grid.nodes[i + 1],
                       epsabs=_QUAD_EPSABS, limit=200)
         increments[i] = k * val
     nodal = np.concatenate([[0.0], np.cumsum(increments)])

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import nlvar
 from nlvar.cli import (
     EXIT_NOCONV,
     EXIT_NUMERIC,
@@ -80,8 +86,11 @@ class TestBadInput:
         (["minimize", "--problem", "problem1", "--init", "bogus"],
          "unknown initial-guess policy 'bogus'"),
         (["minimize", "--problem", "problem1", "--max-iters", "0"], "max_iters must be >= 1"),
+        (["reproduce", "fig4-bolza", "--n", "3"],
+         "fig4-bolza also solves at n // 2, so it needs n >= 4, got 3"),
     ], ids=["power-1", "power-nan", "bad-exponent",
-            "problem-with-unknown-integrand", "unknown-init", "zero-max-iters"])
+            "problem-with-unknown-integrand", "unknown-init", "zero-max-iters",
+            "fig4-coarse-level-too-small"])
     def test_spec_error_exits_2(self, argv, message, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path)]) == EXIT_SPEC
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -95,6 +104,32 @@ class TestBadInput:
             assert main(argv) == EXIT_NUMERIC
         err = capsys.readouterr().err
         assert err == "numeric error: sum of W(power:40) over X overflows at x=0.0078125\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--integrand", "power:40", "--bc", "0,4.73e8", "--n", "64"],
+         "residual of power:40 non-finite at x=0.015625"),
+        (["--integrand", "power:200", "--bc", "0,1e3", "--n", "16"],
+         "residual of power:200 non-finite at x=0.0625"),
+    ], ids=["power-40", "power-200"])
+    def test_non_finite_residual_exits_3(self, argv, message, capsys):
+        assert main(["residual", "--u", "linear"] + argv) == EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert captured.err == f"numeric error: {message}\n"
+        assert "nan" not in captured.out
+
+    def test_overflow_prints_one_line_and_no_numpy_warning(self):
+        # numpy's RuntimeWarning reaches stderr only outside pytest's
+        # warning capture, so the command runs in a child process
+        src = str(Path(nlvar.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "nlvar.cli", "energy", "--integrand", "power:40",
+             "--bc", "0,4.73e7", "--n", "64", "--u", "linear"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == EXIT_NUMERIC
+        assert proc.stderr == (
+            "numeric error: sum of W(power:40) over X overflows at x=0.0078125\n")
 
 
 class TestMinimizeCommand:

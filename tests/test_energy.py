@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,31 @@ class TestEnergyValues:
             with np.errstate(over="ignore"):
                 with pytest.raises(NonFiniteEnergyError, match=r"overflows at x=0\.0078125$"):
                     kernel(u, power_p(40))
+
+    def test_overflow_raises_without_warning(self):
+        u = NodalFunction.linear(Grid1D(64), 0.0, 4.73e7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kernel in (energy_value, value_and_grad):
+                with pytest.raises(NonFiniteEnergyError, match=r"overflows at x=0\.0078125$"):
+                    kernel(u, power_p(40))
+
+    def test_gradient_overflow_reported(self):
+        # W and every dW/dU are finite, but dW/dU / (m_j - m_i) overflows
+        steep = Integrand(
+            w=lambda x, u, U: np.zeros_like(U),
+            w_u=lambda x, u, U: np.zeros_like(U),
+            w_U=lambda x, u, U: np.full_like(U, 1e307),
+            p=2.0,
+            name="steep",
+        )
+        u = NodalFunction.linear(Grid1D(16), 0.0, 1.0)
+        assert energy_value(u, steep) == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteEnergyError,
+                               match=r"^gradient of W\(steep\) non-finite at x=0\.0625$"):
+                value_and_grad(u, steep)
 
 
 class TestEnergyProperties:

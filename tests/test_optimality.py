@@ -1,12 +1,47 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from nlvar.energy import NonFiniteEnergyError, _block_rows
 from nlvar.grid import Grid1D, NodalFunction
-from nlvar.integrands import half_square, two_well_full
+from nlvar.integrands import half_square, power_p, quadratic_mass, two_well_bare, \
+    two_well_full
 from nlvar.optimality import residual, residual_report
 from nlvar.solver import SolverConfig, minimize
 
 LN3 = np.log(3.0)
+ALL = [power_p(2), power_p(3), power_p(4), half_square(), quadratic_mass(),
+       two_well_full(), two_well_bare()]
+
+
+def per_node_residuals(u, integrand):
+    """R(x_k) one interior node at a time: the per-cell terms of node k as
+    one row of length n, then summed in symmetric pairs around k."""
+    g = u.grid
+    m, um, n = g.midpoints, u.midpoint_values, g.n
+    out = []
+    for k in range(1, n):
+        x, ux = np.full_like(m, g.nodes[k]), np.full_like(m, u.values[k])
+        dX = m - g.nodes[k]
+        D = (um - u.values[k]) / dX
+        wU_here = integrand.w_U(x, ux, D)
+        wU_there = integrand.w_U(m, um, D)
+        wu_here = integrand.w_u(x, ux, D)
+        terms = g.h * (-(wU_here + wU_there) / dX + wu_here)
+        w = min(k, n - k)
+        pairs = terms[k - w:k][::-1] + terms[k:k + w]
+        singles = terms[:k - w] if k > n - k else terms[k + w:]
+        out.append(float(pairs.sum() + singles.sum()))
+    return np.array(out)
+
+
+def seeded_curve(n):
+    """A non-affine curve with non-zero end values."""
+    g = Grid1D(n)
+    x = g.nodes
+    rng = np.random.default_rng(n)
+    return NodalFunction(g, 0.3 + x * x + 0.1 * np.sin(3.0 * x) * rng.uniform(-1, 1))
 
 
 def quadratic_check(u):
@@ -130,6 +165,41 @@ class TestCheckInteqo:
         ux, um = u.values[1:-1, None], u.midpoint_values[None, :]
         special = g.h * ((um - ux) / (m - x) ** 2).sum(axis=1)
         assert np.max(np.abs(general + 2.0 * special)) <= 1e-10
+
+
+class TestBlockedResidual:
+    def test_n1000_has_ragged_blocks(self):
+        # 999 interior nodes: 62 blocks of 16 rows and one of 7
+        assert _block_rows(1000) == 16 and divmod(999, 16) == (62, 7)
+
+    @pytest.mark.parametrize("n", [2, 3, 129, 1000])
+    @pytest.mark.parametrize("integrand", ALL, ids=lambda W: W.name)
+    def test_report_equals_per_node_formula(self, integrand, n):
+        u = seeded_curve(n)
+        got = residual_report(u, integrand).residuals
+        assert np.array_equal(got, per_node_residuals(u, integrand))
+
+    @pytest.mark.parametrize("n", [3, 129])
+    @pytest.mark.parametrize("integrand", ALL, ids=lambda W: W.name)
+    def test_single_node_equals_report(self, integrand, n):
+        u = seeded_curve(n)
+        report = residual_report(u, integrand)
+        for k in range(1, n):
+            assert residual(u, integrand, u.grid.nodes[k]) == report.residuals[k - 1]
+
+    @pytest.mark.parametrize("W, bc, n, x", [
+        (power_p(40), 4.73e8, 64, 0.015625),
+        (power_p(200), 1e3, 16, 0.0625),
+    ], ids=["power-40", "power-200"])
+    def test_non_finite_raises_without_warning(self, W, bc, n, x):
+        u = NodalFunction.linear(Grid1D(n), 0.0, bc)
+        message = f"residual of {W.name} non-finite at x={x:g}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteEnergyError, match=message):
+                residual_report(u, W)
+            with pytest.raises(NonFiniteEnergyError, match=message):
+                residual(u, W, x)
 
 
 class TestStationarityTransfer:

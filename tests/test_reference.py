@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from nlvar.grid import Grid1D
 from nlvar.reference import (
+    _QUAD_EPSABS,
+    _shape,
     holder_exponent,
     local_exp_solution,
     normalize_k,
@@ -77,6 +80,27 @@ class TestOdeApproxProfile:
     def test_derivative_attached(self):
         profile = ode_approx_profile(Grid1D(32))
         assert profile.u_prime(0.5) == pytest.approx(profile.params["k"] / 4.0, rel=1e-12)
+
+
+class TestScalarQuadIntegrand:
+    """quad's integrand works on one Python float at a time; its values,
+    and so the profile and k, must equal the array formula's bit for bit."""
+
+    @staticmethod
+    def array_integrand(t):
+        return float(_shape(np.atleast_1d(t))[0])
+
+    def test_normalize_k(self):
+        total, _ = quad(self.array_integrand, 0.0, 1.0, epsabs=_QUAD_EPSABS, limit=200)
+        assert normalize_k() == 1.0 / total
+
+    def test_profile_nodal_values(self):
+        grid = Grid1D(256)
+        k = normalize_k()
+        increments = [k * quad(self.array_integrand, a, b, epsabs=_QUAD_EPSABS, limit=200)[0]
+                      for a, b in zip(grid.nodes[:-1], grid.nodes[1:])]
+        nodal = np.concatenate([[0.0], np.cumsum(increments)])
+        assert np.array_equal(ode_approx_profile(grid).params["nodal"], nodal)
 
 
 class TestHolderExponent:

@@ -4,6 +4,8 @@ must exist: a traced benchmark run fails on the first missing one."""
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 import nlvar
 import nlvar.cli  # noqa: F401  (the tracer patches the cli module too)
 
@@ -27,3 +29,18 @@ def test_patch_traces_minimize_and_energy_value():
     assert value == res.energy
     assert {"solver.minimize", "energy.value", "integrands.w"} <= set(tracer.names)
     assert nlvar.minimize is minimize
+
+
+def test_patch_traces_residual_report_and_reference_profile():
+    tracer = _tracer()
+    grid = nlvar.Grid1D(64)
+    u = nlvar.NodalFunction(grid, grid.nodes ** 2)
+    want = nlvar.residual_report(u, nlvar.power_p(3)).residuals
+    with tracer.patch(nlvar):
+        W = nlvar.integrand_by_name("power:3")
+        report = nlvar.residual_report(u, W)
+        profile = nlvar.ode_approx_profile(grid)
+    assert np.array_equal(report.residuals, want)
+    assert profile.params["nodal"][0] == 0.0
+    assert {"optimality.residual_report", "integrands.w_U",
+            "reference.ode_approx_profile"} <= set(tracer.names)
