@@ -1,14 +1,16 @@
 """Tensor-midpoint quadrature of the double-integral energy and its gradient.
 
-The energy of a nodal function u is
-
-    h^2 * sum_{i,j} W(m_i, u(m_i), D(m_i, m_j)),
-
+The energy of a nodal function u is h^2 * sum_{i,j} W(m_i, u(m_i), D_ij)
 over all pairs of cell midpoints, with the diagonal pair evaluated at the
-cell slope (the exact coincidence limit of the difference quotient for
+cell slope s_i (the exact coincidence limit of the difference quotient for
 piecewise-linear u). Midpoints never coincide with each other across cells,
-so no quadrature point is singular. The gradient with respect to interior
-nodal values is the exact derivative of this sum.
+so no quadrature point is singular. For a separable W = phi(U) + psi(u), and
+as D_ij = D_ji, the sum is
+
+    h^2 * (sum_i phi(s_i) + 2 sum_{i<j} phi(D_ij)) + h * sum_i psi(u(m_i)),
+
+which evaluates phi once per unordered pair and psi once per midpoint. The
+gradient with respect to interior nodal values is its exact derivative.
 """
 
 from __future__ import annotations
@@ -45,49 +47,74 @@ def _block_rows(n: int) -> int:
     return min(n, max(1, BLOCK_ELEMS // n))
 
 
-def _diag(a: np.ndarray, i0: int) -> np.ndarray:
-    """View of the entries (r, i0 + r) of a contiguous row block a."""
-    return a.reshape(-1)[i0 :: a.shape[1] + 1]
+def _windows(a: np.ndarray, offset: int, step: int, shape: tuple[int, int]) -> np.ndarray:
+    """View v[r, j] = a[offset + r * step + j] of the contiguous 1-D array a,
+    checked by numpy to stay inside a; sliding_window_view costs more."""
+    size = a.itemsize
+    return np.ndarray(shape, a.dtype, a, offset * size, (step * size, size))
 
 
-def _quotient_blocks(u: NodalFunction):
-    """Yield (rows, x, ux, dm, D) for consecutive blocks of rows of the
-    pairwise fields: x, ux are the block's midpoints and midpoint values as
-    columns, dm[r, j] = m_j - x_r and D the difference quotient, with the
-    cell slope on the diagonal (where dm holds 1.0, never read as a
-    distance). Every entry equals the one of the dense n x n matrices."""
-    m = u.grid.midpoints
-    um = u.midpoint_values
-    slopes = u.slopes
+def _fold_blocks(u: NodalFunction):
+    """Yield (d0, dm, D) for consecutive row blocks of the circulant fold:
+    fold row d, 0 <= d <= n // 2, holds the pair (i, j = (i + d) mod n) in
+    column i, with dm = m_j - m_i and D its difference quotient, from the
+    operands of the full n x n matrices. Row 0 is the diagonal: D holds the
+    cell slopes, and dm is infinite as they do not depend on u(m). For even
+    n, row n // 2 lists each of its pairs twice, as (i, j) and (j, i)."""
+    m, um = u.grid.midpoints, u.midpoint_values
     n = m.size
-    b = _block_rows(n)
-    for i0 in range(0, n, b):
-        rows = slice(i0, min(i0 + b, n))
-        x, ux = m[rows, None], um[rows, None]
-        dm = m[None, :] - x
-        _diag(dm, i0)[:] = 1.0
-        D = (um[None, :] - ux) / dm
-        _diag(D, i0)[:] = slopes[rows]
-        yield rows, x, ux, dm, D
+    rows, b = n // 2 + 1, _block_rows(n)
+    # row d of these views is m and u(m) rotated left by d
+    mm = _windows(np.concatenate([m, m]), 0, 1, (rows, n))
+    uu = _windows(np.concatenate([um, um]), 0, 1, (rows, n))
+    for d0 in range(0, rows, b):
+        d1 = min(d0 + b, rows)
+        dm = mm[d0:d1] - m
+        if d0 == 0:
+            dm[0] = np.inf
+        D = np.subtract(uu[d0:d1], um)
+        D /= dm
+        if d0 == 0:
+            D[0] = u.slopes
+        yield d0, dm, D
 
 
-def _finite(P: np.ndarray, what: str, x, X) -> np.ndarray:
-    """P itself, or NonFiniteEnergyError naming its first non-finite point."""
-    if not np.all(np.isfinite(P)):
-        i, j = np.argwhere(~np.isfinite(P))[0]
-        raise NonFiniteEnergyError(
-            f"{what} non-finite at quadrature point (x={x[i, 0]:.6g}, X={X[j]:.6g})"
-        )
+def _pair_weights(P: np.ndarray, d0: int, n: int) -> np.ndarray:
+    """Halve, in place, the rows whose listed pairs stand for one entry of
+    the full square (the diagonal, and row n // 2 for even n), not two."""
+    if d0 == 0:
+        P[0] *= 0.5
+    if n % 2 == 0 and d0 + P.shape[0] - 1 == n // 2:
+        P[-1] *= 0.5
     return P
 
 
-def _density_row_sums(integrand: Integrand, x, ux, D, X) -> np.ndarray:
-    return _finite(integrand.evaluate(x, ux, D), f"W({integrand.name})", x, X).sum(axis=1)
+def _column_sums(P: np.ndarray, what: str, d0: int, m: np.ndarray,
+                 source: Optional[np.ndarray] = None) -> np.ndarray:
+    """Column sums of the fold block P, or NonFiniteEnergyError naming both
+    midpoints of the first non-finite pair in source, the values P is
+    computed from (P by default). Only a non-finite sum starts the search; a
+    sum that overflowed from finite values is returned as it is."""
+    sums = P.sum(axis=0)
+    if not np.isfinite(sums).all():
+        bad = np.argwhere(~np.isfinite(P if source is None else source))
+        if bad.size:
+            r, i = bad[0]
+            raise NonFiniteEnergyError(f"{what} non-finite at quadrature point "
+                                       f"(x={m[i]:.6g}, X={m[(i + d0 + r) % m.size]:.6g})")
+    return sums
+
+
+def _require_finite(values: np.ndarray, what: str, x: np.ndarray) -> np.ndarray:
+    """values, or NonFiniteEnergyError naming x at the first non-finite one."""
+    if not np.isfinite(values).all():
+        raise NonFiniteEnergyError(f"{what} non-finite at x={x[np.isfinite(values).argmin()]:.6g}")
+    return values
 
 
 def _total(per_row: np.ndarray, integrand: Integrand, m: np.ndarray) -> float:
-    """Sum of the per-row energies h^2 * sum_j W. A row sum can overflow
-    where every W is finite; finite rows never overflow the total (it is at
+    """Sum of the per-midpoint energies. A per-midpoint sum can overflow
+    where every W is finite; finite ones never overflow the total (it is at
     most h times the largest float), so one check of the total finds it."""
     total = float(per_row.sum())
     if not np.isfinite(total):
@@ -99,31 +126,17 @@ def _total(per_row: np.ndarray, integrand: Integrand, m: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class EnergyReport:
-    """Energy value plus provenance; breakdown holds per-row partial sums."""
+    """Energy value plus provenance."""
 
     value: float
     n: int
     integrand: str
-    breakdown: Optional[np.ndarray] = None
 
 
-def energy(u: NodalFunction, integrand: Integrand, breakdown: bool = False) -> EnergyReport:
+def energy(u: NodalFunction, integrand: Integrand) -> EnergyReport:
     """Quadrature of the double integral of W over (0,1)^2."""
-    h = u.grid.h
-    m = u.grid.midpoints
-    sums = np.empty(u.grid.n)
-    # every non-finite W or sum raises, so numpy's warnings would only repeat it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for rows, x, ux, _, D in _quotient_blocks(u):
-            sums[rows] = _density_row_sums(integrand, x, ux, D, m)
-        per_row = h * h * sums
-        value = _total(per_row, integrand, m)
-    return EnergyReport(
-        value=value,
-        n=u.grid.n,
-        integrand=integrand.name,
-        breakdown=per_row if breakdown else None,
-    )
+    value, _ = _quadrature(u, integrand, with_grad=False)
+    return EnergyReport(value=value, n=u.grid.n, integrand=integrand.name)
 
 
 def energy_value(u: NodalFunction, integrand: Integrand) -> float:
@@ -132,8 +145,7 @@ def energy_value(u: NodalFunction, integrand: Integrand) -> float:
 
 def value_and_grad(u: NodalFunction, integrand: Integrand) -> tuple[float, np.ndarray]:
     """Energy value and its exact partial derivatives w.r.t. interior nodes,
-    from one pass over the row blocks; equal bit for bit to energy_value and
-    to the dense formula for the gradient.
+    from one pass over the fold; the value is energy_value's, bit for bit.
 
     Each midpoint value depends on its two adjacent nodes with weight 1/2;
     each off-diagonal quotient D_ij depends on midpoint values i and j; the
@@ -141,49 +153,45 @@ def value_and_grad(u: NodalFunction, integrand: Integrand) -> tuple[float, np.nd
     values are fixed, so the gradient has length n - 1. A non-finite value
     or gradient raises NonFiniteEnergyError.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        value, grad = _value_and_grad(u, integrand)
-    if not np.all(np.isfinite(grad)):
-        x = u.grid.nodes[1 + np.isfinite(grad).argmin()]
-        raise NonFiniteEnergyError(f"gradient of W({integrand.name}) non-finite at x={x:.6g}")
-    return value, grad
+    return _quadrature(u, integrand, with_grad=True)
 
 
-def _value_and_grad(u: NodalFunction, integrand: Integrand) -> tuple[float, np.ndarray]:
+def _quadrature(u: NodalFunction, integrand: Integrand, with_grad: bool):
     g = u.grid
-    h, n, m = g.h, g.n, g.midpoints
-    w_rows = np.empty(n)
-    g_um = np.empty(n)
-    Bd = np.empty(n)
-    # C[i, j] = B_ij / dm_ij off the diagonal; its column sums must add rows
-    # in row order, as a dense C.sum(axis=0) does, so each block is reduced
-    # together with the running sum stacked in row 0 above it
-    stack = np.empty((_block_rows(n) + 1, n))
+    h, n, m, um = g.h, g.n, g.midpoints, u.midpoint_values
     name = integrand.name
-    for rows, x, ux, dm, D in _quotient_blocks(u):
-        # one density field alive at a time: W and A are reduced before B
-        w_rows[rows] = _density_row_sums(integrand, x, ux, D, m)
-        g_um[rows] = _finite(integrand.w_u(x, ux, D), f"dW/du({name})", x, m).sum(axis=1)
-        B = _finite(integrand.w_U(x, ux, D), f"dW/dU({name})", x, m)
-        Bd[rows] = _diag(B, rows.start)
-        # off-diagonal chain rule: dD_ij/dum_j = 1/dm_ij, dD_ij/dum_i = -1/dm_ij
-        k = rows.stop - rows.start
-        C = np.divide(B, dm, out=stack[1 : k + 1])
-        del B
-        _diag(C, rows.start)[:] = 0.0
-        g_um[rows] -= C.sum(axis=1)
-        stack[0] = C.sum(axis=0) if rows.start == 0 else stack[: k + 1].sum(axis=0)
-    g_um += stack[0]
-
-    grad_nodes = np.zeros(n + 1)
-    # midpoint value -> two adjacent nodes, weight 1/2 each
-    grad_nodes[:-1] += 0.5 * g_um
-    grad_nodes[1:] += 0.5 * g_um
-    # diagonal cells: slope sensitivity
-    grad_nodes[1:] += Bd / h
-    grad_nodes[:-1] -= Bd / h
-
-    return _total(h * h * w_rows, integrand, m), h * h * grad_nodes[1:-1]
+    half_rows = np.zeros(n)  # per midpoint i: half the weighted phi of column i
+    if with_grad:
+        # per midpoint: sums of C = phi'(D) / dm over the pairs it comes
+        # first in (col) and second in (skew, from a strided view of [C C])
+        col, skew = np.zeros(n), np.zeros(n)
+        pair = np.empty((_block_rows(n), 2 * n))
+        flat = pair.reshape(-1)
+    # every non-finite value raises below; numpy's warnings would repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for d0, dm, D in _fold_blocks(u):
+            P = _pair_weights(integrand.w(D), d0, n)
+            half_rows += _column_sums(P, f"W({name})", d0, m)
+            if not with_grad:
+                continue
+            B = integrand.w_U(D)
+            if d0 == 0:
+                slope_B = B[0].copy()
+            k = B.shape[0]
+            C = _pair_weights(np.divide(B, dm, out=pair[:k, :n]), d0, n)
+            col += _column_sums(C, f"dW/dU({name})", d0, m, source=B)
+            pair[:k, n:] = C
+            # row r of the view is C[r] rotated right by d0 + r
+            skew += _windows(flat, n - d0, 2 * n - 1, (k, n)).sum(axis=0)
+        psi = _require_finite(integrand.mass(um), f"W({name})", m)
+        value = _total(h * h * 2.0 * half_rows + h * psi, integrand, m)
+        if not with_grad:
+            return value, None
+        dpsi = _require_finite(integrand.w_u(um), f"dW/du({name})", m)
+        # d(2 phi(D_ij)) / d u(m_j) = 2 C_ij = -d(2 phi(D_ij)) / d u(m_i)
+        g_um = 2.0 * (skew - col) + n * dpsi
+        grad = h * h * (0.5 * (g_um[:-1] + g_um[1:]) + (slope_B[:-1] - slope_B[1:]) / h)
+    return value, _require_finite(grad, f"gradient of W({name})", g.nodes[1:-1])
 
 
 def energy_gradient(u: NodalFunction, integrand: Integrand) -> np.ndarray:

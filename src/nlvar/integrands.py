@@ -1,13 +1,16 @@
-"""Energy densities W(x, u, U) with analytic partial derivatives.
+"""Separable energy densities W(x, u, U) = phi(U) + psi(u) with analytic
+derivatives.
 
-All built-ins take vectorized (x, u, U) arguments and are x-independent;
-derivatives are supplied in closed form so that residual evaluation never
-stacks numerical differentiation on top of singular-kernel quadrature.
+The paper's class is a general W(x, u, U); every density shipped here is
+x-independent and separable, which lets the energy kernel evaluate phi once
+per unordered pair of midpoints and psi once per midpoint. Derivatives are
+supplied in closed form so that residual evaluation never stacks numerical
+differentiation on top of singular-kernel quadrature.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,25 +27,30 @@ __all__ = [
     "check_derivatives",
 ]
 
-ArrayFn = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+ArrayFn = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
 class Integrand:
-    """Density W(x, u, U) with partials w_u = dW/du and w_U = dW/dU.
+    """Density W(x, u, U) = w(U) + mass(u): w is phi, w_U = phi', mass is
+    psi and w_u = psi'. Densities without a zero-order term use zeros for
+    psi and psi'. w returns a new array: the energy kernel weights rows of
+    it in place.
 
     p is the growth exponent of W in U (used for coercivity and Hoelder
     diagnostics, even where the evaluation itself never reads it).
     """
 
     w: ArrayFn
-    w_u: ArrayFn
     w_U: ArrayFn
+    mass: ArrayFn
+    w_u: ArrayFn
     p: float
     name: str
 
     def evaluate(self, x, u, U):
-        return self.w(np.asarray(x, float), np.asarray(u, float), np.asarray(U, float))
+        """W(x, u, U); no built-in density depends on x."""
+        return self.w(np.asarray(U, float)) + self.mass(np.asarray(u, float))
 
 
 def power_p(p: float) -> Integrand:
@@ -50,55 +58,36 @@ def power_p(p: float) -> Integrand:
     if not (np.isfinite(p) and p > 1):
         raise ValueError(f"growth exponent must be finite and exceed 1, got {p}")
     return Integrand(
-        w=lambda x, u, U: np.abs(U) ** p,
-        w_u=lambda x, u, U: np.zeros_like(U),
-        w_U=lambda x, u, U: p * np.sign(U) * np.abs(U) ** (p - 1),
-        p=p,
-        name=f"power:{p:g}",
+        w=lambda U: np.abs(U) ** p, w_U=lambda U: p * np.sign(U) * np.abs(U) ** (p - 1),
+        mass=np.zeros_like, w_u=np.zeros_like, p=p, name=f"power:{p:g}",
     )
 
 
 def half_square() -> Integrand:
     """W = U^2 / 2, the quadratic special case used for p = 2 experiments."""
     return Integrand(
-        w=lambda x, u, U: 0.5 * U**2,
-        w_u=lambda x, u, U: np.zeros_like(U),
-        w_U=lambda x, u, U: U,
-        p=2.0,
-        name="half-square",
+        w=lambda U: 0.5 * U**2, w_U=lambda U: U, mass=np.zeros_like, w_u=np.zeros_like,
+        p=2.0, name="half-square",
     )
 
 
 def quadratic_mass() -> Integrand:
     """W = U^2 / 2 + 8 u^2, quadratic plus a zero-order mass term."""
-    return Integrand(
-        w=lambda x, u, U: 0.5 * U**2 + 8.0 * u**2,
-        w_u=lambda x, u, U: 16.0 * u * np.ones_like(U),
-        w_U=lambda x, u, U: U,
-        p=2.0,
-        name="quad-mass",
-    )
+    return replace(half_square(), mass=lambda u: 8.0 * u**2, w_u=lambda u: 16.0 * u,
+                   name="quad-mass")
 
 
 def two_well_full() -> Integrand:
     """W = (U^2 - 1)^2 / 4 + u^2 / 2, the non-convex Bolza density."""
-    return Integrand(
-        w=lambda x, u, U: 0.25 * (U**2 - 1.0) ** 2 + 0.5 * u**2,
-        w_u=lambda x, u, U: u * np.ones_like(U),
-        w_U=lambda x, u, U: U * (U**2 - 1.0),
-        p=4.0,
-        name="two-well",
-    )
+    return replace(two_well_bare(), mass=lambda u: 0.5 * u**2, w_u=lambda u: u,
+                   name="two-well")
 
 
 def two_well_bare() -> Integrand:
     """W = (U^2 - 1)^2 / 4, the two-well density without the mass term."""
     return Integrand(
-        w=lambda x, u, U: 0.25 * (U**2 - 1.0) ** 2,
-        w_u=lambda x, u, U: np.zeros_like(U),
-        w_U=lambda x, u, U: U * (U**2 - 1.0),
-        p=4.0,
-        name="two-well-bare",
+        w=lambda U: 0.25 * (U**2 - 1.0) ** 2, w_U=lambda U: U * (U**2 - 1.0),
+        mass=np.zeros_like, w_u=np.zeros_like, p=4.0, name="two-well-bare",
     )
 
 
@@ -143,7 +132,8 @@ def check_derivatives(
     step: float = 1e-6,
     tol: float = 1e-5,
 ) -> DerivativeCheckReport:
-    """Compare w_u, w_U against central finite differences of w at the probes.
+    """Compare w_U against central finite differences of w at the probes' U,
+    and w_u against those of mass at their u (x is not read).
 
     The mismatch is relative to max(1, |finite difference|) per probe.
     """
@@ -152,11 +142,11 @@ def check_derivatives(
         raise ValueError("probe list must be nonempty")
     err_u = 0.0
     err_U = 0.0
-    for x, u, U in probes:
-        x, u, U = (np.asarray(a, float) for a in (x, u, U))
-        fd_u = (integrand.evaluate(x, u + step, U) - integrand.evaluate(x, u - step, U)) / (2 * step)
-        fd_U = (integrand.evaluate(x, u, U + step) - integrand.evaluate(x, u, U - step)) / (2 * step)
-        au, aU = integrand.w_u(x, u, U), integrand.w_U(x, u, U)
+    for _, u, U in probes:
+        u, U = float(u), float(U)
+        fd_u = (integrand.mass(u + step) - integrand.mass(u - step)) / (2 * step)
+        fd_U = (integrand.w(U + step) - integrand.w(U - step)) / (2 * step)
+        au, aU = integrand.w_u(u), integrand.w_U(U)
         err_u = max(err_u, abs(float(au) - float(fd_u)) / max(1.0, abs(float(fd_u))))
         err_U = max(err_U, abs(float(aU) - float(fd_U)) / max(1.0, abs(float(fd_U))))
     return DerivativeCheckReport(max_err_u=err_u, max_err_U=err_U, tol=tol)

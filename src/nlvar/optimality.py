@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import NonFiniteEnergyError, _block_rows
+from .energy import _block_rows, _require_finite
 from .grid import NodalFunction
 from .integrands import Integrand
 
@@ -55,13 +55,11 @@ def _residuals(u: NodalFunction, integrand: Integrand, lo: int, hi: int) -> np.n
             x, ux = g.nodes[k0:k1, None], u.values[k0:k1, None]
             dX = m - x
             D = (um - ux) / dX
-            T = h * (-(integrand.w_U(x, ux, D) + integrand.w_U(m, um, D)) / dX
-                     + integrand.w_u(x, ux, D))
+            # W_U(x_k, u_k, D) + W_U(m, u(m), D) = 2 phi'(D): W is separable
+            B = integrand.w_U(D)
+            T = h * (-(B + B) / dX + integrand.w_u(ux))
             out[k0 - lo:k1 - lo] = [_paired_sum(t, k) for t, k in zip(T, range(k0, k1))]
-    if not np.all(np.isfinite(out)):
-        x = g.nodes[lo + np.isfinite(out).argmin()]
-        raise NonFiniteEnergyError(f"residual of {integrand.name} non-finite at x={x:.6g}")
-    return out
+    return _require_finite(out, f"residual of {integrand.name}", g.nodes[lo:hi])
 
 
 def residual(u: NodalFunction, integrand: Integrand, x: float) -> float:

@@ -27,7 +27,8 @@ ALL = [power_p(2), power_p(3), power_p(4), half_square(), quadratic_mass(),
 
 
 def dense_quadrature(u, integrand):
-    """Per-row energies, energy and gradient from full n x n matrices."""
+    """Energy and gradient from full n x n matrices: every ordered pair of
+    midpoints, W evaluated as one field, psi' broadcast over each row."""
     g = u.grid
     h, m, um = g.h, g.midpoints, u.midpoint_values
     dm = m[None, :] - m[:, None]
@@ -37,8 +38,8 @@ def dense_quadrature(u, integrand):
     np.fill_diagonal(dm, 0.0)
     x, ux = m[:, None], um[:, None]
     rows = h * h * integrand.evaluate(x, ux, D).sum(axis=1)
-    A = integrand.w_u(x, ux, D)
-    B = integrand.w_U(x, ux, D)
+    A = integrand.w_u(ux) * np.ones_like(D)
+    B = integrand.w_U(D)
     C = np.zeros_like(B)
     off = dm != 0.0
     C[off] = B[off] / dm[off]
@@ -49,7 +50,7 @@ def dense_quadrature(u, integrand):
     Bd = np.diag(B)
     grad_nodes[1:] += Bd / h
     grad_nodes[:-1] -= Bd / h
-    return rows, float(rows.sum()), h * h * grad_nodes[1:-1]
+    return float(rows.sum()), h * h * grad_nodes[1:-1]
 
 
 def fd_gradient(grid, vals, integrand, step=1e-6):
@@ -86,18 +87,12 @@ class TestEnergyValues:
         u = NodalFunction.linear(Grid1D(32), 0.0, 1.0)
         assert energy_value(u, half_square()) == pytest.approx(0.5, abs=1e-13)
 
-    def test_breakdown_reproduces_value(self):
-        rng = np.random.default_rng(5)
-        u = NodalFunction(Grid1D(16), rng.normal(size=17))
-        report = energy(u, two_well_full(), breakdown=True)
-        assert report.breakdown.sum() == report.value
-        assert energy(u, two_well_full()).value == report.value
-
     def test_non_finite_density_reported(self):
         exploding = Integrand(
-            w=lambda x, u, U: np.log(U),  # nan for negative quotients
-            w_u=lambda x, u, U: np.zeros_like(U),
-            w_U=lambda x, u, U: 1.0 / U,
+            w=lambda U: np.log(U),  # nan for negative quotients
+            w_U=lambda U: 1.0 / U,
+            mass=np.zeros_like,
+            w_u=np.zeros_like,
             p=2.0,
             name="log-slope",
         )
@@ -127,9 +122,10 @@ class TestEnergyValues:
     def test_gradient_overflow_reported(self):
         # W and every dW/dU are finite, but dW/dU / (m_j - m_i) overflows
         steep = Integrand(
-            w=lambda x, u, U: np.zeros_like(U),
-            w_u=lambda x, u, U: np.zeros_like(U),
-            w_U=lambda x, u, U: np.full_like(U, 1e307),
+            w=lambda U: np.zeros_like(U),
+            w_U=lambda U: np.full_like(U, 1e307),
+            mass=np.zeros_like,
+            w_u=np.zeros_like,
             p=2.0,
             name="steep",
         )
@@ -207,42 +203,64 @@ class TestEnergyGradient:
             assert rel.max() <= 1e-6, f"seed {seed}: {rel.max():.3g}"
 
 
+def assert_matches_dense(u, integrand):
+    """Energy within 1e-13 relative and gradient within 1e-13 of its sup
+    norm of the dense reference: the fold sums the same terms in another
+    order. The value of value_and_grad is energy_value's, bit for bit, and
+    repeated calls agree bit for bit."""
+    value, grad = dense_quadrature(u, integrand)
+    fused = value_and_grad(u, integrand)
+    assert abs(fused[0] - value) <= 1e-13 * abs(value)
+    assert np.max(np.abs(fused[1] - grad)) <= 1e-13 * np.max(np.abs(grad))
+    assert fused[0] == energy_value(u, integrand) == energy(u, integrand).value
+    again = value_and_grad(u, integrand)
+    assert again[0] == fused[0] and np.array_equal(again[1], fused[1])
+    assert np.array_equal(energy_gradient(u, integrand), fused[1])
+
+
 class TestBlockedKernel:
-    N = 1000  # several row blocks and a shorter last one
+    N = 1000  # several fold blocks and a shorter last one
 
     def test_several_ragged_blocks(self):
         rows = BLOCK_ELEMS // self.N
-        assert self.N // rows > 1 and self.N % rows != 0
+        fold_rows = self.N // 2 + 1
+        assert fold_rows // rows > 1 and fold_rows % rows != 0
 
     @pytest.mark.parametrize("integrand", ALL, ids=lambda i: i.name)
     def test_bit_identical_to_dense(self, integrand):
         rng = np.random.default_rng(3)
         u = NodalFunction(Grid1D(self.N), rng.uniform(-1, 1, self.N + 1))
-        rows, value, grad = dense_quadrature(u, integrand)
-        report = energy(u, integrand, breakdown=True)
-        assert np.array_equal(report.breakdown, rows)
-        assert report.value == value
-        assert np.array_equal(energy_gradient(u, integrand), grad)
-        fused = value_and_grad(u, integrand)
-        assert fused[0] == energy_value(u, integrand)
-        assert np.array_equal(fused[1], energy_gradient(u, integrand))
+        assert_matches_dense(u, integrand)
+
+    # 2 and 4: a half row n / 2 that is the only off-diagonal row, or not;
+    # 3 and 5: no half row; 127 and 128: one block with and without it
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 127, 128])
+    @pytest.mark.parametrize("integrand", ALL, ids=lambda i: i.name)
+    def test_fold_edge_cases_match_dense(self, integrand, n):
+        rng = np.random.default_rng(n)
+        assert_matches_dense(NodalFunction(Grid1D(n), rng.uniform(-1, 1, n + 1)), integrand)
 
     def test_non_finite_names_point_in_later_block(self):
+        # phi is NaN at the quotient of the single pair (200, 600), which
+        # sits in fold row 400, block 25
         g = Grid1D(self.N)
-        x_bad = g.midpoints[500]
-        assert 500 >= BLOCK_ELEMS // self.N
+        assert 400 // (BLOCK_ELEMS // self.N) == 25
+        u = NodalFunction(g, np.random.default_rng(4).uniform(-1, 1, self.N + 1))
+        m, um = g.midpoints, u.midpoint_values
+        D_bad = (um[600] - um[200]) / (m[600] - m[200])
         spiked = Integrand(
-            w=lambda x, u, U: np.where(x == x_bad, np.nan, 1.0) * U**2,
-            w_u=lambda x, u, U: np.zeros_like(U),
-            w_U=lambda x, u, U: 2.0 * U,
+            w=lambda U: np.where(U == D_bad, np.nan, 1.0) * U**2,
+            w_U=lambda U: 2.0 * U,
+            mass=np.zeros_like,
+            w_u=np.zeros_like,
             p=2.0,
             name="spiked",
         )
-        u = NodalFunction.linear(g, 0.0, 1.0)
         for kernel in (energy_value, value_and_grad):
             with pytest.raises(NonFiniteEnergyError) as excinfo:
                 kernel(u, spiked)
-            assert f"(x={x_bad:.6g}, X={g.midpoints[0]:.6g})" in str(excinfo.value)
+            assert str(excinfo.value) == ("W(spiked) non-finite at quadrature point "
+                                          f"(x={m[200]:.6g}, X={m[600]:.6g})")
 
     def test_affine_exactness_at_large_n(self):
         # the dense n x n fields would need several GB here

@@ -7,8 +7,8 @@
 - Solver nodal values: NODAL = 100 x the stopping tolerance (1e-8 at
   n <= 128) in the sup norm. Solves that both stop at |g| <= 1e-8 can end
   at different points of the same basin; a one-ulp change of the start
-  moves problem1 at n = 128 by 2e-16, a change of summation order in the
-  kernel by up to 3e-8. Quantities derived from nodal values get the bound
+  moves problem1 at n = 128 by 2e-16, the folded kernel's summation order
+  moves fig4 at n = 128 by 2.2e-8. Quantities derived from nodal values get the bound
   carried through: 2 NODAL / h for the fig2 derivative, NODAL and 2 NODAL
   for the fig3 and fig4 sup distances (printed with 6 digits, which adds
   5e-6 relative).
@@ -29,6 +29,7 @@ NODAL = 100 * 1e-8
 EXACT = 1e-13
 SOLVER_ENERGY = 1e-12
 PRINTED = 5e-6  # half a unit in the 6th significant digit
+ID = lambda key: key.replace(" ", "_")  # test ids without spaces
 
 
 def close_vec(got, want, rel):
@@ -61,7 +62,7 @@ def check_curve(name, got, want):
     assert np.max(np.abs(np.subtract(got, want))) <= bound, name
 
 
-@pytest.mark.parametrize("key", [k for k in REFERENCE if not k.startswith("fixed")])
+@pytest.mark.parametrize("key", [k for k in REFERENCE if not k.startswith("fixed")], ids=ID)
 def test_cli_run(key):
     want = REFERENCE[key]
     got = golden.run_cli(key.split(" "))
@@ -74,7 +75,7 @@ def test_cli_run(key):
         check_curve(name, got["curves"][name], values)
 
 
-@pytest.mark.parametrize("key", [k for k in REFERENCE if k.startswith("fixed")])
+@pytest.mark.parametrize("key", [k for k in REFERENCE if k.startswith("fixed")], ids=ID)
 def test_fixed_profile(key):
     want = REFERENCE[key]
     _, name, profile, n = key.split(" ")

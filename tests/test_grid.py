@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from nlvar.energy import _quotient_blocks
+from nlvar.energy import _fold_blocks
 from nlvar.grid import Grid1D, GridError, NodalFunction
 
 EPS = np.finfo(float).eps
@@ -10,8 +10,20 @@ EPS = np.finfo(float).eps
 
 def quotients(u):
     """The n x n difference quotients D(m_i, m_j) the energy kernel uses,
-    stacked from its row blocks; the cell slope sits on the diagonal."""
-    return np.vstack([D for *_, D in _quotient_blocks(u)])
+    read from its circulant fold: fold row d holds the pairs (i, (i + d) mod
+    n), and (j, i) takes the entry of (i, j) where the fold lists only one of
+    them. The cell slope sits on the diagonal."""
+    n = u.grid.n
+    fold = np.vstack([D for *_, D in _fold_blocks(u)])
+    out = np.full((n, n), np.nan)
+    i = np.arange(n)
+    for d, row in enumerate(fold):
+        out[i, (i + d) % n] = row
+    for d, row in enumerate(fold):
+        j = (i + d) % n
+        once = np.isnan(out[j, i])
+        out[j[once], i[once]] = row[once]
+    return out
 
 
 class TestGridConstruction:
@@ -112,8 +124,13 @@ class TestDifferenceQuotient:
     @given(n=st.integers(2, 40), seed=st.integers(0, 2**16))
     def test_symmetry(self, n, seed):
         rng = np.random.default_rng(seed)
-        D = quotients(NodalFunction(Grid1D(n), rng.uniform(-2, 2, n + 1)))
+        u = NodalFunction(Grid1D(n), rng.uniform(-2, 2, n + 1))
+        D = quotients(u)
         assert np.array_equal(D, D.T)
+        # each pair's quotient equals the one with its operands swapped
+        m, um = u.grid.midpoints, u.midpoint_values
+        i, j = np.nonzero(~np.eye(n, dtype=bool))
+        assert np.array_equal(D[i, j], (um[i] - um[j]) / (m[i] - m[j]))
 
     @given(c=st.floats(-10, 10))
     def test_translation_invariance(self, c):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -37,7 +39,8 @@ class TestEvaluate:
 
 
 def partials(integrand, x, u, U):
-    return integrand.w_u(x, u, U), integrand.w_U(x, u, U)
+    """(dW/du, dW/dU) at (x, u, U): psi'(u) and phi'(U)."""
+    return integrand.w_u(u), integrand.w_U(U)
 
 
 class TestGrad:
@@ -65,11 +68,14 @@ class TestDerivativeConsistency:
     def test_corrupted_derivative_fails(self):
         base = half_square()
         bad = Integrand(
-            w=base.w, w_u=base.w_u,
-            w_U=lambda x, u, U: U + 1.0,  # off by one
+            w=base.w, mass=base.mass, w_u=base.w_u,
+            w_U=lambda U: U + 1.0,  # off by one
             p=2.0, name="corrupt",
         )
         assert not check_derivatives(bad, probe_lattice()).passed
+        bad_mass = replace(quadratic_mass(), w_u=lambda u: 16.0 * u + 1.0)
+        report = check_derivatives(bad_mass, probe_lattice())
+        assert report.max_err_U <= report.tol < report.max_err_u
 
     def test_empty_probes_rejected(self):
         with pytest.raises(ValueError):

@@ -22,12 +22,12 @@ def per_node_residuals(u, integrand):
     m, um, n = g.midpoints, u.midpoint_values, g.n
     out = []
     for k in range(1, n):
-        x, ux = np.full_like(m, g.nodes[k]), np.full_like(m, u.values[k])
+        ux = np.full_like(m, u.values[k])
         dX = m - g.nodes[k]
         D = (um - u.values[k]) / dX
-        wU_here = integrand.w_U(x, ux, D)
-        wU_there = integrand.w_U(m, um, D)
-        wu_here = integrand.w_u(x, ux, D)
+        wU_here = integrand.w_U(D)  # W_U(x_k, u_k, D) = phi'(D)
+        wU_there = integrand.w_U(D)  # W_U(m, u(m), D) = phi'(D)
+        wu_here = integrand.w_u(ux)  # W_u(x_k, u_k, D) = psi'(u_k)
         terms = g.h * (-(wU_here + wU_there) / dX + wu_here)
         w = min(k, n - k)
         pairs = terms[k - w:k][::-1] + terms[k:k + w]
