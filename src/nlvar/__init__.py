@@ -1,8 +1,8 @@
 """Scalar 1-D non-local variational problems: discretization, minimization,
 and optimality verification via the variational integral equation."""
 
-from .energy import EnergyReport, NonFiniteEnergyError, energy, energy_gradient, \
-    energy_value, refine_and_compare, value_and_grad
+from .energy import NonFiniteEnergyError, energy_gradient, energy_value, \
+    refine_and_compare, value_and_grad
 from .grid import Grid1D, GridError, NodalFunction
 from .integrands import Integrand, check_derivatives, half_square, \
     integrand_by_name, power_p, quadratic_mass, two_well_bare, two_well_full

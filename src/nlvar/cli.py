@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .curveio import read_nodal_function, write_curve, write_svg
-from .energy import energy
+from .energy import energy_value
 from .grid import Grid1D, NodalFunction
 from .integrands import Integrand, integrand_by_name
 from .optimality import residual_report
@@ -78,6 +78,8 @@ _SPEC_KEYS = {
     "figure": str,
 }
 
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
 
 def _parse_bc(text: str) -> tuple[float, float]:
     parts = text.split(",")
@@ -107,10 +109,10 @@ def parse_config(path) -> dict:
             if kind == "bc":
                 values[key] = _parse_bc(val)
             elif kind == "bool":
-                values[key] = val.lower() in ("1", "true", "yes")
+                values[key] = _BOOLS[val.lower()]
             else:
                 values[key] = kind(val)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, KeyError):
             raise SpecError(f"{path}:{lineno}: bad value {val!r} for {key!r}") from None
     return values
 
@@ -189,10 +191,10 @@ def sup_distance_between_levels(coarse: NodalFunction, fine: NodalFunction) -> f
 def cmd_energy(spec: ExperimentSpec) -> int:
     integrand = _integrand(spec.integrand, "energy")
     u = _load_input_curve(spec)
-    report = energy(u, integrand)
-    print(f"integrand: {report.integrand}")
-    print(f"n: {report.n}")
-    print(f"energy: {report.value:.17g}")
+    value = energy_value(u, integrand)
+    print(f"integrand: {integrand.name}")
+    print(f"n: {u.grid.n}")
+    print(f"energy: {value:.17g}")
     return EXIT_OK
 
 
@@ -306,10 +308,7 @@ def fig4_bolza(spec: ExperimentSpec, out: Path) -> int:
     results = []
     curves = []
     for n in (spec.n // 2, spec.n):
-        rng = np.random.default_rng(spec.seed)
-        vals = np.zeros(n + 1)
-        vals[1:-1] += 1e-2 * rng.uniform(-1.0, 1.0, n - 1)
-        kick = NodalFunction(Grid1D(n), vals, left_bc=0.0, right_bc=0.0)
+        kick = make_initial_guess(Grid1D(n), (0.0, 0.0), "random", spec.seed, noise=1e-2)
         _, result = _solve(replace(spec, problem="bolza-bare", n=n), init=kick)
         results.append(result)
         nodes = result.u.grid.nodes

@@ -15,7 +15,6 @@ gradient with respect to interior nodal values is its exact derivative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -25,8 +24,6 @@ from .integrands import Integrand
 
 __all__ = [
     "NonFiniteEnergyError",
-    "EnergyReport",
-    "energy",
     "energy_value",
     "energy_gradient",
     "value_and_grad",
@@ -124,23 +121,9 @@ def _total(per_row: np.ndarray, integrand: Integrand, m: np.ndarray) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class EnergyReport:
-    """Energy value plus provenance."""
-
-    value: float
-    n: int
-    integrand: str
-
-
-def energy(u: NodalFunction, integrand: Integrand) -> EnergyReport:
-    """Quadrature of the double integral of W over (0,1)^2."""
-    value, _ = _quadrature(u, integrand, with_grad=False)
-    return EnergyReport(value=value, n=u.grid.n, integrand=integrand.name)
-
-
 def energy_value(u: NodalFunction, integrand: Integrand) -> float:
-    return energy(u, integrand).value
+    """Quadrature of the double integral of W over (0,1)^2."""
+    return _quadrature(u, integrand, with_grad=False)[0]
 
 
 def value_and_grad(u: NodalFunction, integrand: Integrand) -> tuple[float, np.ndarray]:

@@ -9,7 +9,7 @@ singularity is handled in a principal-value sense: residuals are evaluated
 at interior grid nodes while quadrature abscissae are cell midpoints (so x
 never hits an abscissa), and contributions from midpoints symmetric about x
 are summed as pairs before accumulation; cells beyond the largest symmetric
-whole-cell window accumulate singly.
+whole-cell window, all on one side of x, are paired among themselves.
 
 The two-well Bolza integral equation
 u(x)/2 = int (u(X)-u(x))/(X-x)^2 [((u(X)-u(x))/(X-x))^2 - 1] dX is this
@@ -23,43 +23,44 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import _block_rows, _require_finite
+from .energy import _block_rows, _require_finite, _windows
 from .grid import NodalFunction
 from .integrands import Integrand
 
 __all__ = ["ResidualReport", "residual", "residual_report"]
 
 
-def _paired_sum(terms: np.ndarray, k: int) -> float:
-    """Accumulate per-cell terms with symmetric pairing around node k:
-    midpoints m_{k-1-r} and m_{k+r} sit at equal distances (r + 1/2) h from
-    x_k and are added pairwise first, realizing the principal value
-    discretely; cells outside the symmetric window sum singly."""
-    n = terms.size
-    w = min(k, n - k)
-    pairs = terms[k - w:k][::-1] + terms[k:k + w]
-    singles = terms[:k - w] if k > n - k else terms[k + w:]
-    return float(pairs.sum() + singles.sum())
-
-
 def _residuals(u: NodalFunction, integrand: Integrand, lo: int, hi: int) -> np.ndarray:
-    """R(x_k) at the interior nodes lo <= k < hi, from the per-cell terms of
-    _block_rows(n) nodes at a time, one row per node."""
+    """R(x_k) at the interior nodes lo <= k < hi, from the circulant layout
+    of the energy's fold: column k - lo of row r holds the cell
+    j = (k + r) mod n. Rows r and n - 1 - r hold the two cells at distance
+    (r + 1/2) h either side of x_k wherever both exist, so each row r below
+    the middle is added to its mirror row first; rows are then accumulated
+    one at a time, which makes a node's value independent of its block."""
     g = u.grid
-    m, um, h, b = g.midpoints, u.midpoint_values, g.h, _block_rows(g.n)
-    out = np.empty(hi - lo)
+    n, x, ux, b = g.n, g.nodes[lo:hi], u.values[lo:hi], _block_rows(g.n)
+    shape, rows = (n, hi - lo), (n + 1) // 2
+    mm = _windows(np.concatenate([g.midpoints] * 2), lo, 1, shape)
+    uu = _windows(np.concatenate([u.midpoint_values] * 2), lo, 1, shape)
+
+    def terms(r0: int, r1: int) -> np.ndarray:
+        # phi'(D) / dX, where W_U(x_k, u_k, D) + W_U(m, u(m), D) = 2 phi'(D)
+        dX = mm[r0:r1] - x
+        return integrand.w_U((uu[r0:r1] - ux) / dX) / dX
+
+    total = np.zeros(hi - lo)
     # a non-finite term makes its residual non-finite, which raises below
     with np.errstate(over="ignore", invalid="ignore"):
-        for k0 in range(lo, hi, b):
-            k1 = min(k0 + b, hi)
-            x, ux = g.nodes[k0:k1, None], u.values[k0:k1, None]
-            dX = m - x
-            D = (um - ux) / dX
-            # W_U(x_k, u_k, D) + W_U(m, u(m), D) = 2 phi'(D): W is separable
-            B = integrand.w_U(D)
-            T = h * (-(B + B) / dX + integrand.w_u(ux))
-            out[k0 - lo:k1 - lo] = [_paired_sum(t, k) for t, k in zip(T, range(k0, k1))]
-    return _require_finite(out, f"residual of {integrand.name}", g.nodes[lo:hi])
+        for r0 in range(0, rows, b):
+            r1 = min(r0 + b, rows)
+            P = terms(r0, r1)
+            # mirror rows n - 1 - r; for odd n the middle row has none
+            mirrored = min(r1, n // 2)
+            P[:mirrored - r0] += terms(n - mirrored, n - r0)[::-1]
+            for row in P:
+                total += row
+        R = g.h * (-2.0 * total) + integrand.w_u(ux)
+    return _require_finite(R, f"residual of {integrand.name}", x)
 
 
 def residual(u: NodalFunction, integrand: Integrand, x: float) -> float:
@@ -76,7 +77,7 @@ class ResidualReport:
     """Residual values at all interior nodes plus aggregate norms.
 
     The raw vector and norm_l2 = sqrt(h * sum R^2) cover every interior
-    node. norm_sup by default drops the two boundary-adjacent nodes (x_1 and
+    node. norm_sup drops the two boundary-adjacent nodes (x_1 and
     x_{n-1}), whose degenerate pairing window carries an O(1) one-sided
     quadrature bias. norm_l2_central covers the central band of nodes whose
     symmetric window spans at least half the domain (min(k, n-k) >= n/4); it
@@ -89,17 +90,14 @@ class ResidualReport:
     norm_l2: float
     norm_sup: float
     norm_l2_central: float
-    boundary_excluded: bool = True
 
 
-def residual_report(
-    u: NodalFunction, integrand: Integrand, exclude_boundary: bool = True
-) -> ResidualReport:
+def residual_report(u: NodalFunction, integrand: Integrand) -> ResidualReport:
     """Residual at every interior node plus l2 and sup norms."""
     g = u.grid
     n, h = g.n, g.h
     residuals = _residuals(u, integrand, 1, n)
-    sup_set = residuals[1:-1] if exclude_boundary and residuals.size > 2 else residuals
+    sup_set = residuals[1:-1] if residuals.size > 2 else residuals
     lo = max(n // 4, 1)
     return ResidualReport(
         x_points=g.nodes[1:-1],
@@ -107,5 +105,4 @@ def residual_report(
         norm_l2=float(np.sqrt(h * np.sum(residuals**2))),
         norm_sup=float(np.max(np.abs(sup_set))) if sup_set.size else 0.0,
         norm_l2_central=float(np.sqrt(h * np.sum(residuals[lo - 1:n - lo] ** 2))),
-        boundary_excluded=exclude_boundary,
     )

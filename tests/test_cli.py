@@ -42,6 +42,14 @@ class TestConfigParsing:
         with pytest.raises(SpecError):
             parse_config(cfg)
 
+    @pytest.mark.parametrize("text, value", [
+        ("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("false", False), ("NO", False),
+    ])
+    def test_bool_spellings(self, tmp_path, text, value):
+        cfg = tmp_path / "e.cfg"
+        cfg.write_text(f"svg = {text}\n")
+        assert parse_config(cfg) == {"svg": value}
+
     def test_config_drives_command(self, tmp_path, capsys):
         cfg = tmp_path / "e.cfg"
         cfg.write_text("integrand = half-square\nu = linear\nn = 64\nbc = 0,1\n")
@@ -94,6 +102,13 @@ class TestBadInput:
     def test_spec_error_exits_2(self, argv, message, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path)]) == EXIT_SPEC
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_misspelt_config_bool_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "e.cfg"
+        cfg.write_text(f"problem = problem1\nn = 8\nout = {tmp_path}\nsvg = ture\n")
+        assert main(["minimize", "--config", str(cfg)]) == EXIT_SPEC
+        assert capsys.readouterr().err == f"error: {cfg}:4: bad value 'ture' for 'svg'\n"
+        assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("command", [["energy", "--u", "linear"], ["minimize"]],
                              ids=["energy", "minimize"])
