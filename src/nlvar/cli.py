@@ -212,7 +212,7 @@ def cmd_minimize(spec: ExperimentSpec) -> int:
         overlay = local_exp_solution(grid.nodes)
         write_curve(out / f"{tag}_n{spec.n}_local_exp.csv", grid.nodes, overlay)
         curves.append(("local solution", grid.nodes, overlay))
-    if integrand.name.startswith("two-well"):
+    if not integrand.convex:
         print(NONCONVEX_WARNING)
 
     if spec.svg:

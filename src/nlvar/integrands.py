@@ -38,7 +38,10 @@ class Integrand:
     it in place.
 
     p is the growth exponent of W in U (used for coercivity and Hoelder
-    diagnostics, even where the evaluation itself never reads it).
+    diagnostics, even where the evaluation itself never reads it). convex
+    states that W is convex in (u, U); the solver preconditions only such
+    densities, so a density that does not state it keeps the unpreconditioned
+    solver.
     """
 
     w: ArrayFn
@@ -47,6 +50,7 @@ class Integrand:
     w_u: ArrayFn
     p: float
     name: str
+    convex: bool = False
 
     def evaluate(self, x, u, U):
         """W(x, u, U); no built-in density depends on x."""
@@ -59,7 +63,7 @@ def power_p(p: float) -> Integrand:
         raise ValueError(f"growth exponent must be finite and exceed 1, got {p}")
     return Integrand(
         w=lambda U: np.abs(U) ** p, w_U=lambda U: p * np.sign(U) * np.abs(U) ** (p - 1),
-        mass=np.zeros_like, w_u=np.zeros_like, p=p, name=f"power:{p:g}",
+        mass=np.zeros_like, w_u=np.zeros_like, p=p, name=f"power:{p:g}", convex=True,
     )
 
 
@@ -67,7 +71,7 @@ def half_square() -> Integrand:
     """W = U^2 / 2, the quadratic special case used for p = 2 experiments."""
     return Integrand(
         w=lambda U: 0.5 * U**2, w_U=lambda U: U, mass=np.zeros_like, w_u=np.zeros_like,
-        p=2.0, name="half-square",
+        p=2.0, name="half-square", convex=True,
     )
 
 

@@ -1,9 +1,16 @@
 """First-order minimization of the discrete energy over interior nodal values.
 
 Limited-memory quasi-Newton direction (two-loop recursion) with Armijo
-backtracking; memory 0 degrades to plain gradient descent. End values are
-held fixed bit-exactly throughout. For non-convex densities the result is a
-critical point, with no global-optimality claim.
+backtracking. For a convex density on at most PRECONDITION_MAX_N cells the
+initial inverse Hessian of the recursion is P^-1, where P is the exact
+Hessian of the half-square energy: the first direction is -P^-1 g, later
+ones scale P^-1 by s'y / y'P^-1 y from the newest pair, and memory 0 is
+preconditioned gradient descent. The half-square and quad-mass problems
+then take one and a few steps, and the iteration counts of the other
+convex densities barely grow with n. Otherwise the initial matrix is
+gamma I with gamma = s'y / y'y, and memory 0 is plain gradient descent.
+End values are held fixed bit-exactly throughout. For non-convex densities
+the result is a critical point, with no global-optimality claim.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
+from scipy.linalg.lapack import dpptrf, dpptrs
 
 from .energy import NonFiniteEnergyError, value_and_grad
 # the benchmark's tracer (perfbench/tracer.py) patches these two on this
@@ -25,6 +33,7 @@ __all__ = [
     "MinimizeResult",
     "ContinuationResult",
     "LineSearchError",
+    "PRECONDITION_MAX_N",
     "make_initial_guess",
     "minimize",
     "continuation_refine",
@@ -116,8 +125,60 @@ def make_initial_guess(
     raise ValueError(f"unknown initial-guess policy {init!r}")
 
 
-def _two_loop(grad, s_list, y_list):
-    """L-BFGS two-loop recursion for the search direction."""
+# the packed factor of P takes 4 n^2 bytes and O(n^3) time to compute
+PRECONDITION_MAX_N = 2048
+
+
+def _half_square_hessian(n: int) -> np.ndarray:
+    """Hessian of the half-square energy on n cells in the n - 1 interior
+    nodal values, in LAPACK's lower packed storage (column j holds rows
+    j..n-2 of column j, one column after the other).
+
+    The energy is (1/2) sum_i (v_i+1 - v_i)^2 plus (1/2) sum_{i != j}
+    (a_i - a_j)^2 / (i - j)^2 over the midpoint values a = A v (h cancels),
+    so the Hessian is tridiag(-1, 2, -1) + 2 A' (diag(r) - K) A, with the
+    Toeplitz K_ij = 1/(i - j)^2 off the diagonal, r its row sums and A the
+    node-to-midpoint average. Of this, -2 A'KA is Toeplitz and the rest is
+    tridiagonal; t_d = 1/d^2 gives both parts.
+    """
+    m = n - 1
+    if m < 1:
+        return np.zeros(0)
+    t = np.zeros(n)
+    t[1:] = 1.0 / np.arange(1, n) ** 2
+    # -2 A'KA at lag d = 0..m-1 is -(2 K(d) + K(d - 1) + K(d + 1)) / 2,
+    # with K(0) = 0 and K(-1) = K(1)
+    c = -0.5 * (2.0 * t[:m] + t[np.abs(np.arange(-1, m - 1))] + t[1:])
+    ap = np.concatenate([c[:m - j] for j in range(m)])
+    # r_i = S(i) + S(n - 1 - i) with S(k) = sum_{d=1..k} 1/d^2
+    partial = np.cumsum(t)
+    r = partial + partial[::-1]
+    diag = np.arange(m) * m - np.arange(m) * (np.arange(m) - 1) // 2
+    ap[diag] += 2.0 + 0.5 * (r[:-1] + r[1:])
+    ap[diag[:-1] + 1] += 0.5 * r[1:-1] - 1.0
+    return ap
+
+
+def _preconditioner(integrand: Integrand, n: int):
+    """P^-1 as a function of a vector for a convex density on
+    2 <= n <= PRECONDITION_MAX_N cells, else None. The packed Cholesky
+    factor (dpptrf) gives the same bits for any BLAS thread count."""
+    if not integrand.convex or not 2 <= n <= PRECONDITION_MAX_N:
+        return None
+    factor, info = dpptrf(n - 1, _half_square_hessian(n), lower=1, overwrite_ap=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"half-square Hessian not positive definite (info {info})")
+
+    def solve(q: np.ndarray) -> np.ndarray:
+        return dpptrs(n - 1, factor, q, lower=1)[0]
+
+    return solve
+
+
+def _two_loop(grad, s_list, y_list, solve=None):
+    """L-BFGS two-loop recursion for the search direction. The initial
+    inverse Hessian is gamma * solve, or gamma * I without solve, with gamma
+    s'y over y'(solve y) or y'y for the newest pair (1 with no pair)."""
     q = grad.copy()
     alphas = []
     for s, y in zip(reversed(s_list), reversed(y_list)):
@@ -125,7 +186,12 @@ def _two_loop(grad, s_list, y_list):
         a = rho * float(s @ q)
         alphas.append((a, rho))
         q -= a * y
-    if s_list:
+    if solve is not None:
+        q = solve(q)
+        if s_list:
+            s, y = s_list[-1], y_list[-1]
+            q *= float(s @ y) / float(y @ solve(y))
+    elif s_list:
         s, y = s_list[-1], y_list[-1]
         q *= float(s @ y) / float(y @ y)
     for (a, rho), (s, y) in zip(reversed(alphas), zip(s_list, y_list)):
@@ -162,6 +228,7 @@ def minimize(
         return NodalFunction(grid, vals, left_bc=left, right_bc=right)
 
     z = u.values[1:-1].copy()
+    solve = _preconditioner(integrand, grid.n)
     f, g = value_and_grad(u, integrand)
     gnorm = float(np.linalg.norm(g))
 
@@ -171,7 +238,7 @@ def minimize(
     iters = 0
 
     while gnorm > cfg.grad_tol and iters < cfg.max_iters:
-        d = _two_loop(g, s_list, y_list) if s_list else -g
+        d = _two_loop(g, s_list, y_list, solve)
         slope = float(g @ d)
         if slope >= 0.0:  # quasi-Newton direction unusable, fall back
             d = -g

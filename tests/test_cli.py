@@ -177,7 +177,8 @@ class TestMinimizeCommand:
         assert "extreme caution" in capsys.readouterr().out
 
     def test_nonconvergence_exit_code(self, tmp_path):
-        code = main(["minimize", "--problem", "problem1", "--n", "32",
+        # problem1 converges in one preconditioned step; power:3 needs more
+        code = main(["minimize", "--integrand", "power:3", "--n", "32",
                      "--grad-tol", "1e-15", "--max-iters", "2",
                      "--out", str(tmp_path)])
         assert code == EXIT_NOCONV

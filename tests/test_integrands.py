@@ -43,6 +43,11 @@ def partials(integrand, x, u, U):
     return integrand.w_u(u), integrand.w_U(U)
 
 
+@pytest.mark.parametrize("integrand", ALL, ids=lambda i: i.name)
+def test_convexity_is_stated(integrand):
+    assert integrand.convex == (not integrand.name.startswith("two-well"))
+
+
 class TestGrad:
     def test_half_square(self):
         assert partials(half_square(), 0.2, 7.0, 3.0) == (0.0, 3.0)

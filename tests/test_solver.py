@@ -1,14 +1,23 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nlvar.energy import energy_value
+import nlvar
+from nlvar import solver
+from nlvar.energy import energy_value, value_and_grad
 from nlvar.grid import Grid1D, NodalFunction
-from nlvar.integrands import half_square, power_p, quadratic_mass, two_well_bare
+from nlvar.integrands import half_square, power_p, quadratic_mass, two_well_bare, two_well_full
 from nlvar.solver import (
+    PRECONDITION_MAX_N,
     ContinuationResult,
     SolverConfig,
+    _half_square_hessian,
+    _preconditioner,
     continuation_refine,
     default_grad_tol,
     make_initial_guess,
@@ -131,10 +140,96 @@ class TestMinimize:
         assert all(b <= a for a, b in zip(energies, energies[1:]))
 
     def test_max_iters_reports_nonconvergence(self):
+        # half-square converges in one preconditioned step; power:3 needs more
         cfg = SolverConfig(grad_tol=1e-14, max_iters=3)
-        res = minimize(half_square(), Grid1D(32), (0.0, 1.0), "linear", cfg)
+        res = minimize(power_p(3), Grid1D(32), (0.0, 1.0), "linear", cfg)
         assert not res.converged
         assert res.iters == 3
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-12])
+    def test_half_square_tight_tolerance_does_not_stall(self, tol):
+        # without the preconditioner 5000 iterations made no progress here
+        cfg = SolverConfig(grad_tol=tol, max_iters=100)
+        res = minimize(half_square(), Grid1D(512), (0.0, 1.0), "linear", cfg)
+        assert res.converged and res.iters <= 3
+
+    @pytest.mark.parametrize("W, most", [(quadratic_mass(), 20), (power_p(3), 40)],
+                             ids=["quad-mass", "power:3"])
+    def test_preconditioned_iterations(self, W, most):
+        # 86 and 163 iterations with gamma I
+        cfg = SolverConfig(grad_tol=1e-6, max_iters=200)
+        res = minimize(W, Grid1D(512), (0.0, 1.0), "linear", cfg)
+        assert res.converged and res.iters <= most
+
+
+def unpack_lower(packed: np.ndarray, m: int) -> np.ndarray:
+    """Symmetric m x m matrix from LAPACK's lower packed storage."""
+    full = np.zeros((m, m))
+    rows, cols = np.tril_indices(m)
+    order = np.lexsort((rows, cols))  # column by column
+    full[rows[order], cols[order]] = packed
+    return full + np.tril(full, -1).T
+
+
+class TestPreconditioner:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 64, 129])
+    def test_packed_matrix_is_half_square_hessian(self, n):
+        # the gradient is affine, so unit-step differences are exact columns
+        grid, W = Grid1D(n), half_square()
+        g0 = value_and_grad(NodalFunction(grid, np.zeros(n + 1)), W)[1]
+        hessian = np.empty((n - 1, n - 1))
+        for k in range(n - 1):
+            v = np.zeros(n + 1)
+            v[k + 1] = 1.0
+            hessian[:, k] = value_and_grad(NodalFunction(grid, v), W)[1] - g0
+        P = unpack_lower(_half_square_hessian(n), n - 1)
+        assert np.max(np.abs(P - hessian)) <= 1e-10 * np.max(np.abs(hessian))
+
+    def test_one_cell_factors_nothing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dpptrf called")
+
+        assert _half_square_hessian(1).size == 0
+        monkeypatch.setattr(solver, "dpptrf", refuse)
+        assert _preconditioner(half_square(), 1) is None
+
+    @pytest.mark.parametrize("W, n", [(two_well_bare(), 64), (two_well_full(), 64),
+                                      (half_square(), PRECONDITION_MAX_N + 1)],
+                             ids=["two-well-bare", "two-well", "large-n"])
+    def test_nonconvex_or_large_keeps_scaled_identity(self, W, n, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dpptrf called")
+
+        monkeypatch.setattr(solver, "dpptrf", refuse)
+        assert _preconditioner(W, n) is None
+
+    def test_solve_inverts_packed_matrix(self):
+        n = 64
+        P = unpack_lower(_half_square_hessian(n), n - 1)
+        x = np.random.default_rng(3).standard_normal(n - 1)
+        solve = _preconditioner(power_p(3), n)
+        assert np.max(np.abs(solve(P @ x) - x)) <= 1e-10 * np.max(np.abs(x))
+
+    def test_outputs_do_not_depend_on_blas_threads(self):
+        # a full Cholesky (dpotrf) changes its bits with the thread count
+        # from n = 256 on; the packed one must not
+        script = (
+            "import sys\n"
+            "from nlvar import Grid1D, integrand_by_name, minimize\n"
+            "for name in ('power:3', 'quad-mass'):\n"
+            "    res = minimize(integrand_by_name(name), Grid1D(512), (0.0, 1.0))\n"
+            "    sys.stdout.write(res.u.values.tobytes().hex() + '\\n')\n"
+        )
+        src = str(Path(nlvar.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                  text=True, env=env, timeout=120, check=True)
+            outputs.append(proc.stdout)
+        assert len(outputs[0].split()) == 2
+        assert outputs[0] == outputs[1]
 
 
 class TestContinuation:
