@@ -5,12 +5,12 @@ backtracking. For a convex density on at most PRECONDITION_MAX_N cells the
 initial inverse Hessian of the recursion is P^-1, where P is the exact
 Hessian of the half-square energy: the first direction is -P^-1 g, later
 ones scale P^-1 by s'y / y'P^-1 y from the newest pair, and memory 0 is
-preconditioned gradient descent. The half-square and quad-mass problems
-then take one and a few steps, and the iteration counts of the other
-convex densities barely grow with n. Otherwise the initial matrix is
-gamma I with gamma = s'y / y'y, and memory 0 is plain gradient descent.
-End values are held fixed bit-exactly throughout. For non-convex densities
-the result is a critical point, with no global-optimality claim.
+preconditioned gradient descent. Half-square then converges in one Newton
+step, and the iteration counts of the other convex densities barely grow
+with n. Otherwise the initial matrix is gamma I with gamma = s'y / y'y,
+and memory 0 is plain gradient descent. End values are held fixed
+bit-exactly throughout. For non-convex densities the result is a critical
+point, with no global-optimality claim.
 """
 
 from __future__ import annotations
