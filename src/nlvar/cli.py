@@ -22,8 +22,7 @@ from .grid import Grid1D, NodalFunction
 from .integrands import Integrand, integrand_by_name
 from .optimality import residual_report
 from .reference import local_exp_solution, normalize_k, ode_approx_derivative
-from .solver import LineSearchError, SolverConfig, default_grad_tol, \
-    make_initial_guess, minimize
+from .solver import LineSearchError, SolverConfig, make_initial_guess, minimize
 
 EXIT_OK = 0
 EXIT_SPEC = 2
@@ -165,8 +164,7 @@ def _solve(spec: ExperimentSpec, init: Optional[NodalFunction] = None):
     """(integrand, MinimizeResult) of spec's problem on spec.n cells, from
     init if given, else from the problem's initial guess."""
     integrand, bc, default_init = _resolve_problem(spec)
-    grad_tol = spec.grad_tol if spec.grad_tol is not None else default_grad_tol(spec.n)
-    cfg = SolverConfig(max_iters=spec.max_iters, grad_tol=grad_tol, seed=spec.seed)
+    cfg = SolverConfig(max_iters=spec.max_iters, grad_tol=spec.grad_tol, seed=spec.seed)
     init = default_init if init is None else init
     return integrand, minimize(integrand, Grid1D(spec.n), bc, init=init, cfg=cfg)
 

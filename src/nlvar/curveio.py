@@ -65,11 +65,9 @@ def write_svg(
     path,
     curves: Sequence[tuple[str, np.ndarray, np.ndarray]],
     title: str = "",
-    width: int = 640,
-    height: int = 480,
 ) -> None:
     """Plot labelled (x, y) curves as SVG polylines with a plain box axis."""
-    margin = 50
+    width, height, margin = 640, 480, 50
     xs = np.concatenate([np.asarray(c[1], float) for c in curves])
     ys = np.concatenate([np.asarray(c[2], float) for c in curves])
     x0, x1 = float(xs.min()), float(xs.max())

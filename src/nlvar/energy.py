@@ -51,29 +51,40 @@ def _windows(a: np.ndarray, offset: int, step: int, shape: tuple[int, int]) -> n
     return np.ndarray(shape, a.dtype, a, offset * size, (step * size, size))
 
 
+def _circulant_blocks(u: NodalFunction, x: np.ndarray, ux: np.ndarray, offset: int,
+                      step: int, rows: int, slopes: Optional[np.ndarray] = None):
+    """Yield (r0, dX, D) for consecutive row blocks of a circulant layout of
+    the cells around the origins x, with values ux: column c of row r holds
+    cell j = (offset + c + step * r) mod n, dX = m_j - x_c and D = (u(m_j) -
+    ux_c) / dX. With the cell slopes given, x are the midpoints themselves
+    and row 0, offset 0, is the diagonal: D holds the slopes, and dX is
+    infinite as they do not depend on u(m)."""
+    shape, b = (rows, x.size), _block_rows(u.grid.n)
+    # row r of these views is m and u(m) rotated left by offset + step * r
+    mm = _windows(np.concatenate([u.grid.midpoints] * 2), offset, step, shape)
+    uu = _windows(np.concatenate([u.midpoint_values] * 2), offset, step, shape)
+    for r0 in range(0, rows, b):
+        r1 = min(r0 + b, rows)
+        dX = mm[r0:r1] - x
+        diagonal = r0 == 0 and slopes is not None
+        if diagonal:
+            dX[0] = np.inf
+        D = np.subtract(uu[r0:r1], ux)
+        D /= dX
+        if diagonal:
+            D[0] = slopes
+        yield r0, dX, D
+
+
 def _fold_blocks(u: NodalFunction):
     """Yield (d0, dm, D) for consecutive row blocks of the circulant fold:
     fold row d, 0 <= d <= n // 2, holds the pair (i, j = (i + d) mod n) in
     column i, with dm = m_j - m_i and D its difference quotient, from the
-    operands of the full n x n matrices. Row 0 is the diagonal: D holds the
-    cell slopes, and dm is infinite as they do not depend on u(m). For even
-    n, row n // 2 lists each of its pairs twice, as (i, j) and (j, i)."""
-    m, um = u.grid.midpoints, u.midpoint_values
-    n = m.size
-    rows, b = n // 2 + 1, _block_rows(n)
-    # row d of these views is m and u(m) rotated left by d
-    mm = _windows(np.concatenate([m, m]), 0, 1, (rows, n))
-    uu = _windows(np.concatenate([um, um]), 0, 1, (rows, n))
-    for d0 in range(0, rows, b):
-        d1 = min(d0 + b, rows)
-        dm = mm[d0:d1] - m
-        if d0 == 0:
-            dm[0] = np.inf
-        D = np.subtract(uu[d0:d1], um)
-        D /= dm
-        if d0 == 0:
-            D[0] = u.slopes
-        yield d0, dm, D
+    operands of the full n x n matrices. Row 0 is the diagonal of cell
+    slopes. For even n, row n // 2 lists each of its pairs twice, as (i, j)
+    and (j, i)."""
+    m = u.grid.midpoints
+    return _circulant_blocks(u, m, u.midpoint_values, 0, 1, m.size // 2 + 1, u.slopes)
 
 
 def _pair_weights(P: np.ndarray, d0: int, n: int) -> np.ndarray:

@@ -20,10 +20,11 @@ separate entry point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
-from .energy import _block_rows, _require_finite, _windows
+from .energy import _circulant_blocks, _require_finite
 from .grid import NodalFunction
 from .integrands import Integrand
 
@@ -31,35 +32,31 @@ __all__ = ["ResidualReport", "residual", "residual_report"]
 
 
 def _residuals(u: NodalFunction, integrand: Integrand, lo: int, hi: int) -> np.ndarray:
-    """R(x_k) at the interior nodes lo <= k < hi, from the circulant layout
-    of the energy's fold: column k - lo of row r holds the cell
-    j = (k + r) mod n. Rows r and n - 1 - r hold the two cells at distance
-    (r + 1/2) h either side of x_k wherever both exist, so each row r below
-    the middle is added to its mirror row first; rows are then accumulated
-    one at a time, which makes a node's value independent of its block."""
-    g = u.grid
-    n, x, ux, b = g.n, g.nodes[lo:hi], u.values[lo:hi], _block_rows(g.n)
-    shape, rows = (n, hi - lo), (n + 1) // 2
-    mm = _windows(np.concatenate([g.midpoints] * 2), lo, 1, shape)
-    uu = _windows(np.concatenate([u.midpoint_values] * 2), lo, 1, shape)
+    """R(x_k) at the interior nodes lo <= k < hi, from the energy's circulant
+    layout with the nodes as origins: row r holds the cell (k + r) mod n in
+    column k - lo, and its mirror row the cell (k - 1 - r) mod n. The two
+    are the cells at distance (r + 1/2) h either side of x_k wherever both
+    exist, so each row is added to its mirror row first; rows are then
+    accumulated one at a time, which makes a node's value independent of its
+    block."""
+    n, x, ux = u.grid.n, u.grid.nodes[lo:hi], u.values[lo:hi]
 
-    def terms(r0: int, r1: int) -> np.ndarray:
-        # phi'(D) / dX, where W_U(x_k, u_k, D) + W_U(m, u(m), D) = 2 phi'(D)
-        dX = mm[r0:r1] - x
-        return integrand.w_U((uu[r0:r1] - ux) / dX) / dX
+    def terms(offset: int, step: int, rows: int):
+        # phi'(D) / dX, where W_U(x_k, u_k, D) + W_U(m, u(m), D) = 2 phi'(D),
+        # written over D: the generator keeps its block alive until the next
+        for _, dX, D in _circulant_blocks(u, x, ux, offset, step, rows):
+            yield np.divide(integrand.w_U(D), dX, out=D)
 
     total = np.zeros(hi - lo)
     # a non-finite term makes its residual non-finite, which raises below
     with np.errstate(over="ignore", invalid="ignore"):
-        for r0 in range(0, rows, b):
-            r1 = min(r0 + b, rows)
-            P = terms(r0, r1)
-            # mirror rows n - 1 - r; for odd n the middle row has none
-            mirrored = min(r1, n // 2)
-            P[:mirrored - r0] += terms(n - mirrored, n - r0)[::-1]
+        # for odd n the last right-hand row has no mirror
+        for P, mirror in zip_longest(terms(lo, 1, (n + 1) // 2), terms(lo + n - 1, -1, n // 2)):
+            if mirror is not None:
+                P[:mirror.shape[0]] += mirror
             for row in P:
                 total += row
-        R = g.h * (-2.0 * total) + integrand.w_u(ux)
+        R = u.grid.h * (-2.0 * total) + integrand.w_u(ux)
     return _require_finite(R, f"residual of {integrand.name}", x)
 
 

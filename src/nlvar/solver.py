@@ -1,16 +1,14 @@
 """First-order minimization of the discrete energy over interior nodal values.
 
-Limited-memory quasi-Newton direction (two-loop recursion) with Armijo
-backtracking. For a convex density on at most PRECONDITION_MAX_N cells the
-initial inverse Hessian of the recursion is P^-1, where P is the exact
-Hessian of the half-square energy: the first direction is -P^-1 g, later
-ones scale P^-1 by s'y / y'P^-1 y from the newest pair, and memory 0 is
-preconditioned gradient descent. Half-square then converges in one Newton
-step, and the iteration counts of the other convex densities barely grow
-with n. Otherwise the initial matrix is gamma I with gamma = s'y / y'y,
-and memory 0 is plain gradient descent. End values are held fixed
-bit-exactly throughout. For non-convex densities the result is a critical
-point, with no global-optimality claim.
+Limited-memory quasi-Newton direction (two-loop recursion over the last
+MEMORY pairs) with Armijo backtracking. The initial inverse Hessian of the
+recursion is gamma H0 with gamma = s'y / y'H0 y from the newest pair (1
+with no pair). For a convex density on at most PRECONDITION_MAX_N cells H0
+is P^-1, where P is the exact Hessian of the half-square energy:
+half-square then converges in one Newton step, and the iteration counts of
+the other convex densities barely grow with n. Otherwise H0 = I. End
+values are held fixed bit-exactly throughout. For non-convex densities the
+result is a critical point, with no global-optimality claim.
 """
 
 from __future__ import annotations
@@ -48,27 +46,26 @@ class LineSearchError(RuntimeError):
         self.trace = trace
 
 
+# first trial step, its backtracking factor, the sufficient-decrease
+# constant and the number of (s, y) pairs the recursion keeps
+STEP0, SHRINK, ARMIJO, MEMORY = 1.0, 0.5, 1e-4, 10
+
+
 @dataclass(frozen=True)
 class SolverConfig:
+    """max_iters caps the iterations; the solve stops once the gradient norm
+    is at most grad_tol, default_grad_tol(n) when None; seed seeds the
+    'random' initial guess."""
+
     max_iters: int = 5000
-    grad_tol: float = 1e-8
-    step0: float = 1.0
-    shrink: float = 0.5
-    armijo: float = 1e-4
-    memory: int = 10
+    grad_tol: Optional[float] = None
     seed: int = 0
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.grad_tol <= 0:
-            raise ValueError("grad_tol must be positive")
-        if not 0.0 < self.shrink < 1.0:
-            raise ValueError("shrink factor must lie in (0, 1)")
-        if not 0.0 < self.armijo < 1.0:
-            raise ValueError("sufficient-decrease constant must lie in (0, 1)")
-        if self.memory < 0:
-            raise ValueError("memory must be >= 0")
+        if self.grad_tol is not None and not 0.0 < self.grad_tol < np.inf:
+            raise ValueError(f"grad_tol must be finite and positive, got {self.grad_tol}")
 
 
 def default_grad_tol(n: int) -> float:
@@ -161,10 +158,10 @@ def _half_square_hessian(n: int) -> np.ndarray:
 
 def _preconditioner(integrand: Integrand, n: int):
     """P^-1 as a function of a vector for a convex density on
-    2 <= n <= PRECONDITION_MAX_N cells, else None. The packed Cholesky
-    factor (dpptrf) gives the same bits for any BLAS thread count."""
+    2 <= n <= PRECONDITION_MAX_N cells, else the identity. The packed
+    Cholesky factor (dpptrf) gives the same bits for any BLAS thread count."""
     if not integrand.convex or not 2 <= n <= PRECONDITION_MAX_N:
-        return None
+        return lambda q: q
     factor, info = dpptrf(n - 1, _half_square_hessian(n), lower=1, overwrite_ap=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"half-square Hessian not positive definite (info {info})")
@@ -175,10 +172,10 @@ def _preconditioner(integrand: Integrand, n: int):
     return solve
 
 
-def _two_loop(grad, s_list, y_list, solve=None):
+def _two_loop(grad, s_list, y_list, solve):
     """L-BFGS two-loop recursion for the search direction. The initial
-    inverse Hessian is gamma * solve, or gamma * I without solve, with gamma
-    s'y over y'(solve y) or y'y for the newest pair (1 with no pair)."""
+    inverse Hessian is gamma * solve, with gamma = s'y / y'(solve y) for the
+    newest pair (1 with no pair)."""
     q = grad.copy()
     alphas = []
     for s, y in zip(reversed(s_list), reversed(y_list)):
@@ -186,14 +183,10 @@ def _two_loop(grad, s_list, y_list, solve=None):
         a = rho * float(s @ q)
         alphas.append((a, rho))
         q -= a * y
-    if solve is not None:
-        q = solve(q)
-        if s_list:
-            s, y = s_list[-1], y_list[-1]
-            q *= float(s @ y) / float(y @ solve(y))
-    elif s_list:
+    q = solve(q)
+    if s_list:
         s, y = s_list[-1], y_list[-1]
-        q *= float(s @ y) / float(y @ y)
+        q *= float(s @ y) / float(y @ solve(y))
     for (a, rho), (s, y) in zip(reversed(alphas), zip(s_list, y_list)):
         b = rho * float(y @ q)
         q += (a - b) * s
@@ -208,15 +201,15 @@ def minimize(
     cfg: Optional[SolverConfig] = None,
 ) -> MinimizeResult:
     """Descend the discrete energy from init until the gradient norm meets
-    cfg.grad_tol or max_iters is exhausted.
+    cfg.grad_tol (default_grad_tol(n) when None) or max_iters is exhausted.
 
     The energy trace is non-increasing at every accepted step. A trial step
     whose energy or gradient is non-finite is rejected like one without
     sufficient decrease. Raises LineSearchError if backtracking underflows,
     and propagates the NonFiniteEnergyError of a non-finite initial iterate.
     """
-    if cfg is None:
-        cfg = SolverConfig(grad_tol=default_grad_tol(grid.n))
+    cfg = cfg or SolverConfig()
+    grad_tol = default_grad_tol(grid.n) if cfg.grad_tol is None else cfg.grad_tol
 
     u = make_initial_guess(grid, bc, init, seed=cfg.seed)
     left, right = bc
@@ -237,14 +230,14 @@ def minimize(
     y_list: list[np.ndarray] = []
     iters = 0
 
-    while gnorm > cfg.grad_tol and iters < cfg.max_iters:
+    while gnorm > grad_tol and iters < cfg.max_iters:
         d = _two_loop(g, s_list, y_list, solve)
         slope = float(g @ d)
         if slope >= 0.0:  # quasi-Newton direction unusable, fall back
             d = -g
             slope = -gnorm * gnorm
 
-        t = cfg.step0
+        t = STEP0
         while True:
             z_new = z + t * d
             try:
@@ -254,9 +247,9 @@ def minimize(
                     f_new, g_new = value_and_grad(assemble(z_new), integrand)
             except NonFiniteEnergyError:
                 f_new = np.inf
-            if f_new <= f + cfg.armijo * t * slope:
+            if f_new <= f + ARMIJO * t * slope:
                 break
-            t *= cfg.shrink
+            t *= SHRINK
             if t < 1e-20:
                 raise LineSearchError(
                     f"line search underflow at iteration {iters} "
@@ -264,15 +257,14 @@ def minimize(
                     trace,
                 )
 
-        if cfg.memory > 0:
-            s = z_new - z
-            y = g_new - g
-            if float(s @ y) > 1e-14 * float(s @ s):
-                s_list.append(s)
-                y_list.append(y)
-                if len(s_list) > cfg.memory:
-                    s_list.pop(0)
-                    y_list.pop(0)
+        s = z_new - z
+        y = g_new - g
+        if float(s @ y) > 1e-14 * float(s @ s):
+            s_list.append(s)
+            y_list.append(y)
+            if len(s_list) > MEMORY:
+                s_list.pop(0)
+                y_list.pop(0)
         z, f, g = z_new, f_new, g_new
         gnorm = float(np.linalg.norm(g))
         iters += 1
@@ -285,7 +277,7 @@ def minimize(
         grad_norm=gnorm,
         iters=iters,
         trace=trace,
-        converged=gnorm <= cfg.grad_tol,
+        converged=gnorm <= grad_tol,
     )
 
 

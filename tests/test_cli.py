@@ -94,11 +94,15 @@ class TestBadInput:
         (["minimize", "--problem", "problem1", "--init", "bogus"],
          "unknown initial-guess policy 'bogus'"),
         (["minimize", "--problem", "problem1", "--max-iters", "0"], "max_iters must be >= 1"),
+        (["minimize", "--problem", "problem1", "--n", "16", "--grad-tol", "nan"],
+         "grad_tol must be finite and positive, got nan"),
+        (["minimize", "--problem", "quad-mass", "--grad-tol", "inf"],
+         "grad_tol must be finite and positive, got inf"),
         (["reproduce", "fig4-bolza", "--n", "3"],
          "fig4-bolza also solves at n // 2, so it needs n >= 4, got 3"),
     ], ids=["power-1", "power-nan", "bad-exponent",
             "problem-with-unknown-integrand", "unknown-init", "zero-max-iters",
-            "fig4-coarse-level-too-small"])
+            "nan-grad-tol", "inf-grad-tol", "fig4-coarse-level-too-small"])
     def test_spec_error_exits_2(self, argv, message, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path)]) == EXIT_SPEC
         assert capsys.readouterr().err == f"error: {message}\n"
