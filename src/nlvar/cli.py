@@ -34,6 +34,11 @@ NONCONVEX_WARNING = (
     "point reached by descent and has to be taken with extreme caution"
 )
 
+CRITICAL_START_WARNING = (
+    "warning: the initial guess is already a critical point (gradient exactly 0), "
+    "so the solver returned it unchanged; try --init random"
+)
+
 # problem shorthand -> (integrand name, end conditions, default init)
 PROBLEMS = {
     "problem1": ("half-square", (0.0, 1.0), "linear"),
@@ -198,6 +203,8 @@ def cmd_energy(spec: ExperimentSpec) -> int:
 
 def cmd_minimize(spec: ExperimentSpec) -> int:
     integrand, result = _solve(spec)
+    if result.iters == 0 and result.grad_norm == 0.0:
+        print(CRITICAL_START_WARNING, file=sys.stderr)
     grid = result.u.grid
 
     out = _outdir(spec)

@@ -15,6 +15,7 @@ gradient with respect to interior nodal values is its exact derivative.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -51,18 +52,27 @@ def _windows(a: np.ndarray, offset: int, step: int, shape: tuple[int, int]) -> n
     return np.ndarray(shape, a.dtype, a, offset * size, (step * size, size))
 
 
-def _circulant_blocks(u: NodalFunction, x: np.ndarray, ux: np.ndarray, offset: int,
+@lru_cache(maxsize=8)
+def _midpoints_twice(n: int) -> np.ndarray:
+    """The midpoints of the n-cell grid laid out twice, read-only: rows of
+    circulant windows of it are the midpoints rotated left."""
+    m = np.concatenate([Grid1D(n).midpoints] * 2)
+    m.setflags(write=False)
+    return m
+
+
+def _circulant_blocks(n: int, um: np.ndarray, x: np.ndarray, ux: np.ndarray, offset: int,
                       step: int, rows: int, slopes: Optional[np.ndarray] = None):
     """Yield (r0, dX, D) for consecutive row blocks of a circulant layout of
-    the cells around the origins x, with values ux: column c of row r holds
-    cell j = (offset + c + step * r) mod n, dX = m_j - x_c and D = (u(m_j) -
-    ux_c) / dX. With the cell slopes given, x are the midpoints themselves
-    and row 0, offset 0, is the diagonal: D holds the slopes, and dX is
-    infinite as they do not depend on u(m)."""
-    shape, b = (rows, x.size), _block_rows(u.grid.n)
-    # row r of these views is m and u(m) rotated left by offset + step * r
-    mm = _windows(np.concatenate([u.grid.midpoints] * 2), offset, step, shape)
-    uu = _windows(np.concatenate([u.midpoint_values] * 2), offset, step, shape)
+    the n cells, with midpoint values um, around the origins x, with values
+    ux: column c of row r holds cell j = (offset + c + step * r) mod n,
+    dX = m_j - x_c and D = (um_j - ux_c) / dX. With the cell slopes given,
+    x are the midpoints themselves and row 0, offset 0, is the diagonal: D
+    holds the slopes, and dX is infinite as they do not depend on um."""
+    shape, b = (rows, x.size), _block_rows(n)
+    # row r of these views is m and um rotated left by offset + step * r
+    mm = _windows(_midpoints_twice(n), offset, step, shape)
+    uu = _windows(np.concatenate([um] * 2), offset, step, shape)
     for r0 in range(0, rows, b):
         r1 = min(r0 + b, rows)
         dX = mm[r0:r1] - x
@@ -76,15 +86,14 @@ def _circulant_blocks(u: NodalFunction, x: np.ndarray, ux: np.ndarray, offset: i
         yield r0, dX, D
 
 
-def _fold_blocks(u: NodalFunction):
-    """Yield (d0, dm, D) for consecutive row blocks of the circulant fold:
-    fold row d, 0 <= d <= n // 2, holds the pair (i, j = (i + d) mod n) in
-    column i, with dm = m_j - m_i and D its difference quotient, from the
-    operands of the full n x n matrices. Row 0 is the diagonal of cell
-    slopes. For even n, row n // 2 lists each of its pairs twice, as (i, j)
-    and (j, i)."""
-    m = u.grid.midpoints
-    return _circulant_blocks(u, m, u.midpoint_values, 0, 1, m.size // 2 + 1, u.slopes)
+def _fold_blocks(m: np.ndarray, um: np.ndarray, slopes: np.ndarray):
+    """Yield (d0, dm, D) for consecutive row blocks of the circulant fold of
+    the cells with midpoints m, midpoint values um and slopes: fold row d,
+    0 <= d <= n // 2, holds the pair (i, j = (i + d) mod n) in column i,
+    with dm = m_j - m_i and D its difference quotient, from the operands of
+    the full n x n matrices. Row 0 is the diagonal of cell slopes. For even
+    n, row n // 2 lists each of its pairs twice, as (i, j) and (j, i)."""
+    return _circulant_blocks(m.size, um, m, um, 0, 1, m.size // 2 + 1, slopes)
 
 
 def _pair_weights(P: np.ndarray, d0: int, n: int) -> np.ndarray:
@@ -134,7 +143,8 @@ def _total(per_row: np.ndarray, integrand: Integrand, m: np.ndarray) -> float:
 
 def energy_value(u: NodalFunction, integrand: Integrand) -> float:
     """Quadrature of the double integral of W over (0,1)^2."""
-    return _quadrature(u, integrand, with_grad=False)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _quadrature(u.grid, u.values, integrand, with_grad=False)[0]
 
 
 def value_and_grad(u: NodalFunction, integrand: Integrand) -> tuple[float, np.ndarray]:
@@ -147,12 +157,19 @@ def value_and_grad(u: NodalFunction, integrand: Integrand) -> tuple[float, np.nd
     values are fixed, so the gradient has length n - 1. A non-finite value
     or gradient raises NonFiniteEnergyError.
     """
-    return _quadrature(u, integrand, with_grad=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _quadrature(u.grid, u.values, integrand, with_grad=True)
 
 
-def _quadrature(u: NodalFunction, integrand: Integrand, with_grad: bool):
-    g = u.grid
-    h, n, m, um = g.h, g.n, g.midpoints, u.midpoint_values
+def _quadrature(grid: Grid1D, values: np.ndarray, integrand: Integrand, with_grad: bool):
+    """(energy, gradient or None) of the n + 1 nodal values on grid, which
+    need not form a NodalFunction. Every non-finite value raises
+    NonFiniteEnergyError, so callers run it under np.errstate(over="ignore",
+    invalid="ignore"): numpy's warnings would repeat the error."""
+    h, n, m = grid.h, grid.n, grid.midpoints
+    # NodalFunction.midpoint_values and .slopes, np.diff written out
+    um = 0.5 * (values[:-1] + values[1:])
+    slopes = (values[1:] - values[:-1]) / h
     name = integrand.name
     half_rows = np.zeros(n)  # per midpoint i: half the weighted phi of column i
     if with_grad:
@@ -161,31 +178,29 @@ def _quadrature(u: NodalFunction, integrand: Integrand, with_grad: bool):
         col, skew = np.zeros(n), np.zeros(n)
         pair = np.empty((_block_rows(n), 2 * n))
         flat = pair.reshape(-1)
-    # every non-finite value raises below; numpy's warnings would repeat it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for d0, dm, D in _fold_blocks(u):
-            P = _pair_weights(integrand.w(D), d0, n)
-            half_rows += _column_sums(P, f"W({name})", d0, m)
-            if not with_grad:
-                continue
-            B = integrand.w_U(D)
-            if d0 == 0:
-                slope_B = B[0].copy()
-            k = B.shape[0]
-            C = _pair_weights(np.divide(B, dm, out=pair[:k, :n]), d0, n)
-            col += _column_sums(C, f"dW/dU({name})", d0, m, source=B)
-            pair[:k, n:] = C
-            # row r of the view is C[r] rotated right by d0 + r
-            skew += _windows(flat, n - d0, 2 * n - 1, (k, n)).sum(axis=0)
-        psi = _require_finite(integrand.mass(um), f"W({name})", m)
-        value = _total(h * h * 2.0 * half_rows + h * psi, integrand, m)
+    for d0, dm, D in _fold_blocks(m, um, slopes):
+        P = _pair_weights(integrand.w(D), d0, n)
+        half_rows += _column_sums(P, f"W({name})", d0, m)
         if not with_grad:
-            return value, None
-        dpsi = _require_finite(integrand.w_u(um), f"dW/du({name})", m)
-        # d(2 phi(D_ij)) / d u(m_j) = 2 C_ij = -d(2 phi(D_ij)) / d u(m_i)
-        g_um = 2.0 * (skew - col) + n * dpsi
-        grad = h * h * (0.5 * (g_um[:-1] + g_um[1:]) + (slope_B[:-1] - slope_B[1:]) / h)
-    return value, _require_finite(grad, f"gradient of W({name})", g.nodes[1:-1])
+            continue
+        B = integrand.w_U(D)
+        if d0 == 0:
+            slope_B = B[0].copy()
+        k = B.shape[0]
+        C = _pair_weights(np.divide(B, dm, out=pair[:k, :n]), d0, n)
+        col += _column_sums(C, f"dW/dU({name})", d0, m, source=B)
+        pair[:k, n:] = C
+        # row r of the view is C[r] rotated right by d0 + r
+        skew += _windows(flat, n - d0, 2 * n - 1, (k, n)).sum(axis=0)
+    psi = _require_finite(integrand.mass(um), f"W({name})", m)
+    value = _total(h * h * 2.0 * half_rows + h * psi, integrand, m)
+    if not with_grad:
+        return value, None
+    dpsi = _require_finite(integrand.w_u(um), f"dW/du({name})", m)
+    # d(2 phi(D_ij)) / d u(m_j) = 2 C_ij = -d(2 phi(D_ij)) / d u(m_i)
+    g_um = 2.0 * (skew - col) + n * dpsi
+    grad = h * h * (0.5 * (g_um[:-1] + g_um[1:]) + (slope_B[:-1] - slope_B[1:]) / h)
+    return value, _require_finite(grad, f"gradient of W({name})", grid.nodes[1:-1])
 
 
 def energy_gradient(u: NodalFunction, integrand: Integrand) -> np.ndarray:

@@ -40,11 +40,12 @@ def _residuals(u: NodalFunction, integrand: Integrand, lo: int, hi: int) -> np.n
     accumulated one at a time, which makes a node's value independent of its
     block."""
     n, x, ux = u.grid.n, u.grid.nodes[lo:hi], u.values[lo:hi]
+    um = u.midpoint_values
 
     def terms(offset: int, step: int, rows: int):
         # phi'(D) / dX, where W_U(x_k, u_k, D) + W_U(m, u(m), D) = 2 phi'(D),
         # written over D: the generator keeps its block alive until the next
-        for _, dX, D in _circulant_blocks(u, x, ux, offset, step, rows):
+        for _, dX, D in _circulant_blocks(n, um, x, ux, offset, step, rows):
             yield np.divide(integrand.w_U(D), dX, out=D)
 
     total = np.zeros(hi - lo)

@@ -13,13 +13,17 @@ result is a critical point, with no global-optimality claim.
 
 from __future__ import annotations
 
+import math
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 from scipy.linalg.lapack import dpptrf, dpptrs
 
-from .energy import NonFiniteEnergyError, value_and_grad
+# minimize evaluates every iterate through this one name, which a tracer
+# can wrap; it takes raw nodal values, not a NodalFunction
+from .energy import NonFiniteEnergyError, _quadrature
 # the benchmark's tracer (perfbench/tracer.py) patches these two on this
 # module by name, so they stay importable from here
 from .energy import energy_gradient, energy_value  # noqa: F401
@@ -81,6 +85,7 @@ class MinimizeResult:
     iters: int
     trace: list[tuple[float, float]] = field(repr=False)
     converged: bool
+    evaluations: int  # of the energy and gradient, the start's included
 
 
 def make_initial_guess(
@@ -172,23 +177,32 @@ def _preconditioner(integrand: Integrand, n: int):
     return solve
 
 
-def _two_loop(grad, s_list, y_list, solve):
-    """L-BFGS two-loop recursion for the search direction. The initial
-    inverse Hessian is gamma * solve, with gamma = s'y / y'(solve y) for the
-    newest pair (1 with no pair)."""
+class _Pair(NamedTuple):
+    """A stored (s, y) pair with the scalars the recursion reads, computed
+    once: rho = 1 / s'y and gamma = s'y / y'(solve y)."""
+
+    s: np.ndarray
+    y: np.ndarray
+    rho: float
+    gamma: float
+
+
+def _two_loop(grad, pairs, solve):
+    """L-BFGS two-loop recursion (Nocedal & Wright, Algorithm 7.4) for the
+    search direction from the stored pairs, oldest first. The initial
+    inverse Hessian is gamma * solve for the newest pair (solve itself with
+    no pair)."""
     q = grad.copy()
     alphas = []
-    for s, y in zip(reversed(s_list), reversed(y_list)):
-        rho = 1.0 / float(y @ s)
-        a = rho * float(s @ q)
-        alphas.append((a, rho))
+    for s, y, rho, _ in reversed(pairs):
+        a = rho * float(s.dot(q))
+        alphas.append(a)
         q -= a * y
     q = solve(q)
-    if s_list:
-        s, y = s_list[-1], y_list[-1]
-        q *= float(s @ y) / float(y @ solve(y))
-    for (a, rho), (s, y) in zip(reversed(alphas), zip(s_list, y_list)):
-        b = rho * float(y @ q)
+    if pairs:
+        q *= pairs[-1].gamma
+    for a, (s, y, rho, _) in zip(reversed(alphas), pairs):
+        b = rho * float(y.dot(q))
         q += (a - b) * s
     return -q
 
@@ -212,41 +226,41 @@ def minimize(
     grad_tol = default_grad_tol(grid.n) if cfg.grad_tol is None else cfg.grad_tol
 
     u = make_initial_guess(grid, bc, init, seed=cfg.seed)
-    left, right = bc
-
-    def assemble(z):
-        vals = np.empty(grid.n + 1)
-        vals[0], vals[-1] = left, right
-        vals[1:-1] = z
-        return NodalFunction(grid, vals, left_bc=left, right_bc=right)
-
     z = u.values[1:-1].copy()
+    # every trial is written into the interior of this one vector of nodal
+    # values, and so is the result
+    vals = np.empty(grid.n + 1)
+    vals[0], vals[-1] = bc
+    trial = vals[1:-1]
     solve = _preconditioner(integrand, grid.n)
-    f, g = value_and_grad(u, integrand)
-    gnorm = float(np.linalg.norm(g))
+    with np.errstate(over="ignore", invalid="ignore"):
+        f, g = _quadrature(grid, u.values, integrand, True)
+    evaluations = 1
+    # np.linalg.norm of a float vector, bit for bit
+    gnorm = math.sqrt(g.dot(g))
 
     trace = [(f, gnorm)]
-    s_list: list[np.ndarray] = []
-    y_list: list[np.ndarray] = []
+    pairs: deque[_Pair] = deque(maxlen=MEMORY)
     iters = 0
 
     while gnorm > grad_tol and iters < cfg.max_iters:
-        d = _two_loop(g, s_list, y_list, solve)
-        slope = float(g @ d)
+        d = _two_loop(g, pairs, solve)
+        slope = float(g.dot(d))
         if slope >= 0.0:  # quasi-Newton direction unusable, fall back
             d = -g
             slope = -gnorm * gnorm
 
         t = STEP0
         while True:
-            z_new = z + t * d
-            try:
-                # a trial that overflows is rejected below, so its
-                # floating-point warnings are noise
-                with np.errstate(over="ignore", invalid="ignore"):
-                    f_new, g_new = value_and_grad(assemble(z_new), integrand)
-            except NonFiniteEnergyError:
-                f_new = np.inf
+            # a trial that overflows is rejected below, so its
+            # floating-point warnings are noise
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.add(z, t * d, out=trial)
+                try:
+                    f_new, g_new = _quadrature(grid, vals, integrand, True)
+                except NonFiniteEnergyError:
+                    f_new = np.inf
+            evaluations += 1
             if f_new <= f + ARMIJO * t * slope:
                 break
             t *= SHRINK
@@ -257,27 +271,26 @@ def minimize(
                     trace,
                 )
 
+        z_new = trial.copy()
         s = z_new - z
         y = g_new - g
-        if float(s @ y) > 1e-14 * float(s @ s):
-            s_list.append(s)
-            y_list.append(y)
-            if len(s_list) > MEMORY:
-                s_list.pop(0)
-                y_list.pop(0)
+        sy = float(s.dot(y))
+        if sy > 1e-14 * float(s.dot(s)):
+            pairs.append(_Pair(s, y, 1.0 / sy, sy / float(y.dot(solve(y)))))
         z, f, g = z_new, f_new, g_new
-        gnorm = float(np.linalg.norm(g))
+        gnorm = math.sqrt(g.dot(g))
         iters += 1
         trace.append((f, gnorm))
 
-    u_final = assemble(z)
+    vals[1:-1] = z
     return MinimizeResult(
-        u=u_final,
+        u=NodalFunction(grid, vals, left_bc=bc[0], right_bc=bc[1]),
         energy=f,
         grad_norm=gnorm,
         iters=iters,
         trace=trace,
         converged=gnorm <= grad_tol,
+        evaluations=evaluations,
     )
 
 

@@ -1,6 +1,7 @@
 """Reference values of nlvar's outputs, and the script that records them.
 
-    PYTHONPATH=src python tests/golden.py     # rewrites tests/golden.json
+    PYTHONPATH=src python tests/golden.py            # rewrites tests/golden.json
+    PYTHONPATH=src python tests/golden.py --digest   # prints digests, writes nothing
 
 `compute()` runs `nlvar reproduce fig1-fig4` and `nlvar minimize` on
 problem1, quad-mass, power:3 and bolza at n = 64 and 128 (stdout, exit code
@@ -9,13 +10,19 @@ of four fixed profiles for every built-in density. `tests/test_golden.py`
 compares a fresh `compute()` with the committed file, with a tolerance for
 each kind of number. Rewrite the file only from a commit whose numbers are
 meant to become the reference, and say so in CHANGES.md.
+
+`--digest` prints one line per entry, the sha256 of its JSON, in which
+floats are written as their repr and so exactly; two checkouts give the same
+numbers bit for bit when `diff` finds no difference between their outputs.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -118,12 +125,19 @@ def compute() -> dict:
     return data
 
 
-def main() -> None:
+def main(argv: list[str]) -> None:
+    if argv not in ([], ["--digest"]):
+        sys.exit(f"usage: {sys.argv[0]} [--digest]")
     data = compute()
+    if argv:
+        for key, value in data.items():
+            digest = hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
+            print(f"{digest}  {key}")
+        return
     lines = [f"{json.dumps(key)}: {json.dumps(value)}" for key, value in data.items()]
     PATH.write_text("{\n" + ",\n".join(lines) + "\n}\n")
     print(f"wrote {len(data)} entries to {PATH}")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

@@ -180,6 +180,21 @@ class TestMinimizeCommand:
         assert code == EXIT_OK
         assert "extreme caution" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("init, warned", [([], True), (["--init", "random"], False)],
+                             ids=["zero", "random"])
+    def test_critical_start_warns_on_stderr_only(self, init, warned, tmp_path, capsys):
+        # bolza's default start, zero, is an exact critical point: the solve
+        # returns it after 0 iterations, with the same stdout and exit code
+        code = main(["minimize", "--problem", "bolza", "--n", "32",
+                     "--out", str(tmp_path)] + init)
+        captured = capsys.readouterr()
+        assert code == EXIT_OK
+        assert ("iters: 0\n" in captured.out) == warned
+        assert ("warning" in captured.err) == warned
+        if warned:
+            assert captured.err.count("\n") == 1 and "--init random" in captured.err
+            assert "energy: 0.25\n" in captured.out
+
     def test_nonconvergence_exit_code(self, tmp_path):
         # problem1 converges in one preconditioned step; power:3 needs more
         code = main(["minimize", "--integrand", "power:3", "--n", "32",

@@ -14,7 +14,7 @@ def quotients(u):
     n), and (j, i) takes the entry of (i, j) where the fold lists only one of
     them. The cell slope sits on the diagonal."""
     n = u.grid.n
-    fold = np.vstack([D for *_, D in _fold_blocks(u)])
+    fold = np.vstack([D for *_, D in _fold_blocks(u.grid.midpoints, u.midpoint_values, u.slopes)])
     out = np.full((n, n), np.nan)
     i = np.arange(n)
     for d, row in enumerate(fold):

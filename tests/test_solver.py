@@ -9,7 +9,7 @@ import pytest
 
 import nlvar
 from nlvar import solver
-from nlvar.energy import energy_value, value_and_grad
+from nlvar.energy import NonFiniteEnergyError, energy_value, value_and_grad
 from nlvar.grid import Grid1D, NodalFunction
 from nlvar.integrands import half_square, power_p, quadratic_mass, two_well_bare, two_well_full
 from nlvar.solver import (
@@ -161,6 +161,87 @@ class TestMinimize:
         cfg = SolverConfig(grad_tol=1e-6, max_iters=200)
         res = minimize(W, Grid1D(512), (0.0, 1.0), "linear", cfg)
         assert res.converged and res.iters <= most
+
+
+class TestEvaluations:
+    @pytest.mark.parametrize("W, n, grad_tol, iters, evaluations", [
+        (half_square(), 512, 1e-6, 1, 2),
+        (quadratic_mass(), 128, None, None, 16),  # fig3's solve
+    ], ids=["problem1", "fig3-quad-mass"])
+    def test_counts(self, W, n, grad_tol, iters, evaluations):
+        res = minimize(W, Grid1D(n), (0.0, 1.0), "linear", SolverConfig(grad_tol=grad_tol))
+        assert res.converged and res.evaluations == evaluations
+        assert iters is None or res.iters == iters
+
+    def test_every_evaluation_goes_through_one_name(self, monkeypatch):
+        # the start and every trial, on raw nodal values; no NodalFunction
+        # is built for a trial
+        calls = []
+
+        def counted(grid, values, integrand, with_grad):
+            calls.append(values.copy())
+            return quadrature(grid, values, integrand, with_grad)
+
+        quadrature = solver._quadrature
+        monkeypatch.setattr(solver, "_quadrature", counted)
+        res = minimize(two_well_full(), Grid1D(32), (0.0, 0.0), "random", TIGHT)
+        assert len(calls) == res.evaluations > res.iters + 1
+        assert res.u.values.tobytes() == calls[-1].tobytes()
+        assert all(v[0] == 0.0 and v[-1] == 0.0 for v in calls)
+
+    def test_non_finite_trial_is_an_evaluation_error(self):
+        # a trial with an infinite nodal value raises inside the kernel,
+        # where the line search rejects it
+        grid = Grid1D(8)
+        values = np.zeros(9)
+        values[4] = np.inf
+        with pytest.raises(NonFiniteEnergyError), np.errstate(over="ignore", invalid="ignore"):
+            solver._quadrature(grid, values, two_well_full(), True)
+
+
+def textbook_two_loop(grad, s_list, y_list, solve):
+    """Nocedal & Wright, Algorithm 7.4: rho recomputed from s and y on every
+    call, the initial inverse Hessian gamma * solve from the newest pair."""
+    q = grad.copy()
+    rho = [1.0 / float(y @ s) for s, y in zip(s_list, y_list)]
+    alpha = [0.0] * len(s_list)
+    for i in reversed(range(len(s_list))):
+        alpha[i] = rho[i] * float(s_list[i] @ q)
+        q -= alpha[i] * y_list[i]
+    r = solve(q)
+    if s_list:
+        s, y = s_list[-1], y_list[-1]
+        r *= float(s @ y) / float(y @ solve(y))
+    for i in range(len(s_list)):
+        beta = rho[i] * float(y_list[i] @ r)
+        r += (alpha[i] - beta) * s_list[i]
+    return -r
+
+
+class TestTwoLoop:
+    @pytest.mark.parametrize("W, n, bc, init, preconditioned", [
+        (two_well_full(), 32, (0.0, 0.0), "random", False),
+        (power_p(3), 64, (0.0, 1.0), "linear", True),
+    ], ids=["two-well-identity", "power:3-preconditioned"])
+    def test_matches_textbook_bit_for_bit(self, W, n, bc, init, preconditioned, monkeypatch):
+        # the stored pair scalars give the directions of the recursion that
+        # recomputes them, on the (s, y) pairs of a real run
+        calls = []
+
+        def recording(grad, pairs, solve):
+            d = two_loop(grad, pairs, solve)
+            calls.append((grad.copy(), [p.s for p in pairs], [p.y for p in pairs], solve, d))
+            return d
+
+        two_loop = solver._two_loop
+        monkeypatch.setattr(solver, "_two_loop", recording)
+        res = minimize(W, Grid1D(n), bc, init, SolverConfig(grad_tol=1e-8))
+        assert res.converged and len(calls) == res.iters
+        assert max(len(s_list) for _, s_list, *_ in calls) == solver.MEMORY
+        for grad, s_list, y_list, solve, d in calls:
+            probe = np.ones(n - 1)
+            assert (solve(probe) is not probe) == preconditioned
+            assert textbook_two_loop(grad, s_list, y_list, solve).tobytes() == d.tobytes()
 
 
 def unpack_lower(packed: np.ndarray, m: int) -> np.ndarray:
