@@ -85,7 +85,7 @@ class MinimizeResult:
     iters: int
     trace: list[tuple[float, float]] = field(repr=False)
     converged: bool
-    evaluations: int  # of the energy and gradient, the start's included
+    evaluations: int  # energy-and-gradient evaluations, the start included
 
 
 def make_initial_guess(
