@@ -69,7 +69,7 @@ class NodalFunction:
     right_bc: Optional[float] = None
 
     def __post_init__(self):
-        v = np.ascontiguousarray(np.asarray(self.values, dtype=float))
+        v = np.array(self.values, dtype=float)  # a private copy: no caller view can change it
         if v.shape != (self.grid.n + 1,):
             raise GridError(
                 f"need {self.grid.n + 1} nodal values, got shape {v.shape}"

@@ -316,12 +316,12 @@ def continuation_refine(
     sup-norm distance between the prolonged coarse solution and the re-solved
     fine one.
     """
-    ratio = n_end / n_start
-    k = round(np.log2(ratio))
-    if n_start * 2**k != n_end or k < 0:
+    levels = [n_start]
+    while 0 < levels[-1] < n_end:
+        levels.append(2 * levels[-1])
+    if n_start < 1 or levels[-1] != n_end:
         raise ValueError(f"n_end={n_end} is not n_start={n_start} times a power of 2")
 
-    levels = [n_start * 2**j for j in range(k + 1)]
     deltas: list[float] = []
 
     grid = Grid1D(levels[0])

@@ -83,6 +83,15 @@ class TestNodalFunction:
         u = NodalFunction(g, np.array([0.0, 0.5, 0.0]))
         assert u(0.25) == pytest.approx(0.25, abs=4 * EPS)
 
+    def test_values_are_a_private_copy(self):
+        v = np.linspace(0.0, 1.0, 5)
+        w = v[1:3]
+        u = NodalFunction(Grid1D(4), v)
+        w[0] = 7.0
+        v[2] = 9.0
+        assert u.values.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert not u.values.flags.writeable
+
     def test_out_of_domain(self):
         u = NodalFunction.constant(Grid1D(4), 0.0)
         with pytest.raises(GridError):

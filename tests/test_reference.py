@@ -1,11 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import nlvar
 from nlvar.grid import Grid1D
 from nlvar.reference import (
-    _QUAD_EPSABS,
-    _shape,
     holder_exponent,
     local_exp_solution,
     normalize_k,
@@ -55,7 +59,7 @@ class TestOdeApproxDerivative:
 
 class TestNormalizeK:
     def test_value(self):
-        assert normalize_k() == pytest.approx(K_NORMALIZED, abs=1e-8)
+        assert normalize_k() == pytest.approx(K_NORMALIZED, rel=2e-15, abs=0)
 
     def test_differs_from_display_scale_two(self):
         assert abs(normalize_k() - 2.0) > 0.5
@@ -82,25 +86,33 @@ class TestOdeApproxProfile:
         assert profile.u_prime(0.5) == pytest.approx(profile.params["k"] / 4.0, rel=1e-12)
 
 
-class TestScalarQuadIntegrand:
-    """quad's integrand works on one Python float at a time; its values,
-    and so the profile and k, must equal the array formula's bit for bit."""
+class TestAgainstTightQuad:
+    """The profile's nodal values against scipy's adaptive quad at its
+    tightest relative tolerance, cell by cell, on the closed-form integrand."""
 
-    @staticmethod
-    def array_integrand(t):
-        return float(_shape(np.atleast_1d(t))[0])
+    @pytest.mark.parametrize("n", [32, 256, 2048])
+    def test_nodal_values(self, n):
+        grid = Grid1D(n)
+        cells = [quad(lambda t: t ** (2 * t) * (1 - t) ** (2 * (1 - t)), a, b,
+                      epsabs=0.0, epsrel=1.2e-14, limit=200)[0]
+                 for a, b in zip(grid.nodes[:-1], grid.nodes[1:])]
+        nodal = ode_approx_profile(grid).params["nodal"]
+        assert nodal[0] == 0.0
+        assert nodal[1:] == pytest.approx(K_NORMALIZED * np.cumsum(cells), rel=1e-14, abs=0)
+        assert nodal[-1] == pytest.approx(1.0, rel=0, abs=1e-14)
 
-    def test_normalize_k(self):
-        total, _ = quad(self.array_integrand, 0.0, 1.0, epsabs=_QUAD_EPSABS, limit=200)
-        assert normalize_k() == 1.0 / total
 
-    def test_profile_nodal_values(self):
-        grid = Grid1D(256)
-        k = normalize_k()
-        increments = [k * quad(self.array_integrand, a, b, epsabs=_QUAD_EPSABS, limit=200)[0]
-                      for a, b in zip(grid.nodes[:-1], grid.nodes[1:])]
-        nodal = np.concatenate([[0.0], np.cumsum(increments)])
-        assert np.array_equal(ode_approx_profile(grid).params["nodal"], nodal)
+def test_import_leaves_out_scipy_integrate():
+    # scipy.integrate is a test-side reference only: importing it costs about
+    # half a second of start-up
+    src = str(Path(nlvar.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import nlvar, nlvar.cli, sys; print('scipy.integrate' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60, check=True)
+    assert proc.stdout == "False\n"
 
 
 class TestHolderExponent:

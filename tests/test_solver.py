@@ -330,5 +330,6 @@ class TestContinuation:
         assert np.isfinite(cr.deltas[0])
 
     def test_bad_ladder(self):
-        with pytest.raises(ValueError):
-            continuation_refine(half_square(), (0.0, 1.0), 16, 48)
+        for n_start, n_end in [(16, 48), (8, 0), (8, -8), (0, 8), (-8, -8), (16, 8)]:
+            with pytest.raises(ValueError, match="not n_start"):
+                continuation_refine(half_square(), (0.0, 1.0), n_start, n_end)
