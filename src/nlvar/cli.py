@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -19,10 +19,10 @@ import numpy as np
 from .curveio import read_nodal_function, write_curve, write_svg
 from .energy import energy_value
 from .grid import Grid1D, NodalFunction
-from .integrands import Integrand, integrand_by_name
+from .integrands import _FACTORIES, Integrand, integrand_by_name
 from .optimality import residual_report
 from .reference import local_exp_solution, normalize_k, ode_approx_derivative
-from .solver import LineSearchError, SolverConfig, make_initial_guess, minimize
+from .solver import INITIAL_GUESSES, LineSearchError, SolverConfig, make_initial_guess, minimize
 
 EXIT_OK = 0
 EXIT_SPEC = 2
@@ -67,21 +67,6 @@ class ExperimentSpec:
     figure: Optional[str] = None
 
 
-_SPEC_KEYS = {
-    "problem": str,
-    "integrand": str,
-    "n": int,
-    "bc": "bc",
-    "u": str,
-    "init": str,
-    "seed": int,
-    "grad_tol": float,
-    "max_iters": int,
-    "out": str,
-    "svg": "bool",
-    "figure": str,
-}
-
 _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
@@ -95,6 +80,14 @@ def _parse_bc(text: str) -> tuple[float, float]:
         raise SpecError(f"non-numeric end conditions {text!r}") from None
 
 
+# the config keys are the ExperimentSpec fields; these parse their text,
+# every other field is read as a string
+_SPEC_FIELDS = tuple(f.name for f in fields(ExperimentSpec))
+_PARSERS = {"n": int, "seed": int, "max_iters": int, "grad_tol": float,
+            "bc": _parse_bc, "svg": lambda text: _BOOLS[text.lower()]}
+_START_NAMES = "|".join(INITIAL_GUESSES)
+
+
 def parse_config(path) -> dict:
     """Read a flat key=value file; '#' starts a comment; unknown keys reject."""
     values: dict = {}
@@ -106,17 +99,11 @@ def parse_config(path) -> dict:
             raise SpecError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _SPEC_KEYS:
+        if key not in _SPEC_FIELDS:
             raise SpecError(f"{path}:{lineno}: unknown key {key!r}")
-        kind = _SPEC_KEYS[key]
         try:
-            if kind == "bc":
-                values[key] = _parse_bc(val)
-            elif kind == "bool":
-                values[key] = _BOOLS[val.lower()]
-            else:
-                values[key] = kind(val)
-        except (TypeError, ValueError, KeyError):
+            values[key] = _PARSERS.get(key, str)(val)
+        except (ValueError, KeyError):
             raise SpecError(f"{path}:{lineno}: bad value {val!r} for {key!r}") from None
     return values
 
@@ -126,9 +113,9 @@ def build_spec(args: argparse.Namespace) -> ExperimentSpec:
     if getattr(args, "config", None):
         spec = replace(spec, **parse_config(args.config))
     overrides = {}
-    for key in _SPEC_KEYS:
+    for key in _SPEC_FIELDS:
         val = getattr(args, key, None)
-        if val is not None and not (key == "svg" and val is False):
+        if val is not None:  # also for --svg: store_true with default None
             overrides[key] = _parse_bc(val) if key == "bc" else val
     return replace(spec, **overrides)
 
@@ -155,10 +142,9 @@ def _resolve_problem(spec: ExperimentSpec) -> tuple[Integrand, tuple[float, floa
 
 def _load_input_curve(spec: ExperimentSpec) -> NodalFunction:
     if spec.u is None:
-        raise SpecError("an input curve is required (u=linear|zero|hat|<file.csv>)")
-    if spec.u in ("linear", "zero", "hat"):
-        grid = Grid1D(spec.n)
-        return make_initial_guess(grid, spec.bc, spec.u, seed=spec.seed)
+        raise SpecError(f"an input curve is required (u={_START_NAMES}|<file.csv>)")
+    if spec.u in INITIAL_GUESSES:
+        return make_initial_guess(Grid1D(spec.n), spec.bc, spec.u, seed=spec.seed)
     path = Path(spec.u)
     if not path.exists():
         raise SpecError(f"curve file {spec.u!r} does not exist")
@@ -178,6 +164,13 @@ def _outdir(spec: ExperimentSpec) -> Path:
     out = Path(spec.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _local_solution(u: NodalFunction) -> np.ndarray:
+    """Solution of the local quad-mass equation u'' = 16 u with u's end
+    values, at u's nodes."""
+    x = u.grid.nodes
+    return u.values[0] * local_exp_solution(1.0 - x) + u.values[-1] * local_exp_solution(x)
 
 
 def sup_distance_between_levels(coarse: NodalFunction, fine: NodalFunction) -> float:
@@ -214,7 +207,7 @@ def cmd_minimize(spec: ExperimentSpec) -> int:
     curves = [("minimizer", grid.nodes, result.u.values)]
 
     if integrand.name == "quad-mass":
-        overlay = local_exp_solution(grid.nodes)
+        overlay = _local_solution(result.u)
         write_curve(out / f"{tag}_n{spec.n}_local_exp.csv", grid.nodes, overlay)
         curves.append(("local solution", grid.nodes, overlay))
     if not integrand.convex:
@@ -290,7 +283,7 @@ def fig3_quad_mass(spec: ExperimentSpec, out: Path) -> int:
     n = spec.n
     _, result = _solve(replace(spec, problem="quad-mass"))
     grid = result.u.grid
-    overlay = local_exp_solution(grid.nodes)
+    overlay = _local_solution(result.u)
     write_curve(out / f"fig3_minimizer_n{n}.csv", grid.nodes, result.u.values)
     write_curve(out / f"fig3_local_exp_n{n}.csv", grid.nodes, overlay)
     sup = float(np.max(np.abs(result.u.values - overlay)))
@@ -349,8 +342,7 @@ COMMANDS = {
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value experiment file")
     parser.add_argument("--n", type=int, help="number of grid cells")
-    parser.add_argument("--integrand",
-                        help="power:p | half-square | quad-mass | two-well | two-well-bare")
+    parser.add_argument("--integrand", help=" | ".join(["power:p", *_FACTORIES]))
     parser.add_argument("--bc", help="end conditions 'a,b'")
     parser.add_argument("--seed", type=int, help="seed for randomized inits")
     parser.add_argument("--out", help="output directory")
@@ -371,17 +363,17 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("energy", help="evaluate the double-integral energy")
-    p.add_argument("--u", help="input curve: linear|zero|hat or a CSV path")
+    p.add_argument("--u", help=f"input curve: {_START_NAMES} or a CSV path")
     _add_common(p)
 
     p = sub.add_parser("minimize", help="minimize the discrete energy")
     p.add_argument("--problem", choices=sorted(PROBLEMS),
                    help="named problem (sets integrand, end conditions, init)")
-    p.add_argument("--init", help="linear|zero|hat|random")
+    p.add_argument("--init", help=_START_NAMES)
     _add_common(p)
 
     p = sub.add_parser("residual", help="optimality residual of a curve")
-    p.add_argument("--u", help="input curve: linear|zero|hat or a CSV path")
+    p.add_argument("--u", help=f"input curve: {_START_NAMES} or a CSV path")
     _add_common(p)
 
     p = sub.add_parser("reproduce", help="recompute one of the published figures")

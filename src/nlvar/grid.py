@@ -89,8 +89,9 @@ class NodalFunction:
 
     @classmethod
     def linear(cls, grid: Grid1D, left: float, right: float) -> "NodalFunction":
-        """Linear interpolant between the two end values."""
+        """Linear interpolant between the two end values, which it hits exactly."""
         vals = left + (right - left) * grid.nodes
+        vals[-1] = right  # the product can miss right by an ulp
         return cls(grid, vals, left_bc=left, right_bc=right)
 
     @classmethod

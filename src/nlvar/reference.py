@@ -96,6 +96,7 @@ def ode_approx_profile(grid: Grid1D, k: Optional[float] = None) -> ReferenceProf
     elif k <= 0:
         raise ValueError(f"scale constant must be positive, got {k}")
     nodal = np.concatenate([[0.0], np.cumsum(k * _cell_integrals(grid.nodes))])
+    nodal.setflags(write=False)  # u_of reads it, so params["nodal"] must not change
 
     def u_of(x):
         x = np.asarray(x, dtype=float)

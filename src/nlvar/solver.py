@@ -36,6 +36,7 @@ __all__ = [
     "ContinuationResult",
     "LineSearchError",
     "PRECONDITION_MAX_N",
+    "INITIAL_GUESSES",
     "make_initial_guess",
     "minimize",
     "continuation_refine",
@@ -88,6 +89,9 @@ class MinimizeResult:
     evaluations: int  # energy-and-gradient evaluations, the start included
 
 
+INITIAL_GUESSES = ("linear", "zero", "hat", "random")
+
+
 def make_initial_guess(
     grid: Grid1D,
     bc: tuple[float, float],
@@ -98,8 +102,9 @@ def make_initial_guess(
     """Build a feasible initial iterate.
 
     Named policies: 'linear' (interpolant of the end values), 'zero'
-    (end values joined by zeros inside), 'hat' (peak 1/2 at the midpoint),
-    'random' (linear plus seeded uniform perturbation of the interior).
+    (end values joined by zeros inside), 'hat' (linear plus a hat of peak
+    1/2 at the midpoint), 'random' (linear plus seeded uniform perturbation
+    of the interior). The end values are set exactly in every case.
     """
     left, right = bc
     if isinstance(init, NodalFunction):
@@ -107,24 +112,19 @@ def make_initial_guess(
             raise ValueError("initial guess lives on a different grid")
         if init.values[0] != left or init.values[-1] != right:
             raise ValueError("initial guess violates the end conditions")
-        return NodalFunction(grid, init.values, left_bc=left, right_bc=right)
-    if init == "linear":
-        return NodalFunction.linear(grid, left, right)
-    if init == "zero":
-        vals = np.zeros(grid.n + 1)
-        vals[0], vals[-1] = left, right
-        return NodalFunction(grid, vals, left_bc=left, right_bc=right)
-    if init == "hat":
+        vals = init.values
+    elif init in INITIAL_GUESSES:
         vals = left + (right - left) * grid.nodes
-        vals += 0.5 * (1.0 - np.abs(2.0 * grid.nodes - 1.0))
+        if init == "zero":
+            vals[1:-1] = 0.0
+        elif init == "hat":
+            vals[1:-1] += 0.5 * (1.0 - np.abs(2.0 * grid.nodes[1:-1] - 1.0))
+        elif init == "random":
+            vals[1:-1] += noise * np.random.default_rng(seed).uniform(-1.0, 1.0, grid.n - 1)
         vals[0], vals[-1] = left, right
-        return NodalFunction(grid, vals, left_bc=left, right_bc=right)
-    if init == "random":
-        rng = np.random.default_rng(seed)
-        vals = left + (right - left) * grid.nodes
-        vals[1:-1] += noise * rng.uniform(-1.0, 1.0, grid.n - 1)
-        return NodalFunction(grid, vals, left_bc=left, right_bc=right)
-    raise ValueError(f"unknown initial-guess policy {init!r}")
+    else:
+        raise ValueError(f"unknown initial-guess policy {init!r}")
+    return NodalFunction(grid, vals, left_bc=left, right_bc=right)
 
 
 # the packed factor of P takes 4 n^2 bytes and O(n^3) time to compute

@@ -18,9 +18,11 @@ from nlvar.cli import (
     sup_distance_between_levels,
 )
 from nlvar.curveio import read_curve
+from nlvar.energy import energy_value
 from nlvar.grid import Grid1D, NodalFunction
 from nlvar.integrands import half_square
 from nlvar.optimality import residual_report
+from nlvar.solver import make_initial_guess
 
 
 class TestConfigParsing:
@@ -50,6 +52,17 @@ class TestConfigParsing:
         cfg.write_text(f"svg = {text}\n")
         assert parse_config(cfg) == {"svg": value}
 
+    def test_every_field_parses_to_its_type(self, tmp_path):
+        cfg = tmp_path / "e.cfg"
+        cfg.write_text("problem = problem1\nintegrand = half-square\nn = 16\nbc = 0,1\n"
+                       "u = hat\ninit = zero\nseed = 3\ngrad_tol = 1e-7\nmax_iters = 50\n"
+                       "out = results\nsvg = yes\nfigure = fig2-problem1\n")
+        assert parse_config(cfg) == {
+            "problem": "problem1", "integrand": "half-square", "n": 16, "bc": (0.0, 1.0),
+            "u": "hat", "init": "zero", "seed": 3, "grad_tol": 1e-7, "max_iters": 50,
+            "out": "results", "svg": True, "figure": "fig2-problem1",
+        }
+
     def test_config_drives_command(self, tmp_path, capsys):
         cfg = tmp_path / "e.cfg"
         cfg.write_text("integrand = half-square\nu = linear\nn = 64\nbc = 0,1\n")
@@ -69,6 +82,13 @@ class TestEnergyCommand:
                      "--n", "64", "--bc", "0,0"])
         assert code == EXIT_OK
         assert "energy: 0.25" in capsys.readouterr().out
+
+    def test_random_start_is_seeded(self, capsys):
+        code = main(["energy", "--integrand", "half-square", "--u", "random",
+                     "--seed", "3", "--n", "16"])
+        assert code == EXIT_OK
+        start = make_initial_guess(Grid1D(16), (0.0, 1.0), "random", seed=3)
+        assert f"energy: {energy_value(start, half_square()):.17g}\n" in capsys.readouterr().out
 
     def test_unknown_integrand(self, capsys):
         code = main(["energy", "--integrand", "nope", "--u", "linear", "--n", "16"])
@@ -100,9 +120,14 @@ class TestBadInput:
          "grad_tol must be finite and positive, got inf"),
         (["reproduce", "fig4-bolza", "--n", "3"],
          "fig4-bolza also solves at n // 2, so it needs n >= 4, got 3"),
+        (["minimize", "--integrand", "half-square", "--bc", "1"],
+         "end conditions must be 'a,b', got '1'"),
+        (["minimize", "--integrand", "half-square", "--bc", "a,b"],
+         "non-numeric end conditions 'a,b'"),
     ], ids=["power-1", "power-nan", "bad-exponent",
             "problem-with-unknown-integrand", "unknown-init", "zero-max-iters",
-            "nan-grad-tol", "inf-grad-tol", "fig4-coarse-level-too-small"])
+            "nan-grad-tol", "inf-grad-tol", "fig4-coarse-level-too-small",
+            "one-end-condition", "non-numeric-end-conditions"])
     def test_spec_error_exits_2(self, argv, message, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path)]) == EXIT_SPEC
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -160,6 +185,13 @@ class TestMinimizeCommand:
         assert u[0] == 0.0 and u[-1] == 1.0
         assert "iters:" in capsys.readouterr().out
 
+    def test_end_values_off_the_linear_grid(self, tmp_path):
+        # the linear start once missed 0.829 by an ulp and was rejected
+        assert main(["minimize", "--integrand", "half-square", "--bc", "7.264,0.829",
+                     "--n", "16", "--out", str(tmp_path)]) == EXIT_OK
+        x, u = read_curve(tmp_path / "half-square_n16.csv")
+        assert u[0] == 7.264 and u[-1] == 0.829
+
     def test_round_trip_energy(self, tmp_path, capsys):
         assert main(["minimize", "--problem", "problem1", "--n", "32",
                      "--out", str(tmp_path)]) == EXIT_OK
@@ -173,6 +205,13 @@ class TestMinimizeCommand:
         assert main(["minimize", "--problem", "quad-mass", "--n", "32",
                      "--out", str(tmp_path)]) == EXIT_OK
         assert (tmp_path / "quad-mass_n32_local_exp.csv").exists()
+
+    def test_quad_mass_overlay_follows_end_values(self, tmp_path):
+        assert main(["minimize", "--integrand", "quad-mass", "--bc", "0,2", "--n", "32",
+                     "--out", str(tmp_path)]) == EXIT_OK
+        x, overlay = read_curve(tmp_path / "quad-mass_n32_local_exp.csv")
+        np.testing.assert_allclose(overlay, 2.0 * np.sinh(4.0 * x) / np.sinh(4.0),
+                                   rtol=0, atol=1e-14)
 
     def test_bolza_bare_warns(self, tmp_path, capsys):
         code = main(["minimize", "--problem", "bolza-bare", "--n", "32",

@@ -73,6 +73,12 @@ class TestNodalFunction:
         u = NodalFunction.linear(Grid1D(10), 0.0, 1.0)
         assert u(0.3) == pytest.approx(0.3, abs=4 * EPS)
 
+    @pytest.mark.parametrize("left, right", [(7.264, 0.829), (2.308, -2.326), (0.1, 0.7)])
+    def test_linear_hits_end_values(self, left, right):
+        # left + (right - left) * 1.0 misses right by an ulp for these pairs
+        u = NodalFunction.linear(Grid1D(8), left, right)
+        assert u.values[0] == left and u.values[-1] == right
+
     def test_constant_eval(self):
         u = NodalFunction.constant(Grid1D(5), 2.5)
         for t in (0.0, 0.37, 1.0):

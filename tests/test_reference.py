@@ -81,6 +81,12 @@ class TestOdeApproxProfile:
         profile = ode_approx_profile(Grid1D(32), k=2.0)
         assert profile.u(1.0) == pytest.approx(2.0 / K_NORMALIZED, rel=1e-6)
 
+    def test_nodal_values_are_read_only(self):
+        profile = ode_approx_profile(Grid1D(4))
+        with pytest.raises(ValueError):
+            profile.params["nodal"][2] = 9.0
+        assert profile.u(0.5) == pytest.approx(0.5, abs=1e-12)
+
     def test_derivative_attached(self):
         profile = ode_approx_profile(Grid1D(32))
         assert profile.u_prime(0.5) == pytest.approx(profile.params["k"] / 4.0, rel=1e-12)

@@ -72,6 +72,12 @@ class TestInitialGuess:
         assert np.array_equal(u1.values, u2.values)
         assert not np.array_equal(u1.values, u3.values)
 
+    @pytest.mark.parametrize("bc", [(7.264, 0.829), (2.308, -2.326), (0.1, 0.7)])
+    @pytest.mark.parametrize("init", solver.INITIAL_GUESSES)
+    def test_named_starts_keep_ends_exactly(self, init, bc):
+        u = make_initial_guess(Grid1D(8), bc, init, seed=1)
+        assert (u.values[0], u.values[-1]) == bc
+
     def test_infeasible_nodal_init_rejected(self):
         g = Grid1D(4)
         bad = NodalFunction(g, np.ones(5))
@@ -84,6 +90,13 @@ class TestInitialGuess:
 
 
 class TestMinimize:
+    @pytest.mark.parametrize("bc", [(7.264, 0.829), (2.308, -2.326), (0.1, 0.7)])
+    @pytest.mark.parametrize("init", solver.INITIAL_GUESSES)
+    def test_any_end_values_from_every_start(self, init, bc):
+        res = minimize(half_square(), Grid1D(16), bc, init, TIGHT)
+        assert res.converged
+        assert (res.u.values[0], res.u.values[-1]) == bc
+
     def test_half_square_beats_linear(self):
         res = minimize(half_square(), Grid1D(64), (0.0, 1.0), "linear", TIGHT)
         assert res.converged
