@@ -55,8 +55,8 @@ class SpecError(ValueError):
 class ExperimentSpec:
     problem: Optional[str] = None
     integrand: Optional[str] = None
-    n: int = 128
-    bc: tuple[float, float] = (0.0, 1.0)
+    n: Optional[int] = None        # None: 128 cells, or a curve file's own
+    bc: Optional[tuple[float, float]] = None  # None: the problem's, else (0, 1)
     u: Optional[str] = None        # named profile or curve-file path
     init: Optional[str] = None
     seed: int = 0
@@ -109,15 +109,22 @@ def parse_config(path) -> dict:
 
 
 def build_spec(args: argparse.Namespace) -> ExperimentSpec:
-    spec = ExperimentSpec()
-    if getattr(args, "config", None):
-        spec = replace(spec, **parse_config(args.config))
-    overrides = {}
-    for key in _SPEC_FIELDS:
-        val = getattr(args, key, None)
+    """The spec from args.config and the flags, which take precedence; only
+    the fields args.command reads may be set."""
+    keys = COMMANDS[args.command][2]
+    values = parse_config(args.config) if args.config else {}
+    unread = [key for key in values if key not in keys]
+    if unread:
+        raise SpecError(f"{args.config}: {args.command} does not read {', '.join(unread)}")
+    for key in keys:
+        val = getattr(args, key)
         if val is not None:  # also for --svg: store_true with default None
-            overrides[key] = _parse_bc(val) if key == "bc" else val
-    return replace(spec, **overrides)
+            values[key] = _parse_bc(val) if key == "bc" else val
+    return ExperimentSpec(**values)
+
+
+def _given(value, default):
+    return default if value is None else value
 
 
 def _integrand(name: Optional[str], what: str) -> Integrand:
@@ -130,40 +137,59 @@ def _integrand(name: Optional[str], what: str) -> Integrand:
         raise SpecError(exc.args[0]) from None
 
 
+def _cells(spec: ExperimentSpec) -> int:
+    return _given(spec.n, 128)
+
+
 def _resolve_problem(spec: ExperimentSpec) -> tuple[Integrand, tuple[float, float], str]:
+    """Density, end values and start of spec's problem; the integrand, bc
+    and init given replace the problem's."""
     if spec.problem is None:
-        integrand = _integrand(spec.integrand, "minimize without a problem")
-        return integrand, spec.bc, spec.init or "linear"
-    if spec.problem not in PROBLEMS:
+        what, (name, bc, init) = "minimize without a problem", (None, (0.0, 1.0), "linear")
+    elif spec.problem in PROBLEMS:
+        what, (name, bc, init) = spec.problem, PROBLEMS[spec.problem]
+    else:
         raise SpecError(f"unknown problem {spec.problem!r}; choose from {sorted(PROBLEMS)}")
-    name, bc, init = PROBLEMS[spec.problem]
-    return _integrand(spec.integrand or name, spec.problem), bc, spec.init or init
+    return (_integrand(_given(spec.integrand, name), what),
+            _given(spec.bc, bc), _given(spec.init, init))
 
 
 def _load_input_curve(spec: ExperimentSpec) -> NodalFunction:
     if spec.u is None:
         raise SpecError(f"an input curve is required (u={_START_NAMES}|<file.csv>)")
     if spec.u in INITIAL_GUESSES:
-        return make_initial_guess(Grid1D(spec.n), spec.bc, spec.u, seed=spec.seed)
+        return make_initial_guess(Grid1D(_cells(spec)), _given(spec.bc, (0.0, 1.0)),
+                                  spec.u, seed=spec.seed)
     path = Path(spec.u)
     if not path.exists():
         raise SpecError(f"curve file {spec.u!r} does not exist")
+    if spec.n is not None or spec.bc is not None:
+        raise SpecError(f"curve file {spec.u!r} fixes n and the end values; drop n and bc")
     return read_nodal_function(path)
 
 
 def _solve(spec: ExperimentSpec, init: Optional[NodalFunction] = None):
-    """(integrand, MinimizeResult) of spec's problem on spec.n cells, from
-    init if given, else from the problem's initial guess."""
+    """(integrand, MinimizeResult) of spec's problem on _cells(spec) cells,
+    from init if given, else from the problem's initial guess."""
     integrand, bc, default_init = _resolve_problem(spec)
     cfg = SolverConfig(max_iters=spec.max_iters, grad_tol=spec.grad_tol, seed=spec.seed)
     init = default_init if init is None else init
-    return integrand, minimize(integrand, Grid1D(spec.n), bc, init=init, cfg=cfg)
+    return integrand, minimize(integrand, Grid1D(_cells(spec)), bc, init=init, cfg=cfg)
 
 
 def _outdir(spec: ExperimentSpec) -> Path:
     out = Path(spec.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _write(spec: ExperimentSpec, out: Path, svg_name: str, title: str, curves) -> None:
+    """Write each (file name, label, x, y) curve as CSV into out and, with
+    spec.svg, all of them into one plot."""
+    for name, _, x, y in curves:
+        write_curve(out / name, x, y)
+    if spec.svg:
+        write_svg(out / svg_name, [(label, x, y) for _, label, x, y in curves], title=title)
 
 
 def _local_solution(u: NodalFunction) -> np.ndarray:
@@ -199,29 +225,23 @@ def cmd_minimize(spec: ExperimentSpec) -> int:
     if result.iters == 0 and result.grad_norm == 0.0:
         print(CRITICAL_START_WARNING, file=sys.stderr)
     grid = result.u.grid
-
-    out = _outdir(spec)
     tag = spec.problem or integrand.name.replace(":", "")
-    curve_path = out / f"{tag}_n{spec.n}.csv"
-    write_curve(curve_path, grid.nodes, result.u.values)
-    curves = [("minimizer", grid.nodes, result.u.values)]
-
+    stem = f"{tag}_n{grid.n}"
+    curves = [(f"{stem}.csv", "minimizer", grid.nodes, result.u.values)]
     if integrand.name == "quad-mass":
-        overlay = _local_solution(result.u)
-        write_curve(out / f"{tag}_n{spec.n}_local_exp.csv", grid.nodes, overlay)
-        curves.append(("local solution", grid.nodes, overlay))
+        curves.append((f"{stem}_local_exp.csv", "local solution",
+                       grid.nodes, _local_solution(result.u)))
+    out = _outdir(spec)
+    _write(spec, out, f"{stem}.svg", tag, curves)
     if not integrand.convex:
         print(NONCONVEX_WARNING)
 
-    if spec.svg:
-        write_svg(out / f"{tag}_n{spec.n}.svg", curves, title=tag)
-
     print(f"integrand: {integrand.name}")
-    print(f"n: {spec.n}")
+    print(f"n: {grid.n}")
     print(f"energy: {result.energy:.17g}")
     print(f"grad_norm: {result.grad_norm:.6g}")
     print(f"iters: {result.iters}")
-    print(f"curve: {curve_path}")
+    print(f"curve: {out / curves[0][0]}")
     return EXIT_OK if result.converged else EXIT_NOCONV
 
 
@@ -239,10 +259,7 @@ def cmd_residual(spec: ExperimentSpec) -> int:
 
 
 def cmd_reproduce(spec: ExperimentSpec) -> int:
-    if spec.figure not in FIGURES:
-        raise SpecError(f"unknown figure {spec.figure!r}; choose from {tuple(FIGURES)}")
-    # each figure fixes its own density and initial guess
-    return FIGURES[spec.figure](replace(spec, integrand=None, init=None), _outdir(spec))
+    return FIGURES[spec.figure](spec, _outdir(spec))
 
 
 # -- figures ---------------------------------------------------------------
@@ -251,49 +268,35 @@ def cmd_reproduce(spec: ExperimentSpec) -> int:
 def fig1_ode_approx(spec: ExperimentSpec, out: Path) -> int:
     xs = np.linspace(0.0, 1.0, 512)
     k_norm = normalize_k()
-    curves = []
-    for label, k in (("k-normalized", k_norm), ("k2", 2.0)):
-        ys = ode_approx_derivative(xs, k)
-        write_curve(out / f"fig1_{label}.csv", xs, ys)
-        curves.append((f"{label} (k={k:.6g})", xs, ys))
+    _write(spec, out, "fig1.svg", "approximate optimal derivative",
+           [(f"fig1_{label}.csv", f"{label} (k={k:.6g})", xs, ode_approx_derivative(xs, k))
+            for label, k in (("k-normalized", k_norm), ("k2", 2.0))])
     print(f"k_normalized: {k_norm:.10g}")
     print("k_display: 2  # scale used by the original drawing")
-    if spec.svg:
-        write_svg(out / "fig1.svg", curves, title="approximate optimal derivative")
     return EXIT_OK
 
 
 def fig2_problem1(spec: ExperimentSpec, out: Path) -> int:
-    n = spec.n
     _, result = _solve(replace(spec, problem="problem1"))
     grid = result.u.grid
-    write_curve(out / f"fig2_minimizer_n{n}.csv", grid.nodes, result.u.values)
-    deriv = np.diff(result.u.values) / grid.h
-    write_curve(out / f"fig2_derivative_n{n}.csv", grid.midpoints, deriv)
+    _write(spec, out, "fig2.svg", "homogeneous quadratic case",
+           [(f"fig2_minimizer_n{grid.n}.csv", "minimizer", grid.nodes, result.u.values),
+            (f"fig2_derivative_n{grid.n}.csv", "derivative",
+             grid.midpoints, np.diff(result.u.values) / grid.h)])
     print(f"energy: {result.energy:.17g}")
-    if spec.svg:
-        write_svg(out / "fig2.svg",
-                  [("minimizer", grid.nodes, result.u.values),
-                   ("derivative", grid.midpoints, deriv)],
-                  title="homogeneous quadratic case")
     return EXIT_OK if result.converged else EXIT_NOCONV
 
 
 def fig3_quad_mass(spec: ExperimentSpec, out: Path) -> int:
-    n = spec.n
     _, result = _solve(replace(spec, problem="quad-mass"))
     grid = result.u.grid
     overlay = _local_solution(result.u)
-    write_curve(out / f"fig3_minimizer_n{n}.csv", grid.nodes, result.u.values)
-    write_curve(out / f"fig3_local_exp_n{n}.csv", grid.nodes, overlay)
+    _write(spec, out, "fig3.svg", "quadratic case with mass term",
+           [(f"fig3_minimizer_n{grid.n}.csv", "non-local minimizer", grid.nodes, result.u.values),
+            (f"fig3_local_exp_n{grid.n}.csv", "local solution", grid.nodes, overlay)])
     sup = float(np.max(np.abs(result.u.values - overlay)))
     print(f"energy: {result.energy:.17g}")
     print(f"sup_distance_to_local_solution: {sup:.6g}")
-    if spec.svg:
-        write_svg(out / "fig3.svg",
-                  [("non-local minimizer", grid.nodes, result.u.values),
-                   ("local solution", grid.nodes, overlay)],
-                  title="quadratic case with mass term")
     return EXIT_OK if result.converged else EXIT_NOCONV
 
 
@@ -301,23 +304,21 @@ def fig4_bolza(spec: ExperimentSpec, out: Path) -> int:
     # two discretization levels of the bare two-well problem, descending
     # from the trivial map (plus a tiny seeded kick: the exact zero function
     # is itself a critical point and descent would not move)
-    if spec.n < 4:
-        raise SpecError(f"fig4-bolza also solves at n // 2, so it needs n >= 4, got {spec.n}")
+    fine = _cells(spec)
+    if fine < 4:
+        raise SpecError(f"fig4-bolza also solves at n // 2, so it needs n >= 4, got {fine}")
     results = []
-    curves = []
-    for n in (spec.n // 2, spec.n):
+    for n in (fine // 2, fine):
         kick = make_initial_guess(Grid1D(n), (0.0, 0.0), "random", spec.seed, noise=1e-2)
         _, result = _solve(replace(spec, problem="bolza-bare", n=n), init=kick)
         results.append(result)
-        nodes = result.u.grid.nodes
-        write_curve(out / f"fig4_bolza_bare_n{n}.csv", nodes, result.u.values)
-        curves.append((f"n={n}", nodes, result.u.values))
         print(f"n={n} energy: {result.energy:.17g} grad_norm: {result.grad_norm:.3g}")
+    _write(spec, out, "fig4.svg", "non-convex two-well case",
+           [(f"fig4_bolza_bare_n{r.u.grid.n}.csv", f"n={r.u.grid.n}",
+             r.u.grid.nodes, r.u.values) for r in results])
     sup = sup_distance_between_levels(results[0].u, results[1].u)
     print(f"sup_distance_between_levels: {sup:.6g}")
     print(NONCONVEX_WARNING)
-    if spec.svg:
-        write_svg(out / "fig4.svg", curves, title="non-convex two-well case")
     return EXIT_OK if all(r.converged for r in results) else EXIT_NOCONV
 
 
@@ -328,30 +329,37 @@ FIGURES = {
     "fig4-bolza": fig4_bolza,
 }
 
-COMMANDS = {
-    "energy": cmd_energy,
-    "minimize": cmd_minimize,
-    "residual": cmd_residual,
-    "reproduce": cmd_reproduce,
-}
-
 
 # -- entry point -----------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="key=value experiment file")
-    parser.add_argument("--n", type=int, help="number of grid cells")
-    parser.add_argument("--integrand", help=" | ".join(["power:p", *_FACTORIES]))
-    parser.add_argument("--bc", help="end conditions 'a,b'")
-    parser.add_argument("--seed", type=int, help="seed for randomized inits")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--svg", action="store_true", default=None,
-                        help="also emit SVG plots")
-    parser.add_argument("--grad-tol", dest="grad_tol", type=float,
-                        help="solver gradient tolerance")
-    parser.add_argument("--max-iters", dest="max_iters", type=int,
-                        help="solver iteration cap")
+# the fields each command reads; it takes a flag and a config key for each
+_SOLVE = ("n", "seed", "grad_tol", "max_iters", "out", "svg")
+_CURVE = ("integrand", "u", "n", "bc", "seed")
+COMMANDS = {
+    "energy": (cmd_energy, "evaluate the double-integral energy", _CURVE),
+    "minimize": (cmd_minimize, "minimize the discrete energy",
+                 ("problem", "integrand", "bc", "init") + _SOLVE),
+    "residual": (cmd_residual, "optimality residual of a curve", _CURVE),
+    "reproduce": (cmd_reproduce, "recompute one of the published figures", ("figure",) + _SOLVE),
+}
+
+# argparse settings of each field; figure is positional, the others are --flags
+_OPTIONS = {
+    "problem": dict(choices=sorted(PROBLEMS),
+                    help="named problem (default integrand, end conditions, init)"),
+    "integrand": dict(help=" | ".join(["power:p", *_FACTORIES])),
+    "n": dict(type=int, help="number of grid cells (default 128)"),
+    "bc": dict(help="end conditions 'a,b'"),
+    "u": dict(help=f"input curve: {_START_NAMES} or a CSV path"),
+    "init": dict(help=_START_NAMES),
+    "seed": dict(type=int, help="seed for randomized inits"),
+    "grad_tol": dict(type=float, help="solver gradient tolerance"),
+    "max_iters": dict(type=int, help="solver iteration cap"),
+    "out": dict(help="output directory"),
+    "svg": dict(action="store_true", default=None, help="also emit SVG plots"),
+    "figure": dict(choices=FIGURES),
+}
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -361,32 +369,19 @@ def make_parser() -> argparse.ArgumentParser:
         "optimality residuals, figures.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("energy", help="evaluate the double-integral energy")
-    p.add_argument("--u", help=f"input curve: {_START_NAMES} or a CSV path")
-    _add_common(p)
-
-    p = sub.add_parser("minimize", help="minimize the discrete energy")
-    p.add_argument("--problem", choices=sorted(PROBLEMS),
-                   help="named problem (sets integrand, end conditions, init)")
-    p.add_argument("--init", help=_START_NAMES)
-    _add_common(p)
-
-    p = sub.add_parser("residual", help="optimality residual of a curve")
-    p.add_argument("--u", help=f"input curve: {_START_NAMES} or a CSV path")
-    _add_common(p)
-
-    p = sub.add_parser("reproduce", help="recompute one of the published figures")
-    p.add_argument("figure", choices=FIGURES)
-    _add_common(p)
-
+    for name, (_, help_text, keys) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="key=value experiment file")
+        for key in keys:
+            flags = [key] if key == "figure" else ["--" + key.replace("_", "-")]
+            p.add_argument(*flags, **_OPTIONS[key])
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](build_spec(args))
+        return COMMANDS[args.command][0](build_spec(args))
     except (ValueError, OSError) as exc:  # SpecError, GridError, CurveFormatError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC

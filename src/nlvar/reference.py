@@ -34,11 +34,10 @@ class ReferenceProfile:
 
 
 def local_exp_solution(x):
-    """Solution e^4/(e^8 - 1) (e^{4x} - e^{-4x}) of the local
-    quadratic-plus-mass problem with u(0)=0, u(1)=1."""
-    x = np.asarray(x, dtype=float)
-    c = np.exp(4.0) / (np.exp(8.0) - 1.0)
-    out = c * (np.exp(4.0 * x) - np.exp(-4.0 * x))
+    """Solution sinh(4x) / sinh(4) = e^4/(e^8 - 1) (e^{4x} - e^{-4x}) of the
+    local quadratic-plus-mass problem with u(0)=0, u(1)=1; both end values
+    are exact."""
+    out = np.sinh(4.0 * np.asarray(x, dtype=float)) / np.sinh(4.0)
     return float(out) if out.ndim == 0 else out
 
 

@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from nlvar.cli import (
     EXIT_SPEC,
     SpecError,
     main,
+    make_parser,
     parse_config,
     sup_distance_between_levels,
 )
@@ -68,6 +70,12 @@ class TestConfigParsing:
         cfg.write_text("integrand = half-square\nu = linear\nn = 64\nbc = 0,1\n")
         assert main(["energy", "--config", str(cfg)]) == EXIT_OK
         assert "energy: 0.5" in capsys.readouterr().out
+
+    def test_key_the_command_does_not_read_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "e.cfg"
+        cfg.write_text("integrand = half-square\nu = linear\nsvg = 1\n")
+        assert main(["energy", "--config", str(cfg)]) == EXIT_SPEC
+        assert capsys.readouterr().err == f"error: {cfg}: energy does not read svg\n"
 
 
 class TestEnergyCommand:
@@ -124,13 +132,28 @@ class TestBadInput:
          "end conditions must be 'a,b', got '1'"),
         (["minimize", "--integrand", "half-square", "--bc", "a,b"],
          "non-numeric end conditions 'a,b'"),
+        (["energy", "--integrand", "half-square", "--u", "linear", "--n", "0"],
+         "cell count must be an integer >= 2, got 0"),
     ], ids=["power-1", "power-nan", "bad-exponent",
             "problem-with-unknown-integrand", "unknown-init", "zero-max-iters",
             "nan-grad-tol", "inf-grad-tol", "fig4-coarse-level-too-small",
-            "one-end-condition", "non-numeric-end-conditions"])
+            "one-end-condition", "non-numeric-end-conditions", "zero-cells"])
     def test_spec_error_exits_2(self, argv, message, tmp_path, capsys):
-        assert main(argv + ["--out", str(tmp_path)]) == EXIT_SPEC
+        out = [] if argv[0] in ("energy", "residual") else ["--out", str(tmp_path)]
+        assert main(argv + out) == EXIT_SPEC
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("options", [["--n", "64"], ["--bc", "5,5"]], ids=["n", "bc"])
+    def test_curve_file_fixes_n_and_end_values(self, options, tmp_path, capsys):
+        assert main(["minimize", "--problem", "problem1", "--n", "16",
+                     "--out", str(tmp_path)]) == EXIT_OK
+        curve = tmp_path / "problem1_n16.csv"
+        capsys.readouterr()
+        argv = ["energy", "--integrand", "half-square", "--u", str(curve)]
+        assert main(argv + options) == EXIT_SPEC
+        assert capsys.readouterr().err == (
+            f"error: curve file {str(curve)!r} fixes n and the end values; drop n and bc\n")
+        assert main(argv) == EXIT_OK
 
     def test_misspelt_config_bool_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "e.cfg"
@@ -142,8 +165,9 @@ class TestBadInput:
     @pytest.mark.parametrize("command", [["energy", "--u", "linear"], ["minimize"]],
                              ids=["energy", "minimize"])
     def test_row_sum_overflow_exits_3(self, command, tmp_path, capsys):
-        argv = command + ["--integrand", "power:40", "--bc", "0,4.73e7", "--n", "64",
-                          "--out", str(tmp_path)]
+        argv = command + ["--integrand", "power:40", "--bc", "0,4.73e7", "--n", "64"]
+        if command[0] == "minimize":
+            argv += ["--out", str(tmp_path)]
         with np.errstate(over="ignore"):
             assert main(argv) == EXIT_NUMERIC
         err = capsys.readouterr().err
@@ -192,6 +216,13 @@ class TestMinimizeCommand:
         x, u = read_curve(tmp_path / "half-square_n16.csv")
         assert u[0] == 7.264 and u[-1] == 0.829
 
+    def test_end_values_replace_the_problems(self, tmp_path, capsys):
+        assert main(["minimize", "--problem", "problem1", "--bc", "0,2", "--n", "16",
+                     "--out", str(tmp_path)]) == EXIT_OK
+        x, u = read_curve(tmp_path / "problem1_n16.csv")
+        assert u[0] == 0.0 and u[-1] == 2.0
+        assert "integrand: half-square\n" in capsys.readouterr().out
+
     def test_round_trip_energy(self, tmp_path, capsys):
         assert main(["minimize", "--problem", "problem1", "--n", "32",
                      "--out", str(tmp_path)]) == EXIT_OK
@@ -212,6 +243,7 @@ class TestMinimizeCommand:
         x, overlay = read_curve(tmp_path / "quad-mass_n32_local_exp.csv")
         np.testing.assert_allclose(overlay, 2.0 * np.sinh(4.0 * x) / np.sinh(4.0),
                                    rtol=0, atol=1e-14)
+        assert overlay[0] == 0.0 and overlay[-1] == 2.0
 
     def test_bolza_bare_warns(self, tmp_path, capsys):
         code = main(["minimize", "--problem", "bolza-bare", "--n", "32",
@@ -307,6 +339,38 @@ class TestReproduceCommand:
         for name in ("fig4_bolza_bare_n32.csv", "fig4_bolza_bare_n64.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
         assert first == second
+
+
+class TestCommandTable:
+    """Each subcommand takes a flag for each field it reads, and no other."""
+
+    @pytest.mark.parametrize("command, flags", [
+        ("energy", {"--integrand", "--u", "--n", "--bc", "--seed"}),
+        ("residual", {"--integrand", "--u", "--n", "--bc", "--seed"}),
+        ("reproduce", {"--n", "--seed", "--grad-tol", "--max-iters", "--out", "--svg"}),
+        ("minimize", {"--problem", "--integrand", "--bc", "--init", "--n", "--seed",
+                      "--grad-tol", "--max-iters", "--out", "--svg"}),
+    ])
+    def test_flags_are_the_fields_read(self, command, flags):
+        sub = next(a for a in make_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        actions = sub.choices[command]._actions
+        accepted = {s for a in actions for s in a.option_strings} - {"-h", "--help"}
+        assert accepted == {"--config"} | flags
+        positional = [a.dest for a in actions if not a.option_strings]
+        assert positional == (["figure"] if command == "reproduce" else [])
+
+    @pytest.mark.parametrize("argv", [
+        ["energy", "--integrand", "half-square", "--u", "linear", "--grad-tol", "1e-3"],
+        ["residual", "--integrand", "half-square", "--u", "linear", "--svg"],
+        ["reproduce", "fig2-problem1", "--integrand", "two-well"],
+        ["reproduce", "fig2-problem1", "--bc", "5,5"],
+    ], ids=["energy-grad-tol", "residual-svg", "reproduce-integrand", "reproduce-bc"])
+    def test_flag_the_command_does_not_read_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == EXIT_SPEC
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestOutputLayout:

@@ -26,6 +26,11 @@ class TestLocalExpSolution:
         assert local_exp_solution(0.0) == pytest.approx(0.0, abs=1e-15)
         assert local_exp_solution(1.0) == pytest.approx(1.0, rel=1e-14)
 
+    def test_end_values_exact(self):
+        # sinh(4x) / sinh(4): the overlay holds both end values bit for bit
+        assert local_exp_solution(0.0) == 0.0
+        assert local_exp_solution(1.0) == 1.0
+
     def test_midpoint(self):
         assert local_exp_solution(0.5) == pytest.approx(0.13290111441703986, rel=1e-12)
 
