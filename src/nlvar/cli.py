@@ -59,7 +59,7 @@ class ExperimentSpec:
     bc: Optional[tuple[float, float]] = None  # None: the problem's, else (0, 1)
     u: Optional[str] = None        # named profile or curve-file path
     init: Optional[str] = None
-    seed: int = 0
+    seed: Optional[int] = None     # None: 0, where a random start reads it
     grad_tol: Optional[float] = None
     max_iters: int = 20000
     out: str = "."
@@ -110,7 +110,8 @@ def parse_config(path) -> dict:
 
 def build_spec(args: argparse.Namespace) -> ExperimentSpec:
     """The spec from args.config and the flags, which take precedence; only
-    the fields args.command reads may be set."""
+    the fields args.command reads may be set, and for reproduce only those
+    its figure reads."""
     keys = COMMANDS[args.command][2]
     values = parse_config(args.config) if args.config else {}
     unread = [key for key in values if key not in keys]
@@ -120,6 +121,10 @@ def build_spec(args: argparse.Namespace) -> ExperimentSpec:
         val = getattr(args, key)
         if val is not None:  # also for --svg: store_true with default None
             values[key] = _parse_bc(val) if key == "bc" else val
+    if args.command == "reproduce":
+        unread = [key for key in values if key not in ("figure",) + FIGURES[args.figure][1]]
+        if unread:
+            raise SpecError(f"{args.figure} does not read {', '.join(unread)}")
     return ExperimentSpec(**values)
 
 
@@ -141,6 +146,16 @@ def _cells(spec: ExperimentSpec) -> int:
     return _given(spec.n, 128)
 
 
+def _seed(spec: ExperimentSpec, start: str) -> int:
+    """The seed of a random start; SpecError for a seed that start does not
+    read."""
+    if start == "random":
+        return _given(spec.seed, 0)
+    if spec.seed is not None:
+        raise SpecError(f"seed is read only by the random start, not by {start!r}")
+    return 0
+
+
 def _resolve_problem(spec: ExperimentSpec) -> tuple[Integrand, tuple[float, float], str]:
     """Density, end values and start of spec's problem; the integrand, bc
     and init given replace the problem's."""
@@ -157,9 +172,10 @@ def _resolve_problem(spec: ExperimentSpec) -> tuple[Integrand, tuple[float, floa
 def _load_input_curve(spec: ExperimentSpec) -> NodalFunction:
     if spec.u is None:
         raise SpecError(f"an input curve is required (u={_START_NAMES}|<file.csv>)")
+    seed = _seed(spec, spec.u)
     if spec.u in INITIAL_GUESSES:
         return make_initial_guess(Grid1D(_cells(spec)), _given(spec.bc, (0.0, 1.0)),
-                                  spec.u, seed=spec.seed)
+                                  spec.u, seed=seed)
     path = Path(spec.u)
     if not path.exists():
         raise SpecError(f"curve file {spec.u!r} does not exist")
@@ -170,9 +186,11 @@ def _load_input_curve(spec: ExperimentSpec) -> NodalFunction:
 
 def _solve(spec: ExperimentSpec, init: Optional[NodalFunction] = None):
     """(integrand, MinimizeResult) of spec's problem on _cells(spec) cells,
-    from init if given, else from the problem's initial guess."""
+    from init if given, else from the problem's initial guess, which reads
+    spec.seed if it is the random one."""
     integrand, bc, default_init = _resolve_problem(spec)
-    cfg = SolverConfig(max_iters=spec.max_iters, grad_tol=spec.grad_tol, seed=spec.seed)
+    seed = 0 if init is not None else _seed(spec, default_init)
+    cfg = SolverConfig(max_iters=spec.max_iters, grad_tol=spec.grad_tol, seed=seed)
     init = default_init if init is None else init
     return integrand, minimize(integrand, Grid1D(_cells(spec)), bc, init=init, cfg=cfg)
 
@@ -259,7 +277,7 @@ def cmd_residual(spec: ExperimentSpec) -> int:
 
 
 def cmd_reproduce(spec: ExperimentSpec) -> int:
-    return FIGURES[spec.figure](spec, _outdir(spec))
+    return FIGURES[spec.figure][0](spec, _outdir(spec))
 
 
 # -- figures ---------------------------------------------------------------
@@ -309,7 +327,8 @@ def fig4_bolza(spec: ExperimentSpec, out: Path) -> int:
         raise SpecError(f"fig4-bolza also solves at n // 2, so it needs n >= 4, got {fine}")
     results = []
     for n in (fine // 2, fine):
-        kick = make_initial_guess(Grid1D(n), (0.0, 0.0), "random", spec.seed, noise=1e-2)
+        kick = make_initial_guess(Grid1D(n), (0.0, 0.0), "random", _given(spec.seed, 0),
+                                  noise=1e-2)
         _, result = _solve(replace(spec, problem="bolza-bare", n=n), init=kick)
         results.append(result)
         print(f"n={n} energy: {result.energy:.17g} grad_norm: {result.grad_norm:.3g}")
@@ -322,20 +341,24 @@ def fig4_bolza(spec: ExperimentSpec, out: Path) -> int:
     return EXIT_OK if all(r.converged for r in results) else EXIT_NOCONV
 
 
+# the fields each command reads; it takes a flag and a config key for each
+_OUT = ("out", "svg")
+_FIXED_START = ("n", "grad_tol", "max_iters") + _OUT  # a solve that reads no seed
+_SOLVE = ("n", "seed", "grad_tol", "max_iters") + _OUT
+_CURVE = ("integrand", "u", "n", "bc", "seed")
+
+# each figure's function and the reproduce fields it reads besides figure
 FIGURES = {
-    "fig1-ode-approx": fig1_ode_approx,
-    "fig2-problem1": fig2_problem1,
-    "fig3-quad-mass": fig3_quad_mass,
-    "fig4-bolza": fig4_bolza,
+    "fig1-ode-approx": (fig1_ode_approx, _OUT),
+    "fig2-problem1": (fig2_problem1, _FIXED_START),
+    "fig3-quad-mass": (fig3_quad_mass, _FIXED_START),
+    "fig4-bolza": (fig4_bolza, _SOLVE),
 }
 
 
 # -- entry point -----------------------------------------------------------
 
 
-# the fields each command reads; it takes a flag and a config key for each
-_SOLVE = ("n", "seed", "grad_tol", "max_iters", "out", "svg")
-_CURVE = ("integrand", "u", "n", "bc", "seed")
 COMMANDS = {
     "energy": (cmd_energy, "evaluate the double-integral energy", _CURVE),
     "minimize": (cmd_minimize, "minimize the discrete energy",

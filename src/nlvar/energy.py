@@ -10,7 +10,8 @@ as D_ij = D_ji, the sum is
     h^2 * (sum_i phi(s_i) + 2 sum_{i<j} phi(D_ij)) + h * sum_i psi(u(m_i)),
 
 which evaluates phi once per unordered pair and psi once per midpoint. The
-gradient with respect to interior nodal values is its exact derivative.
+gradient with respect to interior nodal values is its exact derivative, and
+_hessian gives its exact second derivatives from phi'' and psi''.
 """
 
 from __future__ import annotations
@@ -201,6 +202,63 @@ def _quadrature(grid: Grid1D, values: np.ndarray, integrand: Integrand, with_gra
     g_um = 2.0 * (skew - col) + n * dpsi
     grad = h * h * (0.5 * (g_um[:-1] + g_um[1:]) + (slope_B[:-1] - slope_B[1:]) / h)
     return value, _require_finite(grad, f"gradient of W({name})", grid.nodes[1:-1])
+
+
+def _hessian(grid: Grid1D, values: np.ndarray, integrand: Integrand) -> np.ndarray:
+    """Exact Hessian of the quadrature in the n - 1 interior nodal values,
+    from integrand.w_UU and w_uu, in LAPACK's lower packed storage (column l
+    holds rows l..n-2 of column l, one column after the other). Non-finite
+    entries are returned as they are, without a warning.
+
+    In the midpoint values a, the pair terms 2 h^2 phi(D_ij) give the
+    weighted graph Laplacian 2 h^2 (diag(row sums of Wh) - Wh), with Wh_ij =
+    phi''(D_ij) / dm_ij^2 off the diagonal, and the psi terms give h
+    diag(psi''(a)); A' (...) A carries them to the nodes, with A the
+    node-to-midpoint average. Each slope term h^2 phi(s_i) adds phi''(s_i)
+    [[1, -1], [-1, 1]] on nodes i, i + 1. The packed columns are written
+    BLOCK_ELEMS // n at a time from the midpoint rows they read, by
+    elementwise numpy only: no BLAS call, so the bits do not depend on the
+    BLAS thread count, and no n x n array.
+    """
+    h, n, m = grid.h, grid.n, grid.midpoints
+    size = n - 1
+    ap = np.empty(size * (size + 1) // 2)
+    um = 0.5 * (values[:-1] + values[1:])
+    # per midpoint row j, the sum of Wh_ji over the columns i left of the
+    # current block, accumulated from the earlier blocks' rows (Wh = Wh')
+    left_sums = np.zeros(n)
+    b = _block_rows(n)
+    with np.errstate(all="ignore"):
+        slope_w = integrand.w_UU((values[1:] - values[:-1]) / h)
+        psi_w = h * integrand.w_uu(um)
+        start = 0
+        for l0 in range(0, size, b):
+            l1 = min(l0 + b, size)
+            # midpoint rows j = l0..l1 and columns i >= l0 of Wh, then of
+            # the midpoint Hessian; row l1 is the next block's first
+            r = np.arange(l1 - l0 + 1)
+            diag = (r, r)
+            dm = m[l0:] - m[l0:l1 + 1, None]
+            dm[diag] = 1.0  # D_jj = 0 / 1, overwritten below
+            Hm = integrand.w_UU((um[l0:] - um[l0:l1 + 1, None]) / dm)
+            Hm /= dm * dm
+            Hm[diag] = 0.0
+            row_sums = left_sums[l0:l1 + 1] + Hm.sum(axis=1)
+            left_sums[l1:] += Hm[:-1, l1 - l0:].sum(axis=0)
+            Hm *= -2.0 * h * h
+            Hm[diag] = 2.0 * h * h * row_sums + psi_w[l0:l1 + 1]
+            # A' Hm A for nodal columns l0..l1-1, rows l0.., then the slopes
+            S = Hm[:-1] + Hm[1:]
+            T = S[:, :-1] + S[:, 1:]
+            T *= 0.25
+            c, cols = r[:-1], l0 + r[:-1]
+            T[c, c] += slope_w[cols] + slope_w[cols + 1]
+            below = cols + 1 < size
+            T[c[below], c[below] + 1] -= slope_w[cols[below] + 1]
+            block = T[np.arange(size - l0) >= c[:, None]]
+            ap[start:start + block.size] = block
+            start += block.size
+    return ap
 
 
 def energy_gradient(u: NodalFunction, integrand: Integrand) -> np.ndarray:

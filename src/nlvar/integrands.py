@@ -11,7 +11,7 @@ differentiation on top of singular-kernel quadrature.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -32,16 +32,17 @@ ArrayFn = Callable[[np.ndarray], np.ndarray]
 
 @dataclass(frozen=True)
 class Integrand:
-    """Density W(x, u, U) = w(U) + mass(u): w is phi, w_U = phi', mass is
-    psi and w_u = psi'. Densities without a zero-order term use zeros for
-    psi and psi'. w returns a new array: the energy kernel weights rows of
-    it in place.
+    """Density W(x, u, U) = w(U) + mass(u): w is phi, w_U = phi', w_UU =
+    phi'', mass is psi, w_u = psi' and w_uu = psi''. Densities without a
+    zero-order term use zeros for psi and its derivatives. w returns a new
+    array: the energy kernel weights rows of it in place.
 
     p is the growth exponent of W in U (used for coercivity and Hoelder
     diagnostics, even where the evaluation itself never reads it). convex
     states that W is convex in (u, U); the solver preconditions only such
     densities, so a density that does not state it keeps the unpreconditioned
-    solver.
+    solver. The solver takes Newton steps only for a density that gives
+    both second derivatives; without them it keeps the quasi-Newton ones.
     """
 
     w: ArrayFn
@@ -51,6 +52,8 @@ class Integrand:
     p: float
     name: str
     convex: bool = False
+    w_UU: Optional[ArrayFn] = None
+    w_uu: Optional[ArrayFn] = None
 
     def evaluate(self, x, u, U):
         """W(x, u, U); no built-in density depends on x."""
@@ -64,6 +67,7 @@ def power_p(p: float) -> Integrand:
     return Integrand(
         w=lambda U: np.abs(U) ** p, w_U=lambda U: p * np.sign(U) * np.abs(U) ** (p - 1),
         mass=np.zeros_like, w_u=np.zeros_like, p=p, name=f"power:{p:g}", convex=True,
+        w_UU=lambda U: p * (p - 1) * np.abs(U) ** (p - 2), w_uu=np.zeros_like,
     )
 
 
@@ -71,20 +75,20 @@ def half_square() -> Integrand:
     """W = U^2 / 2, the quadratic special case used for p = 2 experiments."""
     return Integrand(
         w=lambda U: 0.5 * U**2, w_U=lambda U: U, mass=np.zeros_like, w_u=np.zeros_like,
-        p=2.0, name="half-square", convex=True,
+        p=2.0, name="half-square", convex=True, w_UU=np.ones_like, w_uu=np.zeros_like,
     )
 
 
 def quadratic_mass() -> Integrand:
     """W = U^2 / 2 + 8 u^2, quadratic plus a zero-order mass term."""
     return replace(half_square(), mass=lambda u: 8.0 * u**2, w_u=lambda u: 16.0 * u,
-                   name="quad-mass")
+                   w_uu=lambda u: np.full_like(u, 16.0), name="quad-mass")
 
 
 def two_well_full() -> Integrand:
     """W = (U^2 - 1)^2 / 4 + u^2 / 2, the non-convex Bolza density."""
     return replace(two_well_bare(), mass=lambda u: 0.5 * u**2, w_u=lambda u: u,
-                   name="two-well")
+                   w_uu=np.ones_like, name="two-well")
 
 
 def two_well_bare() -> Integrand:
@@ -92,6 +96,7 @@ def two_well_bare() -> Integrand:
     return Integrand(
         w=lambda U: 0.25 * (U**2 - 1.0) ** 2, w_U=lambda U: U * (U**2 - 1.0),
         mass=np.zeros_like, w_u=np.zeros_like, p=4.0, name="two-well-bare",
+        w_UU=lambda U: 3.0 * U**2 - 1.0, w_uu=np.zeros_like,
     )
 
 
@@ -121,13 +126,18 @@ def integrand_by_name(name: str) -> Integrand:
 
 @dataclass(frozen=True)
 class DerivativeCheckReport:
+    """Largest mismatch of each derivative; the second derivatives read 0
+    for a density that does not give them."""
+
     max_err_u: float
     max_err_U: float
     tol: float
+    max_err_uu: float = 0.0
+    max_err_UU: float = 0.0
 
     @property
     def passed(self) -> bool:
-        return self.max_err_u <= self.tol and self.max_err_U <= self.tol
+        return max(self.max_err_u, self.max_err_U, self.max_err_uu, self.max_err_UU) <= self.tol
 
 
 def check_derivatives(
@@ -137,20 +147,21 @@ def check_derivatives(
     tol: float = 1e-5,
 ) -> DerivativeCheckReport:
     """Compare w_U against central finite differences of w at the probes' U,
-    and w_u against those of mass at their u (x is not read).
+    and w_u against those of mass at their u (x is not read); likewise w_UU
+    against differences of w_U and w_uu against those of w_u, where given.
 
     The mismatch is relative to max(1, |finite difference|) per probe.
     """
     probes = list(probes)
     if not probes:
         raise ValueError("probe list must be nonempty")
-    err_u = 0.0
-    err_U = 0.0
-    for _, u, U in probes:
-        u, U = float(u), float(U)
-        fd_u = (integrand.mass(u + step) - integrand.mass(u - step)) / (2 * step)
-        fd_U = (integrand.w(U + step) - integrand.w(U - step)) / (2 * step)
-        au, aU = integrand.w_u(u), integrand.w_U(U)
-        err_u = max(err_u, abs(float(au) - float(fd_u)) / max(1.0, abs(float(fd_u))))
-        err_U = max(err_U, abs(float(aU) - float(fd_U)) / max(1.0, abs(float(fd_U))))
-    return DerivativeCheckReport(max_err_u=err_u, max_err_U=err_U, tol=tol)
+    def mismatch(derivative: ArrayFn, f: ArrayFn, z: float) -> float:
+        fd = float((f(z + step) - f(z - step)) / (2 * step))
+        return abs(float(derivative(z)) - fd) / max(1.0, abs(fd))
+
+    # (name, derivative, the function it differentiates, probe coordinate)
+    checks = [("u", integrand.w_u, integrand.mass, 1), ("U", integrand.w_U, integrand.w, 2),
+              ("uu", integrand.w_uu, integrand.w_u, 1), ("UU", integrand.w_UU, integrand.w_U, 2)]
+    errors = {"max_err_" + name: max(mismatch(derivative, f, float(p[coord])) for p in probes)
+              for name, derivative, f, coord in checks if derivative is not None}
+    return DerivativeCheckReport(tol=tol, **errors)

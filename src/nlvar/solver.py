@@ -1,4 +1,4 @@
-"""First-order minimization of the discrete energy over interior nodal values.
+"""Minimization of the discrete energy over interior nodal values.
 
 Limited-memory quasi-Newton direction (two-loop recursion over the last
 MEMORY pairs) with Armijo backtracking. The initial inverse Hessian of the
@@ -6,9 +6,17 @@ recursion is gamma H0 with gamma = s'y / y'H0 y from the newest pair (1
 with no pair). For a convex density on at most PRECONDITION_MAX_N cells H0
 is P^-1, where P is the exact Hessian of the half-square energy:
 half-square then converges in one Newton step, and the iteration counts of
-the other convex densities barely grow with n. Otherwise H0 = I. End
-values are held fixed bit-exactly throughout. For non-convex densities the
-result is a critical point, with no global-optimality claim.
+the other convex densities barely grow with n. Otherwise H0 = I.
+
+Near the minimizer, once the gradient norm is below NEWTON_SWITCH, a density
+that gives its second derivatives on 2 <= n <= PRECONDITION_MAX_N cells
+takes Newton steps -H^-1 g from the exact Hessian of the quadrature
+(Nocedal & Wright, Numerical Optimization, section 3.3). Where H is not
+finite, not positive definite, or its direction does not descend, the
+iteration keeps the quasi-Newton direction. Every step passes the same
+Armijo test. End values are held fixed bit-exactly throughout. For
+non-convex densities the result is a critical point, with no
+global-optimality claim.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from scipy.linalg.lapack import dpptrf, dpptrs
 
 # minimize evaluates every iterate through this one name, which a tracer
 # can wrap; it takes raw nodal values, not a NodalFunction
-from .energy import NonFiniteEnergyError, _quadrature
+from .energy import NonFiniteEnergyError, _hessian, _quadrature
 # the benchmark's tracer (perfbench/tracer.py) patches these two on this
 # module by name, so they stay importable from here
 from .energy import energy_gradient, energy_value  # noqa: F401
@@ -36,6 +44,7 @@ __all__ = [
     "ContinuationResult",
     "LineSearchError",
     "PRECONDITION_MAX_N",
+    "NEWTON_SWITCH",
     "INITIAL_GUESSES",
     "make_initial_guess",
     "minimize",
@@ -87,6 +96,7 @@ class MinimizeResult:
     trace: list[tuple[float, float]] = field(repr=False)
     converged: bool
     evaluations: int  # energy-and-gradient evaluations, the start included
+    newton_steps: int  # iterations whose direction was the Newton one
 
 
 INITIAL_GUESSES = ("linear", "zero", "hat", "random")
@@ -127,8 +137,13 @@ def make_initial_guess(
     return NodalFunction(grid, vals, left_bc=left, right_bc=right)
 
 
-# the packed factor of P takes 4 n^2 bytes and O(n^3) time to compute
+# the packed factors of P and of the Hessian take 4 n^2 bytes and O(n^3)
+# time to compute
 PRECONDITION_MAX_N = 2048
+
+# gradient norm below which the solver tries Newton steps; from the first
+# iteration they lead the two-well solves to other critical points
+NEWTON_SWITCH = 1e-3
 
 
 def _half_square_hessian(n: int) -> np.ndarray:
@@ -177,6 +192,24 @@ def _preconditioner(integrand: Integrand, n: int):
     return solve
 
 
+def _newton_direction(grid: Grid1D, values: np.ndarray, integrand: Integrand,
+                      grad: np.ndarray) -> Optional[np.ndarray]:
+    """-H^-1 grad for the exact Hessian H at the nodal values, from its
+    packed Cholesky factor; None for a density without second derivatives,
+    outside 2 <= n <= PRECONDITION_MAX_N, or where H is not finite or the
+    factor does not exist."""
+    m = grid.n - 1
+    if integrand.w_UU is None or integrand.w_uu is None or not 1 <= m < PRECONDITION_MAX_N:
+        return None
+    ap = _hessian(grid, values, integrand)
+    if not np.isfinite(ap).all():
+        return None
+    factor, info = dpptrf(m, ap, lower=1, overwrite_ap=1)
+    if info != 0:
+        return None
+    return -dpptrs(m, factor, grad, lower=1)[0]
+
+
 class _Pair(NamedTuple):
     """A stored (s, y) pair with the scalars the recursion reads, computed
     once: rho = 1 / s'y and gamma = s'y / y'(solve y)."""
@@ -215,7 +248,8 @@ def minimize(
     cfg: Optional[SolverConfig] = None,
 ) -> MinimizeResult:
     """Descend the discrete energy from init until the gradient norm meets
-    cfg.grad_tol (default_grad_tol(n) when None) or max_iters is exhausted.
+    cfg.grad_tol (default_grad_tol(n) when None) or max_iters is exhausted,
+    with Newton steps near the minimizer where they apply (module docstring).
 
     The energy trace is non-increasing at every accepted step. A trial step
     whose energy or gradient is non-finite is rejected like one without
@@ -228,11 +262,11 @@ def minimize(
     u = make_initial_guess(grid, bc, init, seed=cfg.seed)
     z = u.values[1:-1].copy()
     # every trial is written into the interior of this one vector of nodal
-    # values, and so is the result
-    vals = np.empty(grid.n + 1)
-    vals[0], vals[-1] = bc
+    # values, and so is the result; after each accepted step it holds z
+    vals = u.values.copy()
     trial = vals[1:-1]
     solve = _preconditioner(integrand, grid.n)
+    newton_steps = 0
     with np.errstate(over="ignore", invalid="ignore"):
         f, g = _quadrature(grid, u.values, integrand, True)
     evaluations = 1
@@ -244,11 +278,16 @@ def minimize(
     iters = 0
 
     while gnorm > grad_tol and iters < cfg.max_iters:
-        d = _two_loop(g, pairs, solve)
-        slope = float(g.dot(d))
-        if slope >= 0.0:  # quasi-Newton direction unusable, fall back
-            d = -g
-            slope = -gnorm * gnorm
+        d = _newton_direction(grid, vals, integrand, g) if gnorm < NEWTON_SWITCH else None
+        slope = 0.0 if d is None else float(g.dot(d))
+        if slope < 0.0:
+            newton_steps += 1
+        else:
+            d = _two_loop(g, pairs, solve)
+            slope = float(g.dot(d))
+            if slope >= 0.0:  # quasi-Newton direction unusable, fall back
+                d = -g
+                slope = -gnorm * gnorm
 
         t = STEP0
         while True:
@@ -291,6 +330,7 @@ def minimize(
         trace=trace,
         converged=gnorm <= grad_tol,
         evaluations=evaluations,
+        newton_steps=newton_steps,
     )
 
 

@@ -2,6 +2,7 @@
 
     PYTHONPATH=src python tests/golden.py            # rewrites tests/golden.json
     PYTHONPATH=src python tests/golden.py --digest   # prints digests, writes nothing
+    PYTHONPATH=src python tests/golden.py --compare  # prints margins, writes nothing
 
 `compute()` runs `nlvar reproduce fig1-fig4` and `nlvar minimize` on
 problem1, quad-mass, power:3 and bolza at n = 64 and 128 (stdout, exit code
@@ -14,6 +15,11 @@ meant to become the reference, and say so in CHANGES.md.
 `--digest` prints one line per entry, the sha256 of its JSON, in which
 floats are written as their repr and so exactly; two checkouts give the same
 numbers bit for bit when `diff` finds no difference between their outputs.
+
+`--compare` prints, for each entry, the largest deviation from the committed
+file next to the pin tolerance of its kind (`deviations` gives both, and
+`tests/test_golden.py` asserts one within the other), and the recorded and
+current solver iteration counts.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -47,6 +54,12 @@ PROFILES = {
 }
 FIXED_N = (64, 129)  # an even and an odd cell count
 SOLVE_N = (64, 128)
+
+# pin tolerances of each kind of number; test_golden.py says why
+NODAL = 100 * 1e-8
+EXACT = 1e-13
+SOLVER_ENERGY = 1e-12
+PRINTED = 5e-6  # half a unit in the 6th significant digit
 
 
 def commands() -> list[list[str]]:
@@ -116,6 +129,80 @@ def fixed_profile(name: str, profile: str, n: int) -> dict:
     }
 
 
+def _relative(got: float, want: float) -> float:
+    """|got - want| / max(|got|, |want|): math.isclose(got, want, rel_tol=r,
+    abs_tol=0) holds exactly when this is at most r."""
+    scale = max(abs(got), abs(want))
+    return abs(got - want) / scale if scale else 0.0
+
+
+def _sup(got, want) -> float:
+    got, want = np.asarray(got), np.asarray(want)
+    if got.shape != want.shape:
+        return math.inf
+    return float(np.max(np.abs(got - want), initial=0.0))
+
+
+def _stdout_deviations(got: dict, want: dict, solved: bool):
+    for key, text in want.items():
+        name = key.split(" ")[-1]
+        if key not in got or name in ("iters", "grad_norm"):
+            continue  # key sets are compared by the caller; these are recorded only
+        a, b = got[key], text
+        if name == "energy" and solved:
+            yield key, _relative(float(a), float(b)), SOLVER_ENERGY
+        elif name == "k_normalized":
+            yield key, _relative(float(a), float(b)), EXACT
+        elif name.startswith("sup_distance"):
+            levels = 2 if name.endswith("levels") else 1
+            yield key, abs(float(a) - float(b)), levels * NODAL + PRINTED * abs(float(b))
+        else:  # text, which must match
+            yield key, 0.0 if a == b else math.inf, 0.0
+
+
+def _curve_deviations(got: dict, want: dict):
+    for name, values in want.items():
+        if name not in got:
+            continue
+        if name.startswith("fig1_") or "local_exp" in name:
+            # sup norm relative to the reference's
+            yield name, _sup(got[name], values), EXACT * np.max(np.abs(values), initial=0.0)
+        elif "derivative" in name:
+            yield name, _sup(got[name], values), 2 * NODAL * len(values)
+        else:
+            yield name, _sup(got[name], values), NODAL
+
+
+def deviations(key: str, got: dict, want: dict) -> list[tuple[str, float, float]]:
+    """(what, deviation, tolerance) of every pinned number and text of entry
+    key; the pin holds when each deviation is at most its tolerance. Exit
+    codes and key sets are the caller's to compare."""
+    if key.startswith("fixed"):
+        out = [(k, _relative(got[k], want[k]), EXACT)
+               for k in ("energy", "norm_l2", "norm_sup", "norm_l2_central")]
+        return out + [(k, _sup(got[k], want[k]), EXACT * np.max(np.abs(want[k]), initial=0.0))
+                      for k in ("gradient", "residuals")]
+    return [*_stdout_deviations(got["stdout"], want["stdout"], solved=bool(want["iters"])),
+            *_curve_deviations(got["curves"], want["curves"])]
+
+
+def _share(deviation: float, tolerance: float) -> float:
+    """The share of its pin a deviation uses (above 1 breaks the pin)."""
+    if deviation == 0.0:
+        return 0.0
+    return deviation / tolerance if tolerance else math.inf
+
+
+def _margin(key: str, got: dict, want: dict) -> str:
+    """The entry's deviation nearest its pin, and its iteration counts."""
+    # among equal shares, a numeric pin before a text
+    what, dev, tol = max(deviations(key, got, want), key=lambda d: (_share(d[1], d[2]), d[2] > 0))
+    line = f"{key}: {what} {dev:.3g} (pin {tol:.3g})"
+    if "iters" in want:
+        line += f" iters {want['iters']} -> {got['iters']}"
+    return line
+
+
 def compute() -> dict:
     data = {" ".join(argv): run_cli(argv) for argv in commands()}
     for name in DENSITIES:
@@ -126,13 +213,19 @@ def compute() -> dict:
 
 
 def main(argv: list[str]) -> None:
-    if argv not in ([], ["--digest"]):
-        sys.exit(f"usage: {sys.argv[0]} [--digest]")
+    if argv not in ([], ["--digest"], ["--compare"]):
+        sys.exit(f"usage: {sys.argv[0]} [--digest | --compare]")
     data = compute()
-    if argv:
+    if argv == ["--digest"]:
         for key, value in data.items():
             digest = hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
             print(f"{digest}  {key}")
+        return
+    if argv == ["--compare"]:
+        reference = json.loads(PATH.read_text())
+        for key, value in data.items():
+            print(_margin(key, value, reference[key]) if key in reference
+                  else f"{key}: not in {PATH.name}")
         return
     lines = [f"{json.dumps(key)}: {json.dumps(value)}" for key, value in data.items()]
     PATH.write_text("{\n" + ",\n".join(lines) + "\n}\n")

@@ -134,10 +134,22 @@ class TestBadInput:
          "non-numeric end conditions 'a,b'"),
         (["energy", "--integrand", "half-square", "--u", "linear", "--n", "0"],
          "cell count must be an integer >= 2, got 0"),
+        (["reproduce", "fig1-ode-approx", "--n", "3", "--max-iters", "0", "--grad-tol", "-1"],
+         "fig1-ode-approx does not read n, grad_tol, max_iters"),
+        (["reproduce", "fig2-problem1", "--seed", "3"], "fig2-problem1 does not read seed"),
+        (["reproduce", "fig3-quad-mass", "--seed", "3"], "fig3-quad-mass does not read seed"),
+        (["minimize", "--problem", "problem1", "--seed", "5"],
+         "seed is read only by the random start, not by 'linear'"),
+        (["minimize", "--problem", "bolza", "--init", "hat", "--seed", "5"],
+         "seed is read only by the random start, not by 'hat'"),
+        (["energy", "--integrand", "half-square", "--u", "linear", "--seed", "5"],
+         "seed is read only by the random start, not by 'linear'"),
     ], ids=["power-1", "power-nan", "bad-exponent",
             "problem-with-unknown-integrand", "unknown-init", "zero-max-iters",
             "nan-grad-tol", "inf-grad-tol", "fig4-coarse-level-too-small",
-            "one-end-condition", "non-numeric-end-conditions", "zero-cells"])
+            "one-end-condition", "non-numeric-end-conditions", "zero-cells",
+            "fig1-solver-fields", "fig2-seed", "fig3-seed", "minimize-seed-linear-start",
+            "minimize-seed-hat-start", "energy-seed-linear-curve"])
     def test_spec_error_exits_2(self, argv, message, tmp_path, capsys):
         out = [] if argv[0] in ("energy", "residual") else ["--out", str(tmp_path)]
         assert main(argv + out) == EXIT_SPEC
@@ -154,6 +166,34 @@ class TestBadInput:
         assert capsys.readouterr().err == (
             f"error: curve file {str(curve)!r} fixes n and the end values; drop n and bc\n")
         assert main(argv) == EXIT_OK
+
+    def test_seed_with_curve_file_exits_2(self, tmp_path, capsys):
+        assert main(["minimize", "--problem", "problem1", "--n", "16",
+                     "--out", str(tmp_path)]) == EXIT_OK
+        curve = tmp_path / "problem1_n16.csv"
+        capsys.readouterr()
+        argv = ["energy", "--integrand", "half-square", "--u", str(curve)]
+        assert main(argv + ["--seed", "5"]) == EXIT_SPEC
+        assert capsys.readouterr().err == (
+            f"error: seed is read only by the random start, not by {str(curve)!r}\n")
+        assert main(argv) == EXIT_OK
+
+    def test_config_key_the_figure_does_not_read_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "e.cfg"
+        cfg.write_text(f"n = 8\nseed = 3\nout = {tmp_path}\n")
+        assert main(["reproduce", "fig2-problem1", "--config", str(cfg)]) == EXIT_SPEC
+        assert capsys.readouterr().err == "error: fig2-problem1 does not read seed\n"
+        assert main(["reproduce", "fig4-bolza", "--config", str(cfg)]) == EXIT_OK
+
+    def test_seed_of_random_start_is_read(self, tmp_path, capsys):
+        runs = [main(["minimize", "--problem", "bolza", "--init", "random", "--n", "16",
+                      "--seed", seed, "--out", str(tmp_path / seed)]) for seed in ("0", "5")]
+        assert runs == [EXIT_OK, EXIT_OK]
+        default = ["minimize", "--problem", "bolza", "--init", "random", "--n", "16",
+                   "--out", str(tmp_path / "default")]
+        assert main(default) == EXIT_OK
+        curves = [(tmp_path / d / "bolza_n16.csv").read_bytes() for d in ("0", "5", "default")]
+        assert curves[0] == curves[2] != curves[1]
 
     def test_misspelt_config_bool_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "e.cfg"
@@ -379,7 +419,7 @@ class TestOutputLayout:
     shows up here."""
 
     @pytest.mark.parametrize("argv, files, keys", [
-        (["reproduce", "fig1-ode-approx"],
+        (["reproduce", "fig1-ode-approx"],  # fig1 solves nothing and reads no --n
          {"fig1.svg", "fig1_k-normalized.csv", "fig1_k2.csv"},
          ["k_normalized", "k_display"]),
         (["reproduce", "fig2-problem1"],
@@ -402,7 +442,8 @@ class TestOutputLayout:
          ["warning", "integrand", "n", "energy", "grad_norm", "iters", "curve"]),
     ], ids=["fig1", "fig2", "fig3", "fig4", "problem1", "quad-mass", "bolza"])
     def test_files_and_stdout_keys(self, argv, files, keys, tmp_path, capsys):
-        assert main(argv + ["--n", "16", "--svg", "--out", str(tmp_path)]) == EXIT_OK
+        cells = [] if argv[1] == "fig1-ode-approx" else ["--n", "16"]
+        assert main(argv + cells + ["--svg", "--out", str(tmp_path)]) == EXIT_OK
         out = capsys.readouterr().out
         assert {p.name for p in tmp_path.iterdir()} == files
         assert [line.split(":", 1)[0] for line in out.splitlines()] == keys

@@ -16,50 +16,20 @@
   follow the stopping point. Exit codes and text must match.
 """
 
+import copy
 import json
-import math
 
-import numpy as np
 import pytest
 
 import golden
 
 REFERENCE = json.loads(golden.PATH.read_text())
-NODAL = 100 * 1e-8
-EXACT = 1e-13
-SOLVER_ENERGY = 1e-12
-PRINTED = 5e-6  # half a unit in the 6th significant digit
 ID = lambda key: key.replace(" ", "_")  # test ids without spaces
 
 
-def close_vec(got, want, rel):
-    got, want = np.asarray(got), np.asarray(want)
-    return got.shape == want.shape and np.max(np.abs(got - want), initial=0.0) <= rel * np.max(
-        np.abs(want), initial=0.0)
-
-
-def check_stdout_value(key, got, want, solved):
-    name = key.split(" ")[-1]
-    if name in ("iters", "grad_norm"):
-        return
-    if name == "energy" and solved:
-        assert math.isclose(float(got), float(want), rel_tol=SOLVER_ENERGY, abs_tol=0.0), key
-    elif name == "k_normalized":
-        assert math.isclose(float(got), float(want), rel_tol=EXACT, abs_tol=0.0), key
-    elif name.startswith("sup_distance"):
-        levels = 2 if name.endswith("levels") else 1
-        assert abs(float(got) - float(want)) <= levels * NODAL + PRINTED * abs(float(want)), key
-    else:
-        assert got == want, key
-
-
-def check_curve(name, got, want):
-    if name.startswith("fig1_") or "local_exp" in name:
-        assert close_vec(got, want, EXACT), name
-        return
-    bound = 2 * NODAL * len(got) if "derivative" in name else NODAL
-    assert len(got) == len(want)
-    assert np.max(np.abs(np.subtract(got, want))) <= bound, name
+def check(key, got, want):
+    for what, deviation, tolerance in golden.deviations(key, got, want):
+        assert deviation <= tolerance, (what, deviation, tolerance)
 
 
 @pytest.mark.parametrize("key", [k for k in REFERENCE if not k.startswith("fixed")], ids=ID)
@@ -68,19 +38,64 @@ def test_cli_run(key):
     got = golden.run_cli(key.split(" "))
     assert got["exit"] == want["exit"]
     assert got["stdout"].keys() == want["stdout"].keys()
-    for k, v in want["stdout"].items():
-        check_stdout_value(k, got["stdout"][k], v, solved=bool(want["iters"]))
     assert got["curves"].keys() == want["curves"].keys()
-    for name, values in want["curves"].items():
-        check_curve(name, got["curves"][name], values)
+    check(key, got, want)
 
 
 @pytest.mark.parametrize("key", [k for k in REFERENCE if k.startswith("fixed")], ids=ID)
 def test_fixed_profile(key):
-    want = REFERENCE[key]
     _, name, profile, n = key.split(" ")
-    got = golden.fixed_profile(name, profile, int(n))
-    for k in ("energy", "norm_l2", "norm_sup", "norm_l2_central"):
-        assert math.isclose(got[k], want[k], rel_tol=EXACT, abs_tol=0.0), k
-    for k in ("gradient", "residuals"):
-        assert close_vec(got[k], want[k], EXACT), k
+    check(key, golden.fixed_profile(name, profile, int(n)), REFERENCE[key])
+
+
+class TestScript:
+    """golden.py's arguments, on a stand-in compute() and reference file."""
+
+    SOLVE, FIXED = "minimize --problem problem1 --n 64", "fixed half-square linear 64"
+
+    @pytest.fixture
+    def moved(self, monkeypatch, tmp_path):
+        """A reference of two entries, a fresh run in which both moved within
+        their pins, and one entry the reference lacks; returns the file."""
+        path = tmp_path / "golden.json"
+        path.write_text(json.dumps({k: REFERENCE[k] for k in (self.SOLVE, self.FIXED)}))
+        solve = copy.deepcopy(REFERENCE[self.SOLVE])
+        solve["curves"]["problem1_n64.csv"][5] += 5e-7
+        solve["iters"] = [3]
+        fixed = copy.deepcopy(REFERENCE[self.FIXED])
+        fixed["energy"] *= 1.0 + 4e-14
+        data = {self.SOLVE: solve, self.FIXED: fixed, "fixed absent": fixed}
+        monkeypatch.setattr(golden, "PATH", path)
+        monkeypatch.setattr(golden, "compute", lambda: data)
+        return path
+
+    @pytest.mark.parametrize("argv", [["--bogus"], ["--digest", "--compare"], ["--compare", "x"]])
+    def test_bad_arguments_print_usage(self, argv, moved):
+        with pytest.raises(SystemExit, match=r"usage: .* \[--digest \| --compare\]"):
+            golden.main(argv)
+
+    def test_compare_prints_margins_and_writes_nothing(self, moved, capsys):
+        before = moved.read_bytes()
+        golden.main(["--compare"])
+        assert moved.read_bytes() == before
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"{self.SOLVE}: problem1_n64.csv 5e-07 (pin 1e-06) iters [24] -> [3]"
+        assert lines[1].startswith(f"{self.FIXED}: energy 4e-14 (pin 1e-13)")
+        assert lines[2] == "fixed absent: not in golden.json"
+        assert len(lines) == 3
+
+    def test_digest_prints_hashes_and_writes_nothing(self, moved, capsys):
+        before = moved.read_bytes()
+        golden.main(["--digest"])
+        assert moved.read_bytes() == before
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split("  ", 1)[1] for line in lines] == [self.SOLVE, self.FIXED, "fixed absent"]
+        assert all(len(line.split("  ", 1)[0]) == 64 for line in lines)
+
+    def test_deviations_fail_outside_their_pins(self):
+        fixed = copy.deepcopy(REFERENCE[self.FIXED])
+        fixed["gradient"][3] += 1e-10
+        failing = [what for what, dev, tol in golden.deviations(self.FIXED, fixed,
+                                                                REFERENCE[self.FIXED])
+                   if dev > tol]
+        assert failing == ["gradient"]

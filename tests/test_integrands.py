@@ -63,7 +63,16 @@ class TestDerivativeConsistency:
     @pytest.mark.parametrize("integrand", ALL, ids=lambda i: i.name)
     def test_builtins_pass(self, integrand):
         report = check_derivatives(integrand, probe_lattice())
-        assert report.passed, (report.max_err_u, report.max_err_U)
+        assert report.passed, report
+        assert integrand.w_UU is not None and integrand.w_uu is not None
+
+    def test_second_derivatives_are_checked(self):
+        # a second derivative shows in its own field; without one it reads 0
+        report = check_derivatives(two_well_full(), probe_lattice())
+        assert 0.0 < report.max_err_UU <= report.tol
+        plain = replace(two_well_full(), w_UU=None, w_uu=None)
+        report = check_derivatives(plain, probe_lattice())
+        assert report.passed and report.max_err_UU == report.max_err_uu == 0.0
 
     def test_two_well_full_random_probes(self):
         rng = np.random.default_rng(42)
@@ -81,6 +90,16 @@ class TestDerivativeConsistency:
         bad_mass = replace(quadratic_mass(), w_u=lambda u: 16.0 * u + 1.0)
         report = check_derivatives(bad_mass, probe_lattice())
         assert report.max_err_U <= report.tol < report.max_err_u
+
+    def test_corrupted_second_derivative_fails(self):
+        bad = replace(two_well_bare(), w_UU=lambda U: 3.0 * U**2)  # off by one
+        report = check_derivatives(bad, probe_lattice())
+        assert not report.passed
+        assert max(report.max_err_u, report.max_err_U, report.max_err_uu) <= report.tol
+        assert report.max_err_UU > report.tol
+        bad_mass = replace(quadratic_mass(), w_uu=lambda u: np.full_like(u, 8.0))
+        report = check_derivatives(bad_mass, probe_lattice())
+        assert not report.passed and report.tol < report.max_err_uu
 
     def test_empty_probes_rejected(self):
         with pytest.raises(ValueError):

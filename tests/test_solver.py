@@ -2,17 +2,27 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import nlvar
 from nlvar import solver
-from nlvar.energy import NonFiniteEnergyError, energy_value, value_and_grad
+from nlvar.energy import NonFiniteEnergyError, _hessian, energy_value, value_and_grad
 from nlvar.grid import Grid1D, NodalFunction
-from nlvar.integrands import half_square, power_p, quadratic_mass, two_well_bare, two_well_full
+from nlvar.integrands import (
+    half_square,
+    integrand_by_name,
+    power_p,
+    quadratic_mass,
+    two_well_bare,
+    two_well_full,
+)
 from nlvar.solver import (
+    NEWTON_SWITCH,
     PRECONDITION_MAX_N,
     ContinuationResult,
     SolverConfig,
@@ -179,7 +189,7 @@ class TestMinimize:
 class TestEvaluations:
     @pytest.mark.parametrize("W, n, grad_tol, iters, evaluations", [
         (half_square(), 512, 1e-6, 1, 2),
-        (quadratic_mass(), 128, None, None, 16),  # fig3's solve
+        (quadratic_mass(), 128, None, None, 11),  # fig3's solve
     ], ids=["problem1", "fig3-quad-mass"])
     def test_counts(self, W, n, grad_tol, iters, evaluations):
         res = minimize(W, Grid1D(n), (0.0, 1.0), "linear", SolverConfig(grad_tol=grad_tol))
@@ -234,7 +244,8 @@ def textbook_two_loop(grad, s_list, y_list, solve):
 class TestTwoLoop:
     @pytest.mark.parametrize("W, n, bc, init, preconditioned", [
         (two_well_full(), 32, (0.0, 0.0), "random", False),
-        (power_p(3), 64, (0.0, 1.0), "linear", True),
+        # from "linear", Newton steps end the solve before the memory fills
+        (power_p(3), 64, (0.0, 1.0), "hat", True),
     ], ids=["two-well-identity", "power:3-preconditioned"])
     def test_matches_textbook_bit_for_bit(self, W, n, bc, init, preconditioned, monkeypatch):
         # the stored pair scalars give the directions of the recursion that
@@ -249,7 +260,7 @@ class TestTwoLoop:
         two_loop = solver._two_loop
         monkeypatch.setattr(solver, "_two_loop", recording)
         res = minimize(W, Grid1D(n), bc, init, SolverConfig(grad_tol=1e-8))
-        assert res.converged and len(calls) == res.iters
+        assert res.converged and len(calls) == res.iters - res.newton_steps
         assert max(len(s_list) for _, s_list, *_ in calls) == solver.MEMORY
         for grad, s_list, y_list, solve, d in calls:
             probe = np.ones(n - 1)
@@ -303,13 +314,21 @@ class TestPreconditioner:
 
     def test_outputs_do_not_depend_on_blas_threads(self):
         # a full Cholesky (dpotrf) changes its bits with the thread count
-        # from n = 256 on; the packed one must not
+        # from n = 256 on; the packed ones must not, nor the Hessian's
+        # assembly, which the Newton steps of all three solves read
         script = (
             "import sys\n"
-            "from nlvar import Grid1D, integrand_by_name, minimize\n"
+            "import numpy as np\n"
+            "from nlvar import Grid1D, NodalFunction, integrand_by_name, minimize\n"
             "for name in ('power:3', 'quad-mass'):\n"
             "    res = minimize(integrand_by_name(name), Grid1D(512), (0.0, 1.0))\n"
             "    sys.stdout.write(res.u.values.tobytes().hex() + '\\n')\n"
+            "grid = Grid1D(256)\n"
+            "noise = 0.05 * np.random.default_rng(0).uniform(-1.0, 1.0, 255)\n"
+            "start = NodalFunction(grid, np.concatenate([[0.0], noise, [0.0]]))\n"
+            "res = minimize(integrand_by_name('two-well'), grid, (0.0, 0.0), start)\n"
+            "assert res.newton_steps > 0\n"
+            "sys.stdout.write(res.u.values.tobytes().hex() + '\\n')\n"
         )
         src = str(Path(nlvar.__file__).resolve().parents[1])
         outputs = []
@@ -319,8 +338,122 @@ class TestPreconditioner:
             proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                                   text=True, env=env, timeout=120, check=True)
             outputs.append(proc.stdout)
-        assert len(outputs[0].split()) == 2
+        assert len(outputs[0].split()) == 3
         assert outputs[0] == outputs[1]
+
+
+DENSITIES = ("power:2", "power:3", "power:4", "half-square", "quad-mass", "two-well",
+             "two-well-bare")
+
+
+def smooth_profile(n: int) -> np.ndarray:
+    x = Grid1D(n).nodes
+    return x + 0.3 * np.sin(3.0 * x) + 0.1 * np.random.default_rng(n).uniform(-1.0, 1.0, n + 1)
+
+
+def one_cell():
+    """The fields of a one-cell grid that _hessian reads (Grid1D needs two)."""
+    return SimpleNamespace(n=1, h=1.0, midpoints=np.array([0.5]))
+
+
+class TestHessian:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 24, 129])
+    @pytest.mark.parametrize("name", DENSITIES)
+    def test_matches_gradient_differences(self, name, n):
+        grid, W, values = Grid1D(n), integrand_by_name(name), smooth_profile(n)
+        step = 1e-5
+        columns = []
+        for k in range(1, n):
+            plus, minus = values.copy(), values.copy()
+            plus[k] += step
+            minus[k] -= step
+            columns.append((value_and_grad(NodalFunction(grid, plus), W)[1]
+                            - value_and_grad(NodalFunction(grid, minus), W)[1]) / (2 * step))
+        differences = np.array(columns).T
+        H = unpack_lower(_hessian(grid, values, W), n - 1)
+        assert np.max(np.abs(H - differences)) <= 1e-8 * np.max(np.abs(differences))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 24, 129])
+    def test_half_square_is_closed_form(self, n):
+        P = _half_square_hessian(n)
+        H = _hessian(Grid1D(n), smooth_profile(n), half_square())
+        assert np.max(np.abs(H - P)) <= 1e-14 * np.max(np.abs(P))
+
+    def test_one_cell_has_no_interior_nodes(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dpptrf called")
+
+        monkeypatch.setattr(solver, "dpptrf", refuse)
+        assert _hessian(one_cell(), np.array([0.0, 1.0]), half_square()).size == 0
+        assert solver._newton_direction(one_cell(), np.array([0.0, 1.0]), half_square(),
+                                        np.zeros(0)) is None
+
+    @pytest.mark.parametrize("W, n", [
+        (replace(two_well_full(), w_UU=None), 32),
+        (replace(quadratic_mass(), w_uu=None), 32),
+        (half_square(), PRECONDITION_MAX_N + 1),
+    ], ids=["no-phi''", "no-psi''", "large-n"])
+    def test_no_newton_step_outside_its_range(self, W, n, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("_hessian called")
+
+        monkeypatch.setattr(solver, "_hessian", refuse)
+        grid = SimpleNamespace(n=n, h=1.0 / n)
+        assert solver._newton_direction(grid, np.zeros(n + 1), W, np.ones(n - 1)) is None
+
+    def test_without_second_derivatives_the_solve_is_quasi_newton(self):
+        # the same iterations as the solver without Newton steps
+        grid = Grid1D(64)
+        plain = replace(quadratic_mass(), w_UU=None, w_uu=None)
+        res = minimize(plain, grid, (0.0, 1.0), "linear", TIGHT)
+        assert res.converged and res.newton_steps == 0 and res.iters > 9
+        polished = minimize(quadratic_mass(), grid, (0.0, 1.0), "linear", TIGHT)
+        assert polished.newton_steps >= 1 and polished.iters < res.iters
+        assert np.max(np.abs(polished.u.values - res.u.values)) <= 1e-7
+
+    def test_indefinite_hessian_keeps_the_two_loop_direction(self):
+        # the zero function is a saddle of the bare two-well energy, where
+        # phi''(0) = -1: the factor fails and no Newton step is taken
+        grid = Grid1D(16)
+        values = np.zeros(17)
+        assert solver._newton_direction(grid, values, two_well_bare(), np.ones(15)) is None
+        # a density whose Hessian overflows
+        steep = replace(power_p(3), w_UU=lambda U: np.full_like(U, np.inf))
+        assert solver._newton_direction(grid, grid.nodes.copy(), steep, np.ones(15)) is None
+
+    def test_newton_steps_start_below_the_switch(self, monkeypatch):
+        norms = []
+
+        def recording(grid, values, integrand, grad):
+            norms.append(float(np.linalg.norm(grad)))
+            return newton(grid, values, integrand, grad)
+
+        newton = solver._newton_direction
+        monkeypatch.setattr(solver, "_newton_direction", recording)
+        res = minimize(power_p(3), Grid1D(128), (0.0, 1.0), "linear", TIGHT)
+        assert res.converged and res.newton_steps >= 1
+        assert norms and max(norms) < NEWTON_SWITCH
+        gnorms = [g for _, g in res.trace[:-1]]
+        assert len(norms) == sum(g < NEWTON_SWITCH for g in gnorms)
+
+
+class TestRoundOffStall:
+    """At these n and tolerances the solve without Newton steps ended after
+    300 iterations at |g| between 6e-12 and 4.5e-9: every Armijo trial was
+    decided by rounding."""
+
+    @pytest.mark.parametrize("name, n, grad_tol", [
+        ("quad-mass", 504, 1e-12),
+        ("quad-mass", 508, 1e-12),
+        ("quad-mass", 508, 1e-9),
+        ("power:3", 500, 1e-12),
+        ("power:3", 516, 1e-12),
+    ])
+    def test_converges(self, name, n, grad_tol):
+        cfg = SolverConfig(grad_tol=grad_tol, max_iters=300)
+        res = minimize(integrand_by_name(name), Grid1D(n), (0.0, 1.0), "linear", cfg)
+        assert res.converged and res.grad_norm <= grad_tol
+        assert res.newton_steps >= 1 and res.iters <= 30
 
 
 class TestContinuation:
