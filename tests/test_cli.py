@@ -155,27 +155,19 @@ class TestBadInput:
         assert main(argv + out) == EXIT_SPEC
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    @pytest.mark.parametrize("options", [["--n", "64"], ["--bc", "5,5"]], ids=["n", "bc"])
-    def test_curve_file_fixes_n_and_end_values(self, options, tmp_path, capsys):
+    @pytest.mark.parametrize("options, message", [
+        (["--n", "64"], "curve file {!r} fixes n and the end values; drop n and bc"),
+        (["--bc", "5,5"], "curve file {!r} fixes n and the end values; drop n and bc"),
+        (["--seed", "5"], "seed is read only by the random start, not by {!r}"),
+    ], ids=["n", "bc", "seed"])
+    def test_curve_file_fixes_n_and_end_values(self, options, message, tmp_path, capsys):
         assert main(["minimize", "--problem", "problem1", "--n", "16",
                      "--out", str(tmp_path)]) == EXIT_OK
         curve = tmp_path / "problem1_n16.csv"
         capsys.readouterr()
         argv = ["energy", "--integrand", "half-square", "--u", str(curve)]
         assert main(argv + options) == EXIT_SPEC
-        assert capsys.readouterr().err == (
-            f"error: curve file {str(curve)!r} fixes n and the end values; drop n and bc\n")
-        assert main(argv) == EXIT_OK
-
-    def test_seed_with_curve_file_exits_2(self, tmp_path, capsys):
-        assert main(["minimize", "--problem", "problem1", "--n", "16",
-                     "--out", str(tmp_path)]) == EXIT_OK
-        curve = tmp_path / "problem1_n16.csv"
-        capsys.readouterr()
-        argv = ["energy", "--integrand", "half-square", "--u", str(curve)]
-        assert main(argv + ["--seed", "5"]) == EXIT_SPEC
-        assert capsys.readouterr().err == (
-            f"error: seed is read only by the random start, not by {str(curve)!r}\n")
+        assert capsys.readouterr().err == f"error: {message.format(str(curve))}\n"
         assert main(argv) == EXIT_OK
 
     def test_config_key_the_figure_does_not_read_exits_2(self, tmp_path, capsys):
