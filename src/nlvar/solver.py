@@ -8,12 +8,12 @@ is P^-1, where P is the exact Hessian of the half-square energy:
 half-square then converges in one Newton step, and the iteration counts of
 the other convex densities barely grow with n. Otherwise H0 = I.
 
-Near the minimizer, once the gradient norm is below NEWTON_SWITCH, a density
-that gives its second derivatives on 2 <= n <= PRECONDITION_MAX_N cells
-takes Newton steps -H^-1 g from the exact Hessian of the quadrature
-(Nocedal & Wright, Numerical Optimization, section 3.3). Where H is not
-finite, not positive definite, or its direction does not descend, the
-iteration keeps the quasi-Newton direction. Every step passes the same
+Near the minimizer, once the gradient norm is below NEWTON_SWITCH, a solve
+on 2 <= n <= PRECONDITION_MAX_N cells takes Newton steps -H^-1 g from the
+exact Hessian of the quadrature (Nocedal & Wright, Numerical Optimization,
+section 3.3). Where H is not finite, not positive definite, or its
+direction does not descend, the iteration keeps the quasi-Newton
+direction, and the solve tries no further Newton step. Every step passes the same
 Armijo test. End values are held fixed bit-exactly throughout. For
 non-convex densities the result is a critical point, with no
 global-optimality claim.
@@ -195,11 +195,10 @@ def _preconditioner(integrand: Integrand, n: int):
 def _newton_direction(grid: Grid1D, values: np.ndarray, integrand: Integrand,
                       grad: np.ndarray) -> Optional[np.ndarray]:
     """-H^-1 grad for the exact Hessian H at the nodal values, from its
-    packed Cholesky factor; None for a density without second derivatives,
-    outside 2 <= n <= PRECONDITION_MAX_N, or where H is not finite or the
-    factor does not exist."""
+    packed Cholesky factor; None outside 2 <= n <= PRECONDITION_MAX_N, or
+    where H is not finite or the factor does not exist."""
     m = grid.n - 1
-    if integrand.w_UU is None or integrand.w_uu is None or not 1 <= m < PRECONDITION_MAX_N:
+    if not 1 <= m < PRECONDITION_MAX_N:
         return None
     ap = _hessian(grid, values, integrand)
     if not np.isfinite(ap).all():
@@ -267,6 +266,9 @@ def minimize(
     trial = vals[1:-1]
     solve = _preconditioner(integrand, grid.n)
     newton_steps = 0
+    # cleared by the first Newton attempt that fails or does not descend:
+    # each attempt costs an assembly and a factor
+    try_newton = True
     with np.errstate(over="ignore", invalid="ignore"):
         f, g = _quadrature(grid, u.values, integrand, True)
     evaluations = 1
@@ -278,8 +280,11 @@ def minimize(
     iters = 0
 
     while gnorm > grad_tol and iters < cfg.max_iters:
-        d = _newton_direction(grid, vals, integrand, g) if gnorm < NEWTON_SWITCH else None
-        slope = 0.0 if d is None else float(g.dot(d))
+        slope = 0.0
+        if try_newton and gnorm < NEWTON_SWITCH:
+            d = _newton_direction(grid, vals, integrand, g)
+            slope = 0.0 if d is None else float(g.dot(d))
+            try_newton = slope < 0.0
         if slope < 0.0:
             newton_steps += 1
         else:

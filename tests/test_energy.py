@@ -92,6 +92,8 @@ class TestEnergyValues:
             w_U=lambda U: 1.0 / U,
             mass=np.zeros_like,
             w_u=np.zeros_like,
+            w_UU=np.ones_like,
+            w_uu=np.zeros_like,
             p=2.0,
             name="log-slope",
         )
@@ -125,6 +127,8 @@ class TestEnergyValues:
             w_U=lambda U: np.full_like(U, 1e307),
             mass=np.zeros_like,
             w_u=np.zeros_like,
+            w_UU=np.ones_like,
+            w_uu=np.zeros_like,
             p=2.0,
             name="steep",
         )
@@ -252,6 +256,8 @@ class TestBlockedKernel:
             w_U=lambda U: 2.0 * U,
             mass=np.zeros_like,
             w_u=np.zeros_like,
+            w_UU=np.ones_like,
+            w_uu=np.zeros_like,
             p=2.0,
             name="spiked",
         )

@@ -60,19 +60,25 @@ class TestGrad:
 
 
 class TestDerivativeConsistency:
-    @pytest.mark.parametrize("integrand", ALL, ids=lambda i: i.name)
+    # phi'' of |U|^1.5 is infinite at U = 0, and the difference of phi' of
+    # |U|^2.5 there is 2.5 sqrt(step), not phi''(0) = 0; the lattice holds U = 0
+    @pytest.mark.parametrize("integrand", ALL + [power_p(1.5), power_p(2.5)],
+                             ids=lambda i: i.name)
     def test_builtins_pass(self, integrand):
         report = check_derivatives(integrand, probe_lattice())
         assert report.passed, report
-        assert integrand.w_UU is not None and integrand.w_uu is not None
 
     def test_second_derivatives_are_checked(self):
-        # a second derivative shows in its own field; without one it reads 0
         report = check_derivatives(two_well_full(), probe_lattice())
         assert 0.0 < report.max_err_UU <= report.tol
-        plain = replace(two_well_full(), w_UU=None, w_uu=None)
-        report = check_derivatives(plain, probe_lattice())
-        assert report.passed and report.max_err_UU == report.max_err_uu == 0.0
+
+    def test_second_derivative_near_a_kink_is_checked(self):
+        # only |U| < sqrt(step) is left out at a non-integer exponent
+        bad = replace(power_p(2.5), w_UU=lambda U: 3.75 * np.abs(U) ** 0.5 + 1e-3)
+        report = check_derivatives(bad, [(0.5, 0.0, 2e-3)])
+        assert report.max_err_UU > report.tol
+        report = check_derivatives(bad, [(0.5, 0.0, 0.0), (0.5, 0.0, 5e-4)])
+        assert report.passed and report.max_err_UU == 0.0
 
     def test_two_well_full_random_probes(self):
         rng = np.random.default_rng(42)
@@ -84,7 +90,7 @@ class TestDerivativeConsistency:
         bad = Integrand(
             w=base.w, mass=base.mass, w_u=base.w_u,
             w_U=lambda U: U + 1.0,  # off by one
-            p=2.0, name="corrupt",
+            w_UU=base.w_UU, w_uu=base.w_uu, p=2.0, name="corrupt",
         )
         assert not check_derivatives(bad, probe_lattice()).passed
         bad_mass = replace(quadratic_mass(), w_u=lambda u: 16.0 * u + 1.0)

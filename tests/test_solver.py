@@ -388,26 +388,22 @@ class TestHessian:
         assert solver._newton_direction(one_cell(), np.array([0.0, 1.0]), half_square(),
                                         np.zeros(0)) is None
 
-    @pytest.mark.parametrize("W, n", [
-        (replace(two_well_full(), w_UU=None), 32),
-        (replace(quadratic_mass(), w_uu=None), 32),
-        (half_square(), PRECONDITION_MAX_N + 1),
-    ], ids=["no-phi''", "no-psi''", "large-n"])
-    def test_no_newton_step_outside_its_range(self, W, n, monkeypatch):
+    def test_no_newton_step_above_the_size_cap(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("_hessian called")
 
         monkeypatch.setattr(solver, "_hessian", refuse)
+        n = PRECONDITION_MAX_N + 1
         grid = SimpleNamespace(n=n, h=1.0 / n)
-        assert solver._newton_direction(grid, np.zeros(n + 1), W, np.ones(n - 1)) is None
+        assert solver._newton_direction(grid, np.zeros(n + 1), half_square(),
+                                        np.ones(n - 1)) is None
 
-    def test_without_second_derivatives_the_solve_is_quasi_newton(self):
-        # the same iterations as the solver without Newton steps
+    def test_newton_steps_reach_the_quasi_newton_minimizer(self, monkeypatch):
         grid = Grid1D(64)
-        plain = replace(quadratic_mass(), w_UU=None, w_uu=None)
-        res = minimize(plain, grid, (0.0, 1.0), "linear", TIGHT)
-        assert res.converged and res.newton_steps == 0 and res.iters > 9
         polished = minimize(quadratic_mass(), grid, (0.0, 1.0), "linear", TIGHT)
+        monkeypatch.setattr(solver, "NEWTON_SWITCH", 0.0)
+        res = minimize(quadratic_mass(), grid, (0.0, 1.0), "linear", TIGHT)
+        assert res.converged and res.newton_steps == 0 and res.iters > 9
         assert polished.newton_steps >= 1 and polished.iters < res.iters
         assert np.max(np.abs(polished.u.values - res.u.values)) <= 1e-7
 
@@ -420,6 +416,26 @@ class TestHessian:
         # a density whose Hessian overflows
         steep = replace(power_p(3), w_UU=lambda U: np.full_like(U, np.inf))
         assert solver._newton_direction(grid, grid.nodes.copy(), steep, np.ones(15)) is None
+
+    @pytest.mark.parametrize("W", [two_well_bare(), two_well_full()], ids=lambda W: W.name)
+    def test_failed_attempt_ends_the_newton_steps(self, W, monkeypatch):
+        # the start sits below the switch next to the saddle u = 0, where H
+        # is indefinite; the quasi-Newton iterations then leave the saddle,
+        # and without the first failure each of them would assemble H again
+        calls = []
+
+        def recording(*args):
+            calls.append(args)
+            return assemble(*args)
+
+        assemble = solver._hessian
+        monkeypatch.setattr(solver, "_hessian", recording)
+        grid = Grid1D(32)
+        noise = 1e-5 * np.random.default_rng(0).uniform(-1.0, 1.0, 31)
+        start = NodalFunction(grid, np.concatenate([[0.0], noise, [0.0]]))
+        res = minimize(W, grid, (0.0, 0.0), start, TIGHT)
+        assert res.trace[0][1] < NEWTON_SWITCH and res.converged and res.iters > 50
+        assert len(calls) == 1 and res.newton_steps == 0
 
     def test_newton_steps_start_below_the_switch(self, monkeypatch):
         norms = []
