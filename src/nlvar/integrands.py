@@ -164,10 +164,8 @@ def check_derivatives(
 
     us = [float(p[1]) for p in probes]
     Us = [float(p[2]) for p in probes]
-    if not float(integrand.p).is_integer():
-        smooth_Us = [U for U in Us if abs(U) >= math.sqrt(step)]
-    else:
-        smooth_Us = Us
+    kink_at_0 = not float(integrand.p).is_integer()
+    smooth_Us = [U for U in Us if not kink_at_0 or abs(U) >= math.sqrt(step)]
     # name: (derivative, the function it differentiates, probe coordinates)
     checks = {"u": (integrand.w_u, integrand.mass, us), "U": (integrand.w_U, integrand.w, Us),
               "uu": (integrand.w_uu, integrand.w_u, us),

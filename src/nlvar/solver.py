@@ -13,9 +13,9 @@ on 2 <= n <= PRECONDITION_MAX_N cells takes Newton steps -H^-1 g from the
 exact Hessian of the quadrature (Nocedal & Wright, Numerical Optimization,
 section 3.3). Where H is not finite, not positive definite, or its
 direction does not descend, the iteration keeps the quasi-Newton
-direction, and the solve tries no further Newton step. Every step passes the same
-Armijo test. End values are held fixed bit-exactly throughout. For
-non-convex densities the result is a critical point, with no
+direction, and the solve tries no further Newton step. Every step passes
+the same Armijo test. End values are held fixed bit-exactly throughout.
+For non-convex densities the result is a critical point, with no
 global-optimality claim.
 """
 
