@@ -60,15 +60,47 @@ class Integrand:
         return self.w(np.asarray(U, float)) + self.mass(np.asarray(u, float))
 
 
+def _integer_exponent(p: float) -> bool:
+    """Whether |U|^p is a product of |U|s, and so smooth at U = 0."""
+    return float(p).is_integer()
+
+
+def _abs_power(U, k: int):
+    """|U|^k for an integer k >= 0 by repeated squaring, as a new array.
+    numpy's ** has a fast path for the exponent 2 only and otherwise calls
+    pow once per element, which costs about three products."""
+    power, result = np.abs(U), None
+    while k:
+        if k & 1:
+            if result is None:
+                result = power
+            else:
+                result *= power  # never power itself: power is rebound below first
+        k >>= 1
+        if k:
+            power = power * power
+    return np.ones_like(power) if result is None else result
+
+
 def power_p(p: float) -> Integrand:
-    """W = |U|^p (homogeneous problem with end conditions u(0)=0, u(1)=1)."""
+    """W = |U|^p (homogeneous problem with end conditions u(0)=0, u(1)=1).
+
+    For an integer p, phi, phi' = p U |U|^(p-2) and phi'' are products of
+    |U| (`_abs_power`); otherwise they are numpy powers of |U|.
+    """
     if not (np.isfinite(p) and p > 1):
         raise ValueError(f"growth exponent must be finite and exceed 1, got {p}")
-    return Integrand(
-        w=lambda U: np.abs(U) ** p, w_U=lambda U: p * np.sign(U) * np.abs(U) ** (p - 1),
-        mass=np.zeros_like, w_u=np.zeros_like, p=p, name=f"power:{p:g}", convex=True,
-        w_UU=lambda U: p * (p - 1) * np.abs(U) ** (p - 2), w_uu=np.zeros_like,
-    )
+    if _integer_exponent(p):
+        k = int(p)
+        w = lambda U: _abs_power(U, k)
+        w_U = lambda U: p * (U * _abs_power(U, k - 2))
+        w_UU = lambda U: p * (p - 1) * _abs_power(U, k - 2)
+    else:
+        w = lambda U: np.abs(U) ** p
+        w_U = lambda U: p * np.sign(U) * np.abs(U) ** (p - 1)
+        w_UU = lambda U: p * (p - 1) * np.abs(U) ** (p - 2)
+    return Integrand(w=w, w_U=w_U, w_UU=w_UU, mass=np.zeros_like, w_u=np.zeros_like,
+                     w_uu=np.zeros_like, p=p, name=f"power:{p:g}", convex=True)
 
 
 def half_square() -> Integrand:
@@ -164,7 +196,7 @@ def check_derivatives(
 
     us = [float(p[1]) for p in probes]
     Us = [float(p[2]) for p in probes]
-    kink_at_0 = not float(integrand.p).is_integer()
+    kink_at_0 = not _integer_exponent(integrand.p)
     smooth_Us = [U for U in Us if not kink_at_0 or abs(U) >= math.sqrt(step)]
     # name: (derivative, the function it differentiates, probe coordinates)
     checks = {"u": (integrand.w_u, integrand.mass, us), "U": (integrand.w_U, integrand.w, Us),

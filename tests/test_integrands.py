@@ -112,6 +112,61 @@ class TestDerivativeConsistency:
             check_derivatives(half_square(), [])
 
 
+def _pow_form(p):
+    """power_p's phi, phi' and phi'' as numpy powers of |U|, the form a
+    non-integer p keeps and every p had before the integer products."""
+    return (lambda U: np.abs(U) ** p, lambda U: p * np.sign(U) * np.abs(U) ** (p - 1),
+            lambda U: p * (p - 1) * np.abs(U) ** (p - 2))
+
+
+def _sample(seed):
+    """Slopes of both signs over 80 binades, with 0 and +-1."""
+    rng = np.random.default_rng(seed)
+    U = rng.uniform(-4.0, 4.0, 20000) * np.exp2(rng.integers(-40, 40, 20000))
+    return np.concatenate([U, [0.0, 1.0, -1.0]])
+
+
+def _ulps(got, want):
+    """Distance in units in the last place of two arrays of non-negative floats."""
+    return np.abs(got.view(np.int64) - want.view(np.int64))
+
+
+class TestProductForms:
+    @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
+    def test_phi_and_phi2_within_two_ulps(self, p):
+        W, (w, _, w_UU) = power_p(p), _pow_form(p)
+        U = _sample(int(p))
+        assert _ulps(W.w(U), w(U)).max() <= 2
+        assert _ulps(W.w_UU(U), w_UU(U)).max() <= 2
+
+    def test_cubic_phi1_is_bit_identical(self):
+        # 3 (U |U|) and (3 sign U) U^2 round the same product, so the power:3
+        # residuals, which read phi' only, keep their bits
+        U = _sample(3)
+        assert np.array_equal(power_p(3).w_U(U), _pow_form(3.0)[1](U))
+
+    @pytest.mark.parametrize("p, finite, overflows", [(40.0, 4.73e7, 4.73e8), (200.0, 30.0, 1e3)])
+    def test_large_exponents_overflow_and_underflow_where_pow_does(self, p, finite, overflows):
+        U = np.concatenate([_sample(int(p)), np.geomspace(1e-320, 1e308, 4000), [finite, overflows]])
+        U = np.concatenate([U, -U])
+        with np.errstate(over="ignore"):
+            for got, want in zip((f(U) for f in (power_p(p).w, power_p(p).w_U, power_p(p).w_UU)),
+                                 (f(U) for f in _pow_form(p))):
+                assert np.array_equal(np.isinf(got), np.isinf(want))
+                assert np.array_equal(got == 0.0, want == 0.0)
+                normal = np.isfinite(want) & (np.abs(want) >= np.finfo(float).tiny)
+                error = np.abs(got[normal] - want[normal]) / np.abs(want[normal])
+                assert error.max() <= 8 * p * np.finfo(float).eps
+            assert np.isfinite(power_p(p).w(finite)) and np.isinf(power_p(p).w(overflows))
+
+    @pytest.mark.parametrize("p", [1.5, 2.5])
+    def test_non_integer_exponent_is_unchanged(self, p):
+        U = _sample(7)
+        with np.errstate(divide="ignore"):  # phi'' of |U|^1.5 is infinite at 0
+            for got, want in zip((power_p(p).w, power_p(p).w_U, power_p(p).w_UU), _pow_form(p)):
+                assert np.array_equal(got(U), want(U))
+
+
 class TestStructuralProperties:
     @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
     def test_positive_homogeneity(self, p):

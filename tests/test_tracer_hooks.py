@@ -5,7 +5,9 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+import golden
 import nlvar
 import nlvar.cli  # noqa: F401  (the tracer patches the cli module too)
 
@@ -44,3 +46,18 @@ def test_patch_traces_residual_report_and_reference_profile():
     assert profile.params["nodal"][0] == 0.0
     assert {"optimality.residual_report", "integrands.w_U",
             "reference.ode_approx_profile"} <= set(tracer.names)
+
+
+@pytest.mark.parametrize("name", golden.DENSITIES)
+def test_traced_density_gives_the_same_bits(name):
+    # the tracer copies a density by dataclasses.replace on the field names
+    # w, w_u and w_U; a renamed field fails here, not in a traced benchmark run
+    tracer = _tracer()
+    W = nlvar.integrand_by_name(name)
+    grid = nlvar.Grid1D(65)
+    u = nlvar.NodalFunction(grid, grid.nodes + 0.2 * np.sin(7.0 * grid.nodes))
+    value, grad = nlvar.value_and_grad(u, W)
+    traced_value, traced_grad = nlvar.value_and_grad(u, tracer.integrand(W))
+    assert traced_value == value
+    assert np.array_equal(traced_grad, grad)
+    assert {"integrands.w", "integrands.w_u", "integrands.w_U"} <= set(tracer.names)
