@@ -75,7 +75,7 @@ def _abs_power(U, k: int):
             if result is None:
                 result = power
             else:
-                result *= power  # never power itself: power is rebound below first
+                result *= power  # power was rebound after result took it
         k >>= 1
         if k:
             power = power * power
