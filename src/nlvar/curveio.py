@@ -36,13 +36,18 @@ def read_curve(path) -> tuple[np.ndarray, np.ndarray]:
     text = Path(path).read_text().strip().splitlines()
     if not text or text[0].strip() != "x,u":
         raise CurveFormatError(f"{path}: expected header 'x,u'")
-    try:
-        data = np.array([[float(c) for c in line.split(",")] for line in text[1:]])
-    except ValueError as exc:
-        raise CurveFormatError(f"{path}: non-numeric row ({exc})") from None
-    if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 3:
+    rows = []
+    for number, line in enumerate(text[1:], start=2):
+        fields = line.split(",")
+        if len(fields) != 2:
+            raise CurveFormatError(f"{path}: line {number} needs 2 fields (x,u), has {len(fields)}")
+        try:
+            rows.append([float(c) for c in fields])
+        except ValueError as exc:
+            raise CurveFormatError(f"{path}: line {number}: non-numeric field ({exc})") from None
+    if len(rows) < 3:
         raise CurveFormatError(f"{path}: need at least 3 rows of x,u pairs")
-    x, u = data[:, 0], data[:, 1]
+    x, u = np.array(rows).T
     if x[0] != 0.0 or x[-1] != 1.0 or np.any(np.diff(x) <= 0):
         raise CurveFormatError(f"{path}: x must increase strictly from 0 to 1")
     return x, u

@@ -11,7 +11,9 @@ as D_ij = D_ji, the sum is
 
 which evaluates phi once per unordered pair and psi once per midpoint. The
 gradient with respect to interior nodal values is its exact derivative, and
-_hessian gives its exact second derivatives from phi'' and psi''.
+_hessian gives its exact second derivatives from phi'' and psi''. This
+module owns LAPACK's packed storage: _hessian, _half_square_hessian and
+_packed_inverse, the one factor path of the solver's second-order steps.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.linalg.lapack import dpptrf, dpptrs
 
 from .grid import Grid1D, NodalFunction
 from .integrands import Integrand
@@ -144,8 +147,7 @@ def _total(per_row: np.ndarray, integrand: Integrand, m: np.ndarray) -> float:
 
 def energy_value(u: NodalFunction, integrand: Integrand) -> float:
     """Quadrature of the double integral of W over (0,1)^2."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _quadrature(u.grid, u.values, integrand, with_grad=False)[0]
+    return _quadrature(u.grid, u.values, integrand, with_grad=False)[0]
 
 
 def value_and_grad(u: NodalFunction, integrand: Integrand) -> tuple[float, np.ndarray]:
@@ -158,15 +160,15 @@ def value_and_grad(u: NodalFunction, integrand: Integrand) -> tuple[float, np.nd
     values are fixed, so the gradient has length n - 1. A non-finite value
     or gradient raises NonFiniteEnergyError.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _quadrature(u.grid, u.values, integrand, with_grad=True)
+    return _quadrature(u.grid, u.values, integrand, with_grad=True)
 
 
+# every non-finite value raises NonFiniteEnergyError: numpy's warnings would
+# repeat the error
+@np.errstate(over="ignore", invalid="ignore")
 def _quadrature(grid: Grid1D, values: np.ndarray, integrand: Integrand, with_grad: bool):
     """(energy, gradient or None) of the n + 1 nodal values on grid, which
-    need not form a NodalFunction. Every non-finite value raises
-    NonFiniteEnergyError, so callers run it under np.errstate(over="ignore",
-    invalid="ignore"): numpy's warnings would repeat the error."""
+    need not form a NodalFunction."""
     h, n, m = grid.h, grid.n, grid.midpoints
     # NodalFunction.midpoint_values and .slopes, np.diff written out
     um = 0.5 * (values[:-1] + values[1:])
@@ -259,6 +261,47 @@ def _hessian(grid: Grid1D, values: np.ndarray, integrand: Integrand) -> np.ndarr
             ap[start:start + block.size] = block
             start += block.size
     return ap
+
+
+def _half_square_hessian(n: int) -> np.ndarray:
+    """Hessian of the half-square energy on n >= 2 cells in the n - 1
+    interior nodal values, in the packed storage of _hessian (which gives
+    the same matrix for half-square at any values).
+
+    The energy is (1/2) sum_i (v_i+1 - v_i)^2 plus (1/2) sum_{i != j}
+    (a_i - a_j)^2 / (i - j)^2 over the midpoint values a = A v (h cancels),
+    so the Hessian is tridiag(-1, 2, -1) + 2 A' (diag(r) - K) A, with the
+    Toeplitz K_ij = 1/(i - j)^2 off the diagonal, r its row sums and A the
+    node-to-midpoint average. Of this, -2 A'KA is Toeplitz and the rest is
+    tridiagonal; t_d = 1/d^2 gives both parts.
+    """
+    m = n - 1
+    t = np.zeros(n)
+    t[1:] = 1.0 / np.arange(1, n) ** 2
+    # -2 A'KA at lag d = 0..m-1 is -(2 K(d) + K(d - 1) + K(d + 1)) / 2,
+    # with K(0) = 0 and K(-1) = K(1)
+    c = -0.5 * (2.0 * t[:m] + t[np.abs(np.arange(-1, m - 1))] + t[1:])
+    ap = np.concatenate([c[:m - j] for j in range(m)])
+    # r_i = S(i) + S(n - 1 - i) with S(k) = sum_{d=1..k} 1/d^2
+    partial = np.cumsum(t)
+    r = partial + partial[::-1]
+    diag = np.arange(m) * m - np.arange(m) * (np.arange(m) - 1) // 2
+    ap[diag] += 2.0 + 0.5 * (r[:-1] + r[1:])
+    ap[diag[:-1] + 1] += 0.5 * r[1:-1] - 1.0
+    return ap
+
+
+def _packed_inverse(ap: np.ndarray, m: int) -> Optional[Callable[[np.ndarray], np.ndarray]]:
+    """q -> M^-1 q for the m x m matrix M in packed storage ap, which it
+    overwrites with the Cholesky factor; None where ap is not finite or M is
+    not positive definite. The packed factor (dpptrf) gives the same bits
+    for any BLAS thread count, where a full one (dpotrf) does not."""
+    if not np.isfinite(ap).all():
+        return None
+    factor, info = dpptrf(m, ap, lower=1, overwrite_ap=1)
+    if info != 0:
+        return None
+    return lambda q: dpptrs(m, factor, q, lower=1)[0]
 
 
 def energy_gradient(u: NodalFunction, integrand: Integrand) -> np.ndarray:

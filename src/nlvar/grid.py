@@ -115,7 +115,8 @@ class NodalFunction:
     def __call__(self, t):
         """Piecewise-linear evaluation; t may be a scalar or array in [0, 1]."""
         t_arr = np.asarray(t, dtype=float)
-        if np.any(t_arr < 0.0) or np.any(t_arr > 1.0):
+        # NaN fails both comparisons, so it is rejected too
+        if not np.all((t_arr >= 0.0) & (t_arr <= 1.0)):
             raise GridError("evaluation point outside [0, 1]")
         out = np.interp(t_arr, self.grid.nodes, self.values)
         return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out

@@ -9,7 +9,7 @@ half-square then converges in one Newton step, and the iteration counts of
 the other convex densities barely grow with n. Otherwise H0 = I.
 
 Near the minimizer, once the gradient norm is below NEWTON_SWITCH, a solve
-on 2 <= n <= PRECONDITION_MAX_N cells takes Newton steps -H^-1 g from the
+on at most PRECONDITION_MAX_N cells takes Newton steps -H^-1 g from the
 exact Hessian of the quadrature (Nocedal & Wright, Numerical Optimization,
 section 3.3). Where H is not finite, not positive definite, or its
 direction does not descend, the iteration keeps the quasi-Newton
@@ -27,11 +27,11 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
-from scipy.linalg.lapack import dpptrf, dpptrs
 
+from .energy import NonFiniteEnergyError, _half_square_hessian, _hessian, _packed_inverse
 # minimize evaluates every iterate through this one name, which a tracer
 # can wrap; it takes raw nodal values, not a NodalFunction
-from .energy import NonFiniteEnergyError, _hessian, _quadrature
+from .energy import _quadrature
 # the benchmark's tracer (perfbench/tracer.py) patches these two on this
 # module by name, so they stay importable from here
 from .energy import energy_gradient, energy_value  # noqa: F401
@@ -146,69 +146,6 @@ PRECONDITION_MAX_N = 2048
 NEWTON_SWITCH = 1e-3
 
 
-def _half_square_hessian(n: int) -> np.ndarray:
-    """Hessian of the half-square energy on n cells in the n - 1 interior
-    nodal values, in LAPACK's lower packed storage (column j holds rows
-    j..n-2 of column j, one column after the other).
-
-    The energy is (1/2) sum_i (v_i+1 - v_i)^2 plus (1/2) sum_{i != j}
-    (a_i - a_j)^2 / (i - j)^2 over the midpoint values a = A v (h cancels),
-    so the Hessian is tridiag(-1, 2, -1) + 2 A' (diag(r) - K) A, with the
-    Toeplitz K_ij = 1/(i - j)^2 off the diagonal, r its row sums and A the
-    node-to-midpoint average. Of this, -2 A'KA is Toeplitz and the rest is
-    tridiagonal; t_d = 1/d^2 gives both parts.
-    """
-    m = n - 1
-    if m < 1:
-        return np.zeros(0)
-    t = np.zeros(n)
-    t[1:] = 1.0 / np.arange(1, n) ** 2
-    # -2 A'KA at lag d = 0..m-1 is -(2 K(d) + K(d - 1) + K(d + 1)) / 2,
-    # with K(0) = 0 and K(-1) = K(1)
-    c = -0.5 * (2.0 * t[:m] + t[np.abs(np.arange(-1, m - 1))] + t[1:])
-    ap = np.concatenate([c[:m - j] for j in range(m)])
-    # r_i = S(i) + S(n - 1 - i) with S(k) = sum_{d=1..k} 1/d^2
-    partial = np.cumsum(t)
-    r = partial + partial[::-1]
-    diag = np.arange(m) * m - np.arange(m) * (np.arange(m) - 1) // 2
-    ap[diag] += 2.0 + 0.5 * (r[:-1] + r[1:])
-    ap[diag[:-1] + 1] += 0.5 * r[1:-1] - 1.0
-    return ap
-
-
-def _preconditioner(integrand: Integrand, n: int):
-    """P^-1 as a function of a vector for a convex density on
-    2 <= n <= PRECONDITION_MAX_N cells, else the identity. The packed
-    Cholesky factor (dpptrf) gives the same bits for any BLAS thread count."""
-    if not integrand.convex or not 2 <= n <= PRECONDITION_MAX_N:
-        return lambda q: q
-    factor, info = dpptrf(n - 1, _half_square_hessian(n), lower=1, overwrite_ap=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"half-square Hessian not positive definite (info {info})")
-
-    def solve(q: np.ndarray) -> np.ndarray:
-        return dpptrs(n - 1, factor, q, lower=1)[0]
-
-    return solve
-
-
-def _newton_direction(grid: Grid1D, values: np.ndarray, integrand: Integrand,
-                      grad: np.ndarray) -> Optional[np.ndarray]:
-    """-H^-1 grad for the exact Hessian H at the nodal values, from its
-    packed Cholesky factor; None outside 2 <= n <= PRECONDITION_MAX_N, or
-    where H is not finite or the factor does not exist."""
-    m = grid.n - 1
-    if not 1 <= m < PRECONDITION_MAX_N:
-        return None
-    ap = _hessian(grid, values, integrand)
-    if not np.isfinite(ap).all():
-        return None
-    factor, info = dpptrf(m, ap, lower=1, overwrite_ap=1)
-    if info != 0:
-        return None
-    return -dpptrs(m, factor, grad, lower=1)[0]
-
-
 class _Pair(NamedTuple):
     """A stored (s, y) pair with the scalars the recursion reads, computed
     once: rho = 1 / s'y and gamma = s'y / y'(solve y)."""
@@ -264,13 +201,18 @@ def minimize(
     # values, and so is the result; after each accepted step it holds z
     vals = u.values.copy()
     trial = vals[1:-1]
-    solve = _preconditioner(integrand, grid.n)
+    # one size rule for both packed factors, P's and the Hessian's
+    dense = grid.n <= PRECONDITION_MAX_N
+    solve = lambda q: q  # H0 = I
+    if integrand.convex and dense:
+        solve = _packed_inverse(_half_square_hessian(grid.n), grid.n - 1)
+        if solve is None:
+            raise np.linalg.LinAlgError("half-square Hessian not positive definite")
     newton_steps = 0
     # cleared by the first Newton attempt that fails or does not descend:
     # each attempt costs an assembly and a factor
-    try_newton = True
-    with np.errstate(over="ignore", invalid="ignore"):
-        f, g = _quadrature(grid, u.values, integrand, True)
+    try_newton = dense
+    f, g = _quadrature(grid, u.values, integrand, True)
     evaluations = 1
     # np.linalg.norm of a float vector, bit for bit
     gnorm = math.sqrt(g.dot(g))
@@ -282,8 +224,10 @@ def minimize(
     while gnorm > grad_tol and iters < cfg.max_iters:
         slope = 0.0
         if try_newton and gnorm < NEWTON_SWITCH:
-            d = _newton_direction(grid, vals, integrand, g)
-            slope = 0.0 if d is None else float(g.dot(d))
+            inverse = _packed_inverse(_hessian(grid, vals, integrand), grid.n - 1)
+            if inverse is not None:
+                d = -inverse(g)
+                slope = float(g.dot(d))
             try_newton = slope < 0.0
         if slope < 0.0:
             newton_steps += 1

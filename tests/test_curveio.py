@@ -47,6 +47,17 @@ class TestCurveRoundTrip:
         with pytest.raises(CurveFormatError):
             read_curve(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("x,u\n0,0,1\n0.5,1,2\n1,0,3\n", "line 2 needs 2 fields .* has 3$"),
+        ("x,u\n0,0\n0.5,1,2\n1,0\n", "line 3 needs 2 fields .* has 3$"),
+        ("x,u\n0,0\n0.5\n1,0\n", "line 3 needs 2 fields .* has 1$"),
+    ], ids=["three-columns", "ragged-row", "short-row"])
+    def test_field_count_named_by_line(self, text, message, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text(text)
+        with pytest.raises(CurveFormatError, match=message):
+            read_curve(path)
+
 
 class TestSvg:
     def test_emits_wellformed_polyline(self, tmp_path):

@@ -105,6 +105,12 @@ class TestNodalFunction:
         with pytest.raises(GridError):
             u(-0.1)
 
+    @pytest.mark.parametrize("t", [float("nan"), np.array([0.5, np.nan]), np.inf])
+    def test_non_finite_point_rejected(self, t):
+        # NaN compares False with both ends of [0, 1]
+        with pytest.raises(GridError):
+            NodalFunction.constant(Grid1D(4), 0.0)(t)
+
     def test_exact_at_nodes_and_linear_between(self):
         rng = np.random.default_rng(7)
         g = Grid1D(17)

@@ -10,8 +10,16 @@ import numpy as np
 import pytest
 
 import nlvar
-from nlvar import solver
-from nlvar.energy import NonFiniteEnergyError, _hessian, energy_value, value_and_grad
+from nlvar import energy, solver
+from nlvar.cli import EXIT_NUMERIC, main
+from nlvar.energy import (
+    NonFiniteEnergyError,
+    _half_square_hessian,
+    _hessian,
+    _packed_inverse,
+    energy_value,
+    value_and_grad,
+)
 from nlvar.grid import Grid1D, NodalFunction
 from nlvar.integrands import (
     half_square,
@@ -26,8 +34,6 @@ from nlvar.solver import (
     PRECONDITION_MAX_N,
     ContinuationResult,
     SolverConfig,
-    _half_square_hessian,
-    _preconditioner,
     continuation_refine,
     default_grad_tol,
     make_initial_guess,
@@ -218,8 +224,54 @@ class TestEvaluations:
         grid = Grid1D(8)
         values = np.zeros(9)
         values[4] = np.inf
-        with pytest.raises(NonFiniteEnergyError), np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteEnergyError):
             solver._quadrature(grid, values, two_well_full(), True)
+
+
+class TestLineSearchExits:
+    @pytest.fixture
+    def rejecting_kernel(self, monkeypatch):
+        """The kernel evaluates the start and rejects every trial after it;
+        the list records each call."""
+        calls = []
+
+        def kernel(grid, values, integrand, with_grad):
+            calls.append(values.copy())
+            if len(calls) > 1:
+                raise NonFiniteEnergyError("trial rejected")
+            return quadrature(grid, values, integrand, with_grad)
+
+        quadrature = solver._quadrature
+        monkeypatch.setattr(solver, "_quadrature", kernel)
+        return calls
+
+    def test_underflow_raises_with_the_trace(self, rejecting_kernel):
+        grid, W = Grid1D(16), power_p(3)
+        with pytest.raises(solver.LineSearchError, match="at iteration 0 ") as info:
+            minimize(W, grid, (0.0, 1.0), "hat")
+        f0, g0 = value_and_grad(make_initial_guess(grid, (0.0, 1.0), "hat"), W)
+        assert info.value.trace == [(f0, float(np.linalg.norm(g0)))]
+        # the start, then trials at t = 2^0 .. 2^-66; 2^-67 < 1e-20 ends it
+        assert len(rejecting_kernel) == 68
+
+    def test_underflow_is_a_numeric_error_of_the_cli(self, rejecting_kernel, capsys):
+        assert main(["minimize", "--problem", "problem1", "--n", "16"]) == EXIT_NUMERIC
+        assert "numeric error: line search underflow" in capsys.readouterr().err
+
+    def test_uphill_direction_falls_back_to_steepest_descent(self, monkeypatch):
+        # every two-loop direction is +g, so g'd > 0 and the step is along -g
+        calls = []
+
+        def uphill(grad, pairs, solve):
+            calls.append(grad)
+            return grad.copy()
+
+        monkeypatch.setattr(solver, "_two_loop", uphill)
+        res = minimize(half_square(), Grid1D(8), (0.0, 1.0), "random")
+        energies = [e for e, _ in res.trace]
+        assert all(b <= a for a, b in zip(energies, energies[1:]))
+        assert res.converged and res.iters == 12
+        assert len(calls) == res.iters - res.newton_steps == 11
 
 
 def textbook_two_loop(grad, s_list, y_list, solve):
@@ -291,25 +343,37 @@ class TestPreconditioner:
         P = unpack_lower(_half_square_hessian(n), n - 1)
         assert np.max(np.abs(P - hessian)) <= 1e-10 * np.max(np.abs(hessian))
 
-    def test_one_cell_has_no_interior_nodes(self):
-        assert _half_square_hessian(1).size == 0
-
     @pytest.mark.parametrize("W, n", [(two_well_bare(), 64), (two_well_full(), 64),
-                                      (half_square(), 1), (half_square(), PRECONDITION_MAX_N + 1)],
-                             ids=["two-well-bare", "two-well", "one-cell", "large-n"])
+                                      (half_square(), PRECONDITION_MAX_N + 1)],
+                             ids=["two-well-bare", "two-well", "large-n"])
     def test_factors_nothing_outside_its_range(self, W, n, monkeypatch):
+        # one iteration far above the Newton switch, where only P could be
+        # factored
         def refuse(*args, **kwargs):
             raise AssertionError("dpptrf called")
 
-        monkeypatch.setattr(solver, "dpptrf", refuse)
-        q = np.arange(3.0)
-        assert _preconditioner(W, n)(q) is q
+        monkeypatch.setattr(energy, "dpptrf", refuse)
+        res = minimize(W, Grid1D(n), (0.0, 1.0), "random", SolverConfig(max_iters=1))
+        assert res.iters == 1 and res.trace[0][1] > NEWTON_SWITCH
+
+    def test_factors_p_for_a_convex_density(self, monkeypatch):
+        # the same solve as above, on a density where P applies
+        calls = []
+
+        def recording(m, ap, **kwargs):
+            calls.append(m)
+            return factor(m, ap, **kwargs)
+
+        factor = energy.dpptrf
+        monkeypatch.setattr(energy, "dpptrf", recording)
+        res = minimize(power_p(3), Grid1D(64), (0.0, 1.0), "random", SolverConfig(max_iters=1))
+        assert res.iters == 1 and res.trace[0][1] > NEWTON_SWITCH and calls == [63]
 
     def test_solve_inverts_packed_matrix(self):
         n = 64
         P = unpack_lower(_half_square_hessian(n), n - 1)
         x = np.random.default_rng(3).standard_normal(n - 1)
-        solve = _preconditioner(power_p(3), n)
+        solve = _packed_inverse(_half_square_hessian(n), n - 1)
         assert np.max(np.abs(solve(P @ x) - x)) <= 1e-10 * np.max(np.abs(x))
 
     def test_outputs_do_not_depend_on_blas_threads(self):
@@ -379,24 +443,20 @@ class TestHessian:
         H = _hessian(Grid1D(n), smooth_profile(n), half_square())
         assert np.max(np.abs(H - P)) <= 1e-14 * np.max(np.abs(P))
 
-    def test_one_cell_has_no_interior_nodes(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("dpptrf called")
-
-        monkeypatch.setattr(solver, "dpptrf", refuse)
+    def test_one_cell_has_no_interior_nodes(self):
         assert _hessian(one_cell(), np.array([0.0, 1.0]), half_square()).size == 0
-        assert solver._newton_direction(one_cell(), np.array([0.0, 1.0]), half_square(),
-                                        np.zeros(0)) is None
 
     def test_no_newton_step_above_the_size_cap(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("_hessian called")
 
+        # the cap is read at each solve; at the cap itself Newton steps apply
+        monkeypatch.setattr(solver, "PRECONDITION_MAX_N", 31)
+        at_cap = minimize(quadratic_mass(), Grid1D(31), (0.0, 1.0), "linear", TIGHT)
         monkeypatch.setattr(solver, "_hessian", refuse)
-        n = PRECONDITION_MAX_N + 1
-        grid = SimpleNamespace(n=n, h=1.0 / n)
-        assert solver._newton_direction(grid, np.zeros(n + 1), half_square(),
-                                        np.ones(n - 1)) is None
+        res = minimize(quadratic_mass(), Grid1D(32), (0.0, 1.0), "linear", TIGHT)
+        assert at_cap.converged and at_cap.newton_steps >= 1
+        assert res.converged and res.newton_steps == 0
 
     def test_newton_steps_reach_the_quasi_newton_minimizer(self, monkeypatch):
         grid = Grid1D(64)
@@ -411,11 +471,10 @@ class TestHessian:
         # the zero function is a saddle of the bare two-well energy, where
         # phi''(0) = -1: the factor fails and no Newton step is taken
         grid = Grid1D(16)
-        values = np.zeros(17)
-        assert solver._newton_direction(grid, values, two_well_bare(), np.ones(15)) is None
+        assert _packed_inverse(_hessian(grid, np.zeros(17), two_well_bare()), 15) is None
         # a density whose Hessian overflows
         steep = replace(power_p(3), w_UU=lambda U: np.full_like(U, np.inf))
-        assert solver._newton_direction(grid, grid.nodes.copy(), steep, np.ones(15)) is None
+        assert _packed_inverse(_hessian(grid, grid.nodes.copy(), steep), 15) is None
 
     @pytest.mark.parametrize("W", [two_well_bare(), two_well_full()], ids=lambda W: W.name)
     def test_failed_attempt_ends_the_newton_steps(self, W, monkeypatch):
@@ -438,19 +497,21 @@ class TestHessian:
         assert len(calls) == 1 and res.newton_steps == 0
 
     def test_newton_steps_start_below_the_switch(self, monkeypatch):
-        norms = []
+        calls = []
 
-        def recording(grid, values, integrand, grad):
-            norms.append(float(np.linalg.norm(grad)))
-            return newton(grid, values, integrand, grad)
+        def recording(grid, values, integrand):
+            calls.append(values.copy())
+            return assemble(grid, values, integrand)
 
-        newton = solver._newton_direction
-        monkeypatch.setattr(solver, "_newton_direction", recording)
-        res = minimize(power_p(3), Grid1D(128), (0.0, 1.0), "linear", TIGHT)
+        assemble = solver._hessian
+        monkeypatch.setattr(solver, "_hessian", recording)
+        grid, W = Grid1D(128), power_p(3)
+        res = minimize(W, grid, (0.0, 1.0), "linear", TIGHT)
         assert res.converged and res.newton_steps >= 1
+        norms = [np.linalg.norm(value_and_grad(NodalFunction(grid, v), W)[1]) for v in calls]
         assert norms and max(norms) < NEWTON_SWITCH
         gnorms = [g for _, g in res.trace[:-1]]
-        assert len(norms) == sum(g < NEWTON_SWITCH for g in gnorms)
+        assert len(calls) == sum(g < NEWTON_SWITCH for g in gnorms)
 
 
 class TestRoundOffStall:
