@@ -405,12 +405,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return COMMANDS[args.command][0](build_spec(args))
+    # NonFiniteEnergyError too; first, as LinAlgError is also a ValueError
+    except (ArithmeticError, LineSearchError, np.linalg.LinAlgError) as exc:
+        print(f"numeric error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except (ValueError, OSError) as exc:  # SpecError, GridError, CurveFormatError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC
-    except (ArithmeticError, LineSearchError) as exc:  # NonFiniteEnergyError too
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

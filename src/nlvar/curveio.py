@@ -48,7 +48,8 @@ def read_curve(path) -> tuple[np.ndarray, np.ndarray]:
     if len(rows) < 3:
         raise CurveFormatError(f"{path}: need at least 3 rows of x,u pairs")
     x, u = np.array(rows).T
-    if x[0] != 0.0 or x[-1] != 1.0 or np.any(np.diff(x) <= 0):
+    # written so that a NaN abscissa fails the test, as it fails every comparison
+    if x[0] != 0.0 or x[-1] != 1.0 or not np.all(np.diff(x) > 0):
         raise CurveFormatError(f"{path}: x must increase strictly from 0 to 1")
     return x, u
 
@@ -58,7 +59,7 @@ def read_nodal_function(path) -> NodalFunction:
     x, u = read_curve(path)
     n = x.size - 1
     grid = Grid1D(n)
-    if np.max(np.abs(x - grid.nodes)) > 4 * np.finfo(float).eps:
+    if not np.all(np.abs(x - grid.nodes) <= 4 * np.finfo(float).eps):
         raise CurveFormatError(f"{path}: x column is not a uniform grid on [0, 1]")
     return NodalFunction(grid, u)
 

@@ -11,14 +11,18 @@ as D_ij = D_ji, the sum is
 
 which evaluates phi once per unordered pair and psi once per midpoint. The
 gradient with respect to interior nodal values is its exact derivative, and
-_hessian gives its exact second derivatives from phi'' and psi''. This
-module owns LAPACK's packed storage: _hessian, _half_square_hessian and
-_packed_inverse, the one factor path of the solver's second-order steps.
+_hessian gives its exact second derivatives from phi'' and psi''. Only this
+module knows the circulant layout of the pairs, from _circulant_blocks(um,
+x, ux, offset, step, rows), which the fold and _residuals (the kernel of
+optimality.py) read. It also owns LAPACK's packed storage: _hessian,
+_half_square_hessian and _packed_inverse, the one factor path of the
+solver's second-order steps.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import zip_longest
 from typing import Callable, Optional
 
 import numpy as np
@@ -65,39 +69,21 @@ def _midpoints_twice(n: int) -> np.ndarray:
     return m
 
 
-def _circulant_blocks(n: int, um: np.ndarray, x: np.ndarray, ux: np.ndarray, offset: int,
-                      step: int, rows: int, slopes: Optional[np.ndarray] = None):
+def _circulant_blocks(um: np.ndarray, x: np.ndarray, ux: np.ndarray, offset: int, step: int,
+                      rows: int):
     """Yield (r0, dX, D) for consecutive row blocks of a circulant layout of
-    the n cells, with midpoint values um, around the origins x, with values
-    ux: column c of row r holds cell j = (offset + c + step * r) mod n,
-    dX = m_j - x_c and D = (um_j - ux_c) / dX. With the cell slopes given,
-    x are the midpoints themselves and row 0, offset 0, is the diagonal: D
-    holds the slopes, and dX is infinite as they do not depend on um."""
-    shape, b = (rows, x.size), _block_rows(n)
+    the n = um.size cells, with midpoint values um, around the origins x,
+    with values ux: column c of row r holds cell j = (offset + c + step * r)
+    mod n, dX = m_j - x_c and D = (um_j - ux_c) / dX."""
+    shape, b = (rows, x.size), _block_rows(um.size)
     # row r of these views is m and um rotated left by offset + step * r
-    mm = _windows(_midpoints_twice(n), offset, step, shape)
+    mm = _windows(_midpoints_twice(um.size), offset, step, shape)
     uu = _windows(np.concatenate([um] * 2), offset, step, shape)
     for r0 in range(0, rows, b):
-        r1 = min(r0 + b, rows)
-        dX = mm[r0:r1] - x
-        diagonal = r0 == 0 and slopes is not None
-        if diagonal:
-            dX[0] = np.inf
-        D = np.subtract(uu[r0:r1], ux)
+        dX = mm[r0:r0 + b] - x
+        D = np.subtract(uu[r0:r0 + b], ux)
         D /= dX
-        if diagonal:
-            D[0] = slopes
         yield r0, dX, D
-
-
-def _fold_blocks(m: np.ndarray, um: np.ndarray, slopes: np.ndarray):
-    """Yield (d0, dm, D) for consecutive row blocks of the circulant fold of
-    the cells with midpoints m, midpoint values um and slopes: fold row d,
-    0 <= d <= n // 2, holds the pair (i, j = (i + d) mod n) in column i,
-    with dm = m_j - m_i and D its difference quotient, from the operands of
-    the full n x n matrices. Row 0 is the diagonal of cell slopes. For even
-    n, row n // 2 lists each of its pairs twice, as (i, j) and (j, i)."""
-    return _circulant_blocks(m.size, um, m, um, 0, 1, m.size // 2 + 1, slopes)
 
 
 def _pair_weights(P: np.ndarray, d0: int, n: int) -> np.ndarray:
@@ -181,7 +167,13 @@ def _quadrature(grid: Grid1D, values: np.ndarray, integrand: Integrand, with_gra
         col, skew = np.zeros(n), np.zeros(n)
         pair = np.empty((_block_rows(n), 2 * n))
         flat = pair.reshape(-1)
-    for d0, dm, D in _fold_blocks(m, um, slopes):
+    # the fold: row d, 0 <= d <= n // 2, holds the pair (i, j = (i + d) mod n)
+    # in column i, with dm = m_j - m_i. Row 0 is the diagonal of cell slopes,
+    # dm infinite as they do not depend on um; for even n, row n // 2 lists
+    # each of its pairs twice, as (i, j) and (j, i)
+    for d0, dm, D in _circulant_blocks(um, m, um, 0, 1, n // 2 + 1):
+        if d0 == 0:
+            dm[0], D[0] = np.inf, slopes
         P = _pair_weights(integrand.w(D), d0, n)
         half_rows += _column_sums(P, f"W({name})", d0, m)
         if not with_grad:
@@ -206,6 +198,36 @@ def _quadrature(grid: Grid1D, values: np.ndarray, integrand: Integrand, with_gra
     return value, _require_finite(grad, f"gradient of W({name})", grid.nodes[1:-1])
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _residuals(grid: Grid1D, values: np.ndarray, integrand: Integrand, lo: int, hi: int) -> np.ndarray:
+    """R(x_k) of optimality.py at the interior nodes lo <= k < hi, from the
+    circulant layout with the nodes as origins: row r holds the cell (k + r)
+    mod n in column k - lo, and its mirror row the cell (k - 1 - r) mod n.
+    The two are the cells at distance (r + 1/2) h either side of x_k wherever
+    both exist, so each row is added to its mirror row first; rows are then
+    accumulated one at a time, which makes a node's value independent of its
+    block. A non-finite residual raises NonFiniteEnergyError."""
+    n, x, ux = grid.n, grid.nodes[lo:hi], values[lo:hi]
+    um = 0.5 * (values[:-1] + values[1:])
+
+    def terms(offset: int, step: int, rows: int):
+        # phi'(D) / dX, where W_U(x_k, u_k, D) + W_U(m, u(m), D) = 2 phi'(D),
+        # written over D: the generator keeps its block alive until the next
+        for _, dX, D in _circulant_blocks(um, x, ux, offset, step, rows):
+            yield np.divide(integrand.w_U(D), dX, out=D)
+
+    total = np.zeros(hi - lo)
+    # for odd n the last right-hand row has no mirror
+    for P, mirror in zip_longest(terms(lo, 1, (n + 1) // 2), terms(lo + n - 1, -1, n // 2)):
+        if mirror is not None:
+            P[:mirror.shape[0]] += mirror
+        for row in P:
+            total += row
+    R = grid.h * (-2.0 * total) + integrand.w_u(ux)
+    return _require_finite(R, f"residual of {integrand.name}", x)
+
+
+@np.errstate(all="ignore")
 def _hessian(grid: Grid1D, values: np.ndarray, integrand: Integrand) -> np.ndarray:
     """Exact Hessian of the quadrature in the n - 1 interior nodal values,
     from integrand.w_UU and w_uu, in LAPACK's lower packed storage (column l
@@ -230,36 +252,35 @@ def _hessian(grid: Grid1D, values: np.ndarray, integrand: Integrand) -> np.ndarr
     # current block, accumulated from the earlier blocks' rows (Wh = Wh')
     left_sums = np.zeros(n)
     b = _block_rows(n)
-    with np.errstate(all="ignore"):
-        slope_w = integrand.w_UU((values[1:] - values[:-1]) / h)
-        psi_w = h * integrand.w_uu(um)
-        start = 0
-        for l0 in range(0, size, b):
-            l1 = min(l0 + b, size)
-            # midpoint rows j = l0..l1 and columns i >= l0 of Wh, then of
-            # the midpoint Hessian; row l1 is the next block's first
-            r = np.arange(l1 - l0 + 1)
-            diag = (r, r)
-            dm = m[l0:] - m[l0:l1 + 1, None]
-            dm[diag] = 1.0  # D_jj = 0 / 1, overwritten below
-            Hm = integrand.w_UU((um[l0:] - um[l0:l1 + 1, None]) / dm)
-            Hm /= dm * dm
-            Hm[diag] = 0.0
-            row_sums = left_sums[l0:l1 + 1] + Hm.sum(axis=1)
-            left_sums[l1:] += Hm[:-1, l1 - l0:].sum(axis=0)
-            Hm *= -2.0 * h * h
-            Hm[diag] = 2.0 * h * h * row_sums + psi_w[l0:l1 + 1]
-            # A' Hm A for nodal columns l0..l1-1, rows l0.., then the slopes
-            S = Hm[:-1] + Hm[1:]
-            T = S[:, :-1] + S[:, 1:]
-            T *= 0.25
-            c, cols = r[:-1], l0 + r[:-1]
-            T[c, c] += slope_w[cols] + slope_w[cols + 1]
-            below = cols + 1 < size
-            T[c[below], c[below] + 1] -= slope_w[cols[below] + 1]
-            block = T[np.arange(size - l0) >= c[:, None]]
-            ap[start:start + block.size] = block
-            start += block.size
+    slope_w = integrand.w_UU((values[1:] - values[:-1]) / h)
+    psi_w = h * integrand.w_uu(um)
+    start = 0
+    for l0 in range(0, size, b):
+        l1 = min(l0 + b, size)
+        # midpoint rows j = l0..l1 and columns i >= l0 of Wh, then of
+        # the midpoint Hessian; row l1 is the next block's first
+        r = np.arange(l1 - l0 + 1)
+        diag = (r, r)
+        dm = m[l0:] - m[l0:l1 + 1, None]
+        dm[diag] = 1.0  # D_jj = 0 / 1, overwritten below
+        Hm = integrand.w_UU((um[l0:] - um[l0:l1 + 1, None]) / dm)
+        Hm /= dm * dm
+        Hm[diag] = 0.0
+        row_sums = left_sums[l0:l1 + 1] + Hm.sum(axis=1)
+        left_sums[l1:] += Hm[:-1, l1 - l0:].sum(axis=0)
+        Hm *= -2.0 * h * h
+        Hm[diag] = 2.0 * h * h * row_sums + psi_w[l0:l1 + 1]
+        # A' Hm A for nodal columns l0..l1-1, rows l0.., then the slopes
+        S = Hm[:-1] + Hm[1:]
+        T = S[:, :-1] + S[:, 1:]
+        T *= 0.25
+        c, cols = r[:-1], l0 + r[:-1]
+        T[c, c] += slope_w[cols] + slope_w[cols + 1]
+        below = cols + 1 < size
+        T[c[below], c[below] + 1] -= slope_w[cols[below] + 1]
+        block = T[np.arange(size - l0) >= c[:, None]]
+        ap[start:start + block.size] = block
+        start += block.size
     return ap
 
 

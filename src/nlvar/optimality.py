@@ -20,54 +20,24 @@ separate entry point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import zip_longest
 
 import numpy as np
 
-from .energy import _circulant_blocks, _require_finite
+from .energy import _residuals
 from .grid import NodalFunction
 from .integrands import Integrand
 
 __all__ = ["ResidualReport", "residual", "residual_report"]
 
 
-def _residuals(u: NodalFunction, integrand: Integrand, lo: int, hi: int) -> np.ndarray:
-    """R(x_k) at the interior nodes lo <= k < hi, from the energy's circulant
-    layout with the nodes as origins: row r holds the cell (k + r) mod n in
-    column k - lo, and its mirror row the cell (k - 1 - r) mod n. The two
-    are the cells at distance (r + 1/2) h either side of x_k wherever both
-    exist, so each row is added to its mirror row first; rows are then
-    accumulated one at a time, which makes a node's value independent of its
-    block."""
-    n, x, ux = u.grid.n, u.grid.nodes[lo:hi], u.values[lo:hi]
-    um = u.midpoint_values
-
-    def terms(offset: int, step: int, rows: int):
-        # phi'(D) / dX, where W_U(x_k, u_k, D) + W_U(m, u(m), D) = 2 phi'(D),
-        # written over D: the generator keeps its block alive until the next
-        for _, dX, D in _circulant_blocks(n, um, x, ux, offset, step, rows):
-            yield np.divide(integrand.w_U(D), dX, out=D)
-
-    total = np.zeros(hi - lo)
-    # a non-finite term makes its residual non-finite, which raises below
-    with np.errstate(over="ignore", invalid="ignore"):
-        # for odd n the last right-hand row has no mirror
-        for P, mirror in zip_longest(terms(lo, 1, (n + 1) // 2), terms(lo + n - 1, -1, n // 2)):
-            if mirror is not None:
-                P[:mirror.shape[0]] += mirror
-            for row in P:
-                total += row
-        R = u.grid.h * (-2.0 * total) + integrand.w_u(ux)
-    return _require_finite(R, f"residual of {integrand.name}", x)
-
-
 def residual(u: NodalFunction, integrand: Integrand, x: float) -> float:
     """Optimality residual R(x) at an interior grid node x."""
     g = u.grid
-    k = int(round(x / g.h))
+    # k = 0 rejects an x outside [0, 1], infinite or NaN, before round can fail
+    k = int(round(x / g.h)) if 0.0 <= x <= 1.0 else 0
     if not 1 <= k <= g.n - 1 or abs(k * g.h - x) > 4 * np.finfo(float).eps:
         raise ValueError(f"x={x} is not an interior node of the n={g.n} grid")
-    return float(_residuals(u, integrand, k, k + 1)[0])
+    return float(_residuals(g, u.values, integrand, k, k + 1)[0])
 
 
 @dataclass(frozen=True)
@@ -94,7 +64,7 @@ def residual_report(u: NodalFunction, integrand: Integrand) -> ResidualReport:
     """Residual at every interior node plus l2 and sup norms."""
     g = u.grid
     n, h = g.n, g.h
-    residuals = _residuals(u, integrand, 1, n)
+    residuals = _residuals(g, u.values, integrand, 1, n)
     sup_set = residuals[1:-1] if residuals.size > 2 else residuals
     lo = max(n // 4, 1)
     return ResidualReport(

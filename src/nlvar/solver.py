@@ -118,11 +118,7 @@ def make_initial_guess(
     """
     left, right = bc
     if isinstance(init, NodalFunction):
-        if init.grid.n != grid.n:
-            raise ValueError("initial guess lives on a different grid")
-        if init.values[0] != left or init.values[-1] != right:
-            raise ValueError("initial guess violates the end conditions")
-        vals = init.values
+        vals = init.values  # NodalFunction below checks its grid and end values
     elif init in INITIAL_GUESSES:
         vals = left + (right - left) * grid.nodes
         if init == "zero":

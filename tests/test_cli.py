@@ -144,12 +144,16 @@ class TestBadInput:
          "seed is read only by the random start, not by 'hat'"),
         (["energy", "--integrand", "half-square", "--u", "linear", "--seed", "5"],
          "seed is read only by the random start, not by 'linear'"),
+        (["energy", "--u", "linear"], "energy needs an integrand name"),
+        (["energy", "--integrand", "half-square"],
+         "an input curve is required (u=linear|zero|hat|random|<file.csv>)"),
     ], ids=["power-1", "power-nan", "bad-exponent",
             "problem-with-unknown-integrand", "unknown-init", "zero-max-iters",
             "nan-grad-tol", "inf-grad-tol", "fig4-coarse-level-too-small",
             "one-end-condition", "non-numeric-end-conditions", "zero-cells",
             "fig1-solver-fields", "fig2-seed", "fig3-seed", "minimize-seed-linear-start",
-            "minimize-seed-hat-start", "energy-seed-linear-curve"])
+            "minimize-seed-hat-start", "energy-seed-linear-curve", "energy-no-integrand",
+            "energy-no-curve"])
     def test_spec_error_exits_2(self, argv, message, tmp_path, capsys):
         out = [] if argv[0] in ("energy", "residual") else ["--out", str(tmp_path)]
         assert main(argv + out) == EXIT_SPEC
@@ -187,6 +191,25 @@ class TestBadInput:
         curves = [(tmp_path / d / "bolza_n16.csv").read_bytes() for d in ("0", "5", "default")]
         assert curves[0] == curves[2] != curves[1]
 
+    @pytest.mark.parametrize("text, message", [
+        ("n 16\n", "{}:1: expected key=value, got 'n 16'"),
+        ("problem = nope\n",
+         "unknown problem 'nope'; choose from ['bolza', 'bolza-bare', 'problem1', 'quad-mass']"),
+    ], ids=["no-equals-sign", "unknown-problem"])
+    def test_config_spec_error_exits_2(self, text, message, tmp_path, capsys):
+        cfg = tmp_path / "e.cfg"
+        cfg.write_text(text)
+        assert main(["minimize", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_SPEC
+        assert capsys.readouterr().err == f"error: {message.format(cfg)}\n"
+
+    @pytest.mark.parametrize("command", ["energy", "residual"])
+    def test_nan_abscissa_exits_2(self, command, tmp_path, capsys):
+        curve = tmp_path / "c.csv"
+        curve.write_text("x,u\n0,0\nnan,0.5\n1,1\n")
+        assert main([command, "--integrand", "half-square", "--u", str(curve)]) == EXIT_SPEC
+        assert capsys.readouterr().err == (
+            f"error: {curve}: x must increase strictly from 0 to 1\n")
+
     def test_misspelt_config_bool_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "e.cfg"
         cfg.write_text(f"problem = problem1\nn = 8\nout = {tmp_path}\nsvg = ture\n")
@@ -216,6 +239,14 @@ class TestBadInput:
         captured = capsys.readouterr()
         assert captured.err == f"numeric error: {message}\n"
         assert "nan" not in captured.out
+
+    def test_failed_factor_of_p_exits_3(self, tmp_path, capsys, monkeypatch):
+        # LinAlgError is a ValueError, yet a failed factor is numeric, not a bad spec
+        monkeypatch.setattr(nlvar.energy, "dpptrf", lambda m, ap, **kw: (ap, 1))
+        argv = ["minimize", "--problem", "problem1", "--n", "16", "--out", str(tmp_path)]
+        assert main(argv) == EXIT_NUMERIC
+        assert capsys.readouterr().err == (
+            "numeric error: half-square Hessian not positive definite\n")
 
     def test_overflow_prints_one_line_and_no_numpy_warning(self):
         # numpy's RuntimeWarning reaches stderr only outside pytest's

@@ -58,6 +58,25 @@ class TestCurveRoundTrip:
         with pytest.raises(CurveFormatError, match=message):
             read_curve(path)
 
+    @pytest.mark.parametrize("read, text, message", [
+        (read_curve, "x,u\n0,0\n1,1\n", "need at least 3 rows"),
+        (read_curve, "x,u\n0,0\nnan,0.5\n1,1\n", "x must increase strictly from 0 to 1"),
+        (read_nodal_function, "x,u\n0,0\n0.4,1\n1,0\n", "x column is not a uniform grid"),
+    ], ids=["two-rows", "nan-abscissa", "non-uniform"])
+    def test_malformed_rejected(self, read, text, message, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text(text)
+        with pytest.raises(CurveFormatError, match=message):
+            read(path)
+
+    @pytest.mark.parametrize("x, u", [
+        (np.zeros(3), np.zeros(4)),
+        (np.zeros((2, 2)), np.zeros((2, 2))),
+    ], ids=["unequal-lengths", "two-dimensional"])
+    def test_write_needs_equal_1d_arrays(self, x, u, tmp_path):
+        with pytest.raises(ValueError, match="1-D arrays of equal length"):
+            write_curve(tmp_path / "c.csv", x, u)
+
 
 class TestSvg:
     def test_emits_wellformed_polyline(self, tmp_path):
@@ -67,6 +86,12 @@ class TestSvg:
         text = path.read_text()
         assert text.startswith("<svg")
         assert "<polyline" in text and text.rstrip().endswith("</svg>")
+
+    def test_single_abscissa(self, tmp_path):
+        # a zero-width x range is widened to 1, so no coordinate divides by 0
+        path = tmp_path / "p.svg"
+        write_svg(path, [("point", np.array([0.5]), np.array([2.0]))])
+        assert "nan" not in path.read_text() and 'points="50.00,' in path.read_text()
 
     def test_deterministic(self, tmp_path):
         x = np.linspace(0, 1, 33)

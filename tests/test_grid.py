@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from nlvar.energy import _fold_blocks
+from nlvar.energy import _circulant_blocks
 from nlvar.grid import Grid1D, GridError, NodalFunction
 
 EPS = np.finfo(float).eps
@@ -13,8 +13,10 @@ def quotients(u):
     read from its circulant fold: fold row d holds the pairs (i, (i + d) mod
     n), and (j, i) takes the entry of (i, j) where the fold lists only one of
     them. The cell slope sits on the diagonal."""
-    n = u.grid.n
-    fold = np.vstack([D for *_, D in _fold_blocks(u.grid.midpoints, u.midpoint_values, u.slopes)])
+    n, um = u.grid.n, u.midpoint_values
+    with np.errstate(invalid="ignore"):  # row 0 divides 0 by 0
+        fold = np.vstack([D for *_, D in _circulant_blocks(um, u.grid.midpoints, um, 0, 1, n // 2 + 1)])
+    fold[0] = u.slopes
     out = np.full((n, n), np.nan)
     i = np.arange(n)
     for d, row in enumerate(fold):
@@ -68,6 +70,15 @@ class TestNodalFunction:
         g = Grid1D(4)
         with pytest.raises(GridError):
             NodalFunction(g, np.zeros(5), left_bc=1.0)
+
+    @pytest.mark.parametrize("values, right_bc, message", [
+        ([0.0, np.nan, 1.0], None, "nodal values must be finite"),
+        ([0.0, 0.5, np.inf], None, "nodal values must be finite"),
+        ([0.0, 0.5, 1.0], 2.0, "violates right end condition 2.0"),
+    ], ids=["nan", "inf", "right-end"])
+    def test_values_rejected(self, values, right_bc, message):
+        with pytest.raises(GridError, match=message):
+            NodalFunction(Grid1D(2), np.array(values), right_bc=right_bc)
 
     def test_identity_eval(self):
         u = NodalFunction.linear(Grid1D(10), 0.0, 1.0)

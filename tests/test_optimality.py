@@ -107,10 +107,10 @@ class TestResidual:
         u = NodalFunction.linear(Grid1D(128), 0.0, 1.0)
         assert abs(residual(u, half_square(), 0.5)) <= 1e-10
 
-    @pytest.mark.parametrize("x", [0.0, 1.0, 0.255])
+    @pytest.mark.parametrize("x", [0.0, 1.0, 0.255, np.inf, np.nan])
     def test_non_node_rejected(self, x):
         u = NodalFunction.linear(Grid1D(100), 0.0, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="is not an interior node"):
             residual(u, half_square(), x)
 
 

@@ -86,6 +86,11 @@ class TestOdeApproxProfile:
         profile = ode_approx_profile(Grid1D(32), k=2.0)
         assert profile.u(1.0) == pytest.approx(2.0 / K_NORMALIZED, rel=1e-6)
 
+    @pytest.mark.parametrize("k", [0.0, -1.0])
+    def test_non_positive_scale_rejected(self, k):
+        with pytest.raises(ValueError, match="scale constant must be positive"):
+            ode_approx_profile(Grid1D(4), k=k)
+
     def test_nodal_values_are_read_only(self):
         profile = ode_approx_profile(Grid1D(4))
         with pytest.raises(ValueError):

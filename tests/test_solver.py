@@ -20,7 +20,7 @@ from nlvar.energy import (
     energy_value,
     value_and_grad,
 )
-from nlvar.grid import Grid1D, NodalFunction
+from nlvar.grid import Grid1D, GridError, NodalFunction
 from nlvar.integrands import (
     half_square,
     integrand_by_name,
@@ -99,6 +99,10 @@ class TestInitialGuess:
         bad = NodalFunction(g, np.ones(5))
         with pytest.raises(ValueError):
             make_initial_guess(g, (0.0, 1.0), bad)
+
+    def test_start_on_another_grid_rejected(self):
+        with pytest.raises(GridError):
+            make_initial_guess(Grid1D(4), (0.0, 1.0), NodalFunction.linear(Grid1D(8), 0.0, 1.0))
 
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
