@@ -75,9 +75,12 @@ def _parse_bc(text: str) -> tuple[float, float]:
     if len(parts) != 2:
         raise SpecError(f"end conditions must be 'a,b', got {text!r}")
     try:
-        return float(parts[0]), float(parts[1])
+        bc = float(parts[0]), float(parts[1])
     except ValueError:
         raise SpecError(f"non-numeric end conditions {text!r}") from None
+    if not np.all(np.isfinite(bc)):
+        raise SpecError(f"non-finite end conditions {text!r}")
+    return bc
 
 
 # the config keys are the ExperimentSpec fields; these parse their text,
@@ -188,11 +191,12 @@ def _solve(spec: ExperimentSpec, init: Optional[NodalFunction] = None):
     """(integrand, MinimizeResult) of spec's problem on _cells(spec) cells,
     from init if given, else from the problem's initial guess, which reads
     spec.seed if it is the random one."""
-    integrand, bc, default_init = _resolve_problem(spec)
-    seed = 0 if init is not None else _seed(spec, default_init)
-    cfg = SolverConfig(max_iters=spec.max_iters, grad_tol=spec.grad_tol, seed=seed)
-    init = default_init if init is None else init
-    return integrand, minimize(integrand, Grid1D(_cells(spec)), bc, init=init, cfg=cfg)
+    integrand, bc, start = _resolve_problem(spec)
+    seed = 0 if init is not None else _seed(spec, start)
+    cfg = SolverConfig(max_iters=spec.max_iters, grad_tol=spec.grad_tol)
+    grid = Grid1D(_cells(spec))
+    init = make_initial_guess(grid, bc, start, seed=seed) if init is None else init
+    return integrand, minimize(integrand, grid, bc, init=init, cfg=cfg)
 
 
 def _outdir(spec: ExperimentSpec) -> Path:
@@ -221,7 +225,7 @@ def sup_distance_between_levels(coarse: NodalFunction, fine: NodalFunction) -> f
     """Sup-norm distance from fine to the prolonged coarse solution or to its
     mirror image: the bare two-well energy is invariant under u -> -u, so
     the two levels may land on either of a pair of critical points."""
-    prolonged = np.interp(fine.grid.nodes, coarse.grid.nodes, coarse.values)
+    prolonged = coarse(fine.grid.nodes)
     return float(min(np.max(np.abs(fine.values - s * prolonged)) for s in (1.0, -1.0)))
 
 

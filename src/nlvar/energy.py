@@ -348,6 +348,6 @@ def refine_and_compare(
     energies = []
     for cells in (n, factor * n):
         grid = Grid1D(cells)
-        u = NodalFunction.from_callable(grid, u_profile, left_bc, right_bc)
+        u = NodalFunction(grid, u_profile(grid.nodes), left_bc, right_bc)
         energies.append(energy_value(u, integrand))
     return energies[0], energies[1], abs(energies[1] - energies[0])

@@ -9,7 +9,7 @@ for this representation and reduces to the cell slope on the diagonal X = x.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -90,25 +90,14 @@ class NodalFunction:
     @classmethod
     def linear(cls, grid: Grid1D, left: float, right: float) -> "NodalFunction":
         """Linear interpolant between the two end values, which it hits exactly."""
-        vals = left + (right - left) * grid.nodes
+        with np.errstate(over="ignore", invalid="ignore"):  # the constructor rejects inf, nan
+            vals = left + (right - left) * grid.nodes
         vals[-1] = right  # the product can miss right by an ulp
         return cls(grid, vals, left_bc=left, right_bc=right)
 
     @classmethod
     def constant(cls, grid: Grid1D, c: float) -> "NodalFunction":
         return cls(grid, np.full(grid.n + 1, float(c)))
-
-    @classmethod
-    def from_callable(
-        cls,
-        grid: Grid1D,
-        f: Callable[[np.ndarray], np.ndarray],
-        left_bc: Optional[float] = None,
-        right_bc: Optional[float] = None,
-    ) -> "NodalFunction":
-        """Sample f at the grid nodes."""
-        vals = np.asarray(f(grid.nodes), dtype=float)
-        return cls(grid, vals, left_bc=left_bc, right_bc=right_bc)
 
     # -- evaluation --------------------------------------------------------
 

@@ -71,8 +71,8 @@ def _cell_integrals(nodes: np.ndarray) -> np.ndarray:
 def ode_approx_derivative(x, k: float):
     """Approximate optimal derivative k x^{2x} (1-x)^{2(1-x)}, extended
     continuously by the value k at the end points."""
-    if k <= 0:
-        raise ValueError(f"scale constant must be positive, got {k}")
+    if not 0 < k < np.inf:  # NaN fails too
+        raise ValueError(f"scale constant must be positive and finite, got {k}")
     x = np.asarray(x, dtype=float)
     out = k * _shape(np.atleast_1d(x))
     return float(out[0]) if x.ndim == 0 else out
@@ -92,8 +92,8 @@ def ode_approx_profile(grid: Grid1D, k: Optional[float] = None) -> ReferenceProf
     """
     if k is None:
         k = normalize_k()
-    elif k <= 0:
-        raise ValueError(f"scale constant must be positive, got {k}")
+    elif not 0 < k < np.inf:
+        raise ValueError(f"scale constant must be positive and finite, got {k}")
     nodal = np.concatenate([[0.0], np.cumsum(k * _cell_integrals(grid.nodes))])
     nodal.setflags(write=False)  # u_of reads it, so params["nodal"] must not change
 
@@ -113,6 +113,6 @@ def ode_approx_profile(grid: Grid1D, k: Optional[float] = None) -> ReferenceProf
 def holder_exponent(p: float) -> float:
     """Continuity exponent (p - 2)/p of finite-energy functions; defined only
     for p > 2, where end-point conditions are meaningful."""
-    if p <= 2:
-        raise ValueError(f"Hoelder exponent requires p > 2, got {p}")
+    if not 2 < p < np.inf:  # NaN fails too
+        raise ValueError(f"Hoelder exponent requires finite p > 2, got {p}")
     return (p - 2.0) / p

@@ -68,16 +68,15 @@ STEP0, SHRINK, ARMIJO, MEMORY = 1.0, 0.5, 1e-4, 10
 @dataclass(frozen=True)
 class SolverConfig:
     """max_iters caps the iterations; the solve stops once the gradient norm
-    is at most grad_tol, default_grad_tol(n) when None; seed seeds the
-    'random' initial guess."""
+    is at most grad_tol, default_grad_tol(n) when None. make_initial_guess
+    alone draws a 'random' start."""
 
     max_iters: int = 5000
     grad_tol: Optional[float] = None
-    seed: int = 0
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        if not (isinstance(self.max_iters, (int, np.integer)) and self.max_iters >= 1):
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if self.grad_tol is not None and not 0.0 < self.grad_tol < np.inf:
             raise ValueError(f"grad_tol must be finite and positive, got {self.grad_tol}")
 
@@ -120,7 +119,8 @@ def make_initial_guess(
     if isinstance(init, NodalFunction):
         vals = init.values  # NodalFunction below checks its grid and end values
     elif init in INITIAL_GUESSES:
-        vals = left + (right - left) * grid.nodes
+        with np.errstate(over="ignore", invalid="ignore"):  # NodalFunction rejects inf, nan
+            vals = left + (right - left) * grid.nodes
         if init == "zero":
             vals[1:-1] = 0.0
         elif init == "hat":
@@ -191,7 +191,7 @@ def minimize(
     cfg = cfg or SolverConfig()
     grad_tol = default_grad_tol(grid.n) if cfg.grad_tol is None else cfg.grad_tol
 
-    u = make_initial_guess(grid, bc, init, seed=cfg.seed)
+    u = make_initial_guess(grid, bc, init)
     z = u.values[1:-1].copy()
     # every trial is written into the interior of this one vector of nodal
     # values, and so is the result; after each accepted step it holds z
@@ -313,9 +313,8 @@ def continuation_refine(
     res = minimize(integrand, grid, bc, init=init, cfg=cfg)
     for n in levels[1:]:
         fine = Grid1D(n)
-        prolonged_vals = np.interp(fine.nodes, res.u.grid.nodes, res.u.values)
-        prolonged = NodalFunction(fine, prolonged_vals, bc[0], bc[1])
+        prolonged = NodalFunction(fine, res.u(fine.nodes), *bc)
         res = minimize(integrand, fine, bc, init=prolonged, cfg=cfg)
-        deltas.append(float(np.max(np.abs(res.u.values - prolonged_vals))))
+        deltas.append(float(np.max(np.abs(res.u.values - prolonged.values))))
     return ContinuationResult(result=res, levels=levels, deltas=deltas)
 

@@ -121,7 +121,8 @@ class TestBadInput:
          "unknown integrand 'bogus'"),
         (["minimize", "--problem", "problem1", "--init", "bogus"],
          "unknown initial-guess policy 'bogus'"),
-        (["minimize", "--problem", "problem1", "--max-iters", "0"], "max_iters must be >= 1"),
+        (["minimize", "--problem", "problem1", "--max-iters", "0"],
+         "max_iters must be an integer >= 1, got 0"),
         (["minimize", "--problem", "problem1", "--n", "16", "--grad-tol", "nan"],
          "grad_tol must be finite and positive, got nan"),
         (["minimize", "--problem", "quad-mass", "--grad-tol", "inf"],
@@ -132,6 +133,12 @@ class TestBadInput:
          "end conditions must be 'a,b', got '1'"),
         (["minimize", "--integrand", "half-square", "--bc", "a,b"],
          "non-numeric end conditions 'a,b'"),
+        (["energy", "--integrand", "half-square", "--u", "linear", "--n", "8", "--bc", "0,inf"],
+         "non-finite end conditions '0,inf'"),
+        (["energy", "--integrand", "half-square", "--u", "linear", "--n", "8", "--bc", "nan,1"],
+         "non-finite end conditions 'nan,1'"),
+        (["energy", "--integrand", "half-square", "--u", "linear", "--n", "8",
+          "--bc", "1e308,-1e308"], "nodal values must be finite"),
         (["energy", "--integrand", "half-square", "--u", "linear", "--n", "0"],
          "cell count must be an integer >= 2, got 0"),
         (["reproduce", "fig1-ode-approx", "--n", "3", "--max-iters", "0", "--grad-tol", "-1"],
@@ -150,7 +157,8 @@ class TestBadInput:
     ], ids=["power-1", "power-nan", "bad-exponent",
             "problem-with-unknown-integrand", "unknown-init", "zero-max-iters",
             "nan-grad-tol", "inf-grad-tol", "fig4-coarse-level-too-small",
-            "one-end-condition", "non-numeric-end-conditions", "zero-cells",
+            "one-end-condition", "non-numeric-end-conditions", "infinite-end-condition",
+            "nan-end-condition", "overflowing-end-conditions", "zero-cells",
             "fig1-solver-fields", "fig2-seed", "fig3-seed", "minimize-seed-linear-start",
             "minimize-seed-hat-start", "energy-seed-linear-curve", "energy-no-integrand",
             "energy-no-curve"])

@@ -11,7 +11,7 @@ from nlvar.energy import (
     refine_and_compare,
     value_and_grad,
 )
-from nlvar.grid import Grid1D, NodalFunction
+from nlvar.grid import Grid1D, GridError, NodalFunction
 from nlvar.integrands import (
     Integrand,
     half_square,
@@ -292,3 +292,12 @@ class TestRefineAndCompare:
     def test_bad_factor(self):
         with pytest.raises(ValueError):
             refine_and_compare(lambda x: x, half_square(), 8, factor=1)
+
+    def test_end_values_that_hold(self):
+        free = refine_and_compare(lambda x: x, half_square(), 8)
+        pinned = refine_and_compare(lambda x: x, half_square(), 8, left_bc=0.0, right_bc=1.0)
+        assert pinned == free
+
+    def test_end_values_that_do_not_hold(self):
+        with pytest.raises(GridError, match="violates right end condition 2.0"):
+            refine_and_compare(lambda x: x, half_square(), 8, left_bc=0.0, right_bc=2.0)

@@ -90,6 +90,11 @@ class TestNodalFunction:
         u = NodalFunction.linear(Grid1D(8), left, right)
         assert u.values[0] == left and u.values[-1] == right
 
+    def test_linear_that_overflows_rejected(self):
+        # right - left overflows to -inf; the constructor rejects the result
+        with pytest.raises(GridError, match="nodal values must be finite"):
+            NodalFunction.linear(Grid1D(4), 1e308, -1e308)
+
     def test_constant_eval(self):
         u = NodalFunction.constant(Grid1D(5), 2.5)
         for t in (0.0, 0.37, 1.0):

@@ -58,8 +58,9 @@ class TestOdeApproxDerivative:
         assert np.allclose(vals, vals[::-1], rtol=0, atol=1e-15)
 
     def test_bad_scale(self):
-        with pytest.raises(ValueError):
-            ode_approx_derivative(0.5, 0.0)
+        for k in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="scale constant must be positive"):
+                ode_approx_derivative(0.5, k)
 
 
 class TestNormalizeK:
@@ -86,7 +87,7 @@ class TestOdeApproxProfile:
         profile = ode_approx_profile(Grid1D(32), k=2.0)
         assert profile.u(1.0) == pytest.approx(2.0 / K_NORMALIZED, rel=1e-6)
 
-    @pytest.mark.parametrize("k", [0.0, -1.0])
+    @pytest.mark.parametrize("k", [0.0, -1.0, float("nan"), float("inf")])
     def test_non_positive_scale_rejected(self, k):
         with pytest.raises(ValueError, match="scale constant must be positive"):
             ode_approx_profile(Grid1D(4), k=k)
@@ -141,7 +142,7 @@ class TestHolderExponent:
     def test_approaches_zero(self):
         assert holder_exponent(2.0001) < 1e-4
 
-    @pytest.mark.parametrize("p", [2.0, 1.5, -1.0])
+    @pytest.mark.parametrize("p", [2.0, 1.5, -1.0, float("nan"), float("inf")])
     def test_rejects_p_at_most_two(self, p):
         with pytest.raises(ValueError):
             holder_exponent(p)

@@ -48,6 +48,8 @@ class TestConfigValidation:
         "kwargs",
         [
             {"max_iters": 0},
+            {"max_iters": float("nan")},
+            {"max_iters": 1.5},
             {"grad_tol": 0.0},
             {"grad_tol": float("nan")},
             {"grad_tol": float("inf")},
@@ -121,6 +123,14 @@ class TestMinimize:
         res = minimize(half_square(), Grid1D(64), (0.0, 1.0), "linear", TIGHT)
         assert res.converged
         assert res.energy < 0.5 - 1e-3
+
+    def test_named_random_start_is_make_initial_guess_seed_0(self):
+        grid = Grid1D(32)
+        named = minimize(two_well_bare(), grid, (0.0, 0.0), "random")
+        start = make_initial_guess(grid, (0.0, 0.0), "random")
+        built = minimize(two_well_bare(), grid, (0.0, 0.0), start)
+        assert named.u.values.tobytes() == built.u.values.tobytes()
+        assert named.trace == built.trace
 
     def test_quadratic_mass_unique_minimizer(self):
         g = Grid1D(64)
