@@ -304,7 +304,7 @@ def fig2_problem1(spec: ExperimentSpec, out: Path) -> int:
     _write(spec, out, "fig2.svg", "homogeneous quadratic case",
            [(f"fig2_minimizer_n{grid.n}.csv", "minimizer", grid.nodes, result.u.values),
             (f"fig2_derivative_n{grid.n}.csv", "derivative",
-             grid.midpoints, np.diff(result.u.values) / grid.h)])
+             grid.midpoints, result.u.slopes)])
     print(f"energy: {result.energy:.17g}")
     return EXIT_OK if result.converged else EXIT_NOCONV
 

@@ -92,7 +92,7 @@ class NodalFunction:
         """Linear interpolant between the two end values, which it hits exactly."""
         with np.errstate(over="ignore", invalid="ignore"):  # the constructor rejects inf, nan
             vals = left + (right - left) * grid.nodes
-        vals[-1] = right  # the product can miss right by an ulp
+        vals[0], vals[-1] = left, right  # right can be an ulp off, and -0.0 + 0.0 is +0.0
         return cls(grid, vals, left_bc=left, right_bc=right)
 
     @classmethod

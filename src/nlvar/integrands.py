@@ -99,8 +99,9 @@ def power_p(p: float) -> Integrand:
         w = lambda U: np.abs(U) ** p
         w_U = lambda U: p * np.sign(U) * np.abs(U) ** (p - 1)
         w_UU = lambda U: p * (p - 1) * np.abs(U) ** (p - 2)
+    short = f"{p:g}" if float(f"{p:g}") == p else repr(float(p))  # a name that reads back as p
     return Integrand(w=w, w_U=w_U, w_UU=w_UU, mass=np.zeros_like, w_u=np.zeros_like,
-                     w_uu=np.zeros_like, p=p, name=f"power:{p:g}", convex=True)
+                     w_uu=np.zeros_like, p=p, name=f"power:{short}", convex=True)
 
 
 def half_square() -> Integrand:

@@ -47,7 +47,8 @@ class ResidualReport:
     The raw vector and norm_l2 = sqrt(h * sum R^2) cover every interior
     node. norm_sup drops the two boundary-adjacent nodes (x_1 and
     x_{n-1}), whose degenerate pairing window carries an O(1) one-sided
-    quadrature bias. norm_l2_central covers the central band of nodes whose
+    quadrature bias; with at most two interior nodes (n <= 3) it covers
+    them all. norm_l2_central covers the central band of nodes whose
     symmetric window spans at least half the domain (min(k, n-k) >= n/4); it
     is the norm in which discrete stationarity is actually visible for
     minimizers with end-point layers.
@@ -71,6 +72,6 @@ def residual_report(u: NodalFunction, integrand: Integrand) -> ResidualReport:
         x_points=g.nodes[1:-1],
         residuals=residuals,
         norm_l2=float(np.sqrt(h * np.sum(residuals**2))),
-        norm_sup=float(np.max(np.abs(sup_set))) if sup_set.size else 0.0,
+        norm_sup=float(np.max(np.abs(sup_set))),
         norm_l2_central=float(np.sqrt(h * np.sum(residuals[lo - 1:n - lo] ** 2))),
     )

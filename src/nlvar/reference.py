@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import Grid1D
+from .grid import Grid1D, NodalFunction
 
 __all__ = [
     "ReferenceProfile",
@@ -28,7 +28,7 @@ __all__ = [
 @dataclass(frozen=True)
 class ReferenceProfile:
     name: str
-    u: Callable[[np.ndarray], np.ndarray]
+    u: NodalFunction
     u_prime: Optional[Callable[[np.ndarray], np.ndarray]] = None
     params: dict = field(default_factory=dict)
 
@@ -88,25 +88,19 @@ def ode_approx_profile(grid: Grid1D, k: Optional[float] = None) -> ReferenceProf
     """Antiderivative of the approximate optimal derivative on the grid nodes.
 
     With the normalized k the profile runs from u(0)=0 to u(1)=1 (up to
-    rounding) and respects the reflection identity u(x) + u(1-x) = 1.
+    rounding) and respects the reflection identity u(x) + u(1-x) = 1. The
+    profile's u is the NodalFunction of those values, defined on [0, 1] only.
     """
     if k is None:
         k = normalize_k()
     elif not 0 < k < np.inf:
         raise ValueError(f"scale constant must be positive and finite, got {k}")
-    nodal = np.concatenate([[0.0], np.cumsum(k * _cell_integrals(grid.nodes))])
-    nodal.setflags(write=False)  # u_of reads it, so params["nodal"] must not change
-
-    def u_of(x):
-        x = np.asarray(x, dtype=float)
-        out = np.interp(x, grid.nodes, nodal)
-        return float(out) if out.ndim == 0 else out
-
+    u = NodalFunction(grid, np.concatenate([[0.0], np.cumsum(k * _cell_integrals(grid.nodes))]))
     return ReferenceProfile(
         name="ode-approx",
-        u=u_of,
+        u=u,
         u_prime=lambda x: ode_approx_derivative(x, k),
-        params={"k": k, "nodal": nodal},
+        params={"k": k, "nodal": u.values},
     )
 
 

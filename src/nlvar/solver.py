@@ -119,15 +119,13 @@ def make_initial_guess(
     if isinstance(init, NodalFunction):
         vals = init.values  # NodalFunction below checks its grid and end values
     elif init in INITIAL_GUESSES:
-        with np.errstate(over="ignore", invalid="ignore"):  # NodalFunction rejects inf, nan
-            vals = left + (right - left) * grid.nodes
+        vals = NodalFunction.linear(grid, left, right).values.copy()
         if init == "zero":
             vals[1:-1] = 0.0
         elif init == "hat":
             vals[1:-1] += 0.5 * (1.0 - np.abs(2.0 * grid.nodes[1:-1] - 1.0))
         elif init == "random":
             vals[1:-1] += noise * np.random.default_rng(seed).uniform(-1.0, 1.0, grid.n - 1)
-        vals[0], vals[-1] = left, right
     else:
         raise ValueError(f"unknown initial-guess policy {init!r}")
     return NodalFunction(grid, vals, left_bc=left, right_bc=right)

@@ -344,6 +344,17 @@ class TestMinimizeCommand:
                      "--out", str(tmp_path)])
         assert code == EXIT_NOCONV
 
+    def test_power_names_keep_every_digit(self, tmp_path, capsys):
+        # power:2.0000001 must not print or write as power:2
+        for name, stem in (("power:2", "power2_n16"), ("power:2.0000001", "power2.0000001_n16")):
+            assert main(["minimize", "--integrand", name, "--n", "16",
+                         "--out", str(tmp_path)]) == EXIT_OK
+            out = capsys.readouterr().out
+            assert f"integrand: {name}\n" in out
+            assert f"curve: {tmp_path / stem}.csv\n" in out
+        assert sorted(p.name for p in tmp_path.glob("*.csv")) == [
+            "power2.0000001_n16.csv", "power2_n16.csv"]
+
     def test_svg_emitted(self, tmp_path):
         assert main(["minimize", "--problem", "problem1", "--n", "16",
                      "--out", str(tmp_path), "--svg"]) == EXIT_OK

@@ -84,11 +84,14 @@ class TestNodalFunction:
         u = NodalFunction.linear(Grid1D(10), 0.0, 1.0)
         assert u(0.3) == pytest.approx(0.3, abs=4 * EPS)
 
-    @pytest.mark.parametrize("left, right", [(7.264, 0.829), (2.308, -2.326), (0.1, 0.7)])
+    @pytest.mark.parametrize("left, right",
+                             [(7.264, 0.829), (2.308, -2.326), (0.1, 0.7), (-0.0, 1.0)])
     def test_linear_hits_end_values(self, left, right):
-        # left + (right - left) * 1.0 misses right by an ulp for these pairs
+        # left + (right - left) * 1.0 misses right by an ulp for the first
+        # three pairs; -0.0 + 0.0 is +0.0, so the last compares bytes
         u = NodalFunction.linear(Grid1D(8), left, right)
         assert u.values[0] == left and u.values[-1] == right
+        assert u.values[[0, -1]].tobytes() == np.array([left, right]).tobytes()
 
     def test_linear_that_overflows_rejected(self):
         # right - left overflows to -inf; the constructor rejects the result

@@ -206,6 +206,9 @@ class TestNameResolution:
             ("two-well-bare", "two-well-bare"),
             ("power:4", "power:4"),
             ("power:2.5", "power:2.5"),
+            # {p:g} would name these power:2 and power:1.23457e+08
+            ("power:2.0000001", "power:2.0000001"),
+            ("power:123456789", "power:123456789.0"),
         ],
     )
     def test_known_names(self, name, expected):

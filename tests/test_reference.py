@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 import nlvar
-from nlvar.grid import Grid1D
+from nlvar.grid import Grid1D, GridError, NodalFunction
 from nlvar.reference import (
     holder_exponent,
     local_exp_solution,
@@ -97,6 +97,17 @@ class TestOdeApproxProfile:
         with pytest.raises(ValueError):
             profile.params["nodal"][2] = 9.0
         assert profile.u(0.5) == pytest.approx(0.5, abs=1e-12)
+
+    def test_profile_is_a_nodal_function(self):
+        g = Grid1D(16)
+        profile = ode_approx_profile(g)
+        assert isinstance(profile.u, NodalFunction) and profile.u.grid == g
+        assert profile.params["nodal"] is profile.u.values
+
+    @pytest.mark.parametrize("x", [1.5, -0.25, float("nan")])
+    def test_evaluation_outside_unit_interval_rejected(self, x):
+        with pytest.raises(GridError, match="outside"):
+            ode_approx_profile(Grid1D(16)).u(x)
 
     def test_derivative_attached(self):
         profile = ode_approx_profile(Grid1D(32))

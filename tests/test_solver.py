@@ -90,11 +90,12 @@ class TestInitialGuess:
         assert np.array_equal(u1.values, u2.values)
         assert not np.array_equal(u1.values, u3.values)
 
-    @pytest.mark.parametrize("bc", [(7.264, 0.829), (2.308, -2.326), (0.1, 0.7)])
+    @pytest.mark.parametrize("bc", [(7.264, 0.829), (2.308, -2.326), (0.1, 0.7), (-0.0, 1.0)])
     @pytest.mark.parametrize("init", solver.INITIAL_GUESSES)
     def test_named_starts_keep_ends_exactly(self, init, bc):
         u = make_initial_guess(Grid1D(8), bc, init, seed=1)
         assert (u.values[0], u.values[-1]) == bc
+        assert u.values[[0, -1]].tobytes() == np.array(bc).tobytes()  # -0.0 keeps its sign
 
     def test_infeasible_nodal_init_rejected(self):
         g = Grid1D(4)
