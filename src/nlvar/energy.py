@@ -26,7 +26,6 @@ from itertools import zip_longest
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dpptrf, dpptrs
 
 from .grid import Grid1D, NodalFunction
 from .integrands import Integrand
@@ -317,6 +316,7 @@ def _packed_inverse(ap: np.ndarray, m: int) -> Optional[Callable[[np.ndarray], n
     overwrites with the Cholesky factor; None where ap is not finite or M is
     not positive definite. The packed factor (dpptrf) gives the same bits
     for any BLAS thread count, where a full one (dpotrf) does not."""
+    from scipy.linalg.lapack import dpptrf, dpptrs  # here, so `import nlvar` loads no scipy
     if not np.isfinite(ap).all():
         return None
     factor, info = dpptrf(m, ap, lower=1, overwrite_ap=1)
@@ -335,18 +335,15 @@ def refine_and_compare(
     u_profile: Callable[[np.ndarray], np.ndarray],
     integrand: Integrand,
     n: int,
-    factor: int = 2,
     left_bc: Optional[float] = None,
     right_bc: Optional[float] = None,
 ) -> tuple[float, float, float]:
-    """Energy of the same continuum profile sampled at n and factor*n cells.
+    """Energy of the same continuum profile sampled at n and 2n cells.
 
     Returns (E_coarse, E_fine, |E_fine - E_coarse|).
     """
-    if not isinstance(factor, (int, np.integer)) or factor < 2:
-        raise ValueError(f"refinement factor must be an integer >= 2, got {factor}")
     energies = []
-    for cells in (n, factor * n):
+    for cells in (n, 2 * n):
         grid = Grid1D(cells)
         u = NodalFunction(grid, u_profile(grid.nodes), left_bc, right_bc)
         energies.append(energy_value(u, integrand))

@@ -37,9 +37,9 @@ class Grid1D:
     """
 
     n: int
-    h: float = field(init=False)
-    nodes: np.ndarray = field(init=False, repr=False)
-    midpoints: np.ndarray = field(init=False, repr=False)
+    h: float = field(init=False, compare=False)
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    midpoints: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)) or self.n < 2:
@@ -55,7 +55,7 @@ class Grid1D:
         object.__setattr__(self, "midpoints", midpoints)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NodalFunction:
     """Piecewise-linear function given by values at the nodes of a Grid1D.
 

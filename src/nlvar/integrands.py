@@ -173,10 +173,7 @@ class DerivativeCheckReport:
 
 
 def check_derivatives(
-    integrand: Integrand,
-    probes: Sequence[tuple[float, float, float]],
-    step: float = 1e-6,
-    tol: float = 1e-5,
+    integrand: Integrand, probes: Sequence[tuple[float, float, float]]
 ) -> DerivativeCheckReport:
     """Compare w_U against central finite differences of w at the probes' U,
     and w_u against those of mass at their u (x is not read); likewise w_UU
@@ -188,6 +185,7 @@ def check_derivatives(
     phi' at 0 is p step^(p-2), not 0. So w_UU is compared only at probes
     with |U| >= sqrt(step), where the difference's error is O(step).
     """
+    step, tol = 1e-6, 1e-5  # difference step; largest mismatch that passes
     probes = list(probes)
     if not probes:
         raise ValueError("probe list must be nonempty")

@@ -48,10 +48,10 @@ class ResidualReport:
     node. norm_sup drops the two boundary-adjacent nodes (x_1 and
     x_{n-1}), whose degenerate pairing window carries an O(1) one-sided
     quadrature bias; with at most two interior nodes (n <= 3) it covers
-    them all. norm_l2_central covers the central band of nodes whose
-    symmetric window spans at least half the domain (min(k, n-k) >= n/4); it
-    is the norm in which discrete stationarity is actually visible for
-    minimizers with end-point layers.
+    them all. norm_l2_central covers the central band of nodes k with
+    min(k, n-k) >= max(floor(n/4), 1), whose symmetric window spans about
+    half the domain or more; it is the norm in which discrete stationarity
+    is actually visible for minimizers with end-point layers.
     """
 
     x_points: np.ndarray

@@ -8,8 +8,7 @@ the Hoelder exponent guaranteeing end-point conditions for p > 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,10 +26,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ReferenceProfile:
-    name: str
     u: NodalFunction
-    u_prime: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    params: dict = field(default_factory=dict)
+    params: dict
 
 
 def local_exp_solution(x):
@@ -84,24 +81,18 @@ def normalize_k() -> float:
     return 1.0 / float(_cell_integrals(np.array([0.0, 1.0]))[0])
 
 
-def ode_approx_profile(grid: Grid1D, k: Optional[float] = None) -> ReferenceProfile:
-    """Antiderivative of the approximate optimal derivative on the grid nodes.
+def ode_approx_profile(grid: Grid1D) -> ReferenceProfile:
+    """Antiderivative of the approximate optimal derivative with the
+    normalized k on the grid nodes.
 
-    With the normalized k the profile runs from u(0)=0 to u(1)=1 (up to
-    rounding) and respects the reflection identity u(x) + u(1-x) = 1. The
-    profile's u is the NodalFunction of those values, defined on [0, 1] only.
+    The profile runs from u(0)=0 to u(1)=1 (up to rounding) and respects the
+    reflection identity u(x) + u(1-x) = 1. The profile's u is the
+    NodalFunction of those values, defined on [0, 1] only; its derivative is
+    ode_approx_derivative(x, params["k"]).
     """
-    if k is None:
-        k = normalize_k()
-    elif not 0 < k < np.inf:
-        raise ValueError(f"scale constant must be positive and finite, got {k}")
+    k = normalize_k()
     u = NodalFunction(grid, np.concatenate([[0.0], np.cumsum(k * _cell_integrals(grid.nodes))]))
-    return ReferenceProfile(
-        name="ode-approx",
-        u=u,
-        u_prime=lambda x: ode_approx_derivative(x, k),
-        params={"k": k, "nodal": u.values},
-    )
+    return ReferenceProfile(u=u, params={"k": k, "nodal": u.values})
 
 
 def holder_exponent(p: float) -> float:

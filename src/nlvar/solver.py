@@ -46,6 +46,7 @@ __all__ = [
     "PRECONDITION_MAX_N",
     "NEWTON_SWITCH",
     "INITIAL_GUESSES",
+    "default_grad_tol",
     "make_initial_guess",
     "minimize",
     "continuation_refine",

@@ -289,10 +289,6 @@ class TestRefineAndCompare:
         e1, e2, gap = refine_and_compare(hat, two_well_bare(), 32)
         assert np.isfinite(gap) and gap > 0.0
 
-    def test_bad_factor(self):
-        with pytest.raises(ValueError):
-            refine_and_compare(lambda x: x, half_square(), 8, factor=1)
-
     def test_end_values_that_hold(self):
         free = refine_and_compare(lambda x: x, half_square(), 8)
         pinned = refine_and_compare(lambda x: x, half_square(), 8, left_bc=0.0, right_bc=1.0)

@@ -59,6 +59,11 @@ class TestGridConstruction:
         with pytest.raises(ValueError):
             g.nodes[0] = 0.5
 
+    def test_grids_compare_and_hash_by_cell_count(self):
+        assert Grid1D(64) == Grid1D(64) and hash(Grid1D(64)) == hash(Grid1D(64))
+        assert Grid1D(64) != Grid1D(65)
+        assert {Grid1D(64), Grid1D(32), Grid1D(64)} == {Grid1D(32), Grid1D(64)}
+
 
 class TestNodalFunction:
     def test_length_mismatch(self):
@@ -116,6 +121,11 @@ class TestNodalFunction:
         v[2] = 9.0
         assert u.values.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
         assert not u.values.flags.writeable
+
+    def test_equal_only_to_itself(self):
+        u = NodalFunction.linear(Grid1D(4), 0.0, 1.0)
+        assert u == u and u != NodalFunction(u.grid, u.values)
+        assert {u, u} == {u}
 
     def test_out_of_domain(self):
         u = NodalFunction.constant(Grid1D(4), 0.0)

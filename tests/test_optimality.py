@@ -135,6 +135,15 @@ class TestResidualReport:
         )
         assert report.norm_sup == np.max(np.abs(report.residuals[1:-1]))
 
+    @pytest.mark.parametrize("n", [5, 7, 128, 129])
+    def test_central_band_is_quarter_floor(self, n):
+        # the band is min(k, n - k) >= max(n // 4, 1): at n = 129 it takes
+        # nodes 32 and 97, and for n <= 7 every interior node
+        report = residual_report(seeded_curve(n), half_square())
+        k = np.arange(1, n)
+        band = report.residuals[np.minimum(k, n - k) >= max(n // 4, 1)]
+        assert report.norm_l2_central == np.sqrt(1.0 / n * np.sum(band**2))
+
     def test_converged_minimizer_central_band_small(self):
         # discrete stationarity shows up in the central band; the end-point
         # layers of the p=2 minimizer dominate the all-node l2 norm

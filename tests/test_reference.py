@@ -83,15 +83,6 @@ class TestOdeApproxProfile:
         xs = np.linspace(0.0, 1.0, 101)
         assert np.max(np.abs(profile.u(xs) + profile.u(1.0 - xs) - 1.0)) <= 1e-6
 
-    def test_explicit_scale_changes_range(self):
-        profile = ode_approx_profile(Grid1D(32), k=2.0)
-        assert profile.u(1.0) == pytest.approx(2.0 / K_NORMALIZED, rel=1e-6)
-
-    @pytest.mark.parametrize("k", [0.0, -1.0, float("nan"), float("inf")])
-    def test_non_positive_scale_rejected(self, k):
-        with pytest.raises(ValueError, match="scale constant must be positive"):
-            ode_approx_profile(Grid1D(4), k=k)
-
     def test_nodal_values_are_read_only(self):
         profile = ode_approx_profile(Grid1D(4))
         with pytest.raises(ValueError):
@@ -111,7 +102,8 @@ class TestOdeApproxProfile:
 
     def test_derivative_attached(self):
         profile = ode_approx_profile(Grid1D(32))
-        assert profile.u_prime(0.5) == pytest.approx(profile.params["k"] / 4.0, rel=1e-12)
+        assert ode_approx_derivative(0.5, profile.params["k"]) == pytest.approx(
+            profile.params["k"] / 4.0, rel=1e-12)
 
 
 class TestAgainstTightQuad:
@@ -131,16 +123,17 @@ class TestAgainstTightQuad:
 
 
 def test_import_leaves_out_scipy_integrate():
-    # scipy.integrate is a test-side reference only: importing it costs about
-    # half a second of start-up
+    # scipy.integrate is a test-side reference only, and scipy.linalg loads
+    # when a solve first factors: importing either costs start-up time
     src = str(Path(nlvar.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import nlvar, nlvar.cli, sys; print('scipy.integrate' in sys.modules)"],
+         "import nlvar, nlvar.cli, sys; "
+         "print('scipy.integrate' in sys.modules, 'scipy.linalg' in sys.modules)"],
         capture_output=True, text=True, env=env, timeout=60, check=True)
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "False False\n"
 
 
 class TestHolderExponent:

@@ -8,9 +8,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 import nlvar
-from nlvar import energy, solver
+from nlvar import solver
 from nlvar.cli import EXIT_NUMERIC, main
 from nlvar.energy import (
     NonFiniteEnergyError,
@@ -367,7 +368,7 @@ class TestPreconditioner:
         def refuse(*args, **kwargs):
             raise AssertionError("dpptrf called")
 
-        monkeypatch.setattr(energy, "dpptrf", refuse)
+        monkeypatch.setattr(lapack, "dpptrf", refuse)
         res = minimize(W, Grid1D(n), (0.0, 1.0), "random", SolverConfig(max_iters=1))
         assert res.iters == 1 and res.trace[0][1] > NEWTON_SWITCH
 
@@ -379,8 +380,8 @@ class TestPreconditioner:
             calls.append(m)
             return factor(m, ap, **kwargs)
 
-        factor = energy.dpptrf
-        monkeypatch.setattr(energy, "dpptrf", recording)
+        factor = lapack.dpptrf
+        monkeypatch.setattr(lapack, "dpptrf", recording)
         res = minimize(power_p(3), Grid1D(64), (0.0, 1.0), "random", SolverConfig(max_iters=1))
         assert res.iters == 1 and res.trace[0][1] > NEWTON_SWITCH and calls == [63]
 
