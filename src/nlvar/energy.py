@@ -17,12 +17,21 @@ x, ux, offset, step, rows), which the fold and _residuals (the kernel of
 optimality.py) read. It also owns LAPACK's packed storage: _hessian,
 _half_square_hessian and _packed_inverse, the one factor path of the
 solver's second-order steps.
+
+The fold sums n^2 / 2 pairs per call. Above NEAR_FAR_ABOVE_N cells, a
+density that carries phi's coefficients (a polynomial phi) sums only the
+fold's first b = n // NEAR_BAND_DIVISOR rows, the n b pairs at index
+distance d <= b or d >= n - b, and the pairs in between by Toeplitz
+products from FFTs of length 2n, in O(n log n) (_far_pairs). The two paths
+agree to rounding; the dense fold reruns wherever the near/far path meets
+a non-finite value.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import zip_longest
+from math import comb
 from typing import Callable, Optional
 
 import numpy as np
@@ -46,6 +55,13 @@ class NonFiniteEnergyError(ArithmeticError):
 # elements per row block: 128 KiB per temporary, small enough to stay in
 # cache, large enough to amortize the per-block overhead
 BLOCK_ELEMS = 1 << 14
+
+
+# above this many cells, a density with phi coefficients sums the pairs at
+# index distance d <= n // NEAR_BAND_DIVISOR (or d >= n - that) by the fold
+# and the rest by Toeplitz products (_far_pairs)
+NEAR_FAR_ABOVE_N = 2048
+NEAR_BAND_DIVISOR = 16
 
 
 def _block_rows(n: int) -> int:
@@ -148,18 +164,44 @@ def value_and_grad(u: NodalFunction, integrand: Integrand) -> tuple[float, np.nd
     return _quadrature(u.grid, u.values, integrand, with_grad=True)
 
 
+def _quadrature(grid: Grid1D, values: np.ndarray, integrand: Integrand, with_grad: bool):
+    """(energy, gradient or None) of the n + 1 nodal values on grid, which
+    need not form a NodalFunction. Above NEAR_FAR_ABOVE_N cells a density
+    with phi coefficients takes the near/far path; where that path meets a
+    non-finite value, the dense fold reruns and raises what it always has."""
+    n = grid.n
+    if integrand.phi_coefficients is not None and n > NEAR_FAR_ABOVE_N:
+        try:
+            return _fold(grid, values, integrand, with_grad, n // NEAR_BAND_DIVISOR)
+        except NonFiniteEnergyError:
+            pass
+    return _fold(grid, values, integrand, with_grad)
+
+
 # every non-finite value raises NonFiniteEnergyError: numpy's warnings would
 # repeat the error
 @np.errstate(over="ignore", invalid="ignore")
-def _quadrature(grid: Grid1D, values: np.ndarray, integrand: Integrand, with_grad: bool):
-    """(energy, gradient or None) of the n + 1 nodal values on grid, which
-    need not form a NodalFunction."""
+def _fold(grid: Grid1D, values: np.ndarray, integrand: Integrand, with_grad: bool,
+          band: Optional[int] = None):
+    """(energy, gradient or None) from the dense fold, or, given a band
+    0 <= b < n // 2, from the fold's rows 0..b, which hold the pairs at index
+    distance d <= b and d >= n - b, and _far_pairs for those in between."""
     h, n, m = grid.h, grid.n, grid.midpoints
     # NodalFunction.midpoint_values and .slopes, np.diff written out
     um = 0.5 * (values[:-1] + values[1:])
     slopes = (values[1:] - values[:-1]) / h
     name = integrand.name
     half_rows = np.zeros(n)  # per midpoint i: half the weighted phi of column i
+    if band is not None:
+        # before the fold, whose blocks can then reuse the heap the FFT's
+        # temporaries held. r is um less a line of slope beta, the end
+        # values', centred on its midrange: the smaller max |r|, the less
+        # the powers of r cancel
+        beta = values[-1] - values[0]
+        r = um - (values[0] + beta * m)
+        r -= 0.5 * (r.max() + r.min())
+        far, far_grad = _far_pairs(r, beta, integrand, band, with_grad)
+        half_rows += far
     if with_grad:
         # per midpoint: sums of C = phi'(D) / dm over the pairs it comes
         # first in (col) and second in (skew, from a strided view of [C C])
@@ -170,7 +212,8 @@ def _quadrature(grid: Grid1D, values: np.ndarray, integrand: Integrand, with_gra
     # in column i, with dm = m_j - m_i. Row 0 is the diagonal of cell slopes,
     # dm infinite as they do not depend on um; for even n, row n // 2 lists
     # each of its pairs twice, as (i, j) and (j, i)
-    for d0, dm, D in _circulant_blocks(um, m, um, 0, 1, n // 2 + 1):
+    rows = n // 2 + 1 if band is None else band + 1
+    for d0, dm, D in _circulant_blocks(um, m, um, 0, 1, rows):
         if d0 == 0:
             dm[0], D[0] = np.inf, slopes
         P = _pair_weights(integrand.w(D), d0, n)
@@ -193,8 +236,74 @@ def _quadrature(grid: Grid1D, values: np.ndarray, integrand: Integrand, with_gra
     dpsi = _require_finite(integrand.w_u(um), f"dW/du({name})", m)
     # d(2 phi(D_ij)) / d u(m_j) = 2 C_ij = -d(2 phi(D_ij)) / d u(m_i)
     g_um = 2.0 * (skew - col) + n * dpsi
+    if band is not None:
+        g_um += 2.0 * far_grad
     grad = h * h * (0.5 * (g_um[:-1] + g_um[1:]) + (slope_B[:-1] - slope_B[1:]) / h)
     return value, _require_finite(grad, f"gradient of W({name})", grid.nodes[1:-1])
+
+
+@lru_cache(maxsize=8)
+def _far_kernels(n: int, band: int, degree: int) -> np.ndarray:
+    """Spectra, read-only, of the length-2n circulant embeddings of U_k for
+    k = 0..degree: the n x n upper triangular Toeplitz matrix with (U_k)_ij
+    = ((j - i) h)^-k where band < j - i < n - band, zero elsewhere. The
+    embedding of U_k' has the conjugate spectrum."""
+    from numpy.fft import rfft  # here, so `import nlvar` loads no numpy.fft
+    d = np.arange(band + 1, n - band)
+    column = np.zeros((degree + 1, 2 * n))
+    column[:, 2 * n - d] = (n / d) ** np.arange(degree + 1)[:, None]
+    spectra = rfft(column)
+    spectra.setflags(write=False)
+    return spectra
+
+
+def _far_pairs(r: np.ndarray, beta: float, integrand: Integrand, band: int, with_grad: bool):
+    """(f, gradient of sum(f) in r, or None): sum(f) is the sum of phi(D_ij)
+    over the far pairs i < j, band < j - i < n - band, for phi(D) = sum_k
+    c_k D^k and the midpoint values a = line + r, where line has slope beta.
+
+    There D_ij = beta + (r_j - r_i) / ((j - i) h), and phi(beta + R) =
+    sum_k c'_k R^k with c' the Taylor shift of c to beta; an affine u has r
+    = 0 up to rounding. By the binomial expansion of (r_j - r_i)^k, with
+    w_pq = c'_(p+q) C(p+q, q),
+
+        f = sum_p (-r)^p V_p,   V_p = sum_q w_pq U_(p+q) r^q,
+
+    and the gradient is sum_p p r^(p-1) (T_p + (-1)^p V_p), with T_p =
+    sum_q (-1)^q w_pq U_(p+q)' r^q. The products come from one batched rfft
+    of the powers of r and one batched irfft of length 2n for the V_p, which
+    value and gradient share bit for bit, and one more for the T_p."""
+    from numpy.fft import irfft, rfft  # here, so `import nlvar` loads no numpy.fft
+    n, c = r.size, integrand.phi_coefficients
+    degree = len(c) - 1
+    # c'_k = phi^(k)(beta) / k!, from the closed forms for k <= 2: near a
+    # root of phi the monomial sums cancel, and phi(beta) weighs every pair
+    at = np.array([beta])
+    shifted = ([integrand.w(at)[0], integrand.w_U(at)[0], 0.5 * integrand.w_UU(at)[0]]
+               + [sum(comb(j, k) * c[j] * beta ** (j - k) for j in range(k, degree + 1))
+                  for k in range(3, degree + 1)])[:degree + 1]
+    K = _far_kernels(n, band, degree)
+    R = rfft(r ** np.arange(degree + 1)[:, None], 2 * n)
+
+    def products(ps, transposed: bool) -> np.ndarray:
+        spectra = np.zeros((len(ps), n + 1), complex)
+        for S, p in zip(spectra, ps):
+            for q in range(degree + 1 - p):
+                w = shifted[p + q] * comb(p + q, q)
+                S += (-1) ** q * w * K[p + q].conj() * R[q] if transposed else w * K[p + q] * R[q]
+        return irfft(spectra, 2 * n)[:, :n]
+
+    V = products(range(degree + 1), False)
+    f = V[degree]
+    for p in range(degree - 1, -1, -1):
+        f = f * -r + V[p]
+    if not with_grad:
+        return f, None
+    T = products(range(1, degree + 1), True)
+    grad = np.zeros(n)
+    for p in range(degree, 0, -1):
+        grad = grad * r + p * (T[p - 1] + (-1) ** p * V[p])
+    return f, grad
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -43,6 +43,11 @@ class Integrand:
     states that W is convex in (u, U); the solver preconditions only such
     densities, so a density that does not state it keeps the unpreconditioned
     solver. The solver's Newton steps read w_UU and w_uu.
+
+    phi_coefficients, where set, are phi's coefficients in ascending order:
+    phi(U) = sum_k c_k U^k, which w evaluates in its own closed form. Above
+    a crossover size the energy kernel sums the distant pairs of such a
+    density by Toeplitz products instead of evaluating w on each of them.
     """
 
     w: ArrayFn
@@ -54,6 +59,7 @@ class Integrand:
     p: float
     name: str
     convex: bool = False
+    phi_coefficients: Optional[tuple[float, ...]] = None
 
     def evaluate(self, x, u, U):
         """W(x, u, U); no built-in density depends on x."""
@@ -86,7 +92,9 @@ def power_p(p: float) -> Integrand:
     """W = |U|^p (homogeneous problem with end conditions u(0)=0, u(1)=1).
 
     For an integer p, phi, phi' = p U |U|^(p-2) and phi'' are products of
-    |U| (`_abs_power`); otherwise they are numpy powers of |U|.
+    |U| (`_abs_power`); otherwise they are numpy powers of |U|. p = 2 and 4
+    carry phi's coefficients: odd p is not a polynomial, and the Toeplitz
+    sums of a higher degree lose more to cancellation.
     """
     if not (np.isfinite(p) and p > 1):
         raise ValueError(f"growth exponent must be finite and exceed 1, got {p}")
@@ -100,8 +108,10 @@ def power_p(p: float) -> Integrand:
         w_U = lambda U: p * np.sign(U) * np.abs(U) ** (p - 1)
         w_UU = lambda U: p * (p - 1) * np.abs(U) ** (p - 2)
     short = f"{p:g}" if float(f"{p:g}") == p else repr(float(p))  # a name that reads back as p
+    coefficients = (0.0,) * int(p) + (1.0,) if p in (2, 4) else None
     return Integrand(w=w, w_U=w_U, w_UU=w_UU, mass=np.zeros_like, w_u=np.zeros_like,
-                     w_uu=np.zeros_like, p=p, name=f"power:{short}", convex=True)
+                     w_uu=np.zeros_like, p=p, name=f"power:{short}", convex=True,
+                     phi_coefficients=coefficients)
 
 
 def half_square() -> Integrand:
@@ -109,6 +119,7 @@ def half_square() -> Integrand:
     return Integrand(
         w=lambda U: 0.5 * U**2, w_U=lambda U: U, mass=np.zeros_like, w_u=np.zeros_like,
         p=2.0, name="half-square", convex=True, w_UU=np.ones_like, w_uu=np.zeros_like,
+        phi_coefficients=(0.0, 0.0, 0.5),
     )
 
 
@@ -130,6 +141,7 @@ def two_well_bare() -> Integrand:
         w=lambda U: 0.25 * (U**2 - 1.0) ** 2, w_U=lambda U: U * (U**2 - 1.0),
         mass=np.zeros_like, w_u=np.zeros_like, p=4.0, name="two-well-bare",
         w_UU=lambda U: 3.0 * U**2 - 1.0, w_uu=np.zeros_like,
+        phi_coefficients=(0.25, 0.0, -0.5, 0.0, 0.25),
     )
 
 

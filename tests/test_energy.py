@@ -1,10 +1,14 @@
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
+from nlvar import energy
 from nlvar.energy import (
     BLOCK_ELEMS,
+    NEAR_BAND_DIVISOR,
+    NEAR_FAR_ABOVE_N,
     NonFiniteEnergyError,
     energy_gradient,
     energy_value,
@@ -23,6 +27,7 @@ from nlvar.integrands import (
 
 ALL = [power_p(2), power_p(3), power_p(4), half_square(), quadratic_mass(),
        two_well_full(), two_well_bare()]
+POLYNOMIAL = [W for W in ALL if W.phi_coefficients is not None]
 
 
 def dense_quadrature(u, integrand):
@@ -271,6 +276,71 @@ class TestBlockedKernel:
         # the dense n x n fields would need several GB here
         u = NodalFunction.linear(Grid1D(8192), 0.25, 1.0)
         assert energy_value(u, half_square()) == pytest.approx(0.5 * 0.75**2, rel=1e-12)
+
+
+def stripped(integrand):
+    """The same density without phi coefficients, which the dense fold sums."""
+    return dataclasses.replace(integrand, phi_coefficients=None)
+
+
+def near_far_profiles(n):
+    x = Grid1D(n).nodes
+    rough = np.random.default_rng(n).uniform(-1, 1, n + 1)
+    return {"rough": rough, "smooth": x * x + 0.1 * np.sin(np.pi * x),
+            "affine": 0.25 + 0.75 * x, "hat": 0.5 - np.abs(x - 0.5),
+            "x+1e-3sin": x + 1e-3 * np.sin(7.0 * x)}
+
+
+def assert_near_far_matches(near_far, dense):
+    """Energy within 1e-12 relative and gradient within 1e-11 of its sup
+    norm: the Toeplitz sums of the far pairs cancel in another order."""
+    (value, grad), (want, want_grad) = near_far, dense
+    assert abs(value - want) <= 1e-12 * abs(want)
+    assert np.max(np.abs(grad - want_grad)) <= 1e-11 * np.max(np.abs(want_grad))
+
+
+class TestNearFar:
+    """Above NEAR_FAR_ABOVE_N cells, a density with phi coefficients sums the
+    pairs beyond the band n // NEAR_BAND_DIVISOR by Toeplitz products."""
+
+    @pytest.mark.parametrize("n", [NEAR_FAR_ABOVE_N + 1, 4096])
+    @pytest.mark.parametrize("integrand", POLYNOMIAL, ids=lambda i: i.name)
+    def test_matches_the_dense_fold(self, integrand, n):
+        grid = Grid1D(n)
+        for values in near_far_profiles(n).values():
+            u = NodalFunction(grid, values)
+            value, grad = value_and_grad(u, integrand)
+            assert value == energy_value(u, integrand)
+            path = energy._fold(grid, values, integrand, True, n // NEAR_BAND_DIVISOR)
+            assert value == path[0] and np.array_equal(grad, path[1])
+            assert_near_far_matches((value, grad), value_and_grad(u, stripped(integrand)))
+
+    @pytest.mark.parametrize("integrand", POLYNOMIAL, ids=lambda i: i.name)
+    def test_path_matches_below_the_crossover(self, integrand):
+        n = 1024
+        grid = Grid1D(n)
+        for values in near_far_profiles(n).values():
+            near_far = energy._fold(grid, values, integrand, True, n // NEAR_BAND_DIVISOR)
+            assert_near_far_matches(near_far, energy._fold(grid, values, integrand, True))
+
+    # two-well at 1e80 overflows in the first pair; a log mass is NaN at the
+    # negative midpoint values, which the path meets after all its pairs
+    @pytest.mark.parametrize("scale, W", [
+        (1e80, two_well_full()),
+        (1.0, dataclasses.replace(two_well_full(), mass=lambda v: np.log(v) ** 2,
+                                  w_u=lambda v: 2.0 * np.log(v) / v)),
+    ], ids=["overflow", "nan-mass"])
+    def test_non_finite_raises_what_the_dense_fold_raises(self, scale, W):
+        n = 4096
+        u = NodalFunction(Grid1D(n), scale * np.random.default_rng(5).uniform(-1, 1, n + 1))
+        for kernel in (energy_value, value_and_grad):
+            with pytest.raises(NonFiniteEnergyError) as want:
+                kernel(u, stripped(W))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NonFiniteEnergyError) as got:
+                    kernel(u, W)
+            assert str(got.value) == str(want.value)
 
 
 class TestRefineAndCompare:

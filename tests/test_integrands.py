@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial
 
 from nlvar.integrands import (
     Integrand,
@@ -225,3 +226,27 @@ class TestNameResolution:
             power_p(p)
         with pytest.raises(ValueError, match="finite and exceed 1"):
             integrand_by_name(f"power:{p}")
+
+
+class TestPhiCoefficients:
+    PROBES = np.array([-3.0, -2.0, -1.0, -0.5, 0.0, 0.25, 1.0, 1.5, 2.7])
+
+    @pytest.mark.parametrize("name", ["half-square", "quad-mass", "two-well", "two-well-bare",
+                                      "power:2", "power:4"])
+    def test_coefficients_match_the_closed_forms(self, name):
+        W = integrand_by_name(name)
+        c = np.array(W.phi_coefficients)
+        U = self.PROBES
+        for closed, order in ((W.w, 0), (W.w_U, 1), (W.w_UU, 2)):
+            np.testing.assert_allclose(polynomial.polyval(U, polynomial.polyder(c, order)),
+                                       closed(U), rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("name", ["power:3", "power:2.5", "power:6"])
+    def test_other_exponents_carry_none(self, name):
+        assert integrand_by_name(name).phi_coefficients is None
+
+    def test_hand_built_density_carries_none(self):
+        W = Integrand(w=np.square, w_U=lambda U: 2.0 * U, w_UU=lambda U: np.full_like(U, 2.0),
+                      mass=np.zeros_like, w_u=np.zeros_like, w_uu=np.zeros_like, p=2.0,
+                      name="square")
+        assert W.phi_coefficients is None

@@ -123,17 +123,19 @@ class TestAgainstTightQuad:
 
 
 def test_import_leaves_out_scipy_integrate():
-    # scipy.integrate is a test-side reference only, and scipy.linalg loads
-    # when a solve first factors: importing either costs start-up time
+    # scipy.integrate is a test-side reference only, scipy.linalg loads
+    # when a solve first factors and numpy.fft when an energy first takes
+    # the near/far path: importing any of them costs start-up time
     src = str(Path(nlvar.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-c",
          "import nlvar, nlvar.cli, sys; "
-         "print('scipy.integrate' in sys.modules, 'scipy.linalg' in sys.modules)"],
+         "print('scipy.integrate' in sys.modules, 'scipy.linalg' in sys.modules, "
+         "'numpy.fft' in sys.modules)"],
         capture_output=True, text=True, env=env, timeout=60, check=True)
-    assert proc.stdout == "False False\n"
+    assert proc.stdout == "False False False\n"
 
 
 class TestHolderExponent:

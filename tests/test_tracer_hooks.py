@@ -61,3 +61,17 @@ def test_traced_density_gives_the_same_bits(name):
     assert traced_value == value
     assert np.array_equal(traced_grad, grad)
     assert {"integrands.w", "integrands.w_u", "integrands.w_U"} <= set(tracer.names)
+
+
+@pytest.mark.parametrize("name", ["half-square", "two-well"])
+def test_traced_density_gives_the_same_bits_above_the_crossover(name):
+    # dataclasses.replace carries phi_coefficients over, so the traced copy
+    # takes the same near/far path
+    tracer = _tracer()
+    W = nlvar.integrand_by_name(name)
+    grid = nlvar.Grid1D(4096)
+    u = nlvar.NodalFunction(grid, grid.nodes + 0.2 * np.sin(7.0 * grid.nodes))
+    value, grad = nlvar.value_and_grad(u, W)
+    traced_value, traced_grad = nlvar.value_and_grad(u, tracer.integrand(W))
+    assert traced_value == value
+    assert np.array_equal(traced_grad, grad)
