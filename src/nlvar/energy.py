@@ -18,6 +18,13 @@ optimality.py) read. It also owns LAPACK's packed storage: _hessian,
 _half_square_hessian and _packed_inverse, the one factor path of the
 solver's second-order steps.
 
+What depends on n alone is built once per n and kept, read-only: the
+midpoints laid out twice, the fold's pair distances for n <=
+NEAR_FAR_ABOVE_N (_fold_distances), and the solver's factor of the
+half-square Hessian P (_half_square_inverse). Each of the last two keeps
+two sizes; _residuals and the fold above NEAR_FAR_ABOVE_N compute their
+distances block by block.
+
 The fold sums n^2 / 2 pairs per call. Above NEAR_FAR_ABOVE_N cells, a
 density that carries phi's coefficients (a polynomial phi) sums only the
 fold's first b = n // NEAR_BAND_DIVISOR rows, the n b pairs at index
@@ -84,18 +91,34 @@ def _midpoints_twice(n: int) -> np.ndarray:
     return m
 
 
+# two sizes: the benchmark's solves alternate n = 512 and 256, its figures
+# n = 128 and 64
+@lru_cache(maxsize=2)
+def _fold_distances(n: int) -> np.ndarray:
+    """The fold's dm = m_j - m_i, read-only, which _fold reads for n <=
+    NEAR_FAR_ABOVE_N cells: row d, 0 <= d <= n // 2, column i holds j = (i +
+    d) mod n, and row 0, the diagonal of cell slopes, is infinite. It takes
+    8 n (n // 2 + 1) bytes, 1 MB at n = 512 and 16.8 MB at 2048."""
+    m = Grid1D(n).midpoints
+    dm = _windows(_midpoints_twice(n), 0, 1, (n // 2 + 1, n)) - m
+    dm[0] = np.inf
+    dm.setflags(write=False)
+    return dm
+
+
 def _circulant_blocks(um: np.ndarray, x: np.ndarray, ux: np.ndarray, offset: int, step: int,
-                      rows: int):
+                      rows: int, distances: Optional[np.ndarray] = None):
     """Yield (r0, dX, D) for consecutive row blocks of a circulant layout of
     the n = um.size cells, with midpoint values um, around the origins x,
     with values ux: column c of row r holds cell j = (offset + c + step * r)
-    mod n, dX = m_j - x_c and D = (um_j - ux_c) / dX."""
+    mod n, dX = m_j - x_c and D = (um_j - ux_c) / dX. Given distances, the
+    layout's dX computed once, the blocks slice it instead."""
     shape, b = (rows, x.size), _block_rows(um.size)
     # row r of these views is m and um rotated left by offset + step * r
     mm = _windows(_midpoints_twice(um.size), offset, step, shape)
     uu = _windows(np.concatenate([um] * 2), offset, step, shape)
     for r0 in range(0, rows, b):
-        dX = mm[r0:r0 + b] - x
+        dX = mm[r0:r0 + b] - x if distances is None else distances[r0:r0 + b]
         D = np.subtract(uu[r0:r0 + b], ux)
         D /= dX
         yield r0, dX, D
@@ -213,9 +236,12 @@ def _fold(grid: Grid1D, values: np.ndarray, integrand: Integrand, with_grad: boo
     # dm infinite as they do not depend on um; for even n, row n // 2 lists
     # each of its pairs twice, as (i, j) and (j, i)
     rows = n // 2 + 1 if band is None else band + 1
-    for d0, dm, D in _circulant_blocks(um, m, um, 0, 1, rows):
+    plan = _fold_distances(n)[:rows] if n <= NEAR_FAR_ABOVE_N else None
+    for d0, dm, D in _circulant_blocks(um, m, um, 0, 1, rows, plan):
         if d0 == 0:
-            dm[0], D[0] = np.inf, slopes
+            D[0] = slopes
+            if plan is None:
+                dm[0] = np.inf
         P = _pair_weights(integrand.w(D), d0, n)
         half_rows += _column_sums(P, f"W({name})", d0, m)
         if not with_grad:
@@ -431,7 +457,20 @@ def _packed_inverse(ap: np.ndarray, m: int) -> Optional[Callable[[np.ndarray], n
     factor, info = dpptrf(m, ap, lower=1, overwrite_ap=1)
     if info != 0:
         return None
+    factor.setflags(write=False)
     return lambda q: dpptrs(m, factor, q, lower=1)[0]
+
+
+# two sizes, as for _fold_distances
+@lru_cache(maxsize=2)
+def _half_square_inverse(n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """_packed_inverse of _half_square_hessian(n), kept per n with its
+    factor of 4 n (n - 1) bytes. A failed factor raises LinAlgError, which
+    the cache does not keep, so the next call factors again."""
+    solve = _packed_inverse(_half_square_hessian(n), n - 1)
+    if solve is None:
+        raise np.linalg.LinAlgError("half-square Hessian not positive definite")
+    return solve
 
 
 def energy_gradient(u: NodalFunction, integrand: Integrand) -> np.ndarray:

@@ -28,7 +28,7 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .energy import NonFiniteEnergyError, _half_square_hessian, _hessian, _packed_inverse
+from .energy import NonFiniteEnergyError, _half_square_inverse, _hessian, _packed_inverse
 # minimize evaluates every iterate through this one name, which a tracer
 # can wrap; it takes raw nodal values, not a NodalFunction
 from .energy import _quadrature
@@ -203,9 +203,7 @@ def minimize(
     dense = grid.n <= PRECONDITION_MAX_N
     solve = lambda q: q  # H0 = I
     if integrand.convex and dense:
-        solve = _packed_inverse(_half_square_hessian(grid.n), grid.n - 1)
-        if solve is None:
-            raise np.linalg.LinAlgError("half-square Hessian not positive definite")
+        solve = _half_square_inverse(grid.n)
     newton_steps = 0
     # cleared by the first Newton attempt that fails or does not descend:
     # each attempt costs an assembly and a factor

@@ -248,7 +248,7 @@ class TestBadInput:
         assert captured.err == f"numeric error: {message}\n"
         assert "nan" not in captured.out
 
-    def test_failed_factor_of_p_exits_3(self, tmp_path, capsys, monkeypatch):
+    def test_failed_factor_of_p_exits_3(self, tmp_path, capsys, monkeypatch, cold_p_factor):
         # LinAlgError is a ValueError, yet a failed factor is numeric, not a bad spec
         monkeypatch.setattr("scipy.linalg.lapack.dpptrf", lambda m, ap, **kw: (ap, 1))
         argv = ["minimize", "--problem", "problem1", "--n", "16", "--out", str(tmp_path)]

@@ -24,6 +24,7 @@ from nlvar.integrands import (
     two_well_bare,
     two_well_full,
 )
+from nlvar.optimality import residual_report
 
 ALL = [power_p(2), power_p(3), power_p(4), half_square(), quadratic_mass(),
        two_well_full(), two_well_bare()]
@@ -276,6 +277,35 @@ class TestBlockedKernel:
         # the dense n x n fields would need several GB here
         u = NodalFunction.linear(Grid1D(8192), 0.25, 1.0)
         assert energy_value(u, half_square()) == pytest.approx(0.5 * 0.75**2, rel=1e-12)
+
+
+class TestFoldPlan:
+    """Up to NEAR_FAR_ABOVE_N cells the fold reads its pair distances from
+    one read-only array per n, built on the first call at that n."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 127, 128, NEAR_FAR_ABOVE_N])
+    def test_rows_are_the_fold_distances(self, n):
+        plan = energy._fold_distances(n)
+        mm = energy._windows(energy._midpoints_twice(n), 0, 1, (n // 2 + 1, n))
+        want = mm - Grid1D(n).midpoints
+        assert plan.shape == want.shape and np.all(plan[0] == np.inf)
+        assert plan[1:].tobytes() == want[1:].tobytes()
+
+    def test_is_read_only(self):
+        with pytest.raises(ValueError):
+            energy._fold_distances(8)[1, 0] = 0.0
+
+    def test_none_above_the_crossover_or_for_residuals(self):
+        # a plan at n = 4096 would hold 67 MB, and the residual's two
+        # layouts at n = 2048 another 33 MB
+        energy._fold_distances.cache_clear()
+        for n in (NEAR_FAR_ABOVE_N + 1, 4096):
+            u = NodalFunction(Grid1D(n), np.random.default_rng(n).uniform(-1, 1, n + 1))
+            for W in (half_square(), power_p(3)):
+                energy_value(u, W)
+                value_and_grad(u, W)
+        residual_report(NodalFunction.linear(Grid1D(1024), 0.0, 1.0), power_p(3))
+        assert energy._fold_distances.cache_info().currsize == 0
 
 
 def stripped(integrand):

@@ -16,6 +16,7 @@ from nlvar.cli import EXIT_NUMERIC, main
 from nlvar.energy import (
     NonFiniteEnergyError,
     _half_square_hessian,
+    _half_square_inverse,
     _hessian,
     _packed_inverse,
     energy_value,
@@ -372,7 +373,7 @@ class TestPreconditioner:
         res = minimize(W, Grid1D(n), (0.0, 1.0), "random", SolverConfig(max_iters=1))
         assert res.iters == 1 and res.trace[0][1] > NEWTON_SWITCH
 
-    def test_factors_p_for_a_convex_density(self, monkeypatch):
+    def test_factors_p_for_a_convex_density(self, monkeypatch, cold_p_factor):
         # the same solve as above, on a density where P applies
         calls = []
 
@@ -384,6 +385,43 @@ class TestPreconditioner:
         monkeypatch.setattr(lapack, "dpptrf", recording)
         res = minimize(power_p(3), Grid1D(64), (0.0, 1.0), "random", SolverConfig(max_iters=1))
         assert res.iters == 1 and res.trace[0][1] > NEWTON_SWITCH and calls == [63]
+
+    def test_factors_p_once_per_n(self, monkeypatch, cold_p_factor):
+        calls = []
+
+        def recording(m, ap, **kwargs):
+            calls.append(m)
+            return factor(m, ap, **kwargs)
+
+        factor = lapack.dpptrf
+        monkeypatch.setattr(lapack, "dpptrf", recording)
+        for _ in range(2):
+            res = minimize(power_p(3), Grid1D(64), (0.0, 1.0), "random", SolverConfig(max_iters=1))
+            assert res.iters == 1 and res.trace[0][1] > NEWTON_SWITCH
+        assert calls == [63]
+
+    def test_failed_factor_is_not_kept(self, monkeypatch, cold_p_factor):
+        calls = []
+
+        def recording(m, ap, **kwargs):
+            calls.append(m)
+            return factor(m, ap, **kwargs)
+
+        factor = lapack.dpptrf
+        monkeypatch.setattr(lapack, "dpptrf", lambda m, ap, **kw: (ap, 1))
+        with pytest.raises(np.linalg.LinAlgError):
+            minimize(power_p(3), Grid1D(64), (0.0, 1.0))
+        monkeypatch.setattr(lapack, "dpptrf", recording)
+        res = minimize(power_p(3), Grid1D(64), (0.0, 1.0))
+        assert res.converged and calls[0] == 63
+
+    def test_kept_factor_is_read_only(self, cold_p_factor):
+        solve = _half_square_inverse(64)
+        assert _half_square_inverse(64) is solve
+        factor, = (cell.cell_contents for cell in solve.__closure__
+                   if isinstance(cell.cell_contents, np.ndarray))
+        with pytest.raises(ValueError):
+            factor[0] = 1.0
 
     def test_solve_inverts_packed_matrix(self):
         n = 64
