@@ -386,7 +386,9 @@ class TestPreconditioner:
         res = minimize(power_p(3), Grid1D(64), (0.0, 1.0), "random", SolverConfig(max_iters=1))
         assert res.iters == 1 and res.trace[0][1] > NEWTON_SWITCH and calls == [63]
 
-    def test_factors_p_once_per_n(self, monkeypatch, cold_p_factor):
+    @pytest.fixture
+    def dpptrf_calls(self, monkeypatch):
+        """The order of each dpptrf call from here on."""
         calls = []
 
         def recording(m, ap, **kwargs):
@@ -395,25 +397,22 @@ class TestPreconditioner:
 
         factor = lapack.dpptrf
         monkeypatch.setattr(lapack, "dpptrf", recording)
+        return calls
+
+    def test_factors_p_once_per_n(self, cold_p_factor, dpptrf_calls):
         for _ in range(2):
             res = minimize(power_p(3), Grid1D(64), (0.0, 1.0), "random", SolverConfig(max_iters=1))
             assert res.iters == 1 and res.trace[0][1] > NEWTON_SWITCH
-        assert calls == [63]
+        assert dpptrf_calls == [63]
 
-    def test_failed_factor_is_not_kept(self, monkeypatch, cold_p_factor):
-        calls = []
-
-        def recording(m, ap, **kwargs):
-            calls.append(m)
-            return factor(m, ap, **kwargs)
-
-        factor = lapack.dpptrf
+    def test_failed_factor_is_not_kept(self, monkeypatch, cold_p_factor, dpptrf_calls):
+        recording = lapack.dpptrf
         monkeypatch.setattr(lapack, "dpptrf", lambda m, ap, **kw: (ap, 1))
         with pytest.raises(np.linalg.LinAlgError):
             minimize(power_p(3), Grid1D(64), (0.0, 1.0))
         monkeypatch.setattr(lapack, "dpptrf", recording)
         res = minimize(power_p(3), Grid1D(64), (0.0, 1.0))
-        assert res.converged and calls[0] == 63
+        assert res.converged and dpptrf_calls[0] == 63
 
     def test_kept_factor_is_read_only(self, cold_p_factor):
         solve = _half_square_inverse(64)
