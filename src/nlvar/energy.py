@@ -14,9 +14,10 @@ gradient with respect to interior nodal values is its exact derivative, and
 _hessian gives its exact second derivatives from phi'' and psi''. Only this
 module knows the circulant layout of the pairs, from _circulant_blocks(um,
 x, ux, offset, step, rows), which the fold and _residuals (the kernel of
-optimality.py) read. It also owns LAPACK's packed storage: _hessian,
-_half_square_hessian and _packed_inverse, the one factor path of the
-solver's second-order steps.
+optimality.py) read. It also owns LAPACK's packed storage: _hessian, the
+one assembly of second derivatives, which gives both the Newton steps'
+matrix and the half-square Hessian P, and _packed_inverse, the one factor
+path of the solver's second-order steps.
 
 What depends on n alone is built once per n and kept, read-only: the
 midpoints laid out twice, the fold's pair distances for n <=
@@ -44,14 +45,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .grid import Grid1D, NodalFunction
-from .integrands import Integrand
+from .integrands import Integrand, half_square
 
 __all__ = [
     "NonFiniteEnergyError",
     "energy_value",
     "energy_gradient",
     "value_and_grad",
-    "refine_and_compare",
 ]
 
 
@@ -210,7 +210,7 @@ def _fold(grid: Grid1D, values: np.ndarray, integrand: Integrand, with_grad: boo
     0 <= b < n // 2, from the fold's rows 0..b, which hold the pairs at index
     distance d <= b and d >= n - b, and _far_pairs for those in between."""
     h, n, m = grid.h, grid.n, grid.midpoints
-    # NodalFunction.midpoint_values and .slopes, np.diff written out
+    # midpoint values and NodalFunction.slopes, np.diff written out
     um = 0.5 * (values[:-1] + values[1:])
     slopes = (values[1:] - values[:-1]) / h
     name = integrand.name
@@ -418,34 +418,6 @@ def _hessian(grid: Grid1D, values: np.ndarray, integrand: Integrand) -> np.ndarr
     return ap
 
 
-def _half_square_hessian(n: int) -> np.ndarray:
-    """Hessian of the half-square energy on n >= 2 cells in the n - 1
-    interior nodal values, in the packed storage of _hessian (which gives
-    the same matrix for half-square at any values).
-
-    The energy is (1/2) sum_i (v_i+1 - v_i)^2 plus (1/2) sum_{i != j}
-    (a_i - a_j)^2 / (i - j)^2 over the midpoint values a = A v (h cancels),
-    so the Hessian is tridiag(-1, 2, -1) + 2 A' (diag(r) - K) A, with the
-    Toeplitz K_ij = 1/(i - j)^2 off the diagonal, r its row sums and A the
-    node-to-midpoint average. Of this, -2 A'KA is Toeplitz and the rest is
-    tridiagonal; t_d = 1/d^2 gives both parts.
-    """
-    m = n - 1
-    t = np.zeros(n)
-    t[1:] = 1.0 / np.arange(1, n) ** 2
-    # -2 A'KA at lag d = 0..m-1 is -(2 K(d) + K(d - 1) + K(d + 1)) / 2,
-    # with K(0) = 0 and K(-1) = K(1)
-    c = -0.5 * (2.0 * t[:m] + t[np.abs(np.arange(-1, m - 1))] + t[1:])
-    ap = np.concatenate([c[:m - j] for j in range(m)])
-    # r_i = S(i) + S(n - 1 - i) with S(k) = sum_{d=1..k} 1/d^2
-    partial = np.cumsum(t)
-    r = partial + partial[::-1]
-    diag = np.arange(m) * m - np.arange(m) * (np.arange(m) - 1) // 2
-    ap[diag] += 2.0 + 0.5 * (r[:-1] + r[1:])
-    ap[diag[:-1] + 1] += 0.5 * r[1:-1] - 1.0
-    return ap
-
-
 def _packed_inverse(ap: np.ndarray, m: int) -> Optional[Callable[[np.ndarray], np.ndarray]]:
     """q -> M^-1 q for the m x m matrix M in packed storage ap, which it
     overwrites with the Cholesky factor; None where ap is not finite or M is
@@ -464,10 +436,13 @@ def _packed_inverse(ap: np.ndarray, m: int) -> Optional[Callable[[np.ndarray], n
 # two sizes, as for _fold_distances
 @lru_cache(maxsize=2)
 def _half_square_inverse(n: int) -> Callable[[np.ndarray], np.ndarray]:
-    """_packed_inverse of _half_square_hessian(n), kept per n with its
-    factor of 4 n (n - 1) bytes. A failed factor raises LinAlgError, which
-    the cache does not keep, so the next call factors again."""
-    solve = _packed_inverse(_half_square_hessian(n), n - 1)
+    """The solve of P, the Hessian of the half-square energy on n cells,
+    kept per n with its factor of 4 n (n - 1) bytes. P is _hessian of
+    half-square, which reads the values only through phi'' = 1 and psi'' =
+    0, so the matrix does not depend on them: zeros give it bit for bit. A
+    failed factor raises LinAlgError, which the cache does not keep, so the
+    next call factors again."""
+    solve = _packed_inverse(_hessian(Grid1D(n), np.zeros(n + 1), half_square()), n - 1)
     if solve is None:
         raise np.linalg.LinAlgError("half-square Hessian not positive definite")
     return solve
@@ -477,22 +452,3 @@ def energy_gradient(u: NodalFunction, integrand: Integrand) -> np.ndarray:
     """Exact partial derivatives of the quadrature sum w.r.t. interior nodes
     (see value_and_grad)."""
     return value_and_grad(u, integrand)[1]
-
-
-def refine_and_compare(
-    u_profile: Callable[[np.ndarray], np.ndarray],
-    integrand: Integrand,
-    n: int,
-    left_bc: Optional[float] = None,
-    right_bc: Optional[float] = None,
-) -> tuple[float, float, float]:
-    """Energy of the same continuum profile sampled at n and 2n cells.
-
-    Returns (E_coarse, E_fine, |E_fine - E_coarse|).
-    """
-    energies = []
-    for cells in (n, 2 * n):
-        grid = Grid1D(cells)
-        u = NodalFunction(grid, u_profile(grid.nodes), left_bc, right_bc)
-        energies.append(energy_value(u, integrand))
-    return energies[0], energies[1], abs(energies[1] - energies[0])

@@ -95,10 +95,6 @@ class NodalFunction:
         vals[0], vals[-1] = left, right  # right can be an ulp off, and -0.0 + 0.0 is +0.0
         return cls(grid, vals, left_bc=left, right_bc=right)
 
-    @classmethod
-    def constant(cls, grid: Grid1D, c: float) -> "NodalFunction":
-        return cls(grid, np.full(grid.n + 1, float(c)))
-
     # -- evaluation --------------------------------------------------------
 
     def __call__(self, t):
@@ -114,8 +110,3 @@ class NodalFunction:
     def slopes(self) -> np.ndarray:
         """Per-cell slopes, shape (n,)."""
         return np.diff(self.values) / self.grid.h
-
-    @property
-    def midpoint_values(self) -> np.ndarray:
-        """Exact values at cell midpoints (average of adjacent nodes)."""
-        return 0.5 * (self.values[:-1] + self.values[1:])

@@ -10,22 +10,19 @@ differentiation on top of singular-kernel quadrature.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 __all__ = [
     "Integrand",
-    "DerivativeCheckReport",
     "power_p",
     "half_square",
     "quadratic_mass",
     "two_well_full",
     "two_well_bare",
     "integrand_by_name",
-    "check_derivatives",
 ]
 
 ArrayFn = Callable[[np.ndarray], np.ndarray]
@@ -38,9 +35,9 @@ class Integrand:
     zero-order term use zeros for psi and its derivatives. w returns a new
     array: the energy kernel weights rows of it in place.
 
-    p is the growth exponent of W in U (used for coercivity and Hoelder
-    diagnostics, even where the evaluation itself never reads it). convex
-    states that W is convex in (u, U); the solver preconditions only such
+    p is the growth exponent of W in U. No code in the package reads it; it
+    describes the density to callers, such as the tests' coercivity and
+    derivative checks. convex states that W is convex in (u, U); the solver preconditions only such
     densities, so a density that does not state it keeps the unpreconditioned
     solver. The solver's Newton steps read w_UU and w_uu.
 
@@ -60,10 +57,6 @@ class Integrand:
     name: str
     convex: bool = False
     phi_coefficients: Optional[tuple[float, ...]] = None
-
-    def evaluate(self, x, u, U):
-        """W(x, u, U); no built-in density depends on x."""
-        return self.w(np.asarray(U, float)) + self.mass(np.asarray(u, float))
 
 
 def _integer_exponent(p: float) -> bool:
@@ -167,54 +160,3 @@ def integrand_by_name(name: str) -> Integrand:
         return _FACTORIES[name]()
     except KeyError:
         raise KeyError(f"unknown integrand {name!r}") from None
-
-
-@dataclass(frozen=True)
-class DerivativeCheckReport:
-    """Largest mismatch of each derivative."""
-
-    max_err_u: float
-    max_err_U: float
-    max_err_uu: float
-    max_err_UU: float
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return max(self.max_err_u, self.max_err_U, self.max_err_uu, self.max_err_UU) <= self.tol
-
-
-def check_derivatives(
-    integrand: Integrand, probes: Sequence[tuple[float, float, float]]
-) -> DerivativeCheckReport:
-    """Compare w_U against central finite differences of w at the probes' U,
-    and w_u against those of mass at their u (x is not read); likewise w_UU
-    against differences of w_U and w_uu against those of w_u.
-
-    The mismatch is relative to max(1, |finite difference|) per probe. For
-    a growth exponent p that is not an integer, |U|^p is not smooth at 0:
-    phi'' is infinite there for p < 2, and for 2 < p < 3 the difference of
-    phi' at 0 is p step^(p-2), not 0. So w_UU is compared only at probes
-    with |U| >= sqrt(step), where the difference's error is O(step).
-    """
-    step, tol = 1e-6, 1e-5  # difference step; largest mismatch that passes
-    probes = list(probes)
-    if not probes:
-        raise ValueError("probe list must be nonempty")
-    def mismatch(derivative: ArrayFn, f: ArrayFn, z: float) -> float:
-        fd = float((f(z + step) - f(z - step)) / (2 * step))
-        return abs(float(derivative(z)) - fd) / max(1.0, abs(fd))
-
-    us = [float(p[1]) for p in probes]
-    Us = [float(p[2]) for p in probes]
-    kink_at_0 = not _integer_exponent(integrand.p)
-    smooth_Us = [U for U in Us if not kink_at_0 or abs(U) >= math.sqrt(step)]
-    # name: (derivative, the function it differentiates, probe coordinates)
-    checks = {"u": (integrand.w_u, integrand.mass, us), "U": (integrand.w_U, integrand.w, Us),
-              "uu": (integrand.w_uu, integrand.w_u, us),
-              "UU": (integrand.w_UU, integrand.w_U, smooth_Us)}
-    # a non-finite derivative shows as an infinite mismatch, not a warning
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        errors = {"max_err_" + name: max((mismatch(derivative, f, z) for z in zs), default=0.0)
-                  for name, (derivative, f, zs) in checks.items()}
-    return DerivativeCheckReport(tol=tol, **errors)

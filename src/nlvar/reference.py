@@ -1,9 +1,9 @@
 """Closed-form reference profiles and constants used as oracles and overlays.
 
-Covers the exponential solution of the local quadratic-plus-mass problem,
-the second-order-ODE approximation of the homogeneous quadratic optimality
-equation (derivative k x^{2x} (1-x)^{2(1-x)} with its normalization), and
-the Hoelder exponent guaranteeing end-point conditions for p > 2.
+Covers the exponential solution of the local quadratic-plus-mass problem
+and the second-order-ODE approximation of the homogeneous quadratic
+optimality equation (derivative k x^{2x} (1-x)^{2(1-x)} with its
+normalization).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ __all__ = [
     "ode_approx_derivative",
     "normalize_k",
     "ode_approx_profile",
-    "holder_exponent",
 ]
 
 
@@ -93,11 +92,3 @@ def ode_approx_profile(grid: Grid1D) -> ReferenceProfile:
     k = normalize_k()
     u = NodalFunction(grid, np.concatenate([[0.0], np.cumsum(k * _cell_integrals(grid.nodes))]))
     return ReferenceProfile(u=u, params={"k": k, "nodal": u.values})
-
-
-def holder_exponent(p: float) -> float:
-    """Continuity exponent (p - 2)/p of finite-energy functions; defined only
-    for p > 2, where end-point conditions are meaningful."""
-    if not 2 < p < np.inf:  # NaN fails too
-        raise ValueError(f"Hoelder exponent requires finite p > 2, got {p}")
-    return (p - 2.0) / p

@@ -76,9 +76,12 @@ class SolverConfig:
     grad_tol: Optional[float] = None
 
     def __post_init__(self):
-        if not (isinstance(self.max_iters, (int, np.integer)) and self.max_iters >= 1):
+        # bool is an int, but True is no count and no tolerance
+        if isinstance(self.max_iters, bool) or not (
+                isinstance(self.max_iters, (int, np.integer)) and self.max_iters >= 1):
             raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
-        if self.grad_tol is not None and not 0.0 < self.grad_tol < np.inf:
+        if self.grad_tol is not None and (isinstance(self.grad_tol, bool)
+                                          or not 0.0 < self.grad_tol < np.inf):
             raise ValueError(f"grad_tol must be finite and positive, got {self.grad_tol}")
 
 

@@ -1,0 +1,110 @@
+"""Oracles and shorthands that only the tests read: a finite-difference
+check of a density's derivatives, the energy of one profile at n and 2n
+cells, the Hoelder exponent, a constant nodal function, midpoint values
+and a pointwise W. The package itself runs none of them.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
+
+import numpy as np
+
+from nlvar.energy import energy_value
+from nlvar.grid import Grid1D, NodalFunction
+from nlvar.integrands import ArrayFn, Integrand, _integer_exponent
+
+
+def constant(grid: Grid1D, c: float) -> NodalFunction:
+    """The nodal function of value c on grid."""
+    return NodalFunction(grid, np.full(grid.n + 1, float(c)))
+
+
+def midpoint_values(u: NodalFunction) -> np.ndarray:
+    """Exact values at cell midpoints (average of adjacent nodes)."""
+    return 0.5 * (u.values[:-1] + u.values[1:])
+
+
+def evaluate(integrand: Integrand, x, u, U):
+    """W(x, u, U); no built-in density depends on x."""
+    return integrand.w(np.asarray(U, float)) + integrand.mass(np.asarray(u, float))
+
+
+@dataclass(frozen=True)
+class DerivativeCheckReport:
+    """Largest mismatch of each derivative."""
+
+    max_err_u: float
+    max_err_U: float
+    max_err_uu: float
+    max_err_UU: float
+    tol: float
+
+    @property
+    def passed(self) -> bool:
+        return max(self.max_err_u, self.max_err_U, self.max_err_uu, self.max_err_UU) <= self.tol
+
+
+def check_derivatives(
+    integrand: Integrand, probes: Sequence[tuple[float, float, float]]
+) -> DerivativeCheckReport:
+    """Compare w_U against central finite differences of w at the probes' U,
+    and w_u against those of mass at their u (x is not read); likewise w_UU
+    against differences of w_U and w_uu against those of w_u.
+
+    The mismatch is relative to max(1, |finite difference|) per probe. For
+    a growth exponent p that is not an integer, |U|^p is not smooth at 0:
+    phi'' is infinite there for p < 2, and for 2 < p < 3 the difference of
+    phi' at 0 is p step^(p-2), not 0. So w_UU is compared only at probes
+    with |U| >= sqrt(step), where the difference's error is O(step).
+    """
+    step, tol = 1e-6, 1e-5  # difference step; largest mismatch that passes
+    probes = list(probes)
+    if not probes:
+        raise ValueError("probe list must be nonempty")
+    def mismatch(derivative: ArrayFn, f: ArrayFn, z: float) -> float:
+        fd = float((f(z + step) - f(z - step)) / (2 * step))
+        return abs(float(derivative(z)) - fd) / max(1.0, abs(fd))
+
+    us = [float(p[1]) for p in probes]
+    Us = [float(p[2]) for p in probes]
+    kink_at_0 = not _integer_exponent(integrand.p)
+    smooth_Us = [U for U in Us if not kink_at_0 or abs(U) >= math.sqrt(step)]
+    # name: (derivative, the function it differentiates, probe coordinates)
+    checks = {"u": (integrand.w_u, integrand.mass, us), "U": (integrand.w_U, integrand.w, Us),
+              "uu": (integrand.w_uu, integrand.w_u, us),
+              "UU": (integrand.w_UU, integrand.w_U, smooth_Us)}
+    # a non-finite derivative shows as an infinite mismatch, not a warning
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        errors = {"max_err_" + name: max((mismatch(derivative, f, z) for z in zs), default=0.0)
+                  for name, (derivative, f, zs) in checks.items()}
+    return DerivativeCheckReport(tol=tol, **errors)
+
+
+def refine_and_compare(
+    u_profile: Callable[[np.ndarray], np.ndarray],
+    integrand: Integrand,
+    n: int,
+    left_bc: Optional[float] = None,
+    right_bc: Optional[float] = None,
+) -> tuple[float, float, float]:
+    """Energy of the same continuum profile sampled at n and 2n cells.
+
+    Returns (E_coarse, E_fine, |E_fine - E_coarse|).
+    """
+    energies = []
+    for cells in (n, 2 * n):
+        grid = Grid1D(cells)
+        u = NodalFunction(grid, u_profile(grid.nodes), left_bc, right_bc)
+        energies.append(energy_value(u, integrand))
+    return energies[0], energies[1], abs(energies[1] - energies[0])
+
+
+def holder_exponent(p: float) -> float:
+    """Continuity exponent (p - 2)/p of finite-energy functions; defined only
+    for p > 2, where end-point conditions are meaningful."""
+    if not 2 < p < np.inf:  # NaN fails too
+        raise ValueError(f"Hoelder exponent requires finite p > 2, got {p}")
+    return (p - 2.0) / p

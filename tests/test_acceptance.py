@@ -24,6 +24,8 @@ from nlvar.optimality import residual, residual_report
 from nlvar.reference import local_exp_solution, normalize_k, ode_approx_profile
 from nlvar.solver import SolverConfig, minimize
 
+from helpers import constant
+
 LN3 = np.log(3.0)
 TIGHT = SolverConfig(grad_tol=1e-8, max_iters=50000)
 
@@ -50,7 +52,7 @@ def test_criterion_2_constant_minimizers():
     worst = 0.0
     for c in (0.0, 1.0, -3.0):
         for p in (2, 3, 4):
-            u = NodalFunction.constant(Grid1D(32), c)
+            u = constant(Grid1D(32), c)
             worst = max(worst, energy_value(u, power_p(p)))
     report("2 constant minimizers", worst <= 1e-14, f"max energy {worst:.2e}")
 
@@ -135,7 +137,7 @@ def test_criterion_6_uniqueness_symmetry():
 
 
 def test_criterion_7_bolza_trivial_solution():
-    u = NodalFunction.constant(Grid1D(128), 0.0)
+    u = constant(Grid1D(128), 0.0)
     rep = residual_report(u, two_well_full())
     report("7 Bolza trivial solution", rep.norm_sup <= 1e-10,
            f"norm_sup {rep.norm_sup:.2e}")

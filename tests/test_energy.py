@@ -12,7 +12,6 @@ from nlvar.energy import (
     NonFiniteEnergyError,
     energy_gradient,
     energy_value,
-    refine_and_compare,
     value_and_grad,
 )
 from nlvar.grid import Grid1D, GridError, NodalFunction
@@ -26,6 +25,8 @@ from nlvar.integrands import (
 )
 from nlvar.optimality import residual_report
 
+from helpers import constant, evaluate, midpoint_values, refine_and_compare
+
 ALL = [power_p(2), power_p(3), power_p(4), half_square(), quadratic_mass(),
        two_well_full(), two_well_bare()]
 POLYNOMIAL = [W for W in ALL if W.phi_coefficients is not None]
@@ -35,14 +36,14 @@ def dense_quadrature(u, integrand):
     """Energy and gradient from full n x n matrices: every ordered pair of
     midpoints, W evaluated as one field, psi' broadcast over each row."""
     g = u.grid
-    h, m, um = g.h, g.midpoints, u.midpoint_values
+    h, m, um = g.h, g.midpoints, midpoint_values(u)
     dm = m[None, :] - m[:, None]
     np.fill_diagonal(dm, 1.0)
     D = (um[None, :] - um[:, None]) / dm
     np.fill_diagonal(D, u.slopes)
     np.fill_diagonal(dm, 0.0)
     x, ux = m[:, None], um[:, None]
-    rows = h * h * integrand.evaluate(x, ux, D).sum(axis=1)
+    rows = h * h * evaluate(integrand, x, ux, D).sum(axis=1)
     A = integrand.w_u(ux) * np.ones_like(D)
     B = integrand.w_U(D)
     C = np.zeros_like(B)
@@ -81,11 +82,11 @@ class TestEnergyValues:
     @pytest.mark.parametrize("p", [2, 3, 4])
     @pytest.mark.parametrize("c", [0.0, 1.0, -3.0])
     def test_constants_have_zero_energy(self, p, c):
-        u = NodalFunction.constant(Grid1D(16), c)
+        u = constant(Grid1D(16), c)
         assert energy_value(u, power_p(p)) <= 1e-14
 
     def test_zero_function_two_well_bare(self):
-        u = NodalFunction.constant(Grid1D(64), 0.0)
+        u = constant(Grid1D(64), 0.0)
         assert energy_value(u, two_well_bare()) == pytest.approx(0.25, abs=1e-13)
 
     def test_linear_half_square(self):
@@ -112,7 +113,7 @@ class TestEnergyValues:
     def test_row_sum_overflow_reported(self):
         # each |U|^40 is finite, about 1e307, but a row of 64 of them is not
         u = NodalFunction.linear(Grid1D(64), 0.0, 4.73e7)
-        assert np.isfinite(power_p(40).evaluate(0.5, 0.0, 4.73e7))
+        assert np.isfinite(evaluate(power_p(40), 0.5, 0.0, 4.73e7))
         for kernel in (energy_value, value_and_grad):
             with np.errstate(over="ignore"):
                 with pytest.raises(NonFiniteEnergyError, match=r"overflows at x=0\.0078125$"):
@@ -197,7 +198,7 @@ class TestEnergyGradient:
         assert rel.max() <= 1e-6
 
     def test_zero_function_two_well_bare_is_critical(self):
-        u = NodalFunction.constant(Grid1D(32), 0.0)
+        u = constant(Grid1D(32), 0.0)
         assert np.array_equal(energy_gradient(u, two_well_bare()), np.zeros(31))
 
     @pytest.mark.parametrize("integrand", ALL, ids=lambda i: i.name)
@@ -255,7 +256,7 @@ class TestBlockedKernel:
         g = Grid1D(self.N)
         assert 400 // (BLOCK_ELEMS // self.N) == 25
         u = NodalFunction(g, np.random.default_rng(4).uniform(-1, 1, self.N + 1))
-        m, um = g.midpoints, u.midpoint_values
+        m, um = g.midpoints, midpoint_values(u)
         D_bad = (um[600] - um[200]) / (m[600] - m[200])
         spiked = Integrand(
             w=lambda U: np.where(U == D_bad, np.nan, 1.0) * U**2,

@@ -5,6 +5,8 @@ from hypothesis import given, strategies as st
 from nlvar.energy import _circulant_blocks
 from nlvar.grid import Grid1D, GridError, NodalFunction
 
+from helpers import constant, midpoint_values
+
 EPS = np.finfo(float).eps
 
 
@@ -13,7 +15,7 @@ def quotients(u):
     read from its circulant fold: fold row d holds the pairs (i, (i + d) mod
     n), and (j, i) takes the entry of (i, j) where the fold lists only one of
     them. The cell slope sits on the diagonal."""
-    n, um = u.grid.n, u.midpoint_values
+    n, um = u.grid.n, midpoint_values(u)
     with np.errstate(invalid="ignore"):  # row 0 divides 0 by 0
         fold = np.vstack([D for *_, D in _circulant_blocks(um, u.grid.midpoints, um, 0, 1, n // 2 + 1)])
     fold[0] = u.slopes
@@ -104,7 +106,7 @@ class TestNodalFunction:
             NodalFunction.linear(Grid1D(4), 1e308, -1e308)
 
     def test_constant_eval(self):
-        u = NodalFunction.constant(Grid1D(5), 2.5)
+        u = constant(Grid1D(5), 2.5)
         for t in (0.0, 0.37, 1.0):
             assert u(t) == 2.5
 
@@ -128,7 +130,7 @@ class TestNodalFunction:
         assert {u, u} == {u}
 
     def test_out_of_domain(self):
-        u = NodalFunction.constant(Grid1D(4), 0.0)
+        u = constant(Grid1D(4), 0.0)
         with pytest.raises(GridError):
             u(1.0001)
         with pytest.raises(GridError):
@@ -138,7 +140,7 @@ class TestNodalFunction:
     def test_non_finite_point_rejected(self, t):
         # NaN compares False with both ends of [0, 1]
         with pytest.raises(GridError):
-            NodalFunction.constant(Grid1D(4), 0.0)(t)
+            constant(Grid1D(4), 0.0)(t)
 
     def test_exact_at_nodes_and_linear_between(self):
         rng = np.random.default_rng(7)
@@ -158,7 +160,7 @@ class TestDifferenceQuotient:
         assert np.max(np.abs(quotients(u) - 1.0)) <= 1e-13
 
     def test_constant_zero(self):
-        u = NodalFunction.constant(Grid1D(8), 3.0)
+        u = constant(Grid1D(8), 3.0)
         assert np.array_equal(quotients(u), np.zeros((8, 8)))
 
     def test_hat_endpoints(self):
@@ -178,7 +180,7 @@ class TestDifferenceQuotient:
         D = quotients(u)
         assert np.array_equal(D, D.T)
         # each pair's quotient equals the one with its operands swapped
-        m, um = u.grid.midpoints, u.midpoint_values
+        m, um = u.grid.midpoints, midpoint_values(u)
         i, j = np.nonzero(~np.eye(n, dtype=bool))
         assert np.array_equal(D[i, j], (um[i] - um[j]) / (m[i] - m[j]))
 

@@ -6,7 +6,6 @@ from numpy.polynomial import polynomial
 
 from nlvar.integrands import (
     Integrand,
-    check_derivatives,
     half_square,
     integrand_by_name,
     power_p,
@@ -14,6 +13,8 @@ from nlvar.integrands import (
     two_well_bare,
     two_well_full,
 )
+
+from helpers import check_derivatives, evaluate
 
 ALL = [power_p(2), power_p(3), power_p(4), half_square(), quadratic_mass(),
        two_well_full(), two_well_bare()]
@@ -26,17 +27,17 @@ def probe_lattice():
 
 class TestEvaluate:
     def test_power4_at_one(self):
-        assert power_p(4).evaluate(0.5, 0.0, 1.0) == 1.0
+        assert evaluate(power_p(4), 0.5, 0.0, 1.0) == 1.0
 
     @pytest.mark.parametrize("U", [1.0, -1.0])
     def test_two_well_bare_wells_are_zero(self, U):
-        assert two_well_bare().evaluate(0.5, 0.0, U) == 0.0
+        assert evaluate(two_well_bare(), 0.5, 0.0, U) == 0.0
 
     def test_quadratic_mass_zero_slope(self):
-        assert quadratic_mass().evaluate(0.3, 1.0, 0.0) == 8.0
+        assert evaluate(quadratic_mass(), 0.3, 1.0, 0.0) == 8.0
 
     def test_half_square(self):
-        assert half_square().evaluate(0.0, 5.0, 3.0) == 4.5
+        assert evaluate(half_square(), 0.0, 5.0, 3.0) == 4.5
 
 
 def partials(integrand, x, u, U):
@@ -174,27 +175,27 @@ class TestStructuralProperties:
         integrand = power_p(p)
         for U in np.linspace(-3, 3, 13):
             for lam in (0.5, 2.0, 7.0):
-                assert integrand.evaluate(0.5, 0.0, lam * U) == pytest.approx(
-                    lam**p * integrand.evaluate(0.5, 0.0, U), rel=1e-12
+                assert evaluate(integrand, 0.5, 0.0, lam * U) == pytest.approx(
+                    lam**p * evaluate(integrand, 0.5, 0.0, U), rel=1e-12
                 )
 
     @pytest.mark.parametrize("integrand", ALL, ids=lambda i: i.name)
     def test_bounded_below_by_zero(self, integrand):
         for x, u, U in probe_lattice():
-            assert integrand.evaluate(x, u, U) >= 0.0
+            assert evaluate(integrand, x, u, U) >= 0.0
 
     @pytest.mark.parametrize("integrand", ALL, ids=lambda i: i.name)
     def test_coercivity_on_probe_lattice(self, integrand):
         # W >= C0 (|U|^p - 1); C0 = 1/20 covers the two-well densities, whose
         # wells at |U| = 1 keep the admissible constant small
         for x, u, U in probe_lattice():
-            assert integrand.evaluate(x, u, U) >= 0.05 * (abs(U) ** integrand.p - 1.0)
+            assert evaluate(integrand, x, u, U) >= 0.05 * (abs(U) ** integrand.p - 1.0)
 
     def test_two_well_bare_strictly_positive_off_wells(self):
         integrand = two_well_bare()
         for U in np.linspace(-2, 2, 41):
             if abs(abs(U) - 1.0) > 1e-9:
-                assert integrand.evaluate(0.5, 0.0, U) > 0.0
+                assert evaluate(integrand, 0.5, 0.0, U) > 0.0
 
 
 class TestNameResolution:

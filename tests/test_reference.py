@@ -10,12 +10,13 @@ from scipy.integrate import quad
 import nlvar
 from nlvar.grid import Grid1D, GridError, NodalFunction
 from nlvar.reference import (
-    holder_exponent,
     local_exp_solution,
     normalize_k,
     ode_approx_derivative,
     ode_approx_profile,
 )
+
+from helpers import holder_exponent
 
 # 1 / int_0^1 x^{2x} (1-x)^{2(1-x)} dx, frozen from a 30-digit mpmath run
 K_NORMALIZED = 2.5162088822971746

@@ -15,7 +15,6 @@ from nlvar import solver
 from nlvar.cli import EXIT_NUMERIC, main
 from nlvar.energy import (
     NonFiniteEnergyError,
-    _half_square_hessian,
     _half_square_inverse,
     _hessian,
     _packed_inverse,
@@ -55,6 +54,8 @@ class TestConfigValidation:
             {"grad_tol": 0.0},
             {"grad_tol": float("nan")},
             {"grad_tol": float("inf")},
+            {"max_iters": True},
+            {"grad_tol": True},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -357,7 +358,7 @@ class TestPreconditioner:
             v = np.zeros(n + 1)
             v[k + 1] = 1.0
             hessian[:, k] = value_and_grad(NodalFunction(grid, v), W)[1] - g0
-        P = unpack_lower(_half_square_hessian(n), n - 1)
+        P = unpack_lower(_hessian(grid, np.zeros(n + 1), W), n - 1)
         assert np.max(np.abs(P - hessian)) <= 1e-10 * np.max(np.abs(hessian))
 
     @pytest.mark.parametrize("W, n", [(two_well_bare(), 64), (two_well_full(), 64),
@@ -424,9 +425,10 @@ class TestPreconditioner:
 
     def test_solve_inverts_packed_matrix(self):
         n = 64
-        P = unpack_lower(_half_square_hessian(n), n - 1)
+        grid, W = Grid1D(n), half_square()
+        P = unpack_lower(_hessian(grid, np.zeros(n + 1), W), n - 1)
         x = np.random.default_rng(3).standard_normal(n - 1)
-        solve = _packed_inverse(_half_square_hessian(n), n - 1)
+        solve = _packed_inverse(_hessian(grid, np.zeros(n + 1), W), n - 1)
         assert np.max(np.abs(solve(P @ x) - x)) <= 1e-10 * np.max(np.abs(x))
 
     def test_outputs_do_not_depend_on_blas_threads(self):
@@ -492,9 +494,12 @@ class TestHessian:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 24, 129])
     def test_half_square_is_closed_form(self, n):
-        P = _half_square_hessian(n)
-        H = _hessian(Grid1D(n), smooth_profile(n), half_square())
-        assert np.max(np.abs(H - P)) <= 1e-14 * np.max(np.abs(P))
+        # a matrix of n alone: the values do not enter it, bit for bit,
+        # which lets P be built once per n, at zeros
+        rough = np.random.default_rng(n).uniform(-1.0, 1.0, n + 1)
+        P = _hessian(Grid1D(n), np.zeros(n + 1), half_square())
+        H = _hessian(Grid1D(n), rough, half_square())
+        assert H.tobytes() == P.tobytes()
 
     def test_one_cell_has_no_interior_nodes(self):
         assert _hessian(one_cell(), np.array([0.0, 1.0]), half_square()).size == 0
