@@ -30,9 +30,15 @@ The fold sums n^2 / 2 pairs per call. Above NEAR_FAR_ABOVE_N cells, a
 density that carries phi's coefficients (a polynomial phi) sums only the
 fold's first b = n // NEAR_BAND_DIVISOR rows, the n b pairs at index
 distance d <= b or d >= n - b, and the pairs in between by Toeplitz
-products from FFTs of length 2n, in O(n log n) (_far_pairs). The two paths
-agree to rounding; the dense fold reruns wherever the near/far path meets
-a non-finite value.
+products from FFTs of length 2n, in O(n log n) (_far_pairs). The
+coefficients are read in |U|: phi(U) = P(|U|) = sum_k c_k |U|^k. For an
+even P that is P(U). For one with an odd coefficient (power:3), phi(D) =
+P(s D) wherever s D >= 0, s the sign of the end values' slope, so the
+products sum P(s D) and only the far pairs of the cells whose sign
+_unsigned_cells cannot certify are evaluated directly (_unsigned_pairs);
+where those would cost more than the fold, the dense fold runs. The two
+paths agree to rounding; the dense fold reruns wherever the near/far path
+meets a non-finite value.
 """
 
 from __future__ import annotations
@@ -69,6 +75,12 @@ BLOCK_ELEMS = 1 << 14
 # and the rest by Toeplitz products (_far_pairs)
 NEAR_FAR_ABOVE_N = 2048
 NEAR_BAND_DIVISOR = 16
+
+# a phi with an odd coefficient splits each far row into cells of SIGN_CELL
+# consecutive first midpoints, whose sign is tested by one min and one max
+# (_unsigned_cells). It must not exceed the band, n // 16 > 128 above the
+# crossover; at n = 4096 cells of 32, 64 and 128 give the same times
+SIGN_CELL = 64
 
 
 def _block_rows(n: int) -> int:
@@ -190,14 +202,19 @@ def value_and_grad(u: NodalFunction, integrand: Integrand) -> tuple[float, np.nd
 def _quadrature(grid: Grid1D, values: np.ndarray, integrand: Integrand, with_grad: bool):
     """(energy, gradient or None) of the n + 1 nodal values on grid, which
     need not form a NodalFunction. Above NEAR_FAR_ABOVE_N cells a density
-    with phi coefficients takes the near/far path; where that path meets a
-    non-finite value, the dense fold reruns and raises what it always has."""
-    n = grid.n
-    if integrand.phi_coefficients is not None and n > NEAR_FAR_ABOVE_N:
-        try:
-            return _fold(grid, values, integrand, with_grad, n // NEAR_BAND_DIVISOR)
-        except NonFiniteEnergyError:
-            pass
+    with phi coefficients takes the near/far path; a phi with an odd
+    coefficient takes it only where the far pairs whose sign is unknown are
+    few enough (_direct_pays). Where that path meets a non-finite value, the
+    dense fold reruns and raises what it always has."""
+    n, c = grid.n, integrand.phi_coefficients
+    if c is not None and n > NEAR_FAR_ABOVE_N:
+        band = n // NEAR_BAND_DIVISOR
+        unsigned = _unsigned_cells(values, band) if any(c[1::2]) else None
+        if unsigned is None or _direct_pays(unsigned, n, band):
+            try:
+                return _fold(grid, values, integrand, with_grad, band, unsigned)
+            except NonFiniteEnergyError:
+                pass
     return _fold(grid, values, integrand, with_grad)
 
 
@@ -205,10 +222,12 @@ def _quadrature(grid: Grid1D, values: np.ndarray, integrand: Integrand, with_gra
 # repeat the error
 @np.errstate(over="ignore", invalid="ignore")
 def _fold(grid: Grid1D, values: np.ndarray, integrand: Integrand, with_grad: bool,
-          band: Optional[int] = None):
+          band: Optional[int] = None, unsigned: Optional[np.ndarray] = None):
     """(energy, gradient or None) from the dense fold, or, given a band
     0 <= b < n // 2, from the fold's rows 0..b, which hold the pairs at index
-    distance d <= b and d >= n - b, and _far_pairs for those in between."""
+    distance d <= b and d >= n - b, and _far_pairs for those in between. A
+    phi with an odd coefficient also needs unsigned, the far cells whose
+    sign _unsigned_cells could not certify, which _unsigned_pairs sums."""
     h, n, m = grid.h, grid.n, grid.midpoints
     # midpoint values and NodalFunction.slopes, np.diff written out
     um = 0.5 * (values[:-1] + values[1:])
@@ -224,6 +243,12 @@ def _fold(grid: Grid1D, values: np.ndarray, integrand: Integrand, with_grad: boo
         r = um - (values[0] + beta * m)
         r -= 0.5 * (r.max() + r.min())
         far, far_grad = _far_pairs(r, beta, integrand, band, with_grad)
+        if unsigned is not None:
+            fix, fix_grad = _unsigned_pairs(um, beta, integrand.phi_coefficients, band,
+                                            unsigned, with_grad)
+            far += fix
+            if with_grad:
+                far_grad += fix_grad
         half_rows += far
     if with_grad:
         # per midpoint: sums of C = phi'(D) / dm over the pairs it comes
@@ -284,13 +309,16 @@ def _far_kernels(n: int, band: int, degree: int) -> np.ndarray:
 
 
 def _far_pairs(r: np.ndarray, beta: float, integrand: Integrand, band: int, with_grad: bool):
-    """(f, gradient of sum(f) in r, or None): sum(f) is the sum of phi(D_ij)
-    over the far pairs i < j, band < j - i < n - band, for phi(D) = sum_k
-    c_k D^k and the midpoint values a = line + r, where line has slope beta.
+    """(f, gradient of sum(f) in r, or None): sum(f) is the sum of P(s D_ij)
+    over the far pairs i < j, band < j - i < n - band, for P(D) = sum_k c_k
+    D^k, s = _sign(beta) and the midpoint values a = line + r, where line
+    has slope beta. For an even P, P(s D) = P(D) = phi(D); otherwise phi(D)
+    = P(|D|) is P(s D) where s D >= 0 (_unsigned_pairs adds the rest).
 
-    There D_ij = beta + (r_j - r_i) / ((j - i) h), and phi(beta + R) =
-    sum_k c'_k R^k with c' the Taylor shift of c to beta; an affine u has r
-    = 0 up to rounding. By the binomial expansion of (r_j - r_i)^k, with
+    There D_ij = beta + (r_j - r_i) / ((j - i) h), and P(s (beta + R)) =
+    sum_k c'_k R^k with c' the Taylor shift of (c_k s^k) to beta, which
+    phi's closed forms give for k <= 2; an affine u has r = 0 up to
+    rounding. By the binomial expansion of (r_j - r_i)^k, with
     w_pq = c'_(p+q) C(p+q, q),
 
         f = sum_p (-r)^p V_p,   V_p = sum_q w_pq U_(p+q) r^q,
@@ -300,13 +328,13 @@ def _far_pairs(r: np.ndarray, beta: float, integrand: Integrand, band: int, with
     of the powers of r and one batched irfft of length 2n for the V_p, which
     value and gradient share bit for bit, and one more for the T_p."""
     from numpy.fft import irfft, rfft  # here, so `import nlvar` loads no numpy.fft
-    n, c = r.size, integrand.phi_coefficients
+    n, c, s = r.size, integrand.phi_coefficients, _sign(beta)
     degree = len(c) - 1
     # c'_k = phi^(k)(beta) / k!, from the closed forms for k <= 2: near a
     # root of phi the monomial sums cancel, and phi(beta) weighs every pair
     at = np.array([beta])
     shifted = ([integrand.w(at)[0], integrand.w_U(at)[0], 0.5 * integrand.w_UU(at)[0]]
-               + [sum(comb(j, k) * c[j] * beta ** (j - k) for j in range(k, degree + 1))
+               + [sum(comb(j, k) * c[j] * s ** j * beta ** (j - k) for j in range(k, degree + 1))
                   for k in range(3, degree + 1)])[:degree + 1]
     K = _far_kernels(n, band, degree)
     R = rfft(r ** np.arange(degree + 1)[:, None], 2 * n)
@@ -330,6 +358,95 @@ def _far_pairs(r: np.ndarray, beta: float, integrand: Integrand, band: int, with
     for p in range(degree, 0, -1):
         grad = grad * r + p * (T[p - 1] + (-1) ** p * V[p])
     return f, grad
+
+
+def _sign(beta: float) -> float:
+    """s = sign(beta), +1 at beta = 0: the sign of the far quotients D_ij
+    that _far_pairs's polynomial P(s D) takes for phi = sum_k c_k |D|^k."""
+    return -1.0 if beta < 0 else 1.0
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _unsigned_cells(values: np.ndarray, band: int) -> np.ndarray:
+    """unsigned[c, t]: whether the sign test fails for cell c of the far row
+    d = band + 1 + t, the pairs (i, i + d) with c L <= i < min(c L + L, n -
+    d), L = SIGN_CELL, of the n = values.size - 1 midpoint values a. A cell
+    passes where min s a_j >= max s a_i over its j and its i, s =
+    _sign(beta): then every D_ij in it has the sign s, and phi(D) = P(s D).
+    One min of s a over each window of L (by doubling) and one max over
+    each cell's i give all n^2 / (2 L) tests; a cell that runs past n - d
+    keeps the max of all its L values of i, which only makes it fail
+    sooner."""
+    L, n = SIGN_CELL, values.size - 1
+    a = 0.5 * (values[:-1] + values[1:])
+    a *= _sign(values[-1] - values[0])
+    cells = -(-n // L)
+    high = np.full(cells * L, -np.inf)
+    high[:n] = a
+    high = high.reshape(cells, L).max(axis=1)
+    # low[p] = min a[p:p + L]; a window past n holds fewer values, an empty
+    # one (a cell that does not exist) is +inf and passes
+    low = np.full(n + (cells + 1) * L, np.inf)
+    low[:n] = a
+    k = 1
+    while k < L:
+        low = np.minimum(low[:-k], low[k:])
+        k *= 2
+    # row c of the view is low from c L + band + 1 on
+    rows = n - 2 * band - 1
+    return _windows(low, band + 1, L, (cells, rows)) < high[:, None]
+
+
+def _direct_pays(unsigned: np.ndarray, n: int, band: int) -> bool:
+    """Whether the unsigned cells hold at most half of the (n - 2 b - 1) n /
+    2 far pairs; above that, the dense fold runs. Measured at n = 4096 with
+    one BLAS thread (CPU time, best of 5), the near/far path takes 4 and 7
+    ms (energy, and energy with gradient) with no far pair direct and 29
+    and 66 ms with all of them, against 21 and 44 ms on the dense fold: the
+    two break even at about 0.6 of the far pairs."""
+    return 4 * SIGN_CELL * np.count_nonzero(unsigned) <= (n - 2 * band - 1) * n
+
+
+def _unsigned_pairs(a: np.ndarray, beta: float, c: tuple[float, ...], band: int,
+                    unsigned: np.ndarray, with_grad: bool):
+    """(f, gradient of sum(f) in a, or None): sum(f) is the sum of phi(D_ij)
+    - P(s D_ij) over the pairs (i, j) of the unsigned cells
+    (_unsigned_cells) of the midpoint values a, where phi(D) = P(|D|) =
+    sum_k c_k |D|^k and s = _sign(beta); f holds each cell's sum at its
+    first i. Where s D >= 0 the difference is 0, and where s D < 0 it is -2
+    O(s D), with O P's odd part. The cells are taken BLOCK_ELEMS // L at a
+    time; the gradient's second midpoints are scattered by bincount."""
+    L, n, s = SIGN_CELL, a.size, _sign(beta)
+    odd = [(k, -2.0 * c[k]) for k in range(1, len(c), 2) if c[k]]
+    # win[p] = s a[p:p + L]; past n, +inf gives no term
+    win = _windows(np.concatenate([s * a, np.full(L, np.inf)]), 0, 1, (n, L))
+    cell, t = divmod(np.flatnonzero(unsigned), unsigned.shape[1])
+    f = np.zeros(n)
+    if with_grad:
+        # the gradient from the pairs' first midpoints, first[c, q] at a_(c L
+        # + q), and from their second ones
+        first, second = np.zeros((unsigned.shape[0], L)), np.zeros(n + L)
+    step = BLOCK_ELEMS // L
+    for k0 in range(0, cell.size, step):
+        c0 = cell[k0:k0 + step]
+        i0, d = c0 * L, t[k0:k0 + step] + band + 1
+        # y = min(s (a_j - a_i), 0); s D = y n / d where s D < 0
+        y = np.minimum(win[i0 + d] - win[i0], 0.0)
+        y2 = y * y
+        # (k, w_k (n / d)^k, y^(k - 1)), the last 0 where y = 0 also for k = 1
+        terms = [(k, w * (n / d) ** k, y2 ** (k // 2) if k > 1 else y < 0) for k, w in odd]
+        f += np.bincount(i0, sum(w * (even * y).sum(axis=1) for _, w, even in terms), n)
+        if not with_grad:
+            continue
+        # d f / d a_j = s sum_k k w_k (n / d)^k y^(k - 1) = -d f / d a_i
+        slope = sum((s * k * w)[:, None] * even for k, w, even in terms)
+        # nonzero lists the cells by c, so the chunk holds runs of one c
+        runs = np.flatnonzero(np.diff(c0, prepend=-1))
+        first[c0[runs]] -= np.add.reduceat(slope, runs, axis=0)
+        second += np.bincount(((i0 + d)[:, None] + np.arange(L)).ravel(), slope.ravel(), n + L)
+    if not with_grad:
+        return f, None
+    return f, first.reshape(-1)[:n] + second[:n]
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -41,10 +41,12 @@ class Integrand:
     densities, so a density that does not state it keeps the unpreconditioned
     solver. The solver's Newton steps read w_UU and w_uu.
 
-    phi_coefficients, where set, are phi's coefficients in ascending order:
-    phi(U) = sum_k c_k U^k, which w evaluates in its own closed form. Above
-    a crossover size the energy kernel sums the distant pairs of such a
-    density by Toeplitz products instead of evaluating w on each of them.
+    phi_coefficients, where set, are phi's coefficients in ascending order,
+    read in |U|: phi(U) = sum_k c_k |U|^k, which w evaluates in its own
+    closed form. With no odd coefficient that is the polynomial sum_k c_k
+    U^k. Above a crossover size the energy kernel sums the distant pairs of
+    such a density by Toeplitz products instead of evaluating w on each of
+    them; with an odd coefficient it does so where the pairs' sign is known.
     """
 
     w: ArrayFn
@@ -85,9 +87,10 @@ def power_p(p: float) -> Integrand:
     """W = |U|^p (homogeneous problem with end conditions u(0)=0, u(1)=1).
 
     For an integer p, phi, phi' = p U |U|^(p-2) and phi'' are products of
-    |U| (`_abs_power`); otherwise they are numpy powers of |U|. p = 2 and 4
-    carry phi's coefficients: odd p is not a polynomial, and the Toeplitz
-    sums of a higher degree lose more to cancellation.
+    |U| (`_abs_power`); otherwise they are numpy powers of |U|. p = 2, 3
+    and 4 carry phi's coefficients, |U|^p: p = 3 is a polynomial in |U|, not
+    in U, and the Toeplitz sums of a higher degree lose more to
+    cancellation.
     """
     if not (np.isfinite(p) and p > 1):
         raise ValueError(f"growth exponent must be finite and exceed 1, got {p}")
@@ -101,7 +104,7 @@ def power_p(p: float) -> Integrand:
         w_U = lambda U: p * np.sign(U) * np.abs(U) ** (p - 1)
         w_UU = lambda U: p * (p - 1) * np.abs(U) ** (p - 2)
     short = f"{p:g}" if float(f"{p:g}") == p else repr(float(p))  # a name that reads back as p
-    coefficients = (0.0,) * int(p) + (1.0,) if p in (2, 4) else None
+    coefficients = (0.0,) * int(p) + (1.0,) if p in (2, 3, 4) else None
     return Integrand(w=w, w_U=w_U, w_UU=w_UU, mass=np.zeros_like, w_u=np.zeros_like,
                      w_uu=np.zeros_like, p=p, name=f"power:{short}", convex=True,
                      phi_coefficients=coefficients)

@@ -232,17 +232,22 @@ class TestNameResolution:
 class TestPhiCoefficients:
     PROBES = np.array([-3.0, -2.0, -1.0, -0.5, 0.0, 0.25, 1.0, 1.5, 2.7])
 
+    # the coefficients are read in |U|: phi(U) = P(|U|), phi'(U) = sign(U)
+    # P'(|U|) and phi''(U) = P''(|U|); for an even P these are P, P', P'' at U
     @pytest.mark.parametrize("name", ["half-square", "quad-mass", "two-well", "two-well-bare",
-                                      "power:2", "power:4"])
+                                      "power:2", "power:3", "power:4"])
     def test_coefficients_match_the_closed_forms(self, name):
         W = integrand_by_name(name)
         c = np.array(W.phi_coefficients)
         U = self.PROBES
-        for closed, order in ((W.w, 0), (W.w_U, 1), (W.w_UU, 2)):
-            np.testing.assert_allclose(polynomial.polyval(U, polynomial.polyder(c, order)),
-                                       closed(U), rtol=1e-14, atol=0.0)
+        for closed, order, sign in ((W.w, 0, 1.0), (W.w_U, 1, np.sign(U)), (W.w_UU, 2, 1.0)):
+            P = polynomial.polyval(np.abs(U), polynomial.polyder(c, order))
+            np.testing.assert_allclose(sign * P, closed(U), rtol=1e-14, atol=0.0)
 
-    @pytest.mark.parametrize("name", ["power:3", "power:2.5", "power:6"])
+    def test_power_3_carries_the_cube_of_abs(self):
+        assert integrand_by_name("power:3").phi_coefficients == (0.0, 0.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("name", ["power:2.5", "power:6"])
     def test_other_exponents_carry_none(self, name):
         assert integrand_by_name(name).phi_coefficients is None
 

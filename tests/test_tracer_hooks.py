@@ -63,7 +63,7 @@ def test_traced_density_gives_the_same_bits(name):
     assert {"integrands.w", "integrands.w_u", "integrands.w_U"} <= set(tracer.names)
 
 
-@pytest.mark.parametrize("name", ["half-square", "two-well"])
+@pytest.mark.parametrize("name", ["half-square", "two-well", "power:3"])
 def test_traced_density_gives_the_same_bits_above_the_crossover(name):
     # dataclasses.replace carries phi_coefficients over, so the traced copy
     # takes the same near/far path
