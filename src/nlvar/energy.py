@@ -28,17 +28,18 @@ distances block by block.
 
 The fold sums n^2 / 2 pairs per call. Above NEAR_FAR_ABOVE_N cells, a
 density that carries phi's coefficients (a polynomial phi) sums only the
-fold's first b = n // NEAR_BAND_DIVISOR rows, the n b pairs at index
-distance d <= b or d >= n - b, and the pairs in between by Toeplitz
-products from FFTs of length 2n, in O(n log n) (_far_pairs). The
-coefficients are read in |U|: phi(U) = P(|U|) = sum_k c_k |U|^k. For an
-even P that is P(U). For one with an odd coefficient (power:3), phi(D) =
-P(s D) wherever s D >= 0, s the sign of the end values' slope, so the
-products sum P(s D) and only the far pairs of the cells whose sign
-_unsigned_cells cannot certify are evaluated directly (_unsigned_pairs);
-where those would cost more than the fold, the dense fold runs. The two
-paths agree to rounding; the dense fold reruns wherever the near/far path
-meets a non-finite value.
+fold's first b rows, the n b pairs at index distance d <= b or d >= n - b,
+and the pairs in between by Toeplitz products from FFTs of length 2n, in
+O(n log n) (_far_pairs). The band b = _near_band(n, c) narrows as phi's
+degree falls: n // 16 for a quartic, n // 64 for a cubic, n // 4096 for a
+quadratic. The coefficients are read in |U|: phi(U) = P(|U|) = sum_k c_k
+|U|^k. For an even P that is P(U). For one with an odd coefficient
+(power:3), phi(D) = P(s D) wherever s D >= 0, s the sign of the end
+values' slope, so the products sum P(s D) and only the far pairs of the
+cells whose sign _unsigned_cells cannot certify are evaluated directly
+(_unsigned_pairs); where those would cost more than the fold, the dense
+fold runs. The two paths agree to rounding; the dense fold reruns
+wherever the near/far path meets a non-finite value.
 """
 
 from __future__ import annotations
@@ -71,16 +72,34 @@ BLOCK_ELEMS = 1 << 14
 
 
 # above this many cells, a density with phi coefficients sums the pairs at
-# index distance d <= n // NEAR_BAND_DIVISOR (or d >= n - that) by the fold
-# and the rest by Toeplitz products (_far_pairs)
+# index distance d <= _near_band(n, c) (or d >= n - that) by the fold and
+# the rest by Toeplitz products (_far_pairs)
 NEAR_FAR_ABOVE_N = 2048
-NEAR_BAND_DIVISOR = 16
 
 # a phi with an odd coefficient splits each far row into cells of SIGN_CELL
 # consecutive first midpoints, whose sign is tested by one min and one max
-# (_unsigned_cells). It must not exceed the band, n // 16 > 128 above the
-# crossover; at n = 4096 cells of 32, 64 and 128 give the same times
+# (_unsigned_cells). The band is at least SIGN_CELL: a row d < SIGN_CELL
+# would test cells whose first and second midpoints overlap, which only a
+# locally constant u passes. At n = 4096 with the band n // 16, cells of 32,
+# 64 and 128 gave the same times
 SIGN_CELL = 64
+
+
+def _near_band(n: int, c: tuple[float, ...]) -> Optional[int]:
+    """The band b of the near/far path on n cells for phi's coefficients c,
+    or None where the dense fold runs (b >= n // 2). The far sums' rounding
+    error grows like (n / b)^(k - 1) for phi of degree k, so b = n 16^(-3 /
+    (k - 1)): n // 4096 for k = 2, n // 64 for k = 3 and n // 16 for k = 4.
+    Against the dense fold these keep the energy within 6.8e-14 relative and
+    the gradient within 8.1e-14 of its largest entry for every built-in
+    density at n = 2049-16384, on the profiles whose table
+    tests/near_far_errors.py prints. A phi of degree <= 1 takes b = 1, and
+    one with an odd coefficient at least SIGN_CELL."""
+    k = len(c) - 1
+    b = max(1, int(n * 2.0 ** (-12 / (k - 1)))) if k > 1 else 1
+    if any(c[1::2]):
+        b = max(b, SIGN_CELL)
+    return b if b < n // 2 else None
 
 
 def _block_rows(n: int) -> int:
@@ -207,8 +226,8 @@ def _quadrature(grid: Grid1D, values: np.ndarray, integrand: Integrand, with_gra
     few enough (_direct_pays). Where that path meets a non-finite value, the
     dense fold reruns and raises what it always has."""
     n, c = grid.n, integrand.phi_coefficients
-    if c is not None and n > NEAR_FAR_ABOVE_N:
-        band = n // NEAR_BAND_DIVISOR
+    band = _near_band(n, c) if c is not None and n > NEAR_FAR_ABOVE_N else None
+    if band is not None:
         unsigned = _unsigned_cells(values, band) if any(c[1::2]) else None
         if unsigned is None or _direct_pays(unsigned, n, band):
             try:
@@ -399,11 +418,12 @@ def _unsigned_cells(values: np.ndarray, band: int) -> np.ndarray:
 
 def _direct_pays(unsigned: np.ndarray, n: int, band: int) -> bool:
     """Whether the unsigned cells hold at most half of the (n - 2 b - 1) n /
-    2 far pairs; above that, the dense fold runs. Measured at n = 4096 with
-    one BLAS thread (CPU time, best of 5), the near/far path takes 4 and 7
-    ms (energy, and energy with gradient) with no far pair direct and 29
-    and 66 ms with all of them, against 21 and 44 ms on the dense fold: the
-    two break even at about 0.6 of the far pairs."""
+    2 far pairs; above that, the dense fold runs. Measured at n = 4096 and
+    b = 64 with one BLAS thread (CPU time, best of 7), the near/far path
+    takes 2.0 and 3.0 ms (energy, and energy with gradient) with no far pair
+    direct and 30 and 67 ms with all of them, against 20 and 45 ms on the
+    dense fold: the two break even at about 0.63 of the far pairs (0.6 at
+    b = 256), so the cut stays at half."""
     return 4 * SIGN_CELL * np.count_nonzero(unsigned) <= (n - 2 * band - 1) * n
 
 

@@ -88,9 +88,10 @@ class SolverConfig:
 def default_grad_tol(n: int) -> float:
     """1e-8 for n <= 128, relaxed to 1e-6 above, where a gradient costs
     O(n^2): n^2 / 2 pairs, or for a density with phi coefficients above
-    energy.NEAR_FAR_ABOVE_N cells the n^2 / 16 of the near band plus
-    O(n log n) for the rest, and for power:3 the far pairs whose sign is
-    unknown, up to half of them before the n^2 / 2 pairs run instead."""
+    energy.NEAR_FAR_ABOVE_N cells the n b pairs of the near band (b from
+    n / 4096 to n / 16 by phi's degree) plus O(n log n) for the rest, and
+    for power:3 the far pairs whose sign is unknown, up to half of them
+    before the n^2 / 2 pairs run instead."""
     return 1e-8 if n <= 128 else 1e-6
 
 

@@ -1,20 +1,24 @@
 """Oracles and shorthands that only the tests read: a finite-difference
 check of a density's derivatives, the energy of one profile at n and 2n
-cells, the Hoelder exponent, a constant nodal function, midpoint values
-and a pointwise W. The package itself runs none of them.
+cells, the Hoelder exponent, a constant nodal function, midpoint values,
+a pointwise W, and the near/far path forced against the dense fold with
+its profiles and hand-built polynomial densities. The package itself runs
+none of them.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from nlvar import energy
 from nlvar.energy import energy_value
 from nlvar.grid import Grid1D, NodalFunction
-from nlvar.integrands import ArrayFn, Integrand, _integer_exponent
+from nlvar.integrands import ArrayFn, Integrand, _integer_exponent, power_p
 
 
 def constant(grid: Grid1D, c: float) -> NodalFunction:
@@ -108,3 +112,40 @@ def holder_exponent(p: float) -> float:
     if not 2 < p < np.inf:  # NaN fails too
         raise ValueError(f"Hoelder exponent requires finite p > 2, got {p}")
     return (p - 2.0) / p
+
+
+def stripped(integrand: Integrand) -> Integrand:
+    """The same density without phi coefficients, which the dense fold sums."""
+    return dataclasses.replace(integrand, phi_coefficients=None)
+
+
+def near_far_profiles(n: int) -> dict[str, np.ndarray]:
+    """Nodal values on n cells that the near/far path is checked on; falling
+    has end values of slope s = -1, the hat s = +1 at beta = 0."""
+    x = Grid1D(n).nodes
+    rough = np.random.default_rng(n).uniform(-1, 1, n + 1)
+    return {"rough": rough, "smooth": x * x + 0.1 * np.sin(np.pi * x),
+            "affine": 0.25 + 0.75 * x, "hat": 0.5 - np.abs(x - 0.5),
+            "x+1e-3sin": x + 1e-3 * np.sin(7.0 * x), "falling": 1.0 - x * x}
+
+
+def near_far(grid: Grid1D, values: np.ndarray, integrand: Integrand):
+    """(energy, gradient) from _fold's near/far path at the band that
+    _quadrature takes, with the unsigned cells that a phi with an odd
+    coefficient needs, however many there are."""
+    c = integrand.phi_coefficients
+    band = energy._near_band(grid.n, c)
+    unsigned = energy._unsigned_cells(values, band) if any(c[1::2]) else None
+    return energy._fold(grid, values, integrand, True, band, unsigned)
+
+
+def hand_built() -> list[Integrand]:
+    """Two densities with phi coefficients that no built-in one has: |U|, of
+    degree 1 with an odd coefficient, whose phi' takes +1 at 0 as P(s D)
+    does for s = +1, and U^6, of degree 6, which power:6 does not carry."""
+    sign = lambda U: np.where(U < 0, -1.0, 1.0)
+    absolute = Integrand(w=np.abs, w_U=sign, w_UU=np.zeros_like, mass=np.zeros_like,
+                         w_u=np.zeros_like, w_uu=np.zeros_like, p=1.0, name="abs",
+                         phi_coefficients=(0.0, 1.0))
+    sixth = dataclasses.replace(power_p(6), name="U^6", phi_coefficients=(0.0,) * 6 + (1.0,))
+    return [absolute, sixth]

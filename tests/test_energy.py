@@ -7,7 +7,6 @@ import pytest
 from nlvar import energy
 from nlvar.energy import (
     BLOCK_ELEMS,
-    NEAR_BAND_DIVISOR,
     NEAR_FAR_ABOVE_N,
     NonFiniteEnergyError,
     energy_gradient,
@@ -25,7 +24,16 @@ from nlvar.integrands import (
 )
 from nlvar.optimality import residual_report
 
-from helpers import constant, evaluate, midpoint_values, refine_and_compare
+from helpers import (
+    constant,
+    evaluate,
+    hand_built,
+    midpoint_values,
+    near_far,
+    near_far_profiles,
+    refine_and_compare,
+    stripped,
+)
 
 ALL = [power_p(2), power_p(3), power_p(4), half_square(), quadratic_mass(),
        two_well_full(), two_well_bare()]
@@ -313,28 +321,6 @@ class TestFoldPlan:
         assert energy._fold_distances.cache_info().currsize == 0
 
 
-def stripped(integrand):
-    """The same density without phi coefficients, which the dense fold sums."""
-    return dataclasses.replace(integrand, phi_coefficients=None)
-
-
-def near_far_profiles(n):
-    x = Grid1D(n).nodes
-    rough = np.random.default_rng(n).uniform(-1, 1, n + 1)
-    return {"rough": rough, "smooth": x * x + 0.1 * np.sin(np.pi * x),
-            "affine": 0.25 + 0.75 * x, "hat": 0.5 - np.abs(x - 0.5),
-            "x+1e-3sin": x + 1e-3 * np.sin(7.0 * x), "falling": 1.0 - x * x}
-
-
-def near_far(grid, values, integrand):
-    """_fold's near/far path, with the unsigned cells that a phi with an odd
-    coefficient needs, however many there are."""
-    band = grid.n // NEAR_BAND_DIVISOR
-    odd = any(integrand.phi_coefficients[1::2])
-    unsigned = energy._unsigned_cells(values, band) if odd else None
-    return energy._fold(grid, values, integrand, True, band, unsigned)
-
-
 def same_bits(got, want):
     return got[0] == want[0] and np.array_equal(got[1], want[1])
 
@@ -347,25 +333,42 @@ def assert_near_far_matches(near_far, dense):
     assert np.max(np.abs(grad - want_grad)) <= 1e-11 * np.max(np.abs(want_grad))
 
 
+def assert_path_matches_the_dense_fold(n, integrand, names=None):
+    """On every profile, or those named, value_and_grad gives the near/far
+    path's bits, or the dense fold's where the sign of too many far pairs is
+    unknown (TestSignCells), and the path is within the bounds of the dense
+    fold."""
+    grid, odd = Grid1D(n), any(integrand.phi_coefficients[1::2])
+    for name, values in near_far_profiles(n).items():
+        if names is not None and name not in names:
+            continue
+        u = NodalFunction(grid, values)
+        value, grad = value_and_grad(u, integrand)
+        assert value == energy_value(u, integrand)
+        dense = value_and_grad(u, stripped(integrand))
+        path = near_far(grid, values, integrand)
+        fold = odd and name in ("rough", "hat")
+        assert same_bits((value, grad), dense if fold else path)
+        assert_near_far_matches(path, dense)
+
+
 class TestNearFar:
     """Above NEAR_FAR_ABOVE_N cells, a density with phi coefficients sums the
-    pairs beyond the band n // NEAR_BAND_DIVISOR by Toeplitz products."""
+    pairs beyond the band _near_band(n, c) by Toeplitz products."""
 
-    @pytest.mark.parametrize("n", [NEAR_FAR_ABOVE_N + 1, 4096])
+    # n = 8192, where n / b is largest, on four profiles (both signs of the
+    # end values' slope, and beta = 0) to save 3 s of dense folds
+    @pytest.mark.parametrize("n", [NEAR_FAR_ABOVE_N + 1, 4096, 8192])
     @pytest.mark.parametrize("integrand", POLYNOMIAL, ids=lambda i: i.name)
     def test_matches_the_dense_fold(self, integrand, n):
-        grid = Grid1D(n)
-        for name, values in near_far_profiles(n).items():
-            u = NodalFunction(grid, values)
-            value, grad = value_and_grad(u, integrand)
-            assert value == energy_value(u, integrand)
-            dense = value_and_grad(u, stripped(integrand))
-            path = near_far(grid, values, integrand)
-            # power:3 takes the fold where the sign of too many far pairs is
-            # unknown (TestSignCells)
-            fold = integrand.name == "power:3" and name in ("rough", "hat")
-            assert same_bits((value, grad), dense if fold else path)
-            assert_near_far_matches(path, dense)
+        names = ("rough", "smooth", "hat", "falling") if n == 8192 else None
+        assert_path_matches_the_dense_fold(n, integrand, names)
+
+    # |U| has degree 1 and an odd coefficient; U^6 takes the band n / 5.3,
+    # wider than any built-in density's
+    @pytest.mark.parametrize("integrand", hand_built(), ids=lambda i: i.name)
+    def test_hand_built_matches_the_dense_fold(self, integrand):
+        assert_path_matches_the_dense_fold(4096, integrand)
 
     @pytest.mark.parametrize("integrand", POLYNOMIAL, ids=lambda i: i.name)
     def test_path_matches_below_the_crossover(self, integrand):
@@ -392,8 +395,8 @@ class TestNearFar:
         values = np.random.default_rng(5).uniform(-1, 1, n + 1)
         if rising:
             values = Grid1D(n).nodes + 0.05 * values
-            assert energy._direct_pays(energy._unsigned_cells(values, n // NEAR_BAND_DIVISOR),
-                                       n, n // NEAR_BAND_DIVISOR)
+            band = energy._near_band(n, W.phi_coefficients)
+            assert energy._direct_pays(energy._unsigned_cells(values, band), n, band)
         u = NodalFunction(Grid1D(n), scale * values)
         for kernel in (energy_value, value_and_grad):
             with pytest.raises(NonFiniteEnergyError) as want:
@@ -413,7 +416,7 @@ class TestSignCells:
     @pytest.mark.parametrize("n", [NEAR_FAR_ABOVE_N + 1, 4096])
     def test_certified_cells_hold_their_sign(self, n):
         grid, W = Grid1D(n), power_p(3)
-        band, L = n // NEAR_BAND_DIVISOR, energy.SIGN_CELL
+        band, L = energy._near_band(n, W.phi_coefficients), energy.SIGN_CELL
         for name, values in near_far_profiles(n).items():
             s = -1.0 if values[-1] < values[0] else 1.0
             a = s * 0.5 * (values[:-1] + values[1:])
@@ -430,6 +433,46 @@ class TestSignCells:
             else:
                 # a monotone profile: every far cell is certified
                 assert not unsigned.any()
+
+
+class TestNearBand:
+    """_near_band(n, c): b = n 16^(-3 / (k - 1)) for phi of degree k, at
+    least 1 and, for an odd phi, at least SIGN_CELL; None, the dense fold,
+    where that reaches n // 2."""
+
+    @pytest.mark.parametrize("n", [NEAR_FAR_ABOVE_N + 1, 3000, 4095, 4096, 8191, 8192, 16384,
+                                   65537])
+    def test_rule(self, n):
+        band = lambda c: energy._near_band(n, c)
+        for W in (half_square(), quadratic_mass(), power_p(2)):
+            assert band(W.phi_coefficients) == max(n // 4096, 1)
+        # the quartics keep the band, and so the bits, they had at n // 16
+        for W in (two_well_full(), two_well_bare(), power_p(4)):
+            assert band(W.phi_coefficients) == n // 16
+        assert band((0.0,) * 5 + (1.0,)) == n // 8
+        assert n // 3 < band((0.0,) * 12 + (1.0,)) < n // 2
+        assert band((0.0,) * 13 + (1.0,)) is None and band((0.0,) * 14 + (1.0,)) is None
+        assert band((1.0,)) == band((0.0, 0.0)) == 1
+        # an odd phi never takes a band below a sign cell
+        assert band(power_p(3).phi_coefficients) == max(n // 64, energy.SIGN_CELL)
+        for c in ((0.0, 1.0), (1.0, 1.0, 1.0), (0.0,) * 5 + (1.0,)):
+            assert band(c) >= energy.SIGN_CELL
+
+    def test_degree_4_keeps_the_bits_of_n_over_16(self):
+        n = 4096
+        grid = Grid1D(n)
+        for W in (two_well_full(), two_well_bare(), power_p(4)):
+            for values in near_far_profiles(n).values():
+                assert same_bits(value_and_grad(NodalFunction(grid, values), W),
+                                 energy._fold(grid, values, W, True, n // 16))
+
+    def test_half_the_fold_or_more_runs_the_dense_fold(self):
+        n = 4096
+        grid, values = Grid1D(n), near_far_profiles(n)["smooth"]
+        W = dataclasses.replace(power_p(14), phi_coefficients=(0.0,) * 14 + (1.0,))
+        assert energy._near_band(n, W.phi_coefficients) is None
+        assert same_bits(value_and_grad(NodalFunction(grid, values), W),
+                         energy._fold(grid, values, W, True))
 
 
 class TestRefineAndCompare:
