@@ -20,11 +20,11 @@ matrix and the half-square Hessian P, and _packed_inverse, the one factor
 path of the solver's second-order steps.
 
 What depends on n alone is built once per n and kept, read-only: the
-midpoints laid out twice, the fold's pair distances for n <=
-NEAR_FAR_ABOVE_N (_fold_distances), and the solver's factor of the
+midpoints laid out twice, the dense fold's pair distances for n <=
+FOLD_PLAN_MAX_N (_fold_distances), and the solver's factor of the
 half-square Hessian P (_half_square_inverse). Each of the last two keeps
-two sizes; _residuals and the fold above NEAR_FAR_ABOVE_N compute their
-distances block by block.
+two sizes; _residuals, the near band of the near/far path and the dense
+fold above FOLD_PLAN_MAX_N compute their distances block by block.
 
 The fold sums n^2 / 2 pairs per call. Above NEAR_FAR_ABOVE_N cells, a
 density that carries phi's coefficients (a polynomial phi) sums only the
@@ -38,8 +38,9 @@ quadratic. The coefficients are read in |U|: phi(U) = P(|U|) = sum_k c_k
 values' slope, so the products sum P(s D) and only the far pairs of the
 cells whose sign _unsigned_cells cannot certify are evaluated directly
 (_unsigned_pairs); where those would cost more than the fold, the dense
-fold runs. The two paths agree to rounding; the dense fold reruns
-wherever the near/far path meets a non-finite value.
+fold runs. The powers of r and of n / d in those sums are repeated
+products (_powers), not numpy's pow. The two paths agree to rounding; the
+dense fold reruns wherever the near/far path meets a non-finite value.
 """
 
 from __future__ import annotations
@@ -73,8 +74,13 @@ BLOCK_ELEMS = 1 << 14
 
 # above this many cells, a density with phi coefficients sums the pairs at
 # index distance d <= _near_band(n, c) (or d >= n - that) by the fold and
-# the rest by Toeplitz products (_far_pairs)
-NEAR_FAR_ABOVE_N = 2048
+# the rest by Toeplitz products (_far_pairs). Measured per call (value and
+# gradient, one BLAS thread), the path wins or ties for every built-in
+# polynomial density at every n from 512 on. Below, it lost at a size whose
+# 2n has a large prime factor, which numpy's FFT takes slowly (power:3 at
+# n = 386 by 1.41x, two-well at 257 by 1.34x), and power:3, whose band of
+# at least SIGN_CELL rows is a third or more of the fold, lost up to 352
+NEAR_FAR_ABOVE_N = 511
 
 # a phi with an odd coefficient splits each far row into cells of SIGN_CELL
 # consecutive first midpoints, whose sign is tested by one min and one max
@@ -122,14 +128,21 @@ def _midpoints_twice(n: int) -> np.ndarray:
     return m
 
 
+# the dense fold keeps its plan up to this many cells; above it the blocks
+# compute their distances, as the near band's always do
+FOLD_PLAN_MAX_N = 2048
+
+
 # two sizes: the benchmark's solves alternate n = 512 and 256, its figures
 # n = 128 and 64
 @lru_cache(maxsize=2)
 def _fold_distances(n: int) -> np.ndarray:
-    """The fold's dm = m_j - m_i, read-only, which _fold reads for n <=
-    NEAR_FAR_ABOVE_N cells: row d, 0 <= d <= n // 2, column i holds j = (i +
-    d) mod n, and row 0, the diagonal of cell slopes, is infinite. It takes
-    8 n (n // 2 + 1) bytes, 1 MB at n = 512 and 16.8 MB at 2048."""
+    """The fold's dm = m_j - m_i, read-only, which the dense fold reads for
+    n <= FOLD_PLAN_MAX_N cells: row d, 0 <= d <= n // 2, column i holds j =
+    (i + d) mod n, and row 0, the diagonal of cell slopes, is infinite. It
+    takes 8 n (n // 2 + 1) bytes, 1 MB at n = 512 and 16.8 MB at 2048. The
+    near/far path never builds it, so above NEAR_FAR_ABOVE_N only the
+    densities without phi coefficients, or the dense fold's fallbacks, do."""
     m = Grid1D(n).midpoints
     dm = _windows(_midpoints_twice(n), 0, 1, (n // 2 + 1, n)) - m
     dm[0] = np.inf
@@ -280,7 +293,7 @@ def _fold(grid: Grid1D, values: np.ndarray, integrand: Integrand, with_grad: boo
     # dm infinite as they do not depend on um; for even n, row n // 2 lists
     # each of its pairs twice, as (i, j) and (j, i)
     rows = n // 2 + 1 if band is None else band + 1
-    plan = _fold_distances(n)[:rows] if n <= NEAR_FAR_ABOVE_N else None
+    plan = _fold_distances(n) if band is None and n <= FOLD_PLAN_MAX_N else None
     for d0, dm, D in _circulant_blocks(um, m, um, 0, 1, rows, plan):
         if d0 == 0:
             D[0] = slopes
@@ -321,7 +334,7 @@ def _far_kernels(n: int, band: int, degree: int) -> np.ndarray:
     from numpy.fft import rfft  # here, so `import nlvar` loads no numpy.fft
     d = np.arange(band + 1, n - band)
     column = np.zeros((degree + 1, 2 * n))
-    column[:, 2 * n - d] = (n / d) ** np.arange(degree + 1)[:, None]
+    column[:, 2 * n - d] = _powers(n / d, degree)
     spectra = rfft(column)
     spectra.setflags(write=False)
     return spectra
@@ -356,7 +369,7 @@ def _far_pairs(r: np.ndarray, beta: float, integrand: Integrand, band: int, with
                + [sum(comb(j, k) * c[j] * s ** j * beta ** (j - k) for j in range(k, degree + 1))
                   for k in range(3, degree + 1)])[:degree + 1]
     K = _far_kernels(n, band, degree)
-    R = rfft(r ** np.arange(degree + 1)[:, None], 2 * n)
+    R = rfft(_powers(r, degree), 2 * n)
 
     def products(ps, transposed: bool) -> np.ndarray:
         spectra = np.zeros((len(ps), n + 1), complex)
@@ -377,6 +390,18 @@ def _far_pairs(r: np.ndarray, beta: float, integrand: Integrand, band: int, with
     for p in range(degree, 0, -1):
         grad = grad * r + p * (T[p - 1] + (-1) ** p * V[p])
     return f, grad
+
+
+def _powers(x: np.ndarray, degree: int) -> np.ndarray:
+    """Rows x^0..x^degree by repeated products. ** with an array of
+    exponents calls pow once per element (as integrands._abs_power notes):
+    for degree 2-4 at n = 4096 that took 0.42-0.80 ms against 4-8 us for
+    the products, which agree with it to 3.4e-16 relative."""
+    powers = np.empty((degree + 1, x.size))
+    powers[0] = 1.0
+    for q in range(1, degree + 1):
+        np.multiply(powers[q - 1], x, out=powers[q])
+    return powers
 
 
 def _sign(beta: float) -> float:
@@ -437,7 +462,6 @@ def _unsigned_pairs(a: np.ndarray, beta: float, c: tuple[float, ...], band: int,
     O(s D), with O P's odd part. The cells are taken BLOCK_ELEMS // L at a
     time; the gradient's second midpoints are scattered by bincount."""
     L, n, s = SIGN_CELL, a.size, _sign(beta)
-    odd = [(k, -2.0 * c[k]) for k in range(1, len(c), 2) if c[k]]
     # win[p] = s a[p:p + L]; past n, +inf gives no term
     win = _windows(np.concatenate([s * a, np.full(L, np.inf)]), 0, 1, (n, L))
     cell, t = divmod(np.flatnonzero(unsigned), unsigned.shape[1])
@@ -452,9 +476,16 @@ def _unsigned_pairs(a: np.ndarray, beta: float, c: tuple[float, ...], band: int,
         i0, d = c0 * L, t[k0:k0 + step] + band + 1
         # y = min(s (a_j - a_i), 0); s D = y n / d where s D < 0
         y = np.minimum(win[i0 + d] - win[i0], 0.0)
-        y2 = y * y
-        # (k, w_k (n / d)^k, y^(k - 1)), the last 0 where y = 0 also for k = 1
-        terms = [(k, w * (n / d) ** k, y2 ** (k // 2) if k > 1 else y < 0) for k, w in odd]
+        # (k, w_k (n / d)^k, y^(k - 1)) for the odd k with c_k != 0, w_k =
+        # -2 c_k, the powers by products as in _powers; y^0 is 0 where y = 0
+        ratio, y2 = n / d, y * y
+        scale, even, terms = ratio, y < 0, []
+        for k in range(1, len(c), 2):
+            if k > 1:
+                scale = scale * (ratio * ratio)
+                even = y2 if k == 3 else even * y2
+            if c[k]:
+                terms.append((k, -2.0 * c[k] * scale, even))
         f += np.bincount(i0, sum(w * (even * y).sum(axis=1) for _, w, even in terms), n)
         if not with_grad:
             continue

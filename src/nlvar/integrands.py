@@ -47,6 +47,11 @@ class Integrand:
     U^k. Above a crossover size the energy kernel sums the distant pairs of
     such a density by Toeplitz products instead of evaluating w on each of
     them; with an odd coefficient it does so where the pairs' sign is known.
+    Those sums take phi, phi' and phi'' from w, w_U and w_UU at one point
+    and the rest from the coefficients, so a density whose closed forms
+    disagree with its coefficients at COEFFICIENT_PROBES raises ValueError
+    naming the part. phi'(0) must be c_1, the slope from the right, which
+    the sums take at a zero slope of the end values.
     """
 
     w: ArrayFn
@@ -59,6 +64,43 @@ class Integrand:
     name: str
     convex: bool = False
     phi_coefficients: Optional[tuple[float, ...]] = None
+
+    def __post_init__(self):
+        if self.phi_coefficients is None:
+            return
+        U = COEFFICIENT_PROBES
+        c, a = self.phi_coefficients, np.abs(U)
+        first, sign = _derivative(c), np.where(U < 0, -1.0, 1.0)
+        # phi(U) = P(|U|), phi'(U) = sign(U) P'(|U|) with sign(0) = +1, and
+        # phi''(U) = P''(|U|), each to rounding
+        for part, closed, want in (("w", self.w, _horner(c, a)),
+                                   ("w_U", self.w_U, sign * _horner(first, a)),
+                                   ("w_UU", self.w_UU, _horner(_derivative(first), a))):
+            got = np.asarray(closed(U.copy()), float)
+            wrong = ~(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+            if wrong.any():
+                k = int(wrong.argmax())
+                raise ValueError(f"{self.name}: phi_coefficients give {part} = {float(want[k])!r} "
+                                 f"at U = {U[k]:g}, the closed form {float(got[k])!r}")
+
+
+def _derivative(c) -> list:
+    """The coefficients of the derivative of sum_k c_k x^k."""
+    return [k * c[k] for k in range(1, len(c))]
+
+
+def _horner(c, x: np.ndarray) -> np.ndarray:
+    """sum_k c_k x^k."""
+    y = np.zeros_like(x)
+    for ck in reversed(c):
+        y = y * x + ck
+    return y
+
+
+# the points where Integrand compares phi's closed forms with its
+# coefficients: both signs, and 0, where an odd phi has a kink
+COEFFICIENT_PROBES = np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+COEFFICIENT_PROBES.setflags(write=False)
 
 
 def _integer_exponent(p: float) -> bool:

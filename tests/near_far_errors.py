@@ -4,10 +4,11 @@ over max|g| across the profiles of helpers.near_far_profiles, each with the
 profile where it occurs. The path is forced even where _quadrature would run
 the dense fold (power:3 and abs on the rough and hat profiles).
 
-    PYTHONPATH=src python tests/near_far_errors.py [--sizes 2049 4096 ...]
+    PYTHONPATH=src python tests/near_far_errors.py [--sizes 512 4096 ...]
 
-The dense fold at n = 16384 takes about a second per call, so the default
-sizes run for a few minutes.
+The default sizes run from the crossover, NEAR_FAR_ABOVE_N + 1, to 16384.
+The dense fold at n = 16384 takes about a second per call, so they run for
+a few minutes.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ def errors(n: int, integrand) -> tuple[tuple[float, str], tuple[float, str]]:
 
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--sizes", type=int, nargs="+", default=[2049, 4096, 8192, 16384])
+    parser.add_argument("--sizes", type=int, nargs="+",
+                        default=[energy.NEAR_FAR_ABOVE_N + 1, 1024, 2048, 4096, 8192, 16384])
     sizes = parser.parse_args(argv).sizes
     densities = [half_square(), quadratic_mass(), power_p(2), power_p(3), power_p(4),
                  two_well_full(), two_well_bare()] + hand_built()

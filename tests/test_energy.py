@@ -3,10 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial
 
 from nlvar import energy
 from nlvar.energy import (
     BLOCK_ELEMS,
+    FOLD_PLAN_MAX_N,
     NEAR_FAR_ABOVE_N,
     NonFiniteEnergyError,
     energy_gradient,
@@ -293,10 +295,10 @@ class TestBlockedKernel:
 
 
 class TestFoldPlan:
-    """Up to NEAR_FAR_ABOVE_N cells the fold reads its pair distances from
-    one read-only array per n, built on the first call at that n."""
+    """Up to FOLD_PLAN_MAX_N cells the dense fold reads its pair distances
+    from one read-only array per n, built on the first call at that n."""
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 127, 128, NEAR_FAR_ABOVE_N])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 127, 128, FOLD_PLAN_MAX_N])
     def test_rows_are_the_fold_distances(self, n):
         plan = energy._fold_distances(n)
         mm = energy._windows(energy._midpoints_twice(n), 0, 1, (n // 2 + 1, n))
@@ -309,16 +311,25 @@ class TestFoldPlan:
             energy._fold_distances(8)[1, 0] = 0.0
 
     def test_none_above_the_crossover_or_for_residuals(self):
-        # a plan at n = 4096 would hold 67 MB, and the residual's two
-        # layouts at n = 2048 another 33 MB
+        # the near/far path never builds the plan, from the crossover to
+        # FOLD_PLAN_MAX_N and above (at n = 4096 it would hold 67 MB), nor
+        # do the residual's two layouts (33 MB at n = 2048). power:3 takes
+        # the path on a monotone profile only
         energy._fold_distances.cache_clear()
-        for n in (NEAR_FAR_ABOVE_N + 1, 4096):
-            u = NodalFunction(Grid1D(n), np.random.default_rng(n).uniform(-1, 1, n + 1))
-            for W in (half_square(), power_p(3)):
+        for n in (NEAR_FAR_ABOVE_N + 1, FOLD_PLAN_MAX_N, 4096):
+            grid = Grid1D(n)
+            rough = np.random.default_rng(n).uniform(-1, 1, n + 1)
+            for W, values in ((half_square(), rough), (power_p(3), grid.nodes ** 2)):
+                u = NodalFunction(grid, values)
                 energy_value(u, W)
                 value_and_grad(u, W)
         residual_report(NodalFunction.linear(Grid1D(1024), 0.0, 1.0), power_p(3))
         assert energy._fold_distances.cache_info().currsize == 0
+        # the dense fold builds it: power:3 on the rough profile, whose far
+        # pairs' sign is mostly unknown
+        value_and_grad(NodalFunction(Grid1D(FOLD_PLAN_MAX_N), rough[:FOLD_PLAN_MAX_N + 1]),
+                       power_p(3))
+        assert energy._fold_distances.cache_info().currsize == 1
 
 
 def same_bits(got, want):
@@ -358,7 +369,7 @@ class TestNearFar:
 
     # n = 8192, where n / b is largest, on four profiles (both signs of the
     # end values' slope, and beta = 0) to save 3 s of dense folds
-    @pytest.mark.parametrize("n", [NEAR_FAR_ABOVE_N + 1, 4096, 8192])
+    @pytest.mark.parametrize("n", [NEAR_FAR_ABOVE_N + 1, 2049, 4096, 8192])
     @pytest.mark.parametrize("integrand", POLYNOMIAL, ids=lambda i: i.name)
     def test_matches_the_dense_fold(self, integrand, n):
         names = ("rough", "smooth", "hat", "falling") if n == 8192 else None
@@ -372,11 +383,37 @@ class TestNearFar:
 
     @pytest.mark.parametrize("integrand", POLYNOMIAL, ids=lambda i: i.name)
     def test_path_matches_below_the_crossover(self, integrand):
-        n = 1024
+        n = NEAR_FAR_ABOVE_N
         grid = Grid1D(n)
         for values in near_far_profiles(n).values():
             assert_near_far_matches(near_far(grid, values, integrand),
                                     energy._fold(grid, values, integrand, True))
+
+    # every golden pin (n <= 129), fig4 (64 and 128) and the benchmark's
+    # two-well solve (256) stay on the dense fold, bit for bit
+    @pytest.mark.parametrize("n", [129, 256, NEAR_FAR_ABOVE_N])
+    @pytest.mark.parametrize("integrand", POLYNOMIAL, ids=lambda i: i.name)
+    def test_dense_fold_up_to_the_crossover(self, integrand, n):
+        grid = Grid1D(n)
+        for values in near_far_profiles(n).values():
+            assert same_bits(value_and_grad(NodalFunction(grid, values), integrand),
+                             energy._fold(grid, values, integrand, True))
+
+    # phi = |U| on a profile with equal end values (beta = 0, s = +1), whose
+    # far pairs on the plateau have D = 0 exactly: with phi'(0) = sign(0) =
+    # 0 the path summed 1.2013 against the dense fold's 0.6659 at n = 4096.
+    # Such a density is refused; with phi'(0) = +1, as the sums take it,
+    # the path gives the dense fold's energy
+    @pytest.mark.parametrize("n", [NEAR_FAR_ABOVE_N + 1, 4096])
+    def test_abs_with_a_zero_slope_at_zero(self, n):
+        absolute = hand_built()[0]
+        with pytest.raises(ValueError, match="w_U"):
+            dataclasses.replace(absolute, w_U=np.sign)
+        x = Grid1D(n).nodes
+        u = NodalFunction(Grid1D(n), np.minimum(np.minimum(x / 0.01, (1.0 - x) / 0.2), 1.0))
+        assert energy._near_band(n, absolute.phi_coefficients) is not None
+        assert_near_far_matches(near_far(u.grid, u.values, absolute),
+                                value_and_grad(u, stripped(absolute)))
 
     # two-well at 1e80 overflows in the first pair; a log mass is NaN at the
     # negative midpoint values, which the path meets after all its pairs.
@@ -408,12 +445,38 @@ class TestNearFar:
             assert str(got.value) == str(want.value)
 
 
+class TestFarPairs:
+    """_far_pairs, whose powers are repeated products, against a direct sum
+    of P(s D_ij) over the far pairs band < j - i < n - band and its
+    gradient in r, with max |r| near 1."""
+
+    @pytest.mark.parametrize("n", [300, 512])
+    @pytest.mark.parametrize("integrand", POLYNOMIAL + hand_built(), ids=lambda i: i.name)
+    def test_matches_a_direct_sum(self, integrand, n):
+        c = np.array(integrand.phi_coefficients)
+        band = energy._near_band(n, integrand.phi_coefficients)
+        i, j = np.triu_indices(n, band + 1)
+        far = j - i < n - band
+        i, j, dm = i[far], j[far], (j[far] - i[far]) / n
+        rng = np.random.default_rng(n)
+        for beta in (0.7, 0.0, -1.3):
+            r = rng.uniform(-1.0, 1.0, n)
+            r -= 0.5 * (r.max() + r.min())
+            s = -1.0 if beta < 0 else 1.0
+            sD = s * (beta + (r[j] - r[i]) / dm)
+            want = polynomial.polyval(sD, c).sum()
+            slope = s * polynomial.polyval(sD, polynomial.polyder(c)) / dm
+            want_grad = np.bincount(j, slope, n) - np.bincount(i, slope, n)
+            f, grad = energy._far_pairs(r, beta, integrand, band, True)
+            assert_near_far_matches((f.sum(), grad), (want, want_grad))
+
+
 class TestSignCells:
     """A phi with an odd coefficient (power:3) sums its far pairs as P(s D),
     and directly only in the cells whose sign _unsigned_cells cannot
     certify."""
 
-    @pytest.mark.parametrize("n", [NEAR_FAR_ABOVE_N + 1, 4096])
+    @pytest.mark.parametrize("n", [NEAR_FAR_ABOVE_N + 1, 2049, 4096])
     def test_certified_cells_hold_their_sign(self, n):
         grid, W = Grid1D(n), power_p(3)
         band, L = energy._near_band(n, W.phi_coefficients), energy.SIGN_CELL
@@ -440,8 +503,8 @@ class TestNearBand:
     least 1 and, for an odd phi, at least SIGN_CELL; None, the dense fold,
     where that reaches n // 2."""
 
-    @pytest.mark.parametrize("n", [NEAR_FAR_ABOVE_N + 1, 3000, 4095, 4096, 8191, 8192, 16384,
-                                   65537])
+    @pytest.mark.parametrize("n", [NEAR_FAR_ABOVE_N + 1, 2049, 3000, 4095, 4096, 8191, 8192,
+                                   16384, 65537])
     def test_rule(self, n):
         band = lambda c: energy._near_band(n, c)
         for W in (half_square(), quadratic_mass(), power_p(2)):
@@ -449,7 +512,8 @@ class TestNearBand:
         # the quartics keep the band, and so the bits, they had at n // 16
         for W in (two_well_full(), two_well_bare(), power_p(4)):
             assert band(W.phi_coefficients) == n // 16
-        assert band((0.0,) * 5 + (1.0,)) == n // 8
+        # degree 5 has an odd coefficient: n // 8 is below SIGN_CELL up to n = 511
+        assert band((0.0,) * 5 + (1.0,)) == max(n // 8, energy.SIGN_CELL)
         assert n // 3 < band((0.0,) * 12 + (1.0,)) < n // 2
         assert band((0.0,) * 13 + (1.0,)) is None and band((0.0,) * 14 + (1.0,)) is None
         assert band((1.0,)) == band((0.0, 0.0)) == 1

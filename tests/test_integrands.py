@@ -100,7 +100,8 @@ class TestDerivativeConsistency:
         assert report.max_err_U <= report.tol < report.max_err_u
 
     def test_corrupted_second_derivative_fails(self):
-        bad = replace(two_well_bare(), w_UU=lambda U: 3.0 * U**2)  # off by one
+        # off by one; without coefficients, which would refuse it (TestPhiCoefficients)
+        bad = replace(two_well_bare(), w_UU=lambda U: 3.0 * U**2, phi_coefficients=None)
         report = check_derivatives(bad, probe_lattice())
         assert not report.passed
         assert max(report.max_err_u, report.max_err_U, report.max_err_uu) <= report.tol
@@ -243,6 +244,21 @@ class TestPhiCoefficients:
         for closed, order, sign in ((W.w, 0, 1.0), (W.w_U, 1, np.sign(U)), (W.w_UU, 2, 1.0)):
             P = polynomial.polyval(np.abs(U), polynomial.polyder(c, order))
             np.testing.assert_allclose(sign * P, closed(U), rtol=1e-14, atol=0.0)
+
+    # the far-pair sums take phi, phi' and phi'' from the closed forms at the
+    # end values' slope and the rest from the coefficients, so a mismatch
+    # would be summed silently. phi'(0) = 0 is a valid subgradient of |U|,
+    # but the sums take c_1 = 1 there
+    @pytest.mark.parametrize("W, coefficients, part", [
+        (Integrand(w=np.abs, w_U=np.sign, w_UU=np.zeros_like, mass=np.zeros_like,
+                   w_u=np.zeros_like, w_uu=np.zeros_like, p=1.0, name="abs"), (0.0, 1.0), "w_U"),
+        (replace(two_well_bare(), w_UU=lambda U: 3.0 * U**2, phi_coefficients=None),
+         two_well_bare().phi_coefficients, "w_UU"),
+        (half_square(), (0.0, 0.0, 1.0), "w"),
+    ], ids=["abs-sign", "two-well-bare-phi2", "half-square-doubled"])
+    def test_coefficients_that_disagree_are_refused(self, W, coefficients, part):
+        with pytest.raises(ValueError, match=f"give {part} = "):
+            replace(W, phi_coefficients=coefficients)
 
     def test_power_3_carries_the_cube_of_abs(self):
         assert integrand_by_name("power:3").phi_coefficients == (0.0, 0.0, 0.0, 1.0)

@@ -530,8 +530,9 @@ class TestHessian:
         # phi''(0) = -1: the factor fails and no Newton step is taken
         grid = Grid1D(16)
         assert _packed_inverse(_hessian(grid, np.zeros(17), two_well_bare()), 15) is None
-        # a density whose Hessian overflows
-        steep = replace(power_p(3), w_UU=lambda U: np.full_like(U, np.inf))
+        # a density whose Hessian overflows, without the coefficients that
+        # would refuse its phi''
+        steep = replace(power_p(3), w_UU=lambda U: np.full_like(U, np.inf), phi_coefficients=None)
         assert _packed_inverse(_hessian(grid, grid.nodes.copy(), steep), 15) is None
 
     @pytest.mark.parametrize("W", [two_well_bare(), two_well_full()], ids=lambda W: W.name)
