@@ -294,13 +294,16 @@ def _fold(grid: Grid1D, values: np.ndarray, integrand: Integrand, with_grad: boo
     # each of its pairs twice, as (i, j) and (j, i)
     rows = n // 2 + 1 if band is None else band + 1
     plan = _fold_distances(n) if band is None and n <= FOLD_PLAN_MAX_N else None
+    # the near/far path checks only its totals: where one is not finite,
+    # _quadrature reruns the dense fold, which names the pair
+    column_sums = _column_sums if band is None else lambda P, *_, **__: P.sum(axis=0)
     for d0, dm, D in _circulant_blocks(um, m, um, 0, 1, rows, plan):
         if d0 == 0:
             D[0] = slopes
             if plan is None:
                 dm[0] = np.inf
         P = _pair_weights(integrand.w(D), d0, n)
-        half_rows += _column_sums(P, f"W({name})", d0, m)
+        half_rows += column_sums(P, f"W({name})", d0, m)
         if not with_grad:
             continue
         B = integrand.w_U(D)
@@ -308,7 +311,7 @@ def _fold(grid: Grid1D, values: np.ndarray, integrand: Integrand, with_grad: boo
             slope_B = B[0].copy()
         k = B.shape[0]
         C = _pair_weights(np.divide(B, dm, out=pair[:k, :n]), d0, n)
-        col += _column_sums(C, f"dW/dU({name})", d0, m, source=B)
+        col += column_sums(C, f"dW/dU({name})", d0, m, source=B)
         pair[:k, n:] = C
         # row r of the view is C[r] rotated right by d0 + r
         skew += _windows(flat, n - d0, 2 * n - 1, (k, n)).sum(axis=0)
@@ -444,11 +447,11 @@ def _unsigned_cells(values: np.ndarray, band: int) -> np.ndarray:
 def _direct_pays(unsigned: np.ndarray, n: int, band: int) -> bool:
     """Whether the unsigned cells hold at most half of the (n - 2 b - 1) n /
     2 far pairs; above that, the dense fold runs. Measured at n = 4096 and
-    b = 64 with one BLAS thread (CPU time, best of 7), the near/far path
-    takes 2.0 and 3.0 ms (energy, and energy with gradient) with no far pair
-    direct and 30 and 67 ms with all of them, against 20 and 45 ms on the
-    dense fold: the two break even at about 0.63 of the far pairs (0.6 at
-    b = 256), so the cut stays at half."""
+    b = 64 with one BLAS thread (CPU time, best of 9), the near/far path
+    takes 1.6 and 2.9 ms (energy, and energy with gradient) with no far pair
+    direct and 33 and 47 ms with all of them, against 21 and 54 ms on the
+    dense fold: the energy breaks even at about 0.65 of the far pairs, so
+    the cut stays at half."""
     return 4 * SIGN_CELL * np.count_nonzero(unsigned) <= (n - 2 * band - 1) * n
 
 
@@ -457,47 +460,62 @@ def _unsigned_pairs(a: np.ndarray, beta: float, c: tuple[float, ...], band: int,
     """(f, gradient of sum(f) in a, or None): sum(f) is the sum of phi(D_ij)
     - P(s D_ij) over the pairs (i, j) of the unsigned cells
     (_unsigned_cells) of the midpoint values a, where phi(D) = P(|D|) =
-    sum_k c_k |D|^k and s = _sign(beta); f holds each cell's sum at its
-    first i. Where s D >= 0 the difference is 0, and where s D < 0 it is -2
-    O(s D), with O P's odd part. The cells are taken BLOCK_ELEMS // L at a
-    time; the gradient's second midpoints are scattered by bincount."""
+    sum_k c_k |D|^k and s = _sign(beta); f holds each pair's term at its
+    first midpoint. Where s D >= 0 the difference is 0, and where s D < 0 it
+    is -2 O(s D), with O P's odd part. Each run of consecutive unsigned far
+    rows d of a cell is taken BLOCK_ELEMS // L rows at a time, as y[r, q]
+    for the pairs (c L + q, c L + q + d0 + r), read from one window of a with
+    no gather: the first midpoints' gradient is then a product with y's
+    columns, and the second ones' the sums along y's anti-diagonals."""
     L, n, s = SIGN_CELL, a.size, _sign(beta)
-    # win[p] = s a[p:p + L]; past n, +inf gives no term
-    win = _windows(np.concatenate([s * a, np.full(L, np.inf)]), 0, 1, (n, L))
-    cell, t = divmod(np.flatnonzero(unsigned), unsigned.shape[1])
+    # s a, then +inf: a pair whose second midpoint lies past n gives y = 0.
+    # A cell with a far pair is whole, as the band is at least L
+    sa = np.concatenate([s * a, np.full(n + L, np.inf)])
     f = np.zeros(n)
-    if with_grad:
-        # the gradient from the pairs' first midpoints, first[c, q] at a_(c L
-        # + q), and from their second ones
-        first, second = np.zeros((unsigned.shape[0], L)), np.zeros(n + L)
-    step = BLOCK_ELEMS // L
-    for k0 in range(0, cell.size, step):
-        c0 = cell[k0:k0 + step]
-        i0, d = c0 * L, t[k0:k0 + step] + band + 1
-        # y = min(s (a_j - a_i), 0); s D = y n / d where s D < 0
-        y = np.minimum(win[i0 + d] - win[i0], 0.0)
-        # (k, w_k (n / d)^k, y^(k - 1)) for the odd k with c_k != 0, w_k =
-        # -2 c_k, the powers by products as in _powers; y^0 is 0 where y = 0
-        ratio, y2 = n / d, y * y
-        scale, even, terms = ratio, y < 0, []
-        for k in range(1, len(c), 2):
-            if k > 1:
-                scale = scale * (ratio * ratio)
-                even = y2 if k == 3 else even * y2
-            if c[k]:
-                terms.append((k, -2.0 * c[k] * scale, even))
-        f += np.bincount(i0, sum(w * (even * y).sum(axis=1) for _, w, even in terms), n)
-        if not with_grad:
-            continue
-        # d f / d a_j = s sum_k k w_k (n / d)^k y^(k - 1) = -d f / d a_i
-        slope = sum((s * k * w)[:, None] * even for k, w, even in terms)
-        # nonzero lists the cells by c, so the chunk holds runs of one c
-        runs = np.flatnonzero(np.diff(c0, prepend=-1))
-        first[c0[runs]] -= np.add.reduceat(slope, runs, axis=0)
-        second += np.bincount(((i0 + d)[:, None] + np.arange(L)).ravel(), slope.ravel(), n + L)
-    if not with_grad:
-        return f, None
-    return f, first.reshape(-1)[:n] + second[:n]
+    grad = np.zeros(2 * n + L) if with_grad else None
+    step, skews = BLOCK_ELEMS // L, {}
+    for cell in np.flatnonzero(unsigned.any(axis=1)):
+        t = np.flatnonzero(unsigned[cell])
+        gaps = np.flatnonzero(np.diff(t) > 1)
+        i0 = cell * L
+        first = sa[i0:i0 + L]
+        for t_start, t_end in zip(t[np.r_[0, gaps + 1]], t[np.r_[gaps, -1]] + 1):
+            for t0 in range(t_start, t_end, step):
+                rows, d0 = min(step, t_end - t0), t0 + band + 1
+                # y = min(s (a_j - a_i), 0); s D = y n / d where s D < 0
+                y = _windows(sa, i0 + d0, 1, (rows, L)) - first
+                np.minimum(y, 0.0, out=y)
+                # (k, w_k (n / d)^k, y^(k - 1)) for the odd k with c_k != 0,
+                # w_k = -2 c_k, the powers by products as in _powers; y^0 is
+                # 0 where y = 0
+                ratio = n / np.arange(d0, d0 + rows)
+                y2 = y * y
+                scale, even, terms = ratio, y < 0 if c[1] else None, []
+                for k in range(1, len(c), 2):
+                    if k > 1:
+                        scale = scale * (ratio * ratio)
+                        even = y2 if k == 3 else even * y2
+                    if c[k]:
+                        terms.append((k, -2.0 * c[k] * scale, even))
+                f[i0:i0 + L] += sum(w @ (even * y) for _, w, even in terms)
+                if not with_grad:
+                    continue
+                # d f / d a_j = s sum_k k w_k (n / d)^k y^(k - 1) = -d f /
+                # d a_i, written transposed and skewed into the rows of B,
+                # B[q, q + r], whose column sums are the anti-diagonal sums
+                if rows not in skews:
+                    skews[rows] = np.zeros((L, rows + L))
+                B = skews[rows]
+                skewed = _windows(B.reshape(-1), 0, rows + L + 1, (L, rows))
+                for m, (k, w, even) in enumerate(terms):
+                    slope = s * k * w
+                    grad[i0:i0 + L] -= slope @ even
+                    if m == 0:
+                        np.multiply(even.T, slope, out=skewed)
+                    else:
+                        skewed += even.T * slope
+                grad[i0 + d0:i0 + d0 + rows + L] += B.sum(axis=0)
+    return f, None if grad is None else grad[:n]
 
 
 @np.errstate(over="ignore", invalid="ignore")
