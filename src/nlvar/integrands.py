@@ -90,7 +90,8 @@ def _derivative(c) -> list:
 
 
 def _horner(c, x: np.ndarray) -> np.ndarray:
-    """sum_k c_k x^k."""
+    """sum_k c_k x^k. numpy.polynomial's polyval would add about 6 ms to
+    `import nlvar`."""
     y = np.zeros_like(x)
     for ck in reversed(c):
         y = y * x + ck
