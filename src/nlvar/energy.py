@@ -75,11 +75,12 @@ BLOCK_ELEMS = 1 << 14
 # above this many cells, a density with phi coefficients sums the pairs at
 # index distance d <= _near_band(n, c) (or d >= n - that) by the fold and
 # the rest by Toeplitz products (_far_pairs). Measured per call (value and
-# gradient, one BLAS thread), the path wins or ties for every built-in
-# polynomial density at every n from 512 on. Below, it lost at a size whose
-# 2n has a large prime factor, which numpy's FFT takes slowly (power:3 at
-# n = 386 by 1.41x, two-well at 257 by 1.34x), and power:3, whose band of
-# at least SIGN_CELL rows is a third or more of the fold, lost up to 352
+# gradient, one BLAS thread, tests/crossover_scan.py), the path wins or ties
+# for every built-in polynomial density at every n from 512 on. Below, it
+# lost at a size whose 2n has a large prime factor, which numpy's FFT takes
+# slowly (power:3 at n = 386 by 1.41x, two-well at 257 by 1.34x), and
+# power:3, whose band of at least SIGN_CELL rows is a third or more of the
+# fold, lost up to 352
 NEAR_FAR_ABOVE_N = 511
 
 # a phi with an odd coefficient splits each far row into cells of SIGN_CELL
