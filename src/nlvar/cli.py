@@ -222,11 +222,13 @@ def _local_solution(u: NodalFunction) -> np.ndarray:
 
 
 def sup_distance_between_levels(coarse: NodalFunction, fine: NodalFunction) -> float:
-    """Sup-norm distance from fine to the prolonged coarse solution or to its
-    mirror image: the bare two-well energy is invariant under u -> -u, so
-    the two levels may land on either of a pair of critical points."""
+    """Sup-norm distance from fine to the nearest image of the prolonged
+    coarse solution under u -> -u and x -> 1 - x: the bare two-well energy
+    with end values (0, 0) is invariant under both, so the two levels may
+    land on any of four critical points that the maps exchange."""
     prolonged = coarse(fine.grid.nodes)
-    return float(min(np.max(np.abs(fine.values - s * prolonged)) for s in (1.0, -1.0)))
+    return float(min(np.max(np.abs(fine.values - s * image))
+                     for image in (prolonged, prolonged[::-1]) for s in (1.0, -1.0)))
 
 
 # -- subcommands -----------------------------------------------------------

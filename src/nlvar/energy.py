@@ -38,9 +38,11 @@ quadratic. The coefficients are read in |U|: phi(U) = P(|U|) = sum_k c_k
 values' slope, so the products sum P(s D) and only the far pairs of the
 cells whose sign _unsigned_cells cannot certify are evaluated directly
 (_unsigned_pairs); where those would cost more than the fold, the dense
-fold runs. The powers of r and of n / d in those sums are repeated
-products (_powers), not numpy's pow. The two paths agree to rounding; the
-dense fold reruns wherever the near/far path meets a non-finite value.
+fold runs. Those sums evaluate polynomials by integrands._horner, powers
+by repeated products (_powers), not numpy's pow, and take s from
+integrands._sign, the sign rule of Integrand's coefficient check. The two
+paths agree to rounding; the dense fold reruns wherever the near/far path
+meets a non-finite value.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .grid import Grid1D, NodalFunction
-from .integrands import Integrand, half_square
+from .integrands import Integrand, _horner, _sign, half_square
 
 __all__ = [
     "NonFiniteEnergyError",
@@ -134,8 +136,8 @@ def _midpoints_twice(n: int) -> np.ndarray:
 FOLD_PLAN_MAX_N = 2048
 
 
-# two sizes: the benchmark's solves alternate n = 512 and 256, its figures
-# n = 128 and 64
+# two sizes: the benchmark's figures alternate n = 128 and 64 (fig4), its
+# solves read the plan at 256 (two-well) and, on power:3's fallback, at 512
 @lru_cache(maxsize=2)
 def _fold_distances(n: int) -> np.ndarray:
     """The fold's dm = m_j - m_i, read-only, which the dense fold reads for
@@ -384,16 +386,11 @@ def _far_pairs(r: np.ndarray, beta: float, integrand: Integrand, band: int, with
         return irfft(spectra, 2 * n)[:, :n]
 
     V = products(range(degree + 1), False)
-    f = V[degree]
-    for p in range(degree - 1, -1, -1):
-        f = f * -r + V[p]
+    f = _horner(V, -r)
     if not with_grad:
         return f, None
     T = products(range(1, degree + 1), True)
-    grad = np.zeros(n)
-    for p in range(degree, 0, -1):
-        grad = grad * r + p * (T[p - 1] + (-1) ** p * V[p])
-    return f, grad
+    return f, _horner([p * (T[p - 1] + (-1) ** p * V[p]) for p in range(1, degree + 1)], r)
 
 
 def _powers(x: np.ndarray, degree: int) -> np.ndarray:
@@ -406,12 +403,6 @@ def _powers(x: np.ndarray, degree: int) -> np.ndarray:
     for q in range(1, degree + 1):
         np.multiply(powers[q - 1], x, out=powers[q])
     return powers
-
-
-def _sign(beta: float) -> float:
-    """s = sign(beta), +1 at beta = 0: the sign of the far quotients D_ij
-    that _far_pairs's polynomial P(s D) takes for phi = sum_k c_k |D|^k."""
-    return -1.0 if beta < 0 else 1.0
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -447,12 +438,18 @@ def _unsigned_cells(values: np.ndarray, band: int) -> np.ndarray:
 
 def _direct_pays(unsigned: np.ndarray, n: int, band: int) -> bool:
     """Whether the unsigned cells hold at most half of the (n - 2 b - 1) n /
-    2 far pairs; above that, the dense fold runs. Measured at n = 4096 and
-    b = 64 with one BLAS thread (CPU time, best of 9), the near/far path
-    takes 1.6 and 2.9 ms (energy, and energy with gradient) with no far pair
-    direct and 33 and 47 ms with all of them, against 21 and 54 ms on the
-    dense fold: the energy breaks even at about 0.65 of the far pairs, so
-    the cut stays at half."""
+    2 far pairs; above that, the dense fold runs. power:3's value and
+    gradient in ms, path forced vs dense fold (one BLAS thread, best of 5),
+    on tests/helpers.near_far_profiles' rough, every far pair direct, and
+    hat, with the hat's share of far pairs by this count:
+        n       rough            hat              hat's share
+        512     1.54 vs 0.79     1.37 vs 0.79     0.75
+        1024    3.80 vs 2.71     2.98 vs 2.70     0.62
+        2048   11.27 vs 10.44    7.11 vs 10.51    0.56
+        4096   41.65 vs 46.18   23.61 vs 44.52    0.53
+    The energy alone at 4096: 22.28 vs 20.54 ms (rough), 11.69 vs 20.21
+    (hat). The cut is right at 512-1024; at 2048-4096 it sends the hat to
+    the dense fold, which the path sums 1.5-1.9x faster."""
     return 4 * SIGN_CELL * np.count_nonzero(unsigned) <= (n - 2 * band - 1) * n
 
 
@@ -487,17 +484,15 @@ def _unsigned_pairs(a: np.ndarray, beta: float, c: tuple[float, ...], band: int,
                 y = _windows(sa, i0 + d0, 1, (rows, L)) - first
                 np.minimum(y, 0.0, out=y)
                 # (k, w_k (n / d)^k, y^(k - 1)) for the odd k with c_k != 0,
-                # w_k = -2 c_k, the powers by products as in _powers; y^0 is
-                # 0 where y = 0
-                ratio = n / np.arange(d0, d0 + rows)
+                # w_k = -2 c_k; y^0 is 0 where y = 0
+                scale = _powers(n / np.arange(d0, d0 + rows), len(c) - 1)
                 y2 = y * y
-                scale, even, terms = ratio, y < 0 if c[1] else None, []
+                even, terms = y < 0 if c[1] else None, []
                 for k in range(1, len(c), 2):
                     if k > 1:
-                        scale = scale * (ratio * ratio)
                         even = y2 if k == 3 else even * y2
                     if c[k]:
-                        terms.append((k, -2.0 * c[k] * scale, even))
+                        terms.append((k, -2.0 * c[k] * scale[k], even))
                 f[i0:i0 + L] += sum(w @ (even * y) for _, w, even in terms)
                 if not with_grad:
                     continue
@@ -620,7 +615,7 @@ def _packed_inverse(ap: np.ndarray, m: int) -> Optional[Callable[[np.ndarray], n
     return lambda q: dpptrs(m, factor, q, lower=1)[0]
 
 
-# two sizes, as for _fold_distances
+# two sizes, for solves that alternate two grids, such as n and 2n
 @lru_cache(maxsize=2)
 def _half_square_inverse(n: int) -> Callable[[np.ndarray], np.ndarray]:
     """The solve of P, the Hessian of the half-square energy on n cells,

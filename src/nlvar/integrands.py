@@ -70,11 +70,11 @@ class Integrand:
             return
         U = COEFFICIENT_PROBES
         c, a = self.phi_coefficients, np.abs(U)
-        first, sign = _derivative(c), np.where(U < 0, -1.0, 1.0)
-        # phi(U) = P(|U|), phi'(U) = sign(U) P'(|U|) with sign(0) = +1, and
-        # phi''(U) = P''(|U|), each to rounding
+        first = _derivative(c)
+        # phi(U) = P(|U|), phi'(U) = _sign(U) P'(|U|) and phi''(U) = P''(|U|),
+        # each to rounding
         for part, closed, want in (("w", self.w, _horner(c, a)),
-                                   ("w_U", self.w_U, sign * _horner(first, a)),
+                                   ("w_U", self.w_U, _sign(U) * _horner(first, a)),
                                    ("w_UU", self.w_UU, _horner(_derivative(first), a))):
             got = np.asarray(closed(U.copy()), float)
             wrong = ~(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
@@ -90,12 +90,18 @@ def _derivative(c) -> list:
 
 
 def _horner(c, x: np.ndarray) -> np.ndarray:
-    """sum_k c_k x^k. numpy.polynomial's polyval would add about 6 ms to
-    `import nlvar`."""
+    """sum_k c_k x^k, for numbers or arrays c_k. numpy.polynomial's polyval
+    would add about 6 ms to `import nlvar`."""
     y = np.zeros_like(x)
     for ck in reversed(c):
         y = y * x + ck
     return y
+
+
+def _sign(x):
+    """sign(x) with +1 at 0, as phi'(0) is the slope from the right: the
+    coefficient check and the energy's far sums both take it."""
+    return np.where(x < 0, -1.0, 1.0)
 
 
 # the points where Integrand compares phi's closed forms with its

@@ -86,13 +86,8 @@ class SolverConfig:
 
 
 def default_grad_tol(n: int) -> float:
-    """1e-8 for n <= 128, relaxed to 1e-6 above, where a gradient on the
-    dense fold costs n^2 / 2 pairs. From energy.NEAR_FAR_ABOVE_N + 1 = 512
-    cells on, a density with phi coefficients pays instead the n b pairs of
-    its near band (b from n / 4096 to n / 16 by phi's degree, at least 64
-    for power:3) plus O(n log n) for the rest, and power:3 the far pairs
-    whose sign is unknown, up to half of them before the dense fold runs.
-    The tolerance does not depend on the path."""
+    """1e-8 for n <= 128, relaxed to 1e-6 above, where each evaluation costs
+    more; the tolerance does not depend on which path the energy takes."""
     return 1e-8 if n <= 128 else 1e-6
 
 

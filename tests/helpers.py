@@ -18,7 +18,7 @@ import numpy as np
 from nlvar import energy
 from nlvar.energy import energy_value
 from nlvar.grid import Grid1D, NodalFunction
-from nlvar.integrands import ArrayFn, Integrand, _integer_exponent, power_p
+from nlvar.integrands import ArrayFn, Integrand, _integer_exponent, _sign, power_p
 
 
 def constant(grid: Grid1D, c: float) -> NodalFunction:
@@ -140,12 +140,16 @@ def near_far(grid: Grid1D, values: np.ndarray, integrand: Integrand):
 
 
 def hand_built() -> list[Integrand]:
-    """Two densities with phi coefficients that no built-in one has: |U|, of
-    degree 1 with an odd coefficient, whose phi' takes +1 at 0 as P(s D)
-    does for s = +1, and U^6, of degree 6, which power:6 does not carry."""
-    sign = lambda U: np.where(U < 0, -1.0, 1.0)
-    absolute = Integrand(w=np.abs, w_U=sign, w_UU=np.zeros_like, mass=np.zeros_like,
+    """Three densities with phi coefficients that no built-in one has: |U|,
+    of degree 1 with an odd coefficient, whose phi' takes +1 at 0 as P(s D)
+    does for s = +1; |U| + |U|^3, the only one with two odd coefficients;
+    and U^6, of degree 6, which power:6 does not carry."""
+    absolute = Integrand(w=np.abs, w_U=_sign, w_UU=np.zeros_like, mass=np.zeros_like,
                          w_u=np.zeros_like, w_uu=np.zeros_like, p=1.0, name="abs",
                          phi_coefficients=(0.0, 1.0))
+    abs_cube = dataclasses.replace(absolute, w=lambda U: np.abs(U) * (1.0 + U * U),
+                                   w_U=lambda U: _sign(U) * (1.0 + 3.0 * U * U),
+                                   w_UU=lambda U: 6.0 * np.abs(U), p=3.0, name="abs+abs^3",
+                                   phi_coefficients=(0.0, 1.0, 0.0, 1.0))
     sixth = dataclasses.replace(power_p(6), name="U^6", phi_coefficients=(0.0,) * 6 + (1.0,))
-    return [absolute, sixth]
+    return [absolute, abs_cube, sixth]

@@ -399,14 +399,17 @@ class TestReproduceCommand:
         assert y2[0] == pytest.approx(2.0)
         assert "k_normalized: 2.516208882" in capsys.readouterr().out
 
+    # the bare two-well energy with end values (0, 0) is invariant under
+    # u -> -u and x -> 1 - x, so a level may land on any of four images
     def test_level_distance_respects_sign_symmetry(self):
         coarse = NodalFunction(Grid1D(4), np.array([0.0, 0.2, 0.3, 0.1, 0.0]))
         prolonged = np.interp(Grid1D(8).nodes, Grid1D(4).nodes, coarse.values)
         bump = np.zeros(9)
         bump[3] = 0.01
-        for sign in (1.0, -1.0):
-            fine = NodalFunction(Grid1D(8), sign * prolonged + bump)
-            assert sup_distance_between_levels(coarse, fine) == pytest.approx(0.01)
+        for image in (prolonged, prolonged[::-1]):
+            for sign in (1.0, -1.0):
+                fine = NodalFunction(Grid1D(8), sign * image + bump)
+                assert sup_distance_between_levels(coarse, fine) == pytest.approx(0.01)
 
     def test_fig4_two_levels_and_idempotent(self, tmp_path, capsys):
         out1 = tmp_path / "a"

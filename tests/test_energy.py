@@ -375,8 +375,9 @@ class TestNearFar:
         names = ("rough", "smooth", "hat", "falling") if n == 8192 else None
         assert_path_matches_the_dense_fold(n, integrand, names)
 
-    # |U| has degree 1 and an odd coefficient; U^6 takes the band n / 5.3,
-    # wider than any built-in density's
+    # |U| has degree 1 and an odd coefficient; |U| + |U|^3 has two, so the
+    # path's direct sums on the rough and hat profiles add a term for each;
+    # U^6 takes the band n / 5.3, wider than any built-in density's
     @pytest.mark.parametrize("integrand", hand_built(), ids=lambda i: i.name)
     def test_hand_built_matches_the_dense_fold(self, integrand):
         assert_path_matches_the_dense_fold(4096, integrand)
