@@ -28,21 +28,27 @@ fold above FOLD_PLAN_MAX_N compute their distances block by block.
 
 The fold sums n^2 / 2 pairs per call. Above NEAR_FAR_ABOVE_N cells, a
 density that carries phi's coefficients (a polynomial phi) sums only the
-fold's first b rows, the n b pairs at index distance d <= b or d >= n - b,
-and the pairs in between by Toeplitz products from FFTs of length 2n, in
-O(n log n) (_far_pairs). The band b = _near_band(n, c) narrows as phi's
-degree falls: n // 16 for a quartic, n // 64 for a cubic, n // 4096 for a
-quadratic. The coefficients are read in |U|: phi(U) = P(|U|) = sum_k c_k
-|U|^k. For an even P that is P(U). For one with an odd coefficient
-(power:3), phi(D) = P(s D) wherever s D >= 0, s the sign of the end
-values' slope, so the products sum P(s D) and only the far pairs of the
-cells whose sign _unsigned_cells cannot certify are evaluated directly
-(_unsigned_pairs); where those would cost more than the fold, the dense
-fold runs. Those sums evaluate polynomials by integrands._horner, powers
-by repeated products (_powers), not numpy's pow, and take s from
-integrands._sign, the sign rule of Integrand's coefficient check. The two
-paths agree to rounding; the dense fold reruns wherever the near/far path
-meets a non-finite value.
+fold's first rows, and the far pairs, at index distance b < d < n - b, by
+Toeplitz products from FFTs of length 2n, in O(n log n). The band b =
+_near_band(n, c) narrows as phi's degree falls: n // 16 for a quartic,
+n // 64 for a cubic, n // 4096 for a quadratic. The fold's last row is
+_near_rows(n, c): b, or b // 4 (n // 64 for a quartic) for an even phi of
+degree >= 4 whose band is at least BLOCKS_FROM_BAND, which sums the pairs
+at b // 4 < d <= b in blocks of about b first midpoints, each expanded
+around its own line (_block_pairs). One engine, _far_pairs, sums both:
+rows of windows, each with its own slope, over a range of d, with masks
+for the first and second midpoints; the far pairs are a batch of one
+window, the whole grid. The coefficients are read in |U|: phi(U) = P(|U|)
+= sum_k c_k |U|^k. For an even P that is P(U). For one with an odd
+coefficient (power:3), phi(D) = P(s D) wherever s D >= 0, s the sign of
+the end values' slope, so the products sum P(s D) and only the far pairs
+of the cells whose sign _unsigned_cells cannot certify are evaluated
+directly (_unsigned_pairs); where those would cost more than the fold
+(_direct_pays), the dense fold runs. Those sums evaluate polynomials by
+integrands._horner, powers by repeated products (_powers), not numpy's
+pow, and take s from integrands._sign, the sign rule of Integrand's
+coefficient check. The two paths agree to rounding; the dense fold reruns
+wherever the near/far path meets a non-finite value.
 """
 
 from __future__ import annotations
@@ -96,19 +102,45 @@ SIGN_CELL = 64
 
 def _near_band(n: int, c: tuple[float, ...]) -> Optional[int]:
     """The band b of the near/far path on n cells for phi's coefficients c,
-    or None where the dense fold runs (b >= n // 2). The far sums' rounding
+    the cut above which the far pairs are summed over the whole grid, or
+    None where the dense fold runs (b >= n // 2). The far sums' rounding
     error grows like (n / b)^(k - 1) for phi of degree k, so b = n 16^(-3 /
     (k - 1)): n // 4096 for k = 2, n // 64 for k = 3 and n // 16 for k = 4.
-    Against the dense fold these keep the energy within 6.8e-14 relative and
-    the gradient within 8.1e-14 of its largest entry for every built-in
-    density at n = 2049-16384, on the profiles whose table
-    tests/near_far_errors.py prints. A phi of degree <= 1 takes b = 1, and
-    one with an odd coefficient at least SIGN_CELL."""
+    The pairs up to b are the fold's, or, from _near_rows on, the blocks',
+    whose windows of about 2 b values keep their powers small. Against the
+    dense fold these keep the energy within 6.8e-14 relative and the
+    gradient within 7.2e-14 of its largest entry for every built-in density
+    at n = 513-16384, on the profiles whose table tests/near_far_errors.py
+    prints. A phi of degree <= 1 takes b = 1, and one with an odd
+    coefficient at least SIGN_CELL."""
     k = len(c) - 1
     b = max(1, int(n * 2.0 ** (-12 / (k - 1)))) if k > 1 else 1
     if any(c[1::2]):
         b = max(b, SIGN_CELL)
     return b if b < n // 2 else None
+
+
+# an even phi of degree >= 4 sums the pairs at band // 4 < d <= band in
+# blocks (_block_pairs) where its band is at least this many rows. Measured
+# per call (value and gradient, one BLAS thread, tests/crossover_scan.py
+# --blocks, n in steps of 32), the blocks lost for the three quartics at
+# nearly every n up to 1504 (band 94), by up to 1.63x, and by 1.01-1.02x
+# at 1664 and 1824; a second scan had them win at every n from 1792 to 2816
+BLOCKS_FROM_BAND = 128
+
+
+def _near_rows(n: int, c: tuple[float, ...]) -> Optional[int]:
+    """The last row of the fold that the near/far path sums on n cells for
+    phi's coefficients c, or None where the dense fold runs: b // 4 for an
+    even phi of degree >= 4 whose band b = _near_band(n, c) is at least
+    BLOCKS_FROM_BAND, b otherwise. For a quartic, b // 4 is n // 64, which
+    keeps the gradient within 7.2e-14 of its largest entry at n = 2048-16384
+    (tests/near_far_errors.py). U^6, of band n / 5.3, keeps 3.5e-15 at
+    b // 4 and would leave 2.0e-13 at n // 64."""
+    band = _near_band(n, c)
+    if band is not None and len(c) > 4 and not any(c[1::2]) and band >= BLOCKS_FROM_BAND:
+        return band // 4
+    return band
 
 
 def _block_rows(n: int) -> int:
@@ -247,7 +279,8 @@ def _quadrature(grid: Grid1D, values: np.ndarray, integrand: Integrand, with_gra
         unsigned = _unsigned_cells(values, band) if any(c[1::2]) else None
         if unsigned is None or _direct_pays(unsigned, n, band):
             try:
-                return _fold(grid, values, integrand, with_grad, band, unsigned)
+                return _fold(grid, values, integrand, with_grad, band, unsigned,
+                             _near_rows(n, c))
             except NonFiniteEnergyError:
                 pass
     return _fold(grid, values, integrand, with_grad)
@@ -257,18 +290,22 @@ def _quadrature(grid: Grid1D, values: np.ndarray, integrand: Integrand, with_gra
 # repeat the error
 @np.errstate(over="ignore", invalid="ignore")
 def _fold(grid: Grid1D, values: np.ndarray, integrand: Integrand, with_grad: bool,
-          band: Optional[int] = None, unsigned: Optional[np.ndarray] = None):
+          band: Optional[int] = None, unsigned: Optional[np.ndarray] = None,
+          near: Optional[int] = None):
     """(energy, gradient or None) from the dense fold, or, given a band
-    0 <= b < n // 2, from the fold's rows 0..b, which hold the pairs at index
-    distance d <= b and d >= n - b, and _far_pairs for those in between. A
-    phi with an odd coefficient also needs unsigned, the far cells whose
-    sign _unsigned_cells could not certify, which _unsigned_pairs sums."""
+    0 <= b < n // 2, from the fold's rows 0..near (near = b by default),
+    which hold the pairs at index distance d <= near and d >= n - near,
+    _far_pairs for b < d < n - near and, for an even phi with near < b,
+    _block_pairs for near < d <= b. A phi with an odd coefficient also needs
+    unsigned, the far cells whose sign _unsigned_cells could not certify,
+    which _unsigned_pairs sums."""
     h, n, m = grid.h, grid.n, grid.midpoints
     # midpoint values and NodalFunction.slopes, np.diff written out
     um = 0.5 * (values[:-1] + values[1:])
     slopes = (values[1:] - values[:-1]) / h
     name = integrand.name
     half_rows = np.zeros(n)  # per midpoint i: half the weighted phi of column i
+    near = band if near is None else near
     if band is not None:
         # before the fold, whose blocks can then reuse the heap the FFT's
         # temporaries held. r is um less a line of slope beta, the end
@@ -277,7 +314,16 @@ def _fold(grid: Grid1D, values: np.ndarray, integrand: Integrand, with_grad: boo
         beta = values[-1] - values[0]
         r = um - (values[0] + beta * m)
         r -= 0.5 * (r.max() + r.min())
-        far, far_grad = _far_pairs(r, beta, integrand, band, with_grad)
+        far, far_grad = _far_pairs(r[None], np.array([beta]), integrand, n, band,
+                                   n - near - 1, 2 * n, with_grad)
+        far = far[0]
+        if with_grad:
+            far_grad = far_grad[0]
+        if near < band:
+            inner, inner_grad = _block_pairs(um, integrand, near, band, with_grad)
+            far += inner
+            if with_grad:
+                far_grad += inner_grad
         if unsigned is not None:
             fix, fix_grad = _unsigned_pairs(um, beta, integrand.phi_coefficients, band,
                                             unsigned, with_grad)
@@ -295,7 +341,7 @@ def _fold(grid: Grid1D, values: np.ndarray, integrand: Integrand, with_grad: boo
     # in column i, with dm = m_j - m_i. Row 0 is the diagonal of cell slopes,
     # dm infinite as they do not depend on um; for even n, row n // 2 lists
     # each of its pairs twice, as (i, j) and (j, i)
-    rows = n // 2 + 1 if band is None else band + 1
+    rows = n // 2 + 1 if band is None else near + 1
     plan = _fold_distances(n) if band is None and n <= FOLD_PLAN_MAX_N else None
     # the near/far path checks only its totals: where one is not finite,
     # _quadrature reruns the dense fold, which names the pair
@@ -332,26 +378,33 @@ def _fold(grid: Grid1D, values: np.ndarray, integrand: Integrand, with_grad: boo
 
 
 @lru_cache(maxsize=8)
-def _far_kernels(n: int, band: int, degree: int) -> np.ndarray:
-    """Spectra, read-only, of the length-2n circulant embeddings of U_k for
-    k = 0..degree: the n x n upper triangular Toeplitz matrix with (U_k)_ij
-    = ((j - i) h)^-k where band < j - i < n - band, zero elsewhere. The
+def _far_kernels(n: int, size: int, lo: int, hi: int, degree: int) -> np.ndarray:
+    """Spectra, read-only, of the length-size circulant embeddings of U_k for
+    k = 0..degree: the upper triangular Toeplitz matrix with (U_k)_ij =
+    ((j - i) h)^-k, h = 1 / n, where lo < j - i <= hi, zero elsewhere. The
     embedding of U_k' has the conjugate spectrum."""
     from numpy.fft import rfft  # here, so `import nlvar` loads no numpy.fft
-    d = np.arange(band + 1, n - band)
-    column = np.zeros((degree + 1, 2 * n))
-    column[:, 2 * n - d] = _powers(n / d, degree)
+    d = np.arange(lo + 1, hi + 1)
+    column = np.zeros((degree + 1, size))
+    column[:, size - d] = _powers(n / d, degree)
     spectra = rfft(column)
     spectra.setflags(write=False)
     return spectra
 
 
-def _far_pairs(r: np.ndarray, beta: float, integrand: Integrand, band: int, with_grad: bool):
-    """(f, gradient of sum(f) in r, or None): sum(f) is the sum of P(s D_ij)
-    over the far pairs i < j, band < j - i < n - band, for P(D) = sum_k c_k
-    D^k, s = _sign(beta) and the midpoint values a = line + r, where line
-    has slope beta. For an even P, P(s D) = P(D) = phi(D); otherwise phi(D)
-    = P(|D|) is P(s D) where s D >= 0 (_unsigned_pairs adds the rest).
+def _far_pairs(r: np.ndarray, beta: np.ndarray, integrand: Integrand, n: int, lo: int, hi: int,
+               size: int, with_grad: bool, first: Optional[np.ndarray] = None,
+               second: Optional[np.ndarray] = None):
+    """(f, gradient of sum(f) in r, or None), each shaped like r, whose rows
+    are windows of midpoint values a = line + r on a grid of n cells, each
+    row with its own line of slope beta[t]. sum(f[t]) is the sum of P(s D_ij)
+    over the row's pairs i < j = i + d, lo < d <= hi, with i a first
+    midpoint (first[t, i]) and j a second one (second[t, j]); by default
+    every position is both, and size >= 2 r.shape[1], so that no product
+    wraps. Here P(D) = sum_k c_k D^k and s = _sign(beta[t]); f holds each
+    pair's term at its first midpoint. For an even P, P(s D) = P(D) =
+    phi(D); otherwise phi(D) = P(|D|) is P(s D) where s D >= 0
+    (_unsigned_pairs adds the rest).
 
     There D_ij = beta + (r_j - r_i) / ((j - i) h), and P(s (beta + R)) =
     sum_k c'_k R^k with c' the Taylor shift of (c_k s^k) to beta, which
@@ -363,34 +416,100 @@ def _far_pairs(r: np.ndarray, beta: float, integrand: Integrand, band: int, with
 
     and the gradient is sum_p p r^(p-1) (T_p + (-1)^p V_p), with T_p =
     sum_q (-1)^q w_pq U_(p+q)' r^q. The products come from one batched rfft
-    of the powers of r and one batched irfft of length 2n for the V_p, which
-    value and gradient share bit for bit, and one more for the T_p."""
+    of the powers of r (zero off the second midpoints) and one batched irfft
+    of length size for the V_p, which value and gradient share bit for bit,
+    and one more irfft for the T_p, after one more rfft where first is
+    given, of the powers on the first midpoints. With masks, a product may
+    wrap only onto positions that they clear: V_p is kept at the first
+    midpoints, T_p at the second ones."""
     from numpy.fft import irfft, rfft  # here, so `import nlvar` loads no numpy.fft
-    n, c, s = r.size, integrand.phi_coefficients, _sign(beta)
+    c, s, width = integrand.phi_coefficients, _sign(beta), r.shape[-1]
     degree = len(c) - 1
     # c'_k = phi^(k)(beta) / k!, from the closed forms for k <= 2: near a
     # root of phi the monomial sums cancel, and phi(beta) weighs every pair
-    at = np.array([beta])
-    shifted = ([integrand.w(at)[0], integrand.w_U(at)[0], 0.5 * integrand.w_UU(at)[0]]
+    shifted = ([integrand.w(beta), integrand.w_U(beta), 0.5 * integrand.w_UU(beta)]
                + [sum(comb(j, k) * c[j] * s ** j * beta ** (j - k) for j in range(k, degree + 1))
                   for k in range(3, degree + 1)])[:degree + 1]
-    K = _far_kernels(n, band, degree)
-    R = rfft(_powers(r, degree), 2 * n)
+    # a column per row; one row's as a number, which numpy multiplies into
+    # an array faster
+    shifted = [x[:, None] if x.size > 1 else x.item() for x in shifted]
+    K = _far_kernels(n, size, lo, hi, degree)
+    powers = _powers(r, degree)
+    if second is not None:
+        powers *= second
+    R = rfft(powers, size)
 
-    def products(ps, transposed: bool) -> np.ndarray:
-        spectra = np.zeros((len(ps), n + 1), complex)
+    def products(ps, R: np.ndarray, transposed: bool) -> np.ndarray:
+        spectra = np.zeros((len(ps),) + R.shape[1:], complex)
         for S, p in zip(spectra, ps):
             for q in range(degree + 1 - p):
                 w = shifted[p + q] * comb(p + q, q)
                 S += (-1) ** q * w * K[p + q].conj() * R[q] if transposed else w * K[p + q] * R[q]
-        return irfft(spectra, 2 * n)[:, :n]
+        return irfft(spectra, size)[..., :width]
 
-    V = products(range(degree + 1), False)
+    V = products(range(degree + 1), R, False)
+    if first is not None:
+        V *= first
     f = _horner(V, -r)
     if not with_grad:
         return f, None
-    T = products(range(1, degree + 1), True)
+    if first is not None:
+        R = rfft(powers * first, size)
+    T = products(range(1, degree + 1), R, True)
+    if second is not None:
+        T *= second
     return f, _horner([p * (T[p - 1] + (-1) ** p * V[p]) for p in range(1, degree + 1)], r)
+
+
+def _block_pairs(a: np.ndarray, integrand: Integrand, near: int, band: int, with_grad: bool):
+    """(f, gradient of sum(f) in a, or None): sum(f) is the sum of phi(D_ij)
+    over the pairs i < j = i + d, near < d <= band, of the midpoint values a,
+    for an even phi, with each pair's term at its first midpoint. The first
+    midpoints are taken in blocks of B, the least 5-smooth number >= band,
+    each with the window of 2 B values from its first on, which holds the
+    block's pairs; _far_pairs sums them by circular products of length 2 B,
+    whose wrapped terms its masks clear. Each window is its own line,
+    through its end values, plus r centred on its midrange: over 2 B values
+    r is far smaller than over the whole grid, and so is the cancellation
+    among its powers at d > near."""
+    n, B = a.size, _five_smooth(band)
+    blocks = -(-n // B)
+    padded = np.zeros((blocks + 1) * B)
+    padded[:n] = a
+    window = _windows(padded, 0, B, (blocks, 2 * B))
+    k = np.arange(2 * B)
+    # values per window, at most 2 B: the last ones run past n
+    valid = np.minimum(n - B * np.arange(blocks), 2 * B)
+    second = k < valid[:, None]
+    first = second & (k < B)
+    beta = (window[np.arange(blocks), valid - 1] - window[:, 0]) * n / np.maximum(valid - 1, 1)
+    r = window - window[:, :1] - beta[:, None] * (k / n)
+    r -= 0.5 * (np.where(second, r, -np.inf).max(axis=1)
+                + np.where(second, r, np.inf).min(axis=1))[:, None]
+    r *= second
+    f, grad = _far_pairs(r, beta, integrand, n, near, band, 2 * B, with_grad, first, second)
+    f = f[:, :B].reshape(-1)[:n]
+    if not with_grad:
+        return f, None
+    # a window's second half is the next block's first
+    total = np.zeros((blocks + 1) * B)
+    total[:-B] += grad[:, :B].reshape(-1)
+    total[B:] += grad[:, B:].reshape(-1)
+    return f, total[:n]
+
+
+def _five_smooth(b: int) -> int:
+    """The least m >= b with no prime factor above 5, a length numpy's FFT
+    takes fast."""
+    m = b
+    while True:
+        k = m
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return m
+        m += 1
 
 
 def _powers(x: np.ndarray, degree: int) -> np.ndarray:
@@ -398,7 +517,7 @@ def _powers(x: np.ndarray, degree: int) -> np.ndarray:
     exponents calls pow once per element (as integrands._abs_power notes):
     for degree 2-4 at n = 4096 that took 0.42-0.80 ms against 4-8 us for
     the products, which agree with it to 3.4e-16 relative."""
-    powers = np.empty((degree + 1, x.size))
+    powers = np.empty((degree + 1,) + x.shape)
     powers[0] = 1.0
     for q in range(1, degree + 1):
         np.multiply(powers[q - 1], x, out=powers[q])
@@ -437,20 +556,25 @@ def _unsigned_cells(values: np.ndarray, band: int) -> np.ndarray:
 
 
 def _direct_pays(unsigned: np.ndarray, n: int, band: int) -> bool:
-    """Whether the unsigned cells hold at most half of the (n - 2 b - 1) n /
-    2 far pairs; above that, the dense fold runs. power:3's value and
-    gradient in ms, path forced vs dense fold (one BLAS thread, best of 5),
-    on tests/helpers.near_far_profiles' rough, every far pair direct, and
-    hat, with the hat's share of far pairs by this count:
-        n       rough            hat              hat's share
-        512     1.54 vs 0.79     1.37 vs 0.79     0.75
-        1024    3.80 vs 2.71     2.98 vs 2.70     0.62
-        2048   11.27 vs 10.44    7.11 vs 10.51    0.56
-        4096   41.65 vs 46.18   23.61 vs 44.52    0.53
-    The energy alone at 4096: 22.28 vs 20.54 ms (rough), 11.69 vs 20.21
-    (hat). The cut is right at 512-1024; at 2048-4096 it sends the hat to
-    the dense fold, which the path sums 1.5-1.9x faster."""
-    return 4 * SIGN_CELL * np.count_nonzero(unsigned) <= (n - 2 * band - 1) * n
+    """Whether the unsigned cells hold at most max(1/2, n / 2048) of the
+    (n - 2 b - 1) n / 2 far pairs, each cell counted at SIGN_CELL pairs;
+    above that, the dense fold runs. power:3's value and gradient in ms,
+    path forced vs dense fold (one BLAS thread, best of 5, a 2-vCPU VM
+    shared with other guests; tests/unsigned_scan.py), on
+    tests/helpers.near_far_profiles' rough, with every far pair direct, and
+    hat, with the share of far pairs by this count:
+        n       rough (share 1.01-1.12)    hat (share)
+        512      3.74 vs   2.02             3.27 vs   1.98 (0.75)
+        1024     7.10 vs   4.39             5.27 vs   4.48 (0.62)
+        1536    13.89 vs  10.90             9.67 vs  11.06 (0.58)
+        2048    24.46 vs  20.77            15.27 vs  20.69 (0.56)
+        3072    48.66 vs  46.68            30.03 vs  46.12 (0.54)
+        4096    84.44 vs  87.14            50.22 vs  87.22 (0.53)
+        8192   261.25 vs 323.29           137.46 vs 347.70 (0.52)
+    A line through each size's two rows puts the share where the two tie at
+    0.42 for n = 1024, 0.72 at 1536, 0.84 at 2048 and 0.96 at 3072; from
+    4096 on the path wins at any share."""
+    return 4096 * SIGN_CELL * np.count_nonzero(unsigned) <= max(1024, n) * n * (n - 2 * band - 1)
 
 
 def _unsigned_pairs(a: np.ndarray, beta: float, c: tuple[float, ...], band: int,

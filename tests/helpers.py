@@ -130,13 +130,14 @@ def near_far_profiles(n: int) -> dict[str, np.ndarray]:
 
 
 def near_far(grid: Grid1D, values: np.ndarray, integrand: Integrand):
-    """(energy, gradient) from _fold's near/far path at the band that
-    _quadrature takes, with the unsigned cells that a phi with an odd
-    coefficient needs, however many there are."""
+    """(energy, gradient) from _fold's near/far path at the band and near
+    rows that _quadrature takes, with the unsigned cells that a phi with an
+    odd coefficient needs, however many there are."""
     c = integrand.phi_coefficients
     band = energy._near_band(grid.n, c)
     unsigned = energy._unsigned_cells(values, band) if any(c[1::2]) else None
-    return energy._fold(grid, values, integrand, True, band, unsigned)
+    return energy._fold(grid, values, integrand, True, band, unsigned,
+                        energy._near_rows(grid.n, c))
 
 
 def hand_built() -> list[Integrand]:

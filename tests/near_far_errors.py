@@ -1,8 +1,10 @@
-"""Print how far the near/far path lies from the dense fold, by density, n
-and band: the largest relative energy error and the largest gradient error
-over max|g| across the profiles of helpers.near_far_profiles, each with the
-profile where it occurs. The path is forced even where _quadrature would run
-the dense fold (power:3 and abs on the rough and hat profiles).
+"""Print how far the near/far path lies from the dense fold, by density, n,
+band and near rows (the fold's last row; an even phi of degree >= 4 sums
+the pairs from there to the band in blocks): the largest relative energy
+error and the largest gradient error over max|g| across the profiles of
+helpers.near_far_profiles, each with the profile where it occurs. The path
+is forced even where _quadrature would run the dense fold (power:3 and abs
+on the rough and hat profiles, where _direct_pays declines it).
 
     PYTHONPATH=src python tests/near_far_errors.py [--sizes 512 4096 ...]
 
@@ -41,14 +43,15 @@ def main(argv=None) -> None:
     sizes = parser.parse_args(argv).sizes
     densities = [half_square(), quadratic_mass(), power_p(2), power_p(3), power_p(4),
                  two_well_full(), two_well_bare()] + hand_built()
-    print(f"{'density':<14} {'n':>6} {'band':>5}  {'energy':>8} {'profile':<10} "
+    print(f"{'density':<14} {'n':>6} {'band':>5} {'near':>5}  {'energy':>8} {'profile':<10} "
           f"{'gradient':>8} profile")
     for integrand in densities:
         for n in sizes:
-            band = energy._near_band(n, integrand.phi_coefficients)
+            c = integrand.phi_coefficients
+            band, near = energy._near_band(n, c), energy._near_rows(n, c)
             (e, e_at), (g, g_at) = errors(n, integrand)
-            print(f"{integrand.name:<14} {n:>6} {band:>5}  {e:8.1e} {e_at:<10} {g:8.1e} {g_at}",
-                  flush=True)
+            print(f"{integrand.name:<14} {n:>6} {band:>5} {near:>5}  {e:8.1e} {e_at:<10} "
+                  f"{g:8.1e} {g_at}", flush=True)
 
 
 if __name__ == "__main__":

@@ -347,9 +347,10 @@ def assert_near_far_matches(near_far, dense):
 def assert_path_matches_the_dense_fold(n, integrand, names=None):
     """On every profile, or those named, value_and_grad gives the near/far
     path's bits, or the dense fold's where the sign of too many far pairs is
-    unknown (TestSignCells), and the path is within the bounds of the dense
-    fold."""
-    grid, odd = Grid1D(n), any(integrand.phi_coefficients[1::2])
+    unknown (_direct_pays, TestSignCells), and the path is within the
+    bounds of the dense fold."""
+    c = integrand.phi_coefficients
+    grid, band = Grid1D(n), energy._near_band(n, c)
     for name, values in near_far_profiles(n).items():
         if names is not None and name not in names:
             continue
@@ -358,7 +359,8 @@ def assert_path_matches_the_dense_fold(n, integrand, names=None):
         assert value == energy_value(u, integrand)
         dense = value_and_grad(u, stripped(integrand))
         path = near_far(grid, values, integrand)
-        fold = odd and name in ("rough", "hat")
+        fold = any(c[1::2]) and not energy._direct_pays(energy._unsigned_cells(values, band),
+                                                        n, band)
         assert same_bits((value, grad), dense if fold else path)
         assert_near_far_matches(path, dense)
 
@@ -419,8 +421,9 @@ class TestNearFar:
     # two-well at 1e80 overflows in the first pair; a log mass is NaN at the
     # negative midpoint values, which the path meets after all its pairs.
     # power:3's D^3 overflows at 1e110: on the random values the sign of
-    # most far pairs is unknown and the fold runs at once, while on the
-    # rising ones the path meets the overflow in its cells and products
+    # most far pairs is unknown, and the path meets the overflow in its
+    # direct sums (at n = 4096 _direct_pays takes the path at any share),
+    # while on the rising ones it meets it in its cells and products
     @pytest.mark.parametrize("scale, W, rising", [
         (1e80, two_well_full(), False),
         (1.0, dataclasses.replace(two_well_full(), mass=lambda v: np.log(v) ** 2,
@@ -446,30 +449,91 @@ class TestNearFar:
             assert str(got.value) == str(want.value)
 
 
+def direct_pairs(r, beta, c, n, lo, hi, first, second):
+    """(f, gradient) of the sum of P(s D_ij) over the pairs i < j = i + d,
+    lo < d <= hi, of each row of r with first[t, i] and second[t, j], D_ij =
+    beta[t] + (r_j - r_i) / ((j - i) h), h = 1 / n and s the sign of
+    beta[t], summed pair by pair."""
+    f, grad = np.zeros(r.shape), np.zeros(r.shape)
+    width = r.shape[1]
+    for t in range(r.shape[0]):
+        i, j = np.triu_indices(width, lo + 1)
+        keep = (j - i <= hi) & first[t, i] & second[t, j]
+        i, j = i[keep], j[keep]
+        dm = (j - i) / n
+        s = -1.0 if beta[t] < 0 else 1.0
+        sD = s * (beta[t] + (r[t, j] - r[t, i]) / dm)
+        f[t] = np.bincount(i, polynomial.polyval(sD, c), width)
+        slope = s * polynomial.polyval(sD, polynomial.polyder(c)) / dm
+        grad[t] = np.bincount(j, slope, width) - np.bincount(i, slope, width)
+    return f, grad
+
+
 class TestFarPairs:
     """_far_pairs, whose powers are repeated products, against a direct sum
-    of P(s D_ij) over the far pairs band < j - i < n - band and its
-    gradient in r, with max |r| near 1."""
+    of P(s D_ij) and its gradient in r, with max |r| near 1: over the far
+    pairs band < j - i < n - band of one row, and over masked windows of
+    the pairs lo < j - i <= hi, one slope per window."""
 
     @pytest.mark.parametrize("n", [300, 512])
     @pytest.mark.parametrize("integrand", POLYNOMIAL + hand_built(), ids=lambda i: i.name)
     def test_matches_a_direct_sum(self, integrand, n):
         c = np.array(integrand.phi_coefficients)
         band = energy._near_band(n, integrand.phi_coefficients)
-        i, j = np.triu_indices(n, band + 1)
-        far = j - i < n - band
-        i, j, dm = i[far], j[far], (j[far] - i[far]) / n
+        everywhere = np.ones((1, n), bool)
         rng = np.random.default_rng(n)
         for beta in (0.7, 0.0, -1.3):
-            r = rng.uniform(-1.0, 1.0, n)
+            r = rng.uniform(-1.0, 1.0, (1, n))
             r -= 0.5 * (r.max() + r.min())
-            s = -1.0 if beta < 0 else 1.0
-            sD = s * (beta + (r[j] - r[i]) / dm)
-            want = polynomial.polyval(sD, c).sum()
-            slope = s * polynomial.polyval(sD, polynomial.polyder(c)) / dm
-            want_grad = np.bincount(j, slope, n) - np.bincount(i, slope, n)
-            f, grad = energy._far_pairs(r, beta, integrand, band, True)
-            assert_near_far_matches((f.sum(), grad), (want, want_grad))
+            want, want_grad = direct_pairs(r, [beta], c, n, band, n - band - 1,
+                                           everywhere, everywhere)
+            f, grad = energy._far_pairs(r, np.array([beta]), integrand, n, band,
+                                        n - band - 1, 2 * n, True)
+            assert f.shape == grad.shape == (1, n)
+            assert_near_far_matches((f.sum(), grad), (want.sum(), want_grad))
+
+    # windows of 2 B values whose first B are first midpoints, as
+    # _block_pairs lays them out; the last window is ragged, with 2 B / 3
+    # values, and the three slopes have both signs and 0
+    @pytest.mark.parametrize("B", [32, 100, 256])
+    @pytest.mark.parametrize("integrand", POLYNOMIAL + hand_built(), ids=lambda i: i.name)
+    def test_windows_match_a_direct_masked_sum(self, integrand, B):
+        c = np.array(integrand.phi_coefficients)
+        n, width, lo, hi = 4096, 2 * B, B // 4, B - 3
+        k = np.arange(width)
+        valid = np.array([width, width, width // 3])[:, None]
+        second = k < valid
+        first = second & (k < B)
+        rng = np.random.default_rng(B)
+        r = rng.uniform(-1.0, 1.0, (3, width)) * second
+        beta = np.array([0.7, 0.0, -1.3])
+        want, want_grad = direct_pairs(r, beta, c, n, lo, hi, first, second)
+        f, grad = energy._far_pairs(r, beta, integrand, n, lo, hi, width, True, first, second)
+        assert not f[~first].any() and not grad[~second].any()
+        for t in range(3):
+            assert_near_far_matches((f[t].sum(), grad[t]), (want[t].sum(), want_grad[t]))
+            assert np.max(np.abs(f[t] - want[t])) <= 1e-11 * np.max(np.abs(want[t]))
+        value, _ = energy._far_pairs(r, beta, integrand, n, lo, hi, width, False, first, second)
+        assert np.array_equal(value, f)
+
+    # n = 2100 has the band 131 and blocks of B = 135 first midpoints, the
+    # least 5-smooth length >= 131, whose last one holds 75; n = 4096 the
+    # band 256 and 16 whole blocks
+    @pytest.mark.parametrize("n", [2100, 4096])
+    @pytest.mark.parametrize("integrand", [two_well_full(), power_p(4), hand_built()[2]],
+                             ids=lambda i: i.name)
+    def test_blocks_match_a_direct_sum(self, integrand, n):
+        c = np.array(integrand.phi_coefficients)
+        band = energy._near_band(n, integrand.phi_coefficients)
+        near = energy._near_rows(n, integrand.phi_coefficients)
+        assert near == band // 4
+        everywhere = np.ones((1, n), bool)
+        for name, values in near_far_profiles(n).items():
+            a = 0.5 * (values[:-1] + values[1:])
+            want, want_grad = direct_pairs(a[None], [0.0], c, n, near, band, everywhere,
+                                           everywhere)
+            f, grad = energy._block_pairs(a, integrand, near, band, True)
+            assert_near_far_matches((f.sum(), grad), (want.sum(), want_grad[0]))
 
 
 class TestSignCells:
@@ -490,11 +554,12 @@ class TestSignCells:
                 i = np.arange(n - d)
                 certified = ~unsigned[i // L, t]
                 assert np.all(a[i + d][certified] >= a[i][certified]), (name, d)
-            if name in ("rough", "hat"):
-                assert not energy._direct_pays(unsigned, n, band)
-                got = value_and_grad(NodalFunction(grid, values), W)
-                assert same_bits(got, energy._fold(grid, values, W, True))
+            got = value_and_grad(NodalFunction(grid, values), W)
+            if energy._direct_pays(unsigned, n, band):
+                assert same_bits(got, near_far(grid, values, W))
             else:
+                assert same_bits(got, energy._fold(grid, values, W, True))
+            if name not in ("rough", "hat"):
                 # a monotone profile: every far cell is certified
                 assert not unsigned.any()
 
@@ -502,34 +567,45 @@ class TestSignCells:
 class TestNearBand:
     """_near_band(n, c): b = n 16^(-3 / (k - 1)) for phi of degree k, at
     least 1 and, for an odd phi, at least SIGN_CELL; None, the dense fold,
-    where that reaches n // 2."""
+    where that reaches n // 2. _near_rows(n, c): the fold's last row, b // 4
+    for an even phi of degree >= 4 with b >= BLOCKS_FROM_BAND, b otherwise."""
 
-    @pytest.mark.parametrize("n", [NEAR_FAR_ABOVE_N + 1, 2049, 3000, 4095, 4096, 8191, 8192,
-                                   16384, 65537])
+    @pytest.mark.parametrize("n", [NEAR_FAR_ABOVE_N + 1, 2047, 2048, 2049, 3000, 4095, 4096,
+                                   8191, 8192, 16384, 65537])
     def test_rule(self, n):
         band = lambda c: energy._near_band(n, c)
+        rows = lambda c: energy._near_rows(n, c)
         for W in (half_square(), quadratic_mass(), power_p(2)):
-            assert band(W.phi_coefficients) == max(n // 4096, 1)
-        # the quartics keep the band, and so the bits, they had at n // 16
+            assert rows(W.phi_coefficients) == band(W.phi_coefficients) == max(n // 4096, 1)
+        # the quartics keep the far cut n // 16; from a band of
+        # BLOCKS_FROM_BAND, n = 2048, the fold stops at n // 64
         for W in (two_well_full(), two_well_bare(), power_p(4)):
             assert band(W.phi_coefficients) == n // 16
+            assert rows(W.phi_coefficients) == (n // 64 if n >= 2048 else n // 16)
         # degree 5 has an odd coefficient: n // 8 is below SIGN_CELL up to n = 511
-        assert band((0.0,) * 5 + (1.0,)) == max(n // 8, energy.SIGN_CELL)
+        c5 = (0.0,) * 5 + (1.0,)
+        assert rows(c5) == band(c5) == max(n // 8, energy.SIGN_CELL)
+        # U^6 is even: its band n / 5.3 is at least BLOCKS_FROM_BAND from n = 676
+        c6 = (0.0,) * 6 + (1.0,)
+        assert rows(c6) == (band(c6) // 4 if n >= 676 else band(c6))
         assert n // 3 < band((0.0,) * 12 + (1.0,)) < n // 2
-        assert band((0.0,) * 13 + (1.0,)) is None and band((0.0,) * 14 + (1.0,)) is None
-        assert band((1.0,)) == band((0.0, 0.0)) == 1
-        # an odd phi never takes a band below a sign cell
-        assert band(power_p(3).phi_coefficients) == max(n // 64, energy.SIGN_CELL)
+        for c in ((0.0,) * 13 + (1.0,), (0.0,) * 14 + (1.0,)):
+            assert band(c) is None and rows(c) is None
+        assert band((1.0,)) == band((0.0, 0.0)) == rows((0.0, 0.0)) == 1
+        # an odd phi never takes a band below a sign cell, nor blocks
+        c3 = power_p(3).phi_coefficients
+        assert rows(c3) == band(c3) == max(n // 64, energy.SIGN_CELL)
         for c in ((0.0, 1.0), (1.0, 1.0, 1.0), (0.0,) * 5 + (1.0,)):
-            assert band(c) >= energy.SIGN_CELL
+            assert rows(c) == band(c) >= energy.SIGN_CELL
 
-    def test_degree_4_keeps_the_bits_of_n_over_16(self):
+    # the fold's rows 0..n // 64, the far cut n // 16 and the blocks between
+    def test_degree_4_splits_at_n_over_64_and_n_over_16(self):
         n = 4096
         grid = Grid1D(n)
         for W in (two_well_full(), two_well_bare(), power_p(4)):
             for values in near_far_profiles(n).values():
                 assert same_bits(value_and_grad(NodalFunction(grid, values), W),
-                                 energy._fold(grid, values, W, True, n // 16))
+                                 energy._fold(grid, values, W, True, n // 16, None, n // 64))
 
     def test_half_the_fold_or_more_runs_the_dense_fold(self):
         n = 4096
