@@ -456,10 +456,12 @@ def direct_pairs(r, beta, c, n, lo, hi, first, second):
     beta[t], summed pair by pair."""
     f, grad = np.zeros(r.shape), np.zeros(r.shape)
     width = r.shape[1]
+    d = np.arange(lo + 1, min(hi, width - 1) + 1)
+    i_all = np.concatenate([np.arange(width - e) for e in d])
+    j_all = i_all + np.repeat(d, width - d)
     for t in range(r.shape[0]):
-        i, j = np.triu_indices(width, lo + 1)
-        keep = (j - i <= hi) & first[t, i] & second[t, j]
-        i, j = i[keep], j[keep]
+        keep = first[t, i_all] & second[t, j_all]
+        i, j = i_all[keep], j_all[keep]
         dm = (j - i) / n
         s = -1.0 if beta[t] < 0 else 1.0
         sD = s * (beta[t] + (r[t, j] - r[t, i]) / dm)
@@ -516,9 +518,9 @@ class TestFarPairs:
         value, _ = energy._far_pairs(r, beta, integrand, n, lo, hi, width, False, first, second)
         assert np.array_equal(value, f)
 
-    # n = 2100 has the band 131 and blocks of B = 135 first midpoints, the
-    # least 5-smooth length >= 131, whose last one holds 75; n = 4096 the
-    # band 256 and 16 whole blocks
+    # for a quartic, n = 2100 has the band 131 and blocks of B = 135 first
+    # midpoints, the least 5-smooth length >= 131, whose last one holds 75;
+    # n = 4096 the band 256 and 16 whole blocks
     @pytest.mark.parametrize("n", [2100, 4096])
     @pytest.mark.parametrize("integrand", [two_well_full(), power_p(4), hand_built()[2]],
                              ids=lambda i: i.name)
