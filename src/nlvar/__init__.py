@@ -8,8 +8,7 @@ from .integrands import Integrand, half_square, integrand_by_name, power_p, \
 from .optimality import ResidualReport, residual, residual_report
 from .reference import ReferenceProfile, local_exp_solution, normalize_k, \
     ode_approx_derivative, ode_approx_profile
-from .solver import ContinuationResult, LineSearchError, MinimizeResult, \
-    SolverConfig, continuation_refine, default_grad_tol, make_initial_guess, \
-    minimize
+from .solver import LineSearchError, MinimizeResult, SolverConfig, default_grad_tol, \
+    make_initial_guess, minimize
 
 __version__ = "0.1.0"

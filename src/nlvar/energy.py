@@ -12,43 +12,26 @@ as D_ij = D_ji, the sum is
 which evaluates phi once per unordered pair and psi once per midpoint. The
 gradient with respect to interior nodal values is its exact derivative, and
 _hessian gives its exact second derivatives from phi'' and psi''. Only this
-module knows the circulant layout of the pairs, from _circulant_blocks(um,
-x, ux, offset, step, rows), which the fold and _residuals (the kernel of
-optimality.py) read. It also owns LAPACK's packed storage: _hessian, the
-one assembly of second derivatives, which gives both the Newton steps'
-matrix and the half-square Hessian P, and _packed_inverse, the one factor
-path of the solver's second-order steps.
+module knows the circulant layout of the pairs (_circulant_blocks), which
+the fold and _residuals (the kernel of optimality.py) read, and LAPACK's
+packed storage: _hessian gives the Newton steps' matrix and the
+half-square Hessian P, and _packed_inverse factors both.
 
-What depends on n alone is built once per n and kept, read-only: the
-midpoints laid out twice, the dense fold's pair distances for n <=
-FOLD_PLAN_MAX_N (_fold_distances), and the solver's factor of the
-half-square Hessian P (_half_square_inverse). Each of the last two keeps
-two sizes; _residuals, the near band of the near/far path and the dense
-fold above FOLD_PLAN_MAX_N compute their distances block by block.
+What depends on n alone is kept per n, read-only: the midpoints laid out
+twice, the dense fold's pair distances for n <= FOLD_PLAN_MAX_N
+(_fold_distances) and the factor of P (_half_square_inverse), two sizes
+each for the last two; everything else computes its distances per block.
 
 The fold sums n^2 / 2 pairs per call. Above NEAR_FAR_ABOVE_N cells, a
-density that carries phi's coefficients (a polynomial phi) sums only the
-fold's first rows, and the far pairs, at index distance b < d < n - b, by
-Toeplitz products from FFTs of length 2n, in O(n log n). The band b =
-_near_band(n, c) narrows as phi's degree falls: n // 16 for a quartic,
-n // 64 for a cubic, n // 4096 for a quadratic. The fold's last row is
-_near_rows(n, c): b, or b // 4 (n // 64 for a quartic) for an even phi of
-degree >= 4 whose band is at least BLOCKS_FROM_BAND, which sums the pairs
-at b // 4 < d <= b in blocks of about b first midpoints, each expanded
-around its own line (_block_pairs). One engine, _far_pairs, sums both:
-rows of windows, each with its own slope, over a range of d, with masks
-for the first and second midpoints; the far pairs are a batch of one
-window, the whole grid. The coefficients are read in |U|: phi(U) = P(|U|)
-= sum_k c_k |U|^k. For an even P that is P(U). For one with an odd
-coefficient (power:3), phi(D) = P(s D) wherever s D >= 0, s the sign of
-the end values' slope, so the products sum P(s D) and only the far pairs
-of the cells whose sign _unsigned_cells cannot certify are evaluated
-directly (_unsigned_pairs); where those would cost more than the fold
-(_direct_pays), the dense fold runs. Those sums evaluate polynomials by
-integrands._horner, powers by repeated products (_powers), not numpy's
-pow, and take s from integrands._sign, the sign rule of Integrand's
-coefficient check. The two paths agree to rounding; the dense fold reruns
-wherever the near/far path meets a non-finite value.
+density that carries phi's coefficients (a polynomial phi) may take the
+near/far path instead: _split(n, c) gives its band b and near rows, _fold
+sums the rows 0..near, and _far_terms every other pair in O(n log n), by
+one engine, _far_pairs, over the whole grid from b on and in blocks up to
+b (_block_pairs), and directly, for an odd phi, in the far cells whose
+sign _unsigned_cells cannot certify (_unsigned_pairs). _quadrature alone
+decides which path runs, and reruns the dense fold wherever the near/far
+one meets a non-finite value. The two agree to rounding
+(tests/near_far_errors.py).
 """
 
 from __future__ import annotations
@@ -80,67 +63,44 @@ class NonFiniteEnergyError(ArithmeticError):
 BLOCK_ELEMS = 1 << 14
 
 
-# above this many cells, a density with phi coefficients sums the pairs at
-# index distance d <= _near_band(n, c) (or d >= n - that) by the fold and
-# the rest by Toeplitz products (_far_pairs). Measured per call (value and
-# gradient, one BLAS thread, tests/crossover_scan.py), the path wins or ties
-# for every built-in polynomial density at every n from 512 on. Below, it
-# lost at a size whose 2n has a large prime factor, which numpy's FFT takes
-# slowly (power:3 at n = 386 by 1.41x, two-well at 257 by 1.34x), and
-# power:3, whose band of at least SIGN_CELL rows is a third or more of the
-# fold, lost up to 352
+# above this many cells, a density with phi coefficients may take the
+# near/far path, which won or tied for every built-in polynomial density at
+# every n from 512 on; below, it lost where 2n has a large prime factor, slow
+# in numpy's FFT, and for power:3 up to n = 352, where its band of SIGN_CELL
+# rows is a third of the fold (tests/near_far_scan.py --sizes 257:1100)
 NEAR_FAR_ABOVE_N = 511
 
 # a phi with an odd coefficient splits each far row into cells of SIGN_CELL
-# consecutive first midpoints, whose sign is tested by one min and one max
-# (_unsigned_cells). The band is at least SIGN_CELL: a row d < SIGN_CELL
+# consecutive first midpoints, whose sign one min and one max test
+# (_unsigned_cells); its band is at least SIGN_CELL, as a row d < SIGN_CELL
 # would test cells whose first and second midpoints overlap, which only a
-# locally constant u passes. At n = 4096 with the band n // 16, cells of 32,
-# 64 and 128 gave the same times
+# locally constant u passes. Cells of 32, 64 and 128 took the same time
 SIGN_CELL = 64
 
-
-def _near_band(n: int, c: tuple[float, ...]) -> Optional[int]:
-    """The band b of the near/far path on n cells for phi's coefficients c,
-    the cut above which the far pairs are summed over the whole grid, or
-    None where the dense fold runs (b >= n // 2). The far sums' rounding
-    error grows like (n / b)^(k - 1) for phi of degree k, so b = n 16^(-3 /
-    (k - 1)): n // 4096 for k = 2, n // 64 for k = 3 and n // 16 for k = 4.
-    The pairs up to b are the fold's, or, from _near_rows on, the blocks',
-    whose windows of about 2 b values keep their powers small. Against the
-    dense fold these keep the energy within 6.8e-14 relative and the
-    gradient within 7.2e-14 of its largest entry for every built-in density
-    at n = 513-16384, on the profiles whose table tests/near_far_errors.py
-    prints. A phi of degree <= 1 takes b = 1, and one with an odd
-    coefficient at least SIGN_CELL."""
-    k = len(c) - 1
-    b = max(1, int(n * 2.0 ** (-12 / (k - 1)))) if k > 1 else 1
-    if any(c[1::2]):
-        b = max(b, SIGN_CELL)
-    return b if b < n // 2 else None
-
-
 # an even phi of degree >= 4 sums the pairs at band // 4 < d <= band in
-# blocks (_block_pairs) where its band is at least this many rows. Measured
-# per call (value and gradient, one BLAS thread, tests/crossover_scan.py
-# --blocks, n in steps of 32), the blocks lost for the three quartics at
-# nearly every n up to 1504 (band 94), by up to 1.63x, and by 1.01-1.02x
-# at 1664 and 1824; a second scan had them win at every n from 1792 to 2816
+# blocks (_block_pairs) where its band is at least this many rows: below
+# it the blocks lost to the fold rows they replace for the three quartics
+# at nearly every n up to 1504 (band 94), and from 1792 on they won
+# (tests/near_far_scan.py --blocks --sizes 512:2816:32, one BLAS thread)
 BLOCKS_FROM_BAND = 128
 
 
-def _near_rows(n: int, c: tuple[float, ...]) -> Optional[int]:
-    """The last row of the fold that the near/far path sums on n cells for
-    phi's coefficients c, or None where the dense fold runs: b // 4 for an
-    even phi of degree >= 4 whose band b = _near_band(n, c) is at least
-    BLOCKS_FROM_BAND, b otherwise. For a quartic, b // 4 is n // 64, which
-    keeps the gradient within 7.2e-14 of its largest entry at n = 2048-16384
-    (tests/near_far_errors.py). U^6, of band n / 5.3, keeps 3.5e-15 at
-    b // 4 and would leave 2.0e-13 at n // 64."""
-    band = _near_band(n, c)
-    if band is not None and len(c) > 4 and not any(c[1::2]) and band >= BLOCKS_FROM_BAND:
-        return band // 4
-    return band
+def _split(n: int, c: tuple[float, ...]) -> Optional[tuple[int, int]]:
+    """(near, band) of the near/far path on n cells for phi's coefficients
+    c, or None where the dense fold runs (band >= n // 2). The far sums
+    lose accuracy like (n / b)^(k - 1) for phi of degree k, so the band is
+    b = n 16^(-3 / (k - 1)), at least 1 and, for an odd phi, SIGN_CELL:
+    n // 4096 for k = 2, n // 64 for k = 3, n // 16 for k = 4. The fold
+    sums the rows up to near = b, or b // 4 (n // 64 for a quartic) for an
+    even phi of degree >= 4 whose band is at least BLOCKS_FROM_BAND, as the
+    blocks' windows of about 2 b values keep their powers small (U^6 keeps
+    3.5e-15 of max|g| at b // 4, 2.0e-13 at n // 64). The errors against
+    the dense fold are printed by tests/near_far_errors.py."""
+    k, odd = len(c) - 1, any(c[1::2])
+    b = max(SIGN_CELL if odd else 1, int(n * 2.0 ** (-12 / (k - 1))) if k > 1 else 1)
+    if b >= n // 2:
+        return None
+    return (b // 4 if k >= 4 and not odd and b >= BLOCKS_FROM_BAND else b), b
 
 
 def _block_rows(n: int) -> int:
@@ -164,7 +124,7 @@ def _midpoints_twice(n: int) -> np.ndarray:
 
 
 # the dense fold keeps its plan up to this many cells; above it the blocks
-# compute their distances, as the near band's always do
+# compute their distances, as the near rows' always do
 FOLD_PLAN_MAX_N = 2048
 
 
@@ -174,10 +134,10 @@ FOLD_PLAN_MAX_N = 2048
 def _fold_distances(n: int) -> np.ndarray:
     """The fold's dm = m_j - m_i, read-only, which the dense fold reads for
     n <= FOLD_PLAN_MAX_N cells: row d, 0 <= d <= n // 2, column i holds j =
-    (i + d) mod n, and row 0, the diagonal of cell slopes, is infinite. It
-    takes 8 n (n // 2 + 1) bytes, 1 MB at n = 512 and 16.8 MB at 2048. The
-    near/far path never builds it, so above NEAR_FAR_ABOVE_N only the
-    densities without phi coefficients, or the dense fold's fallbacks, do."""
+    (i + d) mod n, and row 0, the diagonal of cell slopes, is infinite: 8 n
+    (n // 2 + 1) bytes. The near/far path never builds it, so above
+    NEAR_FAR_ABOVE_N only the densities without phi coefficients, or the
+    dense fold's fallbacks, do."""
     m = Grid1D(n).midpoints
     dm = _windows(_midpoints_twice(n), 0, 1, (n // 2 + 1, n)) - m
     dm[0] = np.inf
@@ -269,68 +229,41 @@ def value_and_grad(u: NodalFunction, integrand: Integrand) -> tuple[float, np.nd
 def _quadrature(grid: Grid1D, values: np.ndarray, integrand: Integrand, with_grad: bool):
     """(energy, gradient or None) of the n + 1 nodal values on grid, which
     need not form a NodalFunction. Above NEAR_FAR_ABOVE_N cells a density
-    with phi coefficients takes the near/far path; a phi with an odd
-    coefficient takes it only where the far pairs whose sign is unknown are
-    few enough (_direct_pays). Where that path meets a non-finite value, the
-    dense fold reruns and raises what it always has."""
+    with phi coefficients takes the near/far path at _split(n, c), an odd
+    phi only where its unsigned cells are few enough (_direct_pays). Where
+    that path meets a non-finite value, the dense fold reruns."""
     n, c = grid.n, integrand.phi_coefficients
-    band = _near_band(n, c) if c is not None and n > NEAR_FAR_ABOVE_N else None
-    if band is not None:
+    split = _split(n, c) if c is not None and n > NEAR_FAR_ABOVE_N else None
+    if split is not None:
+        near, band = split
         unsigned = _unsigned_cells(values, band) if any(c[1::2]) else None
         if unsigned is None or _direct_pays(unsigned, n, band):
             try:
-                return _fold(grid, values, integrand, with_grad, band, unsigned,
-                             _near_rows(n, c))
+                # far terms first, so that the fold's blocks reuse the FFTs' heap
+                far = _far_terms(grid, values, integrand, with_grad, near, band, unsigned)
+                return _fold(grid, values, integrand, with_grad, near, far)
             except NonFiniteEnergyError:
                 pass
     return _fold(grid, values, integrand, with_grad)
 
 
-# every non-finite value raises NonFiniteEnergyError: numpy's warnings would
-# repeat the error
+# a non-finite value raises NonFiniteEnergyError, which numpy's warnings would repeat
 @np.errstate(over="ignore", invalid="ignore")
 def _fold(grid: Grid1D, values: np.ndarray, integrand: Integrand, with_grad: bool,
-          band: Optional[int] = None, unsigned: Optional[np.ndarray] = None,
-          near: Optional[int] = None):
-    """(energy, gradient or None) from the dense fold, or, given a band
-    0 <= b < n // 2, from the fold's rows 0..near (near = b by default),
-    which hold the pairs at index distance d <= near and d >= n - near,
-    _far_pairs for b < d < n - near and, for an even phi with near < b,
-    _block_pairs for near < d <= b. A phi with an odd coefficient also needs
-    unsigned, the far cells whose sign _unsigned_cells could not certify,
-    which _unsigned_pairs sums."""
+          near: Optional[int] = None, far: Optional[tuple] = None):
+    """(energy, gradient or None) from the fold's rows 0..near (every row by
+    default), the pairs at index distance d <= near and d >= n - near, plus
+    far, _far_terms' (f, gradient or None) of the others. Given near, the
+    rows keep plain column sums: only a non-finite total raises, and
+    _quadrature then reruns the dense fold, which names the pair."""
     h, n, m = grid.h, grid.n, grid.midpoints
     # midpoint values and NodalFunction.slopes, np.diff written out
     um = 0.5 * (values[:-1] + values[1:])
     slopes = (values[1:] - values[:-1]) / h
     name = integrand.name
     half_rows = np.zeros(n)  # per midpoint i: half the weighted phi of column i
-    near = band if near is None else near
-    if band is not None:
-        # before the fold, whose blocks can then reuse the heap the FFT's
-        # temporaries held. r is um less a line of slope beta, the end
-        # values', centred on its midrange: the smaller max |r|, the less
-        # the powers of r cancel
-        beta = values[-1] - values[0]
-        r = um - (values[0] + beta * m)
-        r -= 0.5 * (r.max() + r.min())
-        far, far_grad = _far_pairs(r[None], np.array([beta]), integrand, n, band,
-                                   n - near - 1, 2 * n, with_grad)
-        far = far[0]
-        if with_grad:
-            far_grad = far_grad[0]
-        if near < band:
-            inner, inner_grad = _block_pairs(um, integrand, near, band, with_grad)
-            far += inner
-            if with_grad:
-                far_grad += inner_grad
-        if unsigned is not None:
-            fix, fix_grad = _unsigned_pairs(um, beta, integrand.phi_coefficients, band,
-                                            unsigned, with_grad)
-            far += fix
-            if with_grad:
-                far_grad += fix_grad
-        half_rows += far
+    if far is not None:
+        half_rows += far[0]
     if with_grad:
         # per midpoint: sums of C = phi'(D) / dm over the pairs it comes
         # first in (col) and second in (skew, from a strided view of [C C])
@@ -341,11 +274,9 @@ def _fold(grid: Grid1D, values: np.ndarray, integrand: Integrand, with_grad: boo
     # in column i, with dm = m_j - m_i. Row 0 is the diagonal of cell slopes,
     # dm infinite as they do not depend on um; for even n, row n // 2 lists
     # each of its pairs twice, as (i, j) and (j, i)
-    rows = n // 2 + 1 if band is None else near + 1
-    plan = _fold_distances(n) if band is None and n <= FOLD_PLAN_MAX_N else None
-    # the near/far path checks only its totals: where one is not finite,
-    # _quadrature reruns the dense fold, which names the pair
-    column_sums = _column_sums if band is None else lambda P, *_, **__: P.sum(axis=0)
+    rows = n // 2 + 1 if near is None else near + 1
+    plan = _fold_distances(n) if near is None and n <= FOLD_PLAN_MAX_N else None
+    column_sums = _column_sums if near is None else lambda P, *_, **__: P.sum(axis=0)
     for d0, dm, D in _circulant_blocks(um, m, um, 0, 1, rows, plan):
         if d0 == 0:
             D[0] = slopes
@@ -371,10 +302,36 @@ def _fold(grid: Grid1D, values: np.ndarray, integrand: Integrand, with_grad: boo
     dpsi = _require_finite(integrand.w_u(um), f"dW/du({name})", m)
     # d(2 phi(D_ij)) / d u(m_j) = 2 C_ij = -d(2 phi(D_ij)) / d u(m_i)
     g_um = 2.0 * (skew - col) + n * dpsi
-    if band is not None:
-        g_um += 2.0 * far_grad
+    if far is not None:
+        g_um += 2.0 * far[1]
     grad = h * h * (0.5 * (g_um[:-1] + g_um[1:]) + (slope_B[:-1] - slope_B[1:]) / h)
     return value, _require_finite(grad, f"gradient of W({name})", grid.nodes[1:-1])
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _far_terms(grid: Grid1D, values: np.ndarray, integrand: Integrand, with_grad: bool,
+               near: int, band: int, unsigned: Optional[np.ndarray]):
+    """(f, gradient of sum(f) in the midpoint values, or None) of the pairs
+    at near < d < n - near, each term at its first midpoint: _far_pairs
+    sums d > band around r, the midpoint values less the line through the
+    end values, centred on its midrange (the smaller max |r|, the less its
+    powers cancel), _block_pairs d <= band, and _unsigned_pairs corrects
+    the far cells whose sign _unsigned_cells could not certify."""
+    n, um = grid.n, 0.5 * (values[:-1] + values[1:])
+    beta = values[-1] - values[0]
+    r = um - (values[0] + beta * grid.midpoints)
+    r -= 0.5 * (r.max() + r.min())
+    f, grad = _far_pairs(r[None], np.array([beta]), integrand, n, band, n - near - 1, 2 * n,
+                         with_grad)
+    f, grad = f[0], None if grad is None else grad[0]
+    parts = [_block_pairs(um, integrand, near, band, with_grad)] if near < band else []
+    if unsigned is not None:
+        parts.append(_unsigned_pairs(um, beta, integrand.phi_coefficients, band, unsigned, with_grad))
+    for part, part_grad in parts:
+        f += part
+        if with_grad:
+            grad += part_grad
+    return f, grad
 
 
 @lru_cache(maxsize=8)
@@ -402,15 +359,13 @@ def _far_pairs(r: np.ndarray, beta: np.ndarray, integrand: Integrand, n: int, lo
     midpoint (first[t, i]) and j a second one (second[t, j]); by default
     every position is both, and size >= 2 r.shape[1], so that no product
     wraps. Here P(D) = sum_k c_k D^k and s = _sign(beta[t]); f holds each
-    pair's term at its first midpoint. For an even P, P(s D) = P(D) =
-    phi(D); otherwise phi(D) = P(|D|) is P(s D) where s D >= 0
-    (_unsigned_pairs adds the rest).
+    pair's term at its first midpoint. For an even P, P(s D) = phi(D);
+    otherwise only where s D >= 0 (_unsigned_pairs adds the rest).
 
     There D_ij = beta + (r_j - r_i) / ((j - i) h), and P(s (beta + R)) =
     sum_k c'_k R^k with c' the Taylor shift of (c_k s^k) to beta, which
-    phi's closed forms give for k <= 2; an affine u has r = 0 up to
-    rounding. By the binomial expansion of (r_j - r_i)^k, with
-    w_pq = c'_(p+q) C(p+q, q),
+    phi's closed forms give for k <= 2. By the binomial expansion of (r_j -
+    r_i)^k, with w_pq = c'_(p+q) C(p+q, q),
 
         f = sum_p (-r)^p V_p,   V_p = sum_q w_pq U_(p+q) r^q,
 
@@ -464,14 +419,12 @@ def _far_pairs(r: np.ndarray, beta: np.ndarray, integrand: Integrand, n: int, lo
 def _block_pairs(a: np.ndarray, integrand: Integrand, near: int, band: int, with_grad: bool):
     """(f, gradient of sum(f) in a, or None): sum(f) is the sum of phi(D_ij)
     over the pairs i < j = i + d, near < d <= band, of the midpoint values a,
-    for an even phi, with each pair's term at its first midpoint. The first
-    midpoints are taken in blocks of B, the least 5-smooth number >= band,
-    each with the window of 2 B values from its first on, which holds the
-    block's pairs; _far_pairs sums them by circular products of length 2 B,
-    whose wrapped terms its masks clear. Each window is its own line,
-    through its end values, plus r centred on its midrange: over 2 B values
-    r is far smaller than over the whole grid, and so is the cancellation
-    among its powers at d > near."""
+    for an even phi, with each pair's term at its first midpoint. Blocks of
+    B first midpoints, B the least 5-smooth number >= band, each read the
+    window of 2 B values from their first on; _far_pairs sums them by
+    circular products of length 2 B, whose wrapped terms its masks clear.
+    Each window is its own line, through its end values, plus r centred on
+    its midrange, far smaller than over the whole grid."""
     n, B = a.size, _five_smooth(band)
     blocks = -(-n // B)
     padded = np.zeros((blocks + 1) * B)
@@ -513,10 +466,8 @@ def _five_smooth(b: int) -> int:
 
 
 def _powers(x: np.ndarray, degree: int) -> np.ndarray:
-    """Rows x^0..x^degree by repeated products. ** with an array of
-    exponents calls pow once per element (as integrands._abs_power notes):
-    for degree 2-4 at n = 4096 that took 0.42-0.80 ms against 4-8 us for
-    the products, which agree with it to 3.4e-16 relative."""
+    """Rows x^0..x^degree by repeated products: ** with an array of
+    exponents calls pow once per element, about 100 times slower."""
     powers = np.empty((degree + 1,) + x.shape)
     powers[0] = 1.0
     for q in range(1, degree + 1):
@@ -532,9 +483,8 @@ def _unsigned_cells(values: np.ndarray, band: int) -> np.ndarray:
     passes where min s a_j >= max s a_i over its j and its i, s =
     _sign(beta): then every D_ij in it has the sign s, and phi(D) = P(s D).
     One min of s a over each window of L (by doubling) and one max over
-    each cell's i give all n^2 / (2 L) tests; a cell that runs past n - d
-    keeps the max of all its L values of i, which only makes it fail
-    sooner."""
+    each cell's L values of i (past n - d too, which only makes a cell fail
+    sooner) give all n^2 / (2 L) tests."""
     L, n = SIGN_CELL, values.size - 1
     a = 0.5 * (values[:-1] + values[1:])
     a *= _sign(values[-1] - values[0])
@@ -555,26 +505,25 @@ def _unsigned_cells(values: np.ndarray, band: int) -> np.ndarray:
     return _windows(low, band + 1, L, (cells, rows)) < high[:, None]
 
 
+def _unsigned_share(unsigned: np.ndarray, n: int, band: int) -> float:
+    """The share of the n (n - 2 b - 1) / 2 far pairs that the unsigned
+    cells hold, each counted at its pairs: SIGN_CELL, less what the one cell
+    of each far row d that runs past n - d lacks."""
+    L, d = SIGN_CELL, np.arange(band + 1, n - band)
+    last = (n - d - 1) // L
+    lacking = unsigned[last, d - band - 1] @ (last * L + L + d - n)
+    return 2 * (L * np.count_nonzero(unsigned) - lacking) / (n * (n - 2 * band - 1))
+
+
 def _direct_pays(unsigned: np.ndarray, n: int, band: int) -> bool:
-    """Whether the unsigned cells hold at most max(1/2, n / 2048) of the
-    (n - 2 b - 1) n / 2 far pairs, each cell counted at SIGN_CELL pairs;
-    above that, the dense fold runs. power:3's value and gradient in ms,
-    path forced vs dense fold (one BLAS thread, best of 5, a 2-vCPU VM
-    shared with other guests; tests/unsigned_scan.py), on
-    tests/helpers.near_far_profiles' rough, with every far pair direct, and
-    hat, with the share of far pairs by this count:
-        n       rough (share 1.01-1.12)    hat (share)
-        512      3.74 vs   2.02             3.27 vs   1.98 (0.75)
-        1024     7.10 vs   4.39             5.27 vs   4.48 (0.62)
-        1536    13.89 vs  10.90             9.67 vs  11.06 (0.58)
-        2048    24.46 vs  20.77            15.27 vs  20.69 (0.56)
-        3072    48.66 vs  46.68            30.03 vs  46.12 (0.54)
-        4096    84.44 vs  87.14            50.22 vs  87.22 (0.53)
-        8192   261.25 vs 323.29           137.46 vs 347.70 (0.52)
-    A line through each size's two rows puts the share where the two tie at
-    0.42 for n = 1024, 0.72 at 1536, 0.84 at 2048 and 0.96 at 3072; from
-    4096 on the path wins at any share."""
-    return 4096 * SIGN_CELL * np.count_nonzero(unsigned) <= max(1024, n) * n * (n - 2 * band - 1)
+    """Whether the unsigned cells hold at most max(1/2, (n - 256) / 2048) of
+    the far pairs (_unsigned_share); above that, the dense fold runs. The
+    cut follows where power:3's path ties with the dense fold on the rough
+    and hat profiles, at a share of 0.42 for n = 1024, 0.84 at 2048 and
+    above 1 from 4096 on, less the rough profile at 2048 (share 1), whose
+    path is 1.18x slower (tests/near_far_scan.py --densities power:3
+    --profiles rough hat, one BLAS thread)."""
+    return _unsigned_share(unsigned, n, band) <= max(0.5, (n - 256) / 2048)
 
 
 def _unsigned_pairs(a: np.ndarray, beta: float, c: tuple[float, ...], band: int,
@@ -584,11 +533,11 @@ def _unsigned_pairs(a: np.ndarray, beta: float, c: tuple[float, ...], band: int,
     (_unsigned_cells) of the midpoint values a, where phi(D) = P(|D|) =
     sum_k c_k |D|^k and s = _sign(beta); f holds each pair's term at its
     first midpoint. Where s D >= 0 the difference is 0, and where s D < 0 it
-    is -2 O(s D), with O P's odd part. Each run of consecutive unsigned far
-    rows d of a cell is taken BLOCK_ELEMS // L rows at a time, as y[r, q]
-    for the pairs (c L + q, c L + q + d0 + r), read from one window of a with
-    no gather: the first midpoints' gradient is then a product with y's
-    columns, and the second ones' the sums along y's anti-diagonals."""
+    is -2 O(s D), with O P's odd part. A cell's runs of unsigned far rows
+    are read BLOCK_ELEMS // L rows at a time from one window of a, as y[r,
+    q] for the pairs (c L + q, c L + q + d0 + r): the first midpoints'
+    gradient is a product with y's columns, the second ones' the sums along
+    its anti-diagonals."""
     L, n, s = SIGN_CELL, a.size, _sign(beta)
     # s a, then +inf: a pair whose second midpoint lies past n gives y = 0.
     # A cell with a far pair is whole, as the band is at least L

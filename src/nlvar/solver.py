@@ -41,7 +41,6 @@ from .integrands import Integrand
 __all__ = [
     "SolverConfig",
     "MinimizeResult",
-    "ContinuationResult",
     "LineSearchError",
     "PRECONDITION_MAX_N",
     "NEWTON_SWITCH",
@@ -49,7 +48,6 @@ __all__ = [
     "default_grad_tol",
     "make_initial_guess",
     "minimize",
-    "continuation_refine",
 ]
 
 
@@ -278,44 +276,3 @@ def minimize(
         evaluations=evaluations,
         newton_steps=newton_steps,
     )
-
-
-@dataclass(frozen=True)
-class ContinuationResult:
-    result: MinimizeResult
-    levels: list[int]
-    deltas: list[float]  # sup-norm gap between prolonged and re-solved iterates
-
-
-def continuation_refine(
-    integrand: Integrand,
-    bc: tuple[float, float],
-    n_start: int,
-    n_end: int,
-    cfg: Optional[SolverConfig] = None,
-    init: Union[NodalFunction, str] = "linear",
-) -> ContinuationResult:
-    """Solve at n_start, then repeatedly double the grid, prolonging the
-    previous minimizer by linear interpolation, until n_end.
-
-    n_end must equal n_start * 2^k. Deltas record, per refinement level, the
-    sup-norm distance between the prolonged coarse solution and the re-solved
-    fine one.
-    """
-    levels = [n_start]
-    while 0 < levels[-1] < n_end:
-        levels.append(2 * levels[-1])
-    if n_start < 1 or levels[-1] != n_end:
-        raise ValueError(f"n_end={n_end} is not n_start={n_start} times a power of 2")
-
-    deltas: list[float] = []
-
-    grid = Grid1D(levels[0])
-    res = minimize(integrand, grid, bc, init=init, cfg=cfg)
-    for n in levels[1:]:
-        fine = Grid1D(n)
-        prolonged = NodalFunction(fine, res.u(fine.nodes), *bc)
-        res = minimize(integrand, fine, bc, init=prolonged, cfg=cfg)
-        deltas.append(float(np.max(np.abs(res.u.values - prolonged.values))))
-    return ContinuationResult(result=res, levels=levels, deltas=deltas)
-

@@ -1,9 +1,9 @@
 """Oracles and shorthands that only the tests read: a finite-difference
 check of a density's derivatives, the energy of one profile at n and 2n
-cells, the Hoelder exponent, a constant nodal function, midpoint values,
-a pointwise W, and the near/far path forced against the dense fold with
-its profiles and hand-built polynomial densities. The package itself runs
-none of them.
+cells, the Hoelder exponent, mesh-continuation solves, a constant nodal
+function, midpoint values, a pointwise W, and the near/far path forced
+against the dense fold with its profiles and hand-built polynomial
+densities. The package itself runs none of them.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from nlvar import energy
 from nlvar.energy import energy_value
 from nlvar.grid import Grid1D, NodalFunction
 from nlvar.integrands import ArrayFn, Integrand, _integer_exponent, _sign, power_p
+from nlvar.solver import MinimizeResult, SolverConfig, minimize
 
 
 def constant(grid: Grid1D, c: float) -> NodalFunction:
@@ -114,6 +115,46 @@ def holder_exponent(p: float) -> float:
     return (p - 2.0) / p
 
 
+@dataclass(frozen=True)
+class ContinuationResult:
+    result: MinimizeResult
+    levels: list[int]
+    deltas: list[float]  # sup-norm gap between prolonged and re-solved iterates
+
+
+def continuation_refine(
+    integrand: Integrand,
+    bc: tuple[float, float],
+    n_start: int,
+    n_end: int,
+    cfg: Optional[SolverConfig] = None,
+    init: Union[NodalFunction, str] = "linear",
+) -> ContinuationResult:
+    """Solve at n_start, then repeatedly double the grid, prolonging the
+    previous minimizer by linear interpolation, until n_end.
+
+    n_end must equal n_start * 2^k. Deltas record, per refinement level, the
+    sup-norm distance between the prolonged coarse solution and the re-solved
+    fine one.
+    """
+    levels = [n_start]
+    while 0 < levels[-1] < n_end:
+        levels.append(2 * levels[-1])
+    if n_start < 1 or levels[-1] != n_end:
+        raise ValueError(f"n_end={n_end} is not n_start={n_start} times a power of 2")
+
+    deltas: list[float] = []
+
+    grid = Grid1D(levels[0])
+    res = minimize(integrand, grid, bc, init=init, cfg=cfg)
+    for n in levels[1:]:
+        fine = Grid1D(n)
+        prolonged = NodalFunction(fine, res.u(fine.nodes), *bc)
+        res = minimize(integrand, fine, bc, init=prolonged, cfg=cfg)
+        deltas.append(float(np.max(np.abs(res.u.values - prolonged.values))))
+    return ContinuationResult(result=res, levels=levels, deltas=deltas)
+
+
 def stripped(integrand: Integrand) -> Integrand:
     """The same density without phi coefficients, which the dense fold sums."""
     return dataclasses.replace(integrand, phi_coefficients=None)
@@ -129,15 +170,22 @@ def near_far_profiles(n: int) -> dict[str, np.ndarray]:
             "x+1e-3sin": x + 1e-3 * np.sin(7.0 * x), "falling": 1.0 - x * x}
 
 
-def near_far(grid: Grid1D, values: np.ndarray, integrand: Integrand):
-    """(energy, gradient) from _fold's near/far path at the band and near
-    rows that _quadrature takes, with the unsigned cells that a phi with an
-    odd coefficient needs, however many there are."""
+def unsigned_cells(values: np.ndarray, integrand: Integrand) -> Optional[np.ndarray]:
+    """The far cells of values whose sign _unsigned_cells cannot certify, at
+    _split's band, for a phi with an odd coefficient; None otherwise."""
     c = integrand.phi_coefficients
-    band = energy._near_band(grid.n, c)
-    unsigned = energy._unsigned_cells(values, band) if any(c[1::2]) else None
-    return energy._fold(grid, values, integrand, True, band, unsigned,
-                        energy._near_rows(grid.n, c))
+    _, band = energy._split(values.size - 1, c)
+    return energy._unsigned_cells(values, band) if any(c[1::2]) else None
+
+
+def near_far(grid: Grid1D, values: np.ndarray, integrand: Integrand):
+    """(energy, gradient) from the near/far path at _split's near rows and
+    band, with the unsigned cells however many there are: the far terms,
+    then the fold's near rows, as _quadrature runs them."""
+    near, band = energy._split(grid.n, integrand.phi_coefficients)
+    far = energy._far_terms(grid, values, integrand, True, near, band,
+                            unsigned_cells(values, integrand))
+    return energy._fold(grid, values, integrand, True, near, far)
 
 
 def hand_built() -> list[Integrand]:

@@ -1,0 +1,115 @@
+"""Print how fast the near/far path runs against the dense fold: for each
+density, size and profile, the CPU time of one value-and-gradient call on
+the path, forced as in helpers.near_far, and on the dense fold with its
+kept plan, best of interleaved calls, and their ratio. For a phi with an
+odd coefficient it also prints the share of the far pairs in the cells
+whose sign _unsigned_cells cannot certify (_unsigned_share), which
+_direct_pays reads. NEAR_FAR_ABOVE_N is set above the last size where the
+path lost, and _direct_pays' cut where path and fold tie.
+
+With --blocks it times, for an even phi of degree >= 4, the path whose
+fold stops at row band // 4 and whose pairs from there to the band are
+summed in blocks (_block_pairs) against the path whose fold runs to the
+band; BLOCKS_FROM_BAND is set above the last band where the blocks lost.
+
+    PYTHONPATH=src python tests/near_far_scan.py --sizes 257:1100
+    PYTHONPATH=src python tests/near_far_scan.py --densities power:3 \\
+        --profiles rough hat --sizes 512 1024 2048 4096 8192 --calls 5
+    PYTHONPATH=src python tests/near_far_scan.py --blocks --sizes 512:2816:32 \\
+        --densities two-well two-well-bare power:4
+
+A size first:last or first:last:step stands for every size from first to
+last in that step. The profiles are helpers.near_far_profiles' and sin3x,
+x^2 + 0.1 sin 3x. Run it with one BLAS thread on an otherwise idle
+machine; every size from 257 to 1100 takes a few minutes.
+"""
+
+from __future__ import annotations
+
+import argparse
+import time
+
+import numpy as np
+
+from helpers import near_far, near_far_profiles, stripped, unsigned_cells
+from nlvar import energy
+from nlvar.grid import Grid1D
+from nlvar.integrands import integrand_by_name
+
+
+def profiles(n: int) -> dict[str, np.ndarray]:
+    x = Grid1D(n).nodes
+    return {**near_far_profiles(n), "sin3x": x * x + 0.1 * np.sin(3.0 * x)}
+
+
+def sizes(token: str) -> list[int]:
+    """[n], or the sizes first..last in steps of step for first:last[:step]."""
+    first, _, rest = token.partition(":")
+    if not rest:
+        return [int(first)]
+    last, _, step = rest.partition(":")
+    return list(range(int(first), int(last) + 1, int(step or 1)))
+
+
+def calls(grid: Grid1D, values: np.ndarray, W, blocks: bool):
+    """The two calls to time: the path and the dense fold, or with blocks,
+    the path with its fold to band // 4 and the path with its fold to the
+    band."""
+    if not blocks:
+        dense = stripped(W)
+        return (lambda: near_far(grid, values, W),
+                lambda: energy._quadrature(grid, values, dense, True))
+    _, band = energy._split(grid.n, W.phi_coefficients)
+
+    def path(near: int):
+        far = energy._far_terms(grid, values, W, True, near, band, None)
+        return energy._fold(grid, values, W, True, near, far)
+
+    return lambda: path(band // 4), lambda: path(band)
+
+
+def share(values: np.ndarray, W) -> str:
+    """The share of the far pairs in unsigned cells for a phi with an odd
+    coefficient, "-" otherwise."""
+    unsigned = unsigned_cells(values, W)
+    if unsigned is None:
+        return "-"
+    n = values.size - 1
+    return f"{energy._unsigned_share(unsigned, n, energy._split(n, W.phi_coefficients)[1]):.2f}"
+
+
+def best_times(pair, repeats: int) -> list[float]:
+    """Best CPU time of each call, interleaved repeats times."""
+    best = [np.inf, np.inf]
+    for _ in range(repeats):
+        for k, call in enumerate(pair):
+            t0 = time.process_time()
+            call()
+            best[k] = min(best[k], time.process_time() - t0)
+    return best
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--sizes", type=sizes, nargs="+", default=[[512], [1024], [2048]])
+    parser.add_argument("--densities", nargs="+",
+                        default=["half-square", "quad-mass", "power:3", "two-well"])
+    parser.add_argument("--profiles", nargs="+", default=["sin3x"])
+    parser.add_argument("--calls", type=int, default=11)
+    parser.add_argument("--blocks", action="store_true")
+    args = parser.parse_args(argv)
+    new, base = ("blocks_ms", "rows_ms") if args.blocks else ("path_ms", "fold_ms")
+    print(f"{'density':<14} {'n':>5} {'profile':<10} {'share':>5} {new:>9} {base:>9} ratio")
+    for name in args.densities:
+        W = integrand_by_name(name)
+        for n in [n for group in args.sizes for n in group]:
+            grid = Grid1D(n)
+            for profile in args.profiles:
+                values = profiles(n)[profile]
+                t_new, t_base = best_times(calls(grid, values, W, args.blocks), args.calls)
+                print(f"{name:<14} {n:>5} {profile:<10} {share(values, W):>5} {1e3 * t_new:9.2f} "
+                      f"{1e3 * t_base:9.2f} {t_new / t_base:5.2f}", flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -35,6 +35,7 @@ from helpers import (
     near_far_profiles,
     refine_and_compare,
     stripped,
+    unsigned_cells,
 )
 
 ALL = [power_p(2), power_p(3), power_p(4), half_square(), quadratic_mass(),
@@ -349,8 +350,7 @@ def assert_path_matches_the_dense_fold(n, integrand, names=None):
     path's bits, or the dense fold's where the sign of too many far pairs is
     unknown (_direct_pays, TestSignCells), and the path is within the
     bounds of the dense fold."""
-    c = integrand.phi_coefficients
-    grid, band = Grid1D(n), energy._near_band(n, c)
+    grid, (_, band) = Grid1D(n), energy._split(n, integrand.phi_coefficients)
     for name, values in near_far_profiles(n).items():
         if names is not None and name not in names:
             continue
@@ -359,15 +359,15 @@ def assert_path_matches_the_dense_fold(n, integrand, names=None):
         assert value == energy_value(u, integrand)
         dense = value_and_grad(u, stripped(integrand))
         path = near_far(grid, values, integrand)
-        fold = any(c[1::2]) and not energy._direct_pays(energy._unsigned_cells(values, band),
-                                                        n, band)
+        unsigned = unsigned_cells(values, integrand)
+        fold = unsigned is not None and not energy._direct_pays(unsigned, n, band)
         assert same_bits((value, grad), dense if fold else path)
         assert_near_far_matches(path, dense)
 
 
 class TestNearFar:
     """Above NEAR_FAR_ABOVE_N cells, a density with phi coefficients sums the
-    pairs beyond the band _near_band(n, c) by Toeplitz products."""
+    pairs beyond the near rows of _split(n, c) by Toeplitz products."""
 
     # n = 8192, where n / b is largest, on four profiles (both signs of the
     # end values' slope, and beta = 0) to save 3 s of dense folds
@@ -414,7 +414,7 @@ class TestNearFar:
             dataclasses.replace(absolute, w_U=np.sign)
         x = Grid1D(n).nodes
         u = NodalFunction(Grid1D(n), np.minimum(np.minimum(x / 0.01, (1.0 - x) / 0.2), 1.0))
-        assert energy._near_band(n, absolute.phi_coefficients) is not None
+        assert energy._split(n, absolute.phi_coefficients) is not None
         assert_near_far_matches(near_far(u.grid, u.values, absolute),
                                 value_and_grad(u, stripped(absolute)))
 
@@ -436,8 +436,8 @@ class TestNearFar:
         values = np.random.default_rng(5).uniform(-1, 1, n + 1)
         if rising:
             values = Grid1D(n).nodes + 0.05 * values
-            band = energy._near_band(n, W.phi_coefficients)
-            assert energy._direct_pays(energy._unsigned_cells(values, band), n, band)
+            _, band = energy._split(n, W.phi_coefficients)
+            assert energy._direct_pays(unsigned_cells(values, W), n, band)
         u = NodalFunction(Grid1D(n), scale * values)
         for kernel in (energy_value, value_and_grad):
             with pytest.raises(NonFiniteEnergyError) as want:
@@ -481,7 +481,7 @@ class TestFarPairs:
     @pytest.mark.parametrize("integrand", POLYNOMIAL + hand_built(), ids=lambda i: i.name)
     def test_matches_a_direct_sum(self, integrand, n):
         c = np.array(integrand.phi_coefficients)
-        band = energy._near_band(n, integrand.phi_coefficients)
+        _, band = energy._split(n, integrand.phi_coefficients)
         everywhere = np.ones((1, n), bool)
         rng = np.random.default_rng(n)
         for beta in (0.7, 0.0, -1.3):
@@ -526,8 +526,7 @@ class TestFarPairs:
                              ids=lambda i: i.name)
     def test_blocks_match_a_direct_sum(self, integrand, n):
         c = np.array(integrand.phi_coefficients)
-        band = energy._near_band(n, integrand.phi_coefficients)
-        near = energy._near_rows(n, integrand.phi_coefficients)
+        near, band = energy._split(n, integrand.phi_coefficients)
         assert near == band // 4
         everywhere = np.ones((1, n), bool)
         for name, values in near_far_profiles(n).items():
@@ -546,7 +545,7 @@ class TestSignCells:
     @pytest.mark.parametrize("n", [NEAR_FAR_ABOVE_N + 1, 2049, 4096])
     def test_certified_cells_hold_their_sign(self, n):
         grid, W = Grid1D(n), power_p(3)
-        band, L = energy._near_band(n, W.phi_coefficients), energy.SIGN_CELL
+        (_, band), L = energy._split(n, W.phi_coefficients), energy.SIGN_CELL
         for name, values in near_far_profiles(n).items():
             s = -1.0 if values[-1] < values[0] else 1.0
             a = s * 0.5 * (values[:-1] + values[1:])
@@ -565,40 +564,52 @@ class TestSignCells:
                 # a monotone profile: every far cell is certified
                 assert not unsigned.any()
 
+    # _direct_pays counts each unsigned cell at its pairs, min(L, n - d - c L)
+    # in row d, not at L: a random profile, whose cells all fail, holds at
+    # most every far pair, and the count agrees with one cell by cell
+    @pytest.mark.parametrize("n", [512, 1024, 8192])
+    def test_share_counts_the_pairs_of_each_cell(self, n):
+        (_, band), L = energy._split(n, power_p(3).phi_coefficients), energy.SIGN_CELL
+        d = np.arange(band + 1, n - band)
+        pairs = np.clip(n - d - L * np.arange(-(-n // L))[:, None], 0, L)
+        for name in ("rough", "hat"):
+            unsigned = energy._unsigned_cells(near_far_profiles(n)[name], band)
+            share = energy._unsigned_share(unsigned, n, band)
+            assert share == pytest.approx(pairs[unsigned].sum() / pairs.sum(), rel=1e-15)
+            if name == "rough":
+                assert share <= 1.0
+
 
 class TestNearBand:
-    """_near_band(n, c): b = n 16^(-3 / (k - 1)) for phi of degree k, at
-    least 1 and, for an odd phi, at least SIGN_CELL; None, the dense fold,
-    where that reaches n // 2. _near_rows(n, c): the fold's last row, b // 4
-    for an even phi of degree >= 4 with b >= BLOCKS_FROM_BAND, b otherwise."""
+    """_split(n, c) = (near, band): b = n 16^(-3 / (k - 1)) for phi of degree
+    k, at least 1 and, for an odd phi, at least SIGN_CELL; None, the dense
+    fold, where that reaches n // 2. The fold's last row is b // 4 for an
+    even phi of degree >= 4 with b >= BLOCKS_FROM_BAND, b otherwise."""
 
     @pytest.mark.parametrize("n", [NEAR_FAR_ABOVE_N + 1, 2047, 2048, 2049, 3000, 4095, 4096,
                                    8191, 8192, 16384, 65537])
     def test_rule(self, n):
-        band = lambda c: energy._near_band(n, c)
-        rows = lambda c: energy._near_rows(n, c)
+        split = lambda c: energy._split(n, c)
         for W in (half_square(), quadratic_mass(), power_p(2)):
-            assert rows(W.phi_coefficients) == band(W.phi_coefficients) == max(n // 4096, 1)
+            assert split(W.phi_coefficients) == (max(n // 4096, 1),) * 2
         # the quartics keep the far cut n // 16; from a band of
         # BLOCKS_FROM_BAND, n = 2048, the fold stops at n // 64
         for W in (two_well_full(), two_well_bare(), power_p(4)):
-            assert band(W.phi_coefficients) == n // 16
-            assert rows(W.phi_coefficients) == (n // 64 if n >= 2048 else n // 16)
+            assert split(W.phi_coefficients) == (n // 64 if n >= 2048 else n // 16, n // 16)
         # degree 5 has an odd coefficient: n // 8 is below SIGN_CELL up to n = 511
-        c5 = (0.0,) * 5 + (1.0,)
-        assert rows(c5) == band(c5) == max(n // 8, energy.SIGN_CELL)
+        assert split((0.0,) * 5 + (1.0,)) == (max(n // 8, energy.SIGN_CELL),) * 2
         # U^6 is even: its band n / 5.3 is at least BLOCKS_FROM_BAND from n = 676
-        c6 = (0.0,) * 6 + (1.0,)
-        assert rows(c6) == (band(c6) // 4 if n >= 676 else band(c6))
-        assert n // 3 < band((0.0,) * 12 + (1.0,)) < n // 2
+        near, band = split((0.0,) * 6 + (1.0,))
+        assert near == (band // 4 if n >= 676 else band)
+        assert n // 3 < split((0.0,) * 12 + (1.0,))[1] < n // 2
         for c in ((0.0,) * 13 + (1.0,), (0.0,) * 14 + (1.0,)):
-            assert band(c) is None and rows(c) is None
-        assert band((1.0,)) == band((0.0, 0.0)) == rows((0.0, 0.0)) == 1
+            assert split(c) is None
+        assert split((1.0,)) == split((0.0, 0.0)) == (1, 1)
         # an odd phi never takes a band below a sign cell, nor blocks
-        c3 = power_p(3).phi_coefficients
-        assert rows(c3) == band(c3) == max(n // 64, energy.SIGN_CELL)
+        assert split(power_p(3).phi_coefficients) == (max(n // 64, energy.SIGN_CELL),) * 2
         for c in ((0.0, 1.0), (1.0, 1.0, 1.0), (0.0,) * 5 + (1.0,)):
-            assert rows(c) == band(c) >= energy.SIGN_CELL
+            near, band = split(c)
+            assert near == band >= energy.SIGN_CELL
 
     # the fold's rows 0..n // 64, the far cut n // 16 and the blocks between
     def test_degree_4_splits_at_n_over_64_and_n_over_16(self):
@@ -606,14 +617,15 @@ class TestNearBand:
         grid = Grid1D(n)
         for W in (two_well_full(), two_well_bare(), power_p(4)):
             for values in near_far_profiles(n).values():
+                far = energy._far_terms(grid, values, W, True, n // 64, n // 16, None)
                 assert same_bits(value_and_grad(NodalFunction(grid, values), W),
-                                 energy._fold(grid, values, W, True, n // 16, None, n // 64))
+                                 energy._fold(grid, values, W, True, n // 64, far))
 
     def test_half_the_fold_or_more_runs_the_dense_fold(self):
         n = 4096
         grid, values = Grid1D(n), near_far_profiles(n)["smooth"]
         W = dataclasses.replace(power_p(14), phi_coefficients=(0.0,) * 14 + (1.0,))
-        assert energy._near_band(n, W.phi_coefficients) is None
+        assert energy._split(n, W.phi_coefficients) is None
         assert same_bits(value_and_grad(NodalFunction(grid, values), W),
                          energy._fold(grid, values, W, True))
 

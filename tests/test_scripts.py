@@ -4,9 +4,8 @@ that a rename of the kernel names they read fails here, not by hand."""
 import json
 import re
 
-import crossover_scan
 import near_far_errors
-import unsigned_scan
+import near_far_scan
 import workload_ops
 from nlvar import energy
 from nlvar.integrands import half_square, power_p, quadratic_mass, two_well_bare, two_well_full
@@ -24,43 +23,34 @@ def test_near_far_errors_prints_one_row_per_density_within_the_bounds(capsys):
     assert len(rows) == len(densities)
     for row, W in zip(rows, densities):
         name, n, band, near, value, _, grad, _ = row.split()
-        c = W.phi_coefficients
-        assert (name, int(n), int(band), int(near)) == (W.name, 513, energy._near_band(513, c),
-                                                        energy._near_rows(513, c))
+        assert (name, int(n), (int(near), int(band))) == (W.name, 513,
+                                                          energy._split(513, W.phi_coefficients))
         # TestNearFar's bounds: 1e-12 relative in the energy, 1e-11 of max|g|
         assert float(value) <= 1e-12 and float(grad) <= 1e-11, row
 
 
-def test_crossover_scan_prints_one_line_per_density(capsys):
-    # one call per size: the timings are noise, only the format is checked
-    crossover_scan.main(["--first", "512", "--last", "513", "--calls", "1",
-                         "--densities", "half-square", "power:3"])
-    lines = capsys.readouterr().out.splitlines()
-    names = []
-    for line in lines:
-        match = re.fullmatch(r"(.+?): the path lost at (\d) sizes((?:, 51[23] \(\d+\.\d\d\))*)",
-                             line)
-        assert match, line
-        assert int(match[2]) == match[3].count("(")
-        names.append(match[1])
-    assert names == ["half-square", "power:3"]
-
-
-def test_crossover_scan_of_the_blocks_prints_one_line_per_density(capsys):
-    crossover_scan.main(["--first", "2048", "--last", "2049", "--calls", "1", "--blocks",
-                         "--densities", "two-well"])
-    line, = capsys.readouterr().out.splitlines()
-    assert re.fullmatch(r"two-well: the blocks lost at (\d) sizes(, 204[89] \(\d+\.\d\d\))*",
-                        line), line
-
-
-def test_unsigned_scan_prints_share_and_times_per_profile(capsys):
-    unsigned_scan.main(["--sizes", "512", "--calls", "1"])
+# one call per size: the timings are noise, only the format and the
+# shares are checked
+def test_near_far_scan_prints_shares_and_times_per_profile(capsys):
+    near_far_scan.main(["--sizes", "512", "--calls", "1", "--densities", "half-square",
+                        "power:3", "--profiles", "rough", "hat"])
     header, *rows = capsys.readouterr().out.splitlines()
-    assert header.split() == ["n", "profile", "share", "path", "ms", "fold", "ms", "ratio"]
-    assert [row.split()[:2] for row in rows] == [["512", "rough"], ["512", "hat"]]
-    # the hat's share at n = 512, by _direct_pays' count
-    assert float(rows[1].split()[2]) == 0.75
+    assert header.split() == ["density", "n", "profile", "share", "path_ms", "fold_ms", "ratio"]
+    assert [row.split()[:4] for row in rows] == [["half-square", "512", "rough", "-"],
+                                                 ["half-square", "512", "hat", "-"],
+                                                 ["power:3", "512", "rough", "1.00"],
+                                                 ["power:3", "512", "hat", "0.62"]]
+    assert all(float(x) > 0 for row in rows for x in row.split()[4:])
+
+
+def test_near_far_scan_of_the_blocks_prints_one_row_per_size(capsys):
+    near_far_scan.main(["--blocks", "--sizes", "2048:2049", "--calls", "1",
+                        "--densities", "two-well"])
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["density", "n", "profile", "share", "blocks_ms", "rows_ms",
+                              "ratio"]
+    assert [row.split()[:4] for row in rows] == [["two-well", "2048", "sin3x", "-"],
+                                                 ["two-well", "2049", "sin3x", "-"]]
 
 
 def test_workload_ops_prints_a_median_per_operation(capsys):

@@ -33,13 +33,13 @@ from nlvar.integrands import (
 from nlvar.solver import (
     NEWTON_SWITCH,
     PRECONDITION_MAX_N,
-    ContinuationResult,
     SolverConfig,
-    continuation_refine,
     default_grad_tol,
     make_initial_guess,
     minimize,
 )
+
+from helpers import ContinuationResult, continuation_refine
 
 TIGHT = SolverConfig(grad_tol=1e-8, max_iters=50000)
 
