@@ -2,7 +2,6 @@
 that a rename of the kernel names they read fails here, not by hand."""
 
 import json
-import re
 
 import near_far_errors
 import near_far_scan
@@ -30,12 +29,27 @@ def test_near_far_errors_prints_one_row_per_density_within_the_bounds(capsys):
 
 
 # one call per size: the timings are noise, only the format and the
-# shares are checked
-def test_near_far_scan_prints_shares_and_times_per_profile(capsys):
+# shares are checked. The default mode of near_far_scan.py scans the
+# crossover of path and fold per density and size, and prints the share of
+# unsigned far pairs per profile.
+def test_crossover_scan_prints_one_line_per_density(capsys):
+    near_far_scan.main(["--sizes", "512:513", "--calls", "1", "--densities", "half-square",
+                        "power:3"])
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["density", "n", "profile", "share", "path_ms", "fold_ms", "ratio"]
+    assert [row.split()[:3] for row in rows] == [["half-square", "512", "sin3x"],
+                                                 ["half-square", "513", "sin3x"],
+                                                 ["power:3", "512", "sin3x"],
+                                                 ["power:3", "513", "sin3x"]]
+    assert all(float(x) > 0 for row in rows for x in row.split()[4:])
+
+
+def test_unsigned_scan_prints_share_and_times_per_profile(capsys):
     near_far_scan.main(["--sizes", "512", "--calls", "1", "--densities", "half-square",
                         "power:3", "--profiles", "rough", "hat"])
     header, *rows = capsys.readouterr().out.splitlines()
     assert header.split() == ["density", "n", "profile", "share", "path_ms", "fold_ms", "ratio"]
+    # the hat's share at n = 512, by _unsigned_share's count of the real pairs
     assert [row.split()[:4] for row in rows] == [["half-square", "512", "rough", "-"],
                                                  ["half-square", "512", "hat", "-"],
                                                  ["power:3", "512", "rough", "1.00"],
