@@ -22,15 +22,19 @@ twice, the dense fold's pair distances for n <= FOLD_PLAN_MAX_N
 (_fold_distances) and the factor of P (_half_square_inverse), two sizes
 each for the last two; everything else computes its distances per block.
 
-The fold sums n^2 / 2 pairs per call. Above NEAR_FAR_ABOVE_N cells, a
-density that carries phi's coefficients (a polynomial phi) may take the
-near/far path instead: _split(n, c) gives its band b and near rows, _fold
-sums the rows 0..near, and _far_terms every other pair in O(n log n), by
-one engine, _far_pairs, over the whole grid from b on and in blocks up to
-b (_block_pairs), and directly, for an odd phi, in the far cells whose
-sign _unsigned_cells cannot certify (_unsigned_pairs). _quadrature alone
-decides which path runs, and reruns the dense fold wherever the near/far
-one meets a non-finite value. The two agree to rounding
+The fold sums n^2 / 2 pairs per call. A density that carries phi's
+coefficients (a polynomial phi) may take the near/far path instead, above
+NEAR_FAR_ABOVE_N cells and, from NEAR_FAR_FROM_N, at the sizes with a
+fast FFT length where its near rows are few (_near_far): _split(n, c)
+gives its band b and near rows, _fold sums the rows 0..near, and
+_far_terms every other pair in O(n log n), by one engine, _far_pairs,
+over the whole grid from b on, where its kernels hold both orders of each
+pair, and in blocks up to b (_block_pairs), and directly, for an odd phi,
+in the far cells whose sign _unsigned_cells cannot certify
+(_unsigned_pairs). _quadrature alone decides which path runs. Either
+path checks only its total and gradient; where one is not finite, the
+dense fold reruns with a check per block, which names the first
+non-finite pair. The two paths agree to rounding
 (tests/near_far_errors.py).
 """
 
@@ -63,12 +67,16 @@ class NonFiniteEnergyError(ArithmeticError):
 BLOCK_ELEMS = 1 << 14
 
 
-# above this many cells, a density with phi coefficients may take the
-# near/far path, which won or tied for every built-in polynomial density at
-# every n from 512 on; below, it lost where 2n has a large prime factor, slow
-# in numpy's FFT, and for power:3 up to n = 352, where its band of SIGN_CELL
-# rows is a third of the fold (tests/near_far_scan.py --sizes 257:1100)
+# above this many cells, a density with phi coefficients takes the near/far
+# path, which won or tied for every built-in polynomial density at every n
+# from 512 on; from NEAR_FAR_FROM_N it takes it only at the sizes where it
+# won for every density that _split gives at most n // 8 near rows: n with
+# no prime factor above 5, so that the FFT length 2 n is fast. It lost
+# where 2 n has a large prime factor, slow in numpy's FFT (two-well 1.6x at
+# n = 257 and 263), and for power:3 and U^6, whose near rows are a quarter
+# of the fold or more (tests/near_far_scan.py --sizes 130:600)
 NEAR_FAR_ABOVE_N = 511
+NEAR_FAR_FROM_N = 256
 
 # a phi with an odd coefficient splits each far row into cells of SIGN_CELL
 # consecutive first midpoints, whose sign one min and one max test
@@ -128,16 +136,17 @@ def _midpoints_twice(n: int) -> np.ndarray:
 FOLD_PLAN_MAX_N = 2048
 
 
-# two sizes: the benchmark's figures alternate n = 128 and 64 (fig4), its
-# solves read the plan at 256 (two-well) and, on power:3's fallback, at 512
+# two sizes: the benchmark's figures alternate n = 128 and 64 (fig4); its
+# solves read it only on power:3's fallback at 512, as two-well takes the
+# near/far path at 256
 @lru_cache(maxsize=2)
 def _fold_distances(n: int) -> np.ndarray:
     """The fold's dm = m_j - m_i, read-only, which the dense fold reads for
     n <= FOLD_PLAN_MAX_N cells: row d, 0 <= d <= n // 2, column i holds j =
     (i + d) mod n, and row 0, the diagonal of cell slopes, is infinite: 8 n
-    (n // 2 + 1) bytes. The near/far path never builds it, so above
-    NEAR_FAR_ABOVE_N only the densities without phi coefficients, or the
-    dense fold's fallbacks, do."""
+    (n // 2 + 1) bytes. The near/far path never builds it, so where that
+    path runs only the densities without phi coefficients, or the dense
+    fold's fallbacks, do."""
     m = Grid1D(n).midpoints
     dm = _windows(_midpoints_twice(n), 0, 1, (n // 2 + 1, n)) - m
     dm[0] = np.inf
@@ -226,36 +235,55 @@ def value_and_grad(u: NodalFunction, integrand: Integrand) -> tuple[float, np.nd
     return _quadrature(u.grid, u.values, integrand, with_grad=True)
 
 
+def _near_far(values: np.ndarray, c: Optional[tuple[float, ...]]):
+    """(near, band, unsigned) of the near/far path on the n + 1 nodal values
+    for phi's coefficients c, or None where the dense fold runs: a density
+    without coefficients, _split's None, n below NEAR_FAR_FROM_N, n up to
+    NEAR_FAR_ABOVE_N that is not 5-smooth or whose near rows exceed n // 8,
+    and for an odd phi too many unsigned cells (_direct_pays)."""
+    n = values.size - 1
+    split = _split(n, c) if c is not None and n >= NEAR_FAR_FROM_N else None
+    if split is None or (n <= NEAR_FAR_ABOVE_N and (_five_smooth(n) != n or split[0] > n // 8)):
+        return None
+    near, band = split
+    unsigned = _unsigned_cells(values, band) if any(c[1::2]) else None
+    if unsigned is not None and not _direct_pays(unsigned, n, band):
+        return None
+    return near, band, unsigned
+
+
 def _quadrature(grid: Grid1D, values: np.ndarray, integrand: Integrand, with_grad: bool):
     """(energy, gradient or None) of the n + 1 nodal values on grid, which
-    need not form a NodalFunction. Above NEAR_FAR_ABOVE_N cells a density
-    with phi coefficients takes the near/far path at _split(n, c), an odd
-    phi only where its unsigned cells are few enough (_direct_pays). Where
-    that path meets a non-finite value, the dense fold reruns."""
-    n, c = grid.n, integrand.phi_coefficients
-    split = _split(n, c) if c is not None and n > NEAR_FAR_ABOVE_N else None
-    if split is not None:
-        near, band = split
-        unsigned = _unsigned_cells(values, band) if any(c[1::2]) else None
-        if unsigned is None or _direct_pays(unsigned, n, band):
-            try:
-                # far terms first, so that the fold's blocks reuse the FFTs' heap
-                far = _far_terms(grid, values, integrand, with_grad, near, band, unsigned)
-                return _fold(grid, values, integrand, with_grad, near, far)
-            except NonFiniteEnergyError:
-                pass
-    return _fold(grid, values, integrand, with_grad)
+    need not form a NodalFunction: the near/far path where _near_far gives
+    its split, the dense fold otherwise. Where either gives a non-finite
+    energy or gradient, the dense fold reruns with its checks: it raises
+    NonFiniteEnergyError naming the first non-finite pair or point, or, where
+    only the path's sums overflowed, returns its own finite result."""
+    plan = _near_far(values, integrand.phi_coefficients)
+    if plan is None:
+        result = _fold(grid, values, integrand, with_grad)
+    else:
+        # far terms first, so that the fold's blocks reuse the FFTs' heap
+        far = _far_terms(grid, values, integrand, with_grad, *plan)
+        result = _fold(grid, values, integrand, with_grad, plan[0], far)
+    return result if _finite(*result) else _fold(grid, values, integrand, with_grad, check=True)
+
+
+def _finite(value: float, grad: Optional[np.ndarray]) -> bool:
+    return np.isfinite(value) and (grad is None or np.isfinite(grad).all())
 
 
 # a non-finite value raises NonFiniteEnergyError, which numpy's warnings would repeat
 @np.errstate(over="ignore", invalid="ignore")
 def _fold(grid: Grid1D, values: np.ndarray, integrand: Integrand, with_grad: bool,
-          near: Optional[int] = None, far: Optional[tuple] = None):
+          near: Optional[int] = None, far: Optional[tuple] = None, check: bool = False):
     """(energy, gradient or None) from the fold's rows 0..near (every row by
     default), the pairs at index distance d <= near and d >= n - near, plus
-    far, _far_terms' (f, gradient or None) of the others. Given near, the
-    rows keep plain column sums: only a non-finite total raises, and
-    _quadrature then reruns the dense fold, which names the pair."""
+    far, _far_terms' (f, gradient or None) of the others. Non-finite values
+    are returned as they are; with check, the dense fold instead raises
+    NonFiniteEnergyError at the first block whose sums are not finite,
+    naming the pair, or at psi, psi' or the total, naming a midpoint, or at
+    the gradient, naming a node."""
     h, n, m = grid.h, grid.n, grid.midpoints
     # midpoint values and NodalFunction.slopes, np.diff written out
     um = 0.5 * (values[:-1] + values[1:])
@@ -264,19 +292,20 @@ def _fold(grid: Grid1D, values: np.ndarray, integrand: Integrand, with_grad: boo
     half_rows = np.zeros(n)  # per midpoint i: half the weighted phi of column i
     if far is not None:
         half_rows += far[0]
-    if with_grad:
-        # per midpoint: sums of C = phi'(D) / dm over the pairs it comes
-        # first in (col) and second in (skew, from a strided view of [C C])
-        col, skew = np.zeros(n), np.zeros(n)
-        pair = np.empty((_block_rows(n), 2 * n))
-        flat = pair.reshape(-1)
     # the fold: row d, 0 <= d <= n // 2, holds the pair (i, j = (i + d) mod n)
     # in column i, with dm = m_j - m_i. Row 0 is the diagonal of cell slopes,
     # dm infinite as they do not depend on um; for even n, row n // 2 lists
     # each of its pairs twice, as (i, j) and (j, i)
     rows = n // 2 + 1 if near is None else near + 1
+    if with_grad:
+        # per midpoint: sums of C = phi'(D) / dm over the pairs it comes
+        # first in (col) and second in (skew, from a strided view of [C C])
+        col, skew = np.zeros(n), np.zeros(n)
+        pair = np.empty((min(rows, _block_rows(n)), 2 * n))
+        flat = pair.reshape(-1)
     plan = _fold_distances(n) if near is None and n <= FOLD_PLAN_MAX_N else None
-    column_sums = _column_sums if near is None else lambda P, *_, **__: P.sum(axis=0)
+    column_sums = _column_sums if check else lambda P, *_, **__: P.sum(axis=0)
+    require = _require_finite if check else lambda values, *_: values
     for d0, dm, D in _circulant_blocks(um, m, um, 0, 1, rows, plan):
         if d0 == 0:
             D[0] = slopes
@@ -295,17 +324,18 @@ def _fold(grid: Grid1D, values: np.ndarray, integrand: Integrand, with_grad: boo
         pair[:k, n:] = C
         # row r of the view is C[r] rotated right by d0 + r
         skew += _windows(flat, n - d0, 2 * n - 1, (k, n)).sum(axis=0)
-    psi = _require_finite(integrand.mass(um), f"W({name})", m)
-    value = _total(h * h * 2.0 * half_rows + h * psi, integrand, m)
+    psi = require(integrand.mass(um), f"W({name})", m)
+    per_row = h * h * 2.0 * half_rows + h * psi
+    value = _total(per_row, integrand, m) if check else float(per_row.sum())
     if not with_grad:
         return value, None
-    dpsi = _require_finite(integrand.w_u(um), f"dW/du({name})", m)
+    dpsi = require(integrand.w_u(um), f"dW/du({name})", m)
     # d(2 phi(D_ij)) / d u(m_j) = 2 C_ij = -d(2 phi(D_ij)) / d u(m_i)
     g_um = 2.0 * (skew - col) + n * dpsi
     if far is not None:
         g_um += 2.0 * far[1]
     grad = h * h * (0.5 * (g_um[:-1] + g_um[1:]) + (slope_B[:-1] - slope_B[1:]) / h)
-    return value, _require_finite(grad, f"gradient of W({name})", grid.nodes[1:-1])
+    return value, require(grad, f"gradient of W({name})", grid.nodes[1:-1])
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -321,9 +351,7 @@ def _far_terms(grid: Grid1D, values: np.ndarray, integrand: Integrand, with_grad
     beta = values[-1] - values[0]
     r = um - (values[0] + beta * grid.midpoints)
     r -= 0.5 * (r.max() + r.min())
-    f, grad = _far_pairs(r[None], np.array([beta]), integrand, n, band, n - near - 1, 2 * n,
-                         with_grad)
-    f, grad = f[0], None if grad is None else grad[0]
+    f, grad = _far_pairs(r, beta, integrand, n, band, n - near - 1, 2 * n, with_grad)
     parts = [_block_pairs(um, integrand, near, band, with_grad)] if near < band else []
     if unsigned is not None:
         parts.append(_unsigned_pairs(um, beta, integrand.phi_coefficients, band, unsigned, with_grad))
@@ -335,32 +363,40 @@ def _far_terms(grid: Grid1D, values: np.ndarray, integrand: Integrand, with_grad
 
 
 @lru_cache(maxsize=8)
-def _far_kernels(n: int, size: int, lo: int, hi: int, degree: int) -> np.ndarray:
+def _far_kernels(n: int, size: int, lo: int, hi: int, degree: int,
+                 symmetric: bool = False) -> np.ndarray:
     """Spectra, read-only, of the length-size circulant embeddings of U_k for
     k = 0..degree: the upper triangular Toeplitz matrix with (U_k)_ij =
     ((j - i) h)^-k, h = 1 / n, where lo < j - i <= hi, zero elsewhere. The
-    embedding of U_k' has the conjugate spectrum."""
+    embedding of U_k' has the conjugate spectrum. If symmetric, those of
+    Z_k = U_k + (-1)^k U_k', ((j - i) h)^-k where lo < |j - i| <= hi, which
+    is symmetric for an even k and antisymmetric for an odd one: its
+    spectrum, U_k's plus (-1)^k its conjugate, is real or imaginary."""
     from numpy.fft import rfft  # here, so `import nlvar` loads no numpy.fft
     d = np.arange(lo + 1, hi + 1)
     column = np.zeros((degree + 1, size))
     column[:, size - d] = _powers(n / d, degree)
     spectra = rfft(column)
+    if symmetric:
+        spectra += spectra.conj() * (-1.0) ** np.arange(degree + 1)[:, None]
     spectra.setflags(write=False)
     return spectra
 
 
-def _far_pairs(r: np.ndarray, beta: np.ndarray, integrand: Integrand, n: int, lo: int, hi: int,
+def _far_pairs(r: np.ndarray, beta, integrand: Integrand, n: int, lo: int, hi: int,
                size: int, with_grad: bool, first: Optional[np.ndarray] = None,
                second: Optional[np.ndarray] = None):
     """(f, gradient of sum(f) in r, or None), each shaped like r, whose rows
     are windows of midpoint values a = line + r on a grid of n cells, each
     row with its own line of slope beta[t]. sum(f[t]) is the sum of P(s D_ij)
     over the row's pairs i < j = i + d, lo < d <= hi, with i a first
-    midpoint (first[t, i]) and j a second one (second[t, j]); by default
-    every position is both, and size >= 2 r.shape[1], so that no product
-    wraps. Here P(D) = sum_k c_k D^k and s = _sign(beta[t]); f holds each
-    pair's term at its first midpoint. For an even P, P(s D) = phi(D);
-    otherwise only where s D >= 0 (_unsigned_pairs adds the rest).
+    midpoint (first[t, i]) and j a second one (second[t, j]), and f holds
+    each pair's term at its first midpoint. Without masks r is one row, a
+    1-D array with one slope beta, every position is both, f holds half of
+    each pair's term at each end, and size >= 2 r.size, so that no product
+    wraps. Here P(D) = sum_k c_k D^k and s = _sign(beta[t]). For an even P,
+    P(s D) = phi(D); otherwise only where s D >= 0 (_unsigned_pairs adds
+    the rest).
 
     There D_ij = beta + (r_j - r_i) / ((j - i) h), and P(s (beta + R)) =
     sum_k c'_k R^k with c' the Taylor shift of (c_k s^k) to beta, which
@@ -373,10 +409,15 @@ def _far_pairs(r: np.ndarray, beta: np.ndarray, integrand: Integrand, n: int, lo
     sum_q (-1)^q w_pq U_(p+q)' r^q. The products come from one batched rfft
     of the powers of r (zero off the second midpoints) and one batched irfft
     of length size for the V_p, which value and gradient share bit for bit,
-    and one more irfft for the T_p, after one more rfft where first is
-    given, of the powers on the first midpoints. With masks, a product may
-    wrap only onto positions that they clear: V_p is kept at the first
-    midpoints, T_p at the second ones."""
+    and one more irfft for the T_p, after one more rfft of the powers on
+    the first midpoints. A product may wrap only onto positions that the
+    masks clear: V_p is kept at the first midpoints, T_p at the second ones.
+
+    Without masks the V_p read Z_k = U_k + (-1)^k U_k' in place of U_k, so
+    that they sum each pair in both orders: f = sum_p (-r)^p V_p / 2, and
+    the gradient is -sum_p p (-r)^(p-1) V_p, from the same products. The
+    spectra of the Z_k are real or imaginary (_far_kernels), and the T_p
+    are not formed."""
     from numpy.fft import irfft, rfft  # here, so `import nlvar` loads no numpy.fft
     c, s, width = integrand.phi_coefficients, _sign(beta), r.shape[-1]
     degree = len(c) - 1
@@ -385,12 +426,13 @@ def _far_pairs(r: np.ndarray, beta: np.ndarray, integrand: Integrand, n: int, lo
     shifted = ([integrand.w(beta), integrand.w_U(beta), 0.5 * integrand.w_UU(beta)]
                + [sum(comb(j, k) * c[j] * s ** j * beta ** (j - k) for j in range(k, degree + 1))
                   for k in range(3, degree + 1)])[:degree + 1]
-    # a column per row; one row's as a number, which numpy multiplies into
-    # an array faster
-    shifted = [x[:, None] if x.size > 1 else x.item() for x in shifted]
-    K = _far_kernels(n, size, lo, hi, degree)
+    # one row's as numbers, which numpy multiplies into an array faster;
+    # a column per row of windows
+    symmetric = first is None
+    shifted = [float(x) if symmetric else x[:, None] for x in shifted]
+    K = _far_kernels(n, size, lo, hi, degree, symmetric)
     powers = _powers(r, degree)
-    if second is not None:
+    if not symmetric:
         powers *= second
     R = rfft(powers, size)
 
@@ -403,16 +445,16 @@ def _far_pairs(r: np.ndarray, beta: np.ndarray, integrand: Integrand, n: int, lo
         return irfft(spectra, size)[..., :width]
 
     V = products(range(degree + 1), R, False)
-    if first is not None:
-        V *= first
+    if symmetric:
+        f = _horner(V, -r)
+        f *= 0.5
+        return f, -_horner([p * V[p] for p in range(1, degree + 1)], -r) if with_grad else None
+    V *= first
     f = _horner(V, -r)
     if not with_grad:
         return f, None
-    if first is not None:
-        R = rfft(powers * first, size)
-    T = products(range(1, degree + 1), R, True)
-    if second is not None:
-        T *= second
+    T = products(range(1, degree + 1), rfft(powers * first, size), True)
+    T *= second
     return f, _horner([p * (T[p - 1] + (-1) ** p * V[p]) for p in range(1, degree + 1)], r)
 
 

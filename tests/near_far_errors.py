@@ -8,7 +8,7 @@ on the rough and hat profiles, where _direct_pays declines it).
 
     PYTHONPATH=src python tests/near_far_errors.py [--sizes 512 4096 ...]
 
-The default sizes run from the crossover, NEAR_FAR_ABOVE_N + 1, to 16384.
+The default sizes run from the crossover, NEAR_FAR_FROM_N, to 16384.
 The dense fold at n = 16384 takes about a second per call, so they run for
 a few minutes.
 """
@@ -39,7 +39,8 @@ def errors(n: int, integrand) -> tuple[tuple[float, str], tuple[float, str]]:
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--sizes", type=int, nargs="+",
-                        default=[energy.NEAR_FAR_ABOVE_N + 1, 1024, 2048, 4096, 8192, 16384])
+                        default=[energy.NEAR_FAR_FROM_N, 384, energy.NEAR_FAR_ABOVE_N + 1, 1024,
+                                 2048, 4096, 8192, 16384])
     sizes = parser.parse_args(argv).sizes
     densities = [half_square(), quadratic_mass(), power_p(2), power_p(3), power_p(4),
                  two_well_full(), two_well_bare()] + hand_built()

@@ -1,18 +1,20 @@
 """Print how fast the near/far path runs against the dense fold: for each
-density, size and profile, the CPU time of one value-and-gradient call on
-the path, forced as in helpers.near_far, and on the dense fold with its
-kept plan, best of interleaved calls, and their ratio. For a phi with an
-odd coefficient it also prints the share of the far pairs in the cells
-whose sign _unsigned_cells cannot certify (_unsigned_share), which
-_direct_pays reads. NEAR_FAR_ABOVE_N is set above the last size where the
-path lost, and _direct_pays' cut where path and fold tie.
+density, size and profile, the side that _quadrature takes (path or fold,
+by _near_far), the CPU time of one value-and-gradient call on the path,
+forced as in helpers.near_far, and on the dense fold with its kept plan,
+best of interleaved calls, and their ratio. For a phi with an odd
+coefficient it also prints the share of the far pairs in the cells whose
+sign _unsigned_cells cannot certify (_unsigned_share), which _direct_pays
+reads. The crossover (NEAR_FAR_FROM_N, NEAR_FAR_ABOVE_N and the sizes
+between that take the path) follows where the path won, and
+_direct_pays' cut where path and fold tie.
 
 With --blocks it times, for an even phi of degree >= 4, the path whose
 fold stops at row band // 4 and whose pairs from there to the band are
 summed in blocks (_block_pairs) against the path whose fold runs to the
 band; BLOCKS_FROM_BAND is set above the last band where the blocks lost.
 
-    PYTHONPATH=src python tests/near_far_scan.py --sizes 257:1100
+    PYTHONPATH=src python tests/near_far_scan.py --sizes 130:600
     PYTHONPATH=src python tests/near_far_scan.py --densities power:3 \\
         --profiles rough hat --sizes 512 1024 2048 4096 8192 --calls 5
     PYTHONPATH=src python tests/near_far_scan.py --blocks --sizes 512:2816:32 \\
@@ -21,7 +23,7 @@ band; BLOCKS_FROM_BAND is set above the last band where the blocks lost.
 A size first:last or first:last:step stands for every size from first to
 last in that step. The profiles are helpers.near_far_profiles' and sin3x,
 x^2 + 0.1 sin 3x. Run it with one BLAS thread on an otherwise idle
-machine; every size from 257 to 1100 takes a few minutes.
+machine; every size from 130 to 600 takes a few minutes.
 """
 
 from __future__ import annotations
@@ -99,16 +101,18 @@ def main(argv=None) -> None:
     parser.add_argument("--blocks", action="store_true")
     args = parser.parse_args(argv)
     new, base = ("blocks_ms", "rows_ms") if args.blocks else ("path_ms", "fold_ms")
-    print(f"{'density':<14} {'n':>5} {'profile':<10} {'share':>5} {new:>9} {base:>9} ratio")
+    print(f"{'density':<14} {'n':>5} {'profile':<10} {'share':>5} {'side':<4} {new:>9} {base:>9} "
+          "ratio")
     for name in args.densities:
         W = integrand_by_name(name)
         for n in [n for group in args.sizes for n in group]:
             grid = Grid1D(n)
             for profile in args.profiles:
                 values = profiles(n)[profile]
+                side = "fold" if energy._near_far(values, W.phi_coefficients) is None else "path"
                 t_new, t_base = best_times(calls(grid, values, W, args.blocks), args.calls)
-                print(f"{name:<14} {n:>5} {profile:<10} {share(values, W):>5} {1e3 * t_new:9.2f} "
-                      f"{1e3 * t_base:9.2f} {t_new / t_base:5.2f}", flush=True)
+                print(f"{name:<14} {n:>5} {profile:<10} {share(values, W):>5} {side:<4} "
+                      f"{1e3 * t_new:9.2f} {1e3 * t_base:9.2f} {t_new / t_base:5.2f}", flush=True)
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ from nlvar.energy import (
     BLOCK_ELEMS,
     FOLD_PLAN_MAX_N,
     NEAR_FAR_ABOVE_N,
+    NEAR_FAR_FROM_N,
     NonFiniteEnergyError,
     energy_gradient,
     energy_value,
@@ -285,6 +286,33 @@ class TestBlockedKernel:
             assert str(excinfo.value) == ("W(spiked) non-finite at quadrature point "
                                           f"(x={m[200]:.6g}, X={m[600]:.6g})")
 
+    # the kernel checks only the total and the gradient, and reruns the
+    # fold with its per-block checks where either is non-finite: n = 256
+    # has blocks of 64 fold rows, and the pair (10, 110) sits in row 100,
+    # the middle one of three blocks; phi, or only phi', is NaN there
+    @pytest.mark.parametrize("part", ["w", "w_U"])
+    def test_non_finite_in_a_middle_block_names_its_pair(self, part):
+        n = 256
+        g = Grid1D(n)
+        rows = BLOCK_ELEMS // n
+        assert 100 // rows == 1 and -(-(n // 2 + 1) // rows) == 3
+        u = NodalFunction(g, np.random.default_rng(6).uniform(-1, 1, n + 1))
+        m, um = g.midpoints, midpoint_values(u)
+        D_bad = (um[110] - um[10]) / (m[110] - m[10])
+        spike = lambda U, f: np.where(U == D_bad, np.nan, 1.0) * f(U)
+        W = half_square()
+        spiked = dataclasses.replace(W, name="spiked", phi_coefficients=None,
+                                     **{part: lambda U: spike(U, getattr(W, part))})
+        what = "W" if part == "w" else "dW/dU"
+        kernels = (energy_value, value_and_grad) if part == "w" else (value_and_grad,)
+        for kernel in kernels:
+            with pytest.raises(NonFiniteEnergyError) as excinfo:
+                kernel(u, spiked)
+            assert str(excinfo.value) == (f"{what}(spiked) non-finite at quadrature point "
+                                          f"(x={m[10]:.6g}, X={m[110]:.6g})")
+        if part == "w_U":
+            assert np.isfinite(energy_value(u, spiked))
+
     def test_affine_exactness_at_large_n(self):
         # the dense n x n fields would need several GB here
         u = NodalFunction.linear(Grid1D(8192), 0.25, 1.0)
@@ -347,10 +375,11 @@ def assert_near_far_matches(near_far, dense):
 
 def assert_path_matches_the_dense_fold(n, integrand, names=None):
     """On every profile, or those named, value_and_grad gives the near/far
-    path's bits, or the dense fold's where the sign of too many far pairs is
-    unknown (_direct_pays, TestSignCells), and the path is within the
+    path's bits, or the dense fold's where _near_far declines the path (at
+    the sizes TestCrossover names, or where the sign of too many far pairs
+    is unknown: _direct_pays, TestSignCells), and the path is within the
     bounds of the dense fold."""
-    grid, (_, band) = Grid1D(n), energy._split(n, integrand.phi_coefficients)
+    grid = Grid1D(n)
     for name, values in near_far_profiles(n).items():
         if names is not None and name not in names:
             continue
@@ -359,8 +388,7 @@ def assert_path_matches_the_dense_fold(n, integrand, names=None):
         assert value == energy_value(u, integrand)
         dense = value_and_grad(u, stripped(integrand))
         path = near_far(grid, values, integrand)
-        unsigned = unsigned_cells(values, integrand)
-        fold = unsigned is not None and not energy._direct_pays(unsigned, n, band)
+        fold = energy._near_far(values, integrand.phi_coefficients) is None
         assert same_bits((value, grad), dense if fold else path)
         assert_near_far_matches(path, dense)
 
@@ -371,7 +399,7 @@ class TestNearFar:
 
     # n = 8192, where n / b is largest, on four profiles (both signs of the
     # end values' slope, and beta = 0) to save 3 s of dense folds
-    @pytest.mark.parametrize("n", [NEAR_FAR_ABOVE_N + 1, 2049, 4096, 8192])
+    @pytest.mark.parametrize("n", [256, 384, NEAR_FAR_ABOVE_N + 1, 2049, 4096, 8192])
     @pytest.mark.parametrize("integrand", POLYNOMIAL, ids=lambda i: i.name)
     def test_matches_the_dense_fold(self, integrand, n):
         names = ("rough", "smooth", "hat", "falling") if n == 8192 else None
@@ -392,10 +420,15 @@ class TestNearFar:
             assert_near_far_matches(near_far(grid, values, integrand),
                                     energy._fold(grid, values, integrand, True))
 
-    # every golden pin (n <= 129), fig4 (64 and 128) and the benchmark's
-    # two-well solve (256) stay on the dense fold, bit for bit
-    @pytest.mark.parametrize("n", [129, 256, NEAR_FAR_ABOVE_N])
-    @pytest.mark.parametrize("integrand", POLYNOMIAL, ids=lambda i: i.name)
+    # every golden pin (n <= 129) and fig4 (64 and 128) stay on the dense
+    # fold, bit for bit, as do the sizes whose FFT length 2 n has a large
+    # prime factor (257 = 257, 511 = 7 * 73) and, at n = 256, the densities
+    # whose near rows exceed n // 8 (power:3's 64, U^6's 48)
+    @pytest.mark.parametrize("n, integrand", [
+        pytest.param(n, W, id=f"{W.name}-{n}")
+        for n, W in [*((n, W) for W in POLYNOMIAL
+                       for n in (129, NEAR_FAR_FROM_N - 1, 257, NEAR_FAR_ABOVE_N)),
+                     (NEAR_FAR_FROM_N, power_p(3)), (NEAR_FAR_FROM_N, hand_built()[2])]])
     def test_dense_fold_up_to_the_crossover(self, integrand, n):
         grid = Grid1D(n)
         for values in near_far_profiles(n).values():
@@ -449,6 +482,42 @@ class TestNearFar:
             assert str(got.value) == str(want.value)
 
 
+def five_smooth(n):
+    """Whether n is 2^a 3^b 5^c, from the set of such numbers up to n."""
+    return n in {2 ** a * 3 ** b * 5 ** c for a in range(11) for b in range(7) for c in range(5)}
+
+
+class TestCrossover:
+    """_quadrature takes the near/far path for every n > NEAR_FAR_ABOVE_N
+    and, from NEAR_FAR_FROM_N on, at the n with no prime factor above 5
+    (a fast FFT length 2 n) where _split's near rows are at most n // 8;
+    the dense fold elsewhere."""
+
+    def test_path_exactly_where_the_rule_says(self, monkeypatch):
+        # the decision only: the far terms are recorded, not summed, and
+        # the fold returns a finite stand-in. On a monotone profile every
+        # far cell of an odd phi is certified, so _direct_pays passes
+        taken = []
+        monkeypatch.setattr(energy, "_far_terms", lambda grid, *_: taken.append(grid.n))
+        monkeypatch.setattr(energy, "_fold", lambda *_, **__: (0.0, None))
+        sizes = range(130, 601)
+        for W in POLYNOMIAL + hand_built():
+            taken.clear()
+            for n in sizes:
+                grid = Grid1D(n)
+                energy._quadrature(grid, grid.nodes, W, False)
+            splits = {n: energy._split(n, W.phi_coefficients) for n in sizes}
+            assert taken == [n for n, split in splits.items() if split is not None and (
+                n > NEAR_FAR_ABOVE_N
+                or (n >= NEAR_FAR_FROM_N and five_smooth(n) and split[0] <= n // 8))], W.name
+            below = [n for n in taken if n <= NEAR_FAR_ABOVE_N]
+            if W.phi_coefficients in ((0.0, 0.0, 0.5), (0.25, 0.0, -0.5, 0.0, 0.25)):
+                # degree 2 and the quartics: the fast sizes from 256 on
+                assert below[:4] == [256, 270, 288, 300] and 384 in below and 500 in below
+            if W.name in ("power:3", "U^6", "abs", "abs+abs^3"):
+                assert below == []
+
+
 def direct_pairs(r, beta, c, n, lo, hi, first, second):
     """(f, gradient) of the sum of P(s D_ij) over the pairs i < j = i + d,
     lo < d <= hi, of each row of r with first[t, i] and second[t, j], D_ij =
@@ -485,14 +554,32 @@ class TestFarPairs:
         everywhere = np.ones((1, n), bool)
         rng = np.random.default_rng(n)
         for beta in (0.7, 0.0, -1.3):
-            r = rng.uniform(-1.0, 1.0, (1, n))
+            r = rng.uniform(-1.0, 1.0, n)
             r -= 0.5 * (r.max() + r.min())
-            want, want_grad = direct_pairs(r, [beta], c, n, band, n - band - 1,
+            want, want_grad = direct_pairs(r[None], [beta], c, n, band, n - band - 1,
                                            everywhere, everywhere)
-            f, grad = energy._far_pairs(r, np.array([beta]), integrand, n, band,
-                                        n - band - 1, 2 * n, True)
-            assert f.shape == grad.shape == (1, n)
-            assert_near_far_matches((f.sum(), grad), (want.sum(), want_grad))
+            f, grad = energy._far_pairs(r, beta, integrand, n, band, n - band - 1, 2 * n, True)
+            assert f.shape == grad.shape == (n,)
+            assert_near_far_matches((f.sum(), grad), (want.sum(), want_grad[0]))
+
+    # the global sums, symmetric, against the masked engine's V and T
+    # products with every position a first and a second midpoint, on r as
+    # _far_terms centres it; an odd phi's far sum on the hat (beta = 0)
+    # cancels to rounding, so the energies compare within the sum of |f|
+    @pytest.mark.parametrize("n", [512, 4096])
+    @pytest.mark.parametrize("integrand", POLYNOMIAL + hand_built(), ids=lambda i: i.name)
+    def test_symmetric_sums_match_the_masked_engine(self, integrand, n):
+        _, band = energy._split(n, integrand.phi_coefficients)
+        everywhere = np.ones((1, n), bool)
+        for values in near_far_profiles(n).values():
+            a, beta = 0.5 * (values[:-1] + values[1:]), values[-1] - values[0]
+            r = a - (values[0] + beta * Grid1D(n).midpoints)
+            r -= 0.5 * (r.max() + r.min())
+            f, grad = energy._far_pairs(r, beta, integrand, n, band, n - band - 1, 2 * n, True)
+            want, want_grad = energy._far_pairs(r[None], np.array([beta]), integrand, n, band,
+                                                n - band - 1, 2 * n, True, everywhere, everywhere)
+            assert abs(f.sum() - want.sum()) <= 1e-13 * np.abs(want).sum()
+            assert np.max(np.abs(grad - want_grad[0])) <= 1e-13 * np.max(np.abs(want_grad))
 
     # windows of 2 B values whose first B are first midpoints, as
     # _block_pairs lays them out; the last window is ragged, with 2 B / 3

@@ -36,35 +36,51 @@ def test_crossover_scan_prints_one_line_per_density(capsys):
     near_far_scan.main(["--sizes", "512:513", "--calls", "1", "--densities", "half-square",
                         "power:3"])
     header, *rows = capsys.readouterr().out.splitlines()
-    assert header.split() == ["density", "n", "profile", "share", "path_ms", "fold_ms", "ratio"]
+    assert header.split() == ["density", "n", "profile", "share", "side", "path_ms", "fold_ms",
+                              "ratio"]
     assert [row.split()[:3] for row in rows] == [["half-square", "512", "sin3x"],
                                                  ["half-square", "513", "sin3x"],
                                                  ["power:3", "512", "sin3x"],
                                                  ["power:3", "513", "sin3x"]]
-    assert all(float(x) > 0 for row in rows for x in row.split()[4:])
+    assert all(float(x) > 0 for row in rows for x in row.split()[5:])
+
+
+# n = 256 = 2^8 is a fast FFT length and 257 a prime: degree 2 and the
+# quartics take the path at 256 only, power:3 (near rows 64 > 256 // 8)
+# neither
+def test_crossover_scan_prints_the_side_quadrature_takes(capsys):
+    near_far_scan.main(["--sizes", "256:257", "--calls", "1", "--densities", "half-square",
+                        "two-well", "power:3"])
+    _, *rows = capsys.readouterr().out.splitlines()
+    assert [(row.split()[0], row.split()[1], row.split()[4]) for row in rows] == [
+        ("half-square", "256", "path"), ("half-square", "257", "fold"),
+        ("two-well", "256", "path"), ("two-well", "257", "fold"),
+        ("power:3", "256", "fold"), ("power:3", "257", "fold")]
 
 
 def test_unsigned_scan_prints_share_and_times_per_profile(capsys):
     near_far_scan.main(["--sizes", "512", "--calls", "1", "--densities", "half-square",
                         "power:3", "--profiles", "rough", "hat"])
     header, *rows = capsys.readouterr().out.splitlines()
-    assert header.split() == ["density", "n", "profile", "share", "path_ms", "fold_ms", "ratio"]
-    # the hat's share at n = 512, by _unsigned_share's count of the real pairs
-    assert [row.split()[:4] for row in rows] == [["half-square", "512", "rough", "-"],
-                                                 ["half-square", "512", "hat", "-"],
-                                                 ["power:3", "512", "rough", "1.00"],
-                                                 ["power:3", "512", "hat", "0.62"]]
-    assert all(float(x) > 0 for row in rows for x in row.split()[4:])
+    assert header.split() == ["density", "n", "profile", "share", "side", "path_ms", "fold_ms",
+                              "ratio"]
+    # the hat's share at n = 512, by _unsigned_share's count of the real
+    # pairs; power:3 takes the path only where the share is at most 1/2
+    assert [row.split()[:5] for row in rows] == [["half-square", "512", "rough", "-", "path"],
+                                                 ["half-square", "512", "hat", "-", "path"],
+                                                 ["power:3", "512", "rough", "1.00", "fold"],
+                                                 ["power:3", "512", "hat", "0.62", "fold"]]
+    assert all(float(x) > 0 for row in rows for x in row.split()[5:])
 
 
 def test_near_far_scan_of_the_blocks_prints_one_row_per_size(capsys):
     near_far_scan.main(["--blocks", "--sizes", "2048:2049", "--calls", "1",
                         "--densities", "two-well"])
     header, *rows = capsys.readouterr().out.splitlines()
-    assert header.split() == ["density", "n", "profile", "share", "blocks_ms", "rows_ms",
+    assert header.split() == ["density", "n", "profile", "share", "side", "blocks_ms", "rows_ms",
                               "ratio"]
-    assert [row.split()[:4] for row in rows] == [["two-well", "2048", "sin3x", "-"],
-                                                 ["two-well", "2049", "sin3x", "-"]]
+    assert [row.split()[:5] for row in rows] == [["two-well", "2048", "sin3x", "-", "path"],
+                                                 ["two-well", "2049", "sin3x", "-", "path"]]
 
 
 def test_workload_ops_prints_a_median_per_operation(capsys):

@@ -7,14 +7,20 @@ the seed (large-n's power:3) and another's time is what a change moves.
 
 It builds the workload from perfbench/workloads.py of this checkout, runs
 each operation once to warm its caches and then --rounds times, and prints
-one JSON object of milliseconds by operation. Run it as perfbench/run.py
-runs its worker: one BLAS thread and MALLOC_MMAP_THRESHOLD_=33554432.
+one JSON object of milliseconds by operation. Run as a script, it first
+re-executes itself in perfbench/run.py's worker environment where that is
+missing (WORKER_ENV): one BLAS thread, and glibc malloc serving blocks
+under 32 MiB from a heap it never trims. Both malloc settings count:
+without MALLOC_TRIM_THRESHOLD_ glibc trims the heap, the block
+temporaries page-fault again, and solve's bolza took 277-294 ms a round
+against 120-154 ms with both.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import sys
 import tempfile
@@ -26,6 +32,11 @@ import nlvar.cli  # noqa: F401  the figures workload calls it through the packag
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import WORKLOADS  # noqa: E402
+
+# the environment perfbench/run.py gives its worker processes; glibc reads
+# the malloc settings at start-up, so only a new process takes them
+WORKER_ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+              "MALLOC_MMAP_THRESHOLD_": str(32 << 20), "MALLOC_TRIM_THRESHOLD_": str(1 << 32)}
 
 
 def main(argv=None) -> dict:
@@ -52,4 +63,6 @@ def main(argv=None) -> dict:
 
 
 if __name__ == "__main__":
+    if any(os.environ.get(key) != value for key, value in WORKER_ENV.items()):
+        os.execve(sys.executable, [sys.executable, *sys.argv], {**os.environ, **WORKER_ENV})
     main()
