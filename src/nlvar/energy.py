@@ -448,7 +448,10 @@ def _far_pairs(r: np.ndarray, beta, integrand: Integrand, n: int, lo: int, hi: i
     if symmetric:
         f = _horner(V, -r)
         f *= 0.5
-        return f, -_horner([p * V[p] for p in range(1, degree + 1)], -r) if with_grad else None
+        if not with_grad:
+            return f, None
+        # -sum_p p (-r)^(p-1) V_p, the sign taken into the coefficients
+        return f, _horner([-p * V[p] for p in range(1, degree + 1)], -r)
     V *= first
     f = _horner(V, -r)
     if not with_grad:
