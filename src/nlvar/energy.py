@@ -419,16 +419,16 @@ def _far_pairs(r: np.ndarray, beta, integrand: Integrand, n: int, lo: int, hi: i
     spectra of the Z_k are real or imaginary (_far_kernels), and the T_p
     are not formed."""
     from numpy.fft import irfft, rfft  # here, so `import nlvar` loads no numpy.fft
-    c, s, width = integrand.phi_coefficients, _sign(beta), r.shape[-1]
+    c, width, symmetric = integrand.phi_coefficients, r.shape[-1], first is None
     degree = len(c) - 1
+    # one row's sign and coefficients as numbers, which numpy multiplies
+    # into an array faster; a column per row of windows
+    s = float(_sign(beta)) if symmetric else _sign(beta)
     # c'_k = phi^(k)(beta) / k!, from the closed forms for k <= 2: near a
     # root of phi the monomial sums cancel, and phi(beta) weighs every pair
     shifted = ([integrand.w(beta), integrand.w_U(beta), 0.5 * integrand.w_UU(beta)]
                + [sum(comb(j, k) * c[j] * s ** j * beta ** (j - k) for j in range(k, degree + 1))
                   for k in range(3, degree + 1)])[:degree + 1]
-    # one row's as numbers, which numpy multiplies into an array faster;
-    # a column per row of windows
-    symmetric = first is None
     shifted = [float(x) if symmetric else x[:, None] for x in shifted]
     K = _far_kernels(n, size, lo, hi, degree, symmetric)
     powers = _powers(r, degree)
@@ -437,21 +437,26 @@ def _far_pairs(r: np.ndarray, beta, integrand: Integrand, n: int, lo: int, hi: i
     R = rfft(powers, size)
 
     def products(ps, R: np.ndarray, transposed: bool) -> np.ndarray:
-        spectra = np.zeros((len(ps),) + R.shape[1:], complex)
+        spectra = np.empty((len(ps),) + R.shape[1:], complex)
         for S, p in zip(spectra, ps):
             for q in range(degree + 1 - p):
                 w = shifted[p + q] * comb(p + q, q)
-                S += (-1) ** q * w * K[p + q].conj() * R[q] if transposed else w * K[p + q] * R[q]
+                wK = (-1) ** q * w * K[p + q].conj() if transposed else w * K[p + q]
+                if q:
+                    S += wK * R[q]
+                else:
+                    np.multiply(wK, R[q], out=S)
         return irfft(spectra, size)[..., :width]
 
     V = products(range(degree + 1), R, False)
     if symmetric:
-        f = _horner(V, -r)
+        x = -r
+        f = _horner(V, x)
         f *= 0.5
         if not with_grad:
             return f, None
         # -sum_p p (-r)^(p-1) V_p, the sign taken into the coefficients
-        return f, _horner([-p * V[p] for p in range(1, degree + 1)], -r)
+        return f, _horner([-p * V[p] for p in range(1, degree + 1)], x)
     V *= first
     f = _horner(V, -r)
     if not with_grad:
