@@ -273,7 +273,8 @@ def _finite(value: float, grad: Optional[np.ndarray]) -> bool:
     return np.isfinite(value) and (grad is None or np.isfinite(grad).all())
 
 
-# a non-finite value raises NonFiniteEnergyError, which numpy's warnings would repeat
+# a non-finite value is returned for _quadrature to check, or raised with
+# check: numpy's warnings would only repeat it
 @np.errstate(over="ignore", invalid="ignore")
 def _fold(grid: Grid1D, values: np.ndarray, integrand: Integrand, with_grad: bool,
           near: Optional[int] = None, far: Optional[tuple] = None, check: bool = False):
