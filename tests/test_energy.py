@@ -394,8 +394,9 @@ def assert_path_matches_the_dense_fold(n, integrand, names=None):
 
 
 class TestNearFar:
-    """Above NEAR_FAR_ABOVE_N cells, a density with phi coefficients sums the
-    pairs beyond the near rows of _split(n, c) by Toeplitz products."""
+    """Where _near_far admits it (TestCrossover), a density with phi
+    coefficients sums the pairs beyond the near rows of _split(n, c) by
+    Toeplitz products."""
 
     # n = 8192, where n / b is largest, on four profiles (both signs of the
     # end values' slope, and beta = 0) to save 3 s of dense folds
