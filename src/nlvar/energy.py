@@ -25,17 +25,17 @@ each for the last two; everything else computes its distances per block.
 The fold sums n^2 / 2 pairs per call. A density that carries phi's
 coefficients (a polynomial phi) may take the near/far path instead, above
 NEAR_FAR_ABOVE_N cells and, from NEAR_FAR_FROM_N, at the sizes with a
-fast FFT length where its near rows are few (_near_far): _split(n, c)
-gives its band b and near rows, _fold sums the rows 0..near, and
-_far_terms every other pair in O(n log n), by one engine, _far_pairs,
-over the whole grid from b on, where its kernels hold both orders of each
-pair, and in blocks up to b (_block_pairs), and directly, for an odd phi,
-in the far cells whose sign _unsigned_cells cannot certify
-(_unsigned_pairs). _quadrature alone decides which path runs. Either
-path checks only its total and gradient; where one is not finite, the
-dense fold reruns with a check per block, which names the first
-non-finite pair. The two paths agree to rounding
-(tests/near_far_errors.py).
+fast FFT length where its near rows are few: _near_far gives the plan of
+the path, _Plan(near, band, unsigned), which _plan builds from _split(n,
+c) and, for an odd phi, _unsigned_cells, and _fold runs it. _far_terms
+sums every pair beyond the rows 0..near in O(n log n), by one engine,
+_far_pairs, over the whole grid beyond the band, where its kernels hold
+both orders of each pair, in blocks up to it (_block_pairs), and directly
+in the far cells whose sign is unknown (_unsigned_pairs). _quadrature
+alone decides which path runs. Either path checks only its total and
+gradient; where one is not finite, the dense fold reruns with a check per
+block, which names the first non-finite pair. The two paths agree to
+rounding (tests/near_far_errors.py).
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import zip_longest
 from math import comb
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -235,37 +235,49 @@ def value_and_grad(u: NodalFunction, integrand: Integrand) -> tuple[float, np.nd
     return _quadrature(u.grid, u.values, integrand, with_grad=True)
 
 
-def _near_far(values: np.ndarray, c: Optional[tuple[float, ...]]):
-    """(near, band, unsigned) of the near/far path on the n + 1 nodal values
-    for phi's coefficients c, or None where the dense fold runs: a density
-    without coefficients, _split's None, n below NEAR_FAR_FROM_N, n up to
+class _Plan(NamedTuple):
+    """The near/far path on n + 1 nodal values: the fold's rows 0..near,
+    _split's band and, for an odd phi, _unsigned_cells (None otherwise)."""
+
+    near: int
+    band: int
+    unsigned: Optional[np.ndarray]
+
+
+def _plan(values: np.ndarray, c: tuple[float, ...]) -> Optional[_Plan]:
+    """The plan of the near/far path on the n + 1 nodal values for phi's
+    coefficients c, at _split's near rows and band, with _unsigned_cells
+    for a phi with an odd coefficient; None where _split gives None."""
+    split = _split(values.size - 1, c)
+    if split is None:
+        return None
+    near, band = split
+    return _Plan(near, band, _unsigned_cells(values, band) if any(c[1::2]) else None)
+
+
+def _near_far(values: np.ndarray, c: Optional[tuple[float, ...]]) -> Optional[_Plan]:
+    """_plan of the near/far path on the n + 1 nodal values for phi's
+    coefficients c, or None where the dense fold runs: a density without
+    coefficients, _split's None, n below NEAR_FAR_FROM_N, n up to
     NEAR_FAR_ABOVE_N that is not 5-smooth or whose near rows exceed n // 8,
     and for an odd phi too many unsigned cells (_direct_pays)."""
     n = values.size - 1
     split = _split(n, c) if c is not None and n >= NEAR_FAR_FROM_N else None
     if split is None or (n <= NEAR_FAR_ABOVE_N and (_five_smooth(n) != n or split[0] > n // 8)):
         return None
-    near, band = split
-    unsigned = _unsigned_cells(values, band) if any(c[1::2]) else None
-    if unsigned is not None and not _direct_pays(unsigned, n, band):
-        return None
-    return near, band, unsigned
+    plan = _plan(values, c)
+    return plan if plan.unsigned is None or _direct_pays(plan.unsigned, n, plan.band) else None
 
 
 def _quadrature(grid: Grid1D, values: np.ndarray, integrand: Integrand, with_grad: bool):
     """(energy, gradient or None) of the n + 1 nodal values on grid, which
-    need not form a NodalFunction: the near/far path where _near_far gives
-    its split, the dense fold otherwise. Where either gives a non-finite
-    energy or gradient, the dense fold reruns with its checks: it raises
+    need not form a NodalFunction: _fold on _near_far's plan, the dense
+    fold where it gives None. Where either gives a non-finite energy or
+    gradient, the dense fold reruns with its checks: it raises
     NonFiniteEnergyError naming the first non-finite pair or point, or, where
     only the path's sums overflowed, returns its own finite result."""
     plan = _near_far(values, integrand.phi_coefficients)
-    if plan is None:
-        result = _fold(grid, values, integrand, with_grad)
-    else:
-        # far terms first, so that the fold's blocks reuse the FFTs' heap
-        far = _far_terms(grid, values, integrand, with_grad, *plan)
-        result = _fold(grid, values, integrand, with_grad, plan[0], far)
+    result = _fold(grid, values, integrand, with_grad, plan)
     return result if _finite(*result) else _fold(grid, values, integrand, with_grad, check=True)
 
 
@@ -277,14 +289,17 @@ def _finite(value: float, grad: Optional[np.ndarray]) -> bool:
 # check: numpy's warnings would only repeat it
 @np.errstate(over="ignore", invalid="ignore")
 def _fold(grid: Grid1D, values: np.ndarray, integrand: Integrand, with_grad: bool,
-          near: Optional[int] = None, far: Optional[tuple] = None, check: bool = False):
-    """(energy, gradient or None) from the fold's rows 0..near (every row by
-    default), the pairs at index distance d <= near and d >= n - near, plus
-    far, _far_terms' (f, gradient or None) of the others. Non-finite values
-    are returned as they are; with check, the dense fold instead raises
+          plan: Optional[_Plan] = None, check: bool = False):
+    """(energy, gradient or None) from every row of the fold, or, given a
+    plan, the near/far path: first _far_terms' (f, gradient or None) of the
+    plan's far pairs, then the fold's rows 0..near, the pairs at index
+    distance d <= near and d >= n - near. Non-finite values are returned as
+    they are; with check, the dense fold instead raises
     NonFiniteEnergyError at the first block whose sums are not finite,
     naming the pair, or at psi, psi' or the total, naming a midpoint, or at
     the gradient, naming a node."""
+    # far terms first, so that the fold's blocks reuse the FFTs' heap
+    far = None if plan is None else _far_terms(grid, values, integrand, with_grad, plan)
     h, n, m = grid.h, grid.n, grid.midpoints
     # midpoint values and NodalFunction.slopes, np.diff written out
     um = 0.5 * (values[:-1] + values[1:])
@@ -297,20 +312,20 @@ def _fold(grid: Grid1D, values: np.ndarray, integrand: Integrand, with_grad: boo
     # in column i, with dm = m_j - m_i. Row 0 is the diagonal of cell slopes,
     # dm infinite as they do not depend on um; for even n, row n // 2 lists
     # each of its pairs twice, as (i, j) and (j, i)
-    rows = n // 2 + 1 if near is None else near + 1
+    rows = n // 2 + 1 if plan is None else plan.near + 1
     if with_grad:
         # per midpoint: sums of C = phi'(D) / dm over the pairs it comes
         # first in (col) and second in (skew, from a strided view of [C C])
         col, skew = np.zeros(n), np.zeros(n)
         pair = np.empty((min(rows, _block_rows(n)), 2 * n))
         flat = pair.reshape(-1)
-    plan = _fold_distances(n) if near is None and n <= FOLD_PLAN_MAX_N else None
+    distances = _fold_distances(n) if plan is None and n <= FOLD_PLAN_MAX_N else None
     column_sums = _column_sums if check else lambda P, *_, **__: P.sum(axis=0)
     require = _require_finite if check else lambda values, *_: values
-    for d0, dm, D in _circulant_blocks(um, m, um, 0, 1, rows, plan):
+    for d0, dm, D in _circulant_blocks(um, m, um, 0, 1, rows, distances):
         if d0 == 0:
             D[0] = slopes
-            if plan is None:
+            if distances is None:
                 dm[0] = np.inf
         P = _pair_weights(integrand.w(D), d0, n)
         half_rows += column_sums(P, f"W({name})", d0, m)
@@ -340,14 +355,14 @@ def _fold(grid: Grid1D, values: np.ndarray, integrand: Integrand, with_grad: boo
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _far_terms(grid: Grid1D, values: np.ndarray, integrand: Integrand, with_grad: bool,
-               near: int, band: int, unsigned: Optional[np.ndarray]):
+def _far_terms(grid: Grid1D, values: np.ndarray, integrand: Integrand, with_grad: bool, plan: _Plan):
     """(f, gradient of sum(f) in the midpoint values, or None) of the pairs
-    at near < d < n - near, each term at its first midpoint: _far_pairs
-    sums d > band around r, the midpoint values less the line through the
-    end values, centred on its midrange (the smaller max |r|, the less its
-    powers cancel), _block_pairs d <= band, and _unsigned_pairs corrects
-    the far cells whose sign _unsigned_cells could not certify."""
+    at the plan's near < d < n - near, each term at its first midpoint:
+    _far_pairs sums d > band around r, the midpoint values less the line
+    through the end values, centred on its midrange (the smaller max |r|,
+    the less its powers cancel), _block_pairs d <= band, and
+    _unsigned_pairs corrects the plan's unsigned cells."""
+    near, band, unsigned = plan
     n, um = grid.n, 0.5 * (values[:-1] + values[1:])
     beta = values[-1] - values[0]
     r = um - (values[0] + beta * grid.midpoints)

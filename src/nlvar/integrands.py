@@ -66,22 +66,28 @@ class Integrand:
     phi_coefficients: Optional[tuple[float, ...]] = None
 
     def __post_init__(self):
-        if self.phi_coefficients is None:
+        c = self.phi_coefficients
+        if c is None:
             return
+        if not c:
+            raise ValueError(f"{self.name}: phi_coefficients is empty")
         U = COEFFICIENT_PROBES
-        c, a = self.phi_coefficients, np.abs(U)
-        first = _derivative(c)
+        a, first = np.abs(U), _derivative(c)
         # phi(U) = P(|U|), phi'(U) = _sign(U) P'(|U|) and phi''(U) = P''(|U|),
-        # each to rounding
-        for part, closed, want in (("w", self.w, _horner(c, a)),
-                                   ("w_U", self.w_U, _sign(U) * _horner(first, a)),
-                                   ("w_UU", self.w_UU, _horner(_derivative(first), a))):
-            got = np.asarray(closed(U.copy()), float)
-            wrong = ~(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
-            if wrong.any():
-                k = int(wrong.argmax())
-                raise ValueError(f"{self.name}: phi_coefficients give {part} = {float(want[k])!r} "
-                                 f"at U = {U[k]:g}, the closed form {float(got[k])!r}")
+        # each to rounding; a coefficient that overflows them, or is not
+        # finite, fails the comparison, so numpy's warnings would only
+        # repeat it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for part, closed, want in (("w", self.w, _horner(c, a)),
+                                       ("w_U", self.w_U, _sign(U) * _horner(first, a)),
+                                       ("w_UU", self.w_UU, _horner(_derivative(first), a))):
+                got = np.asarray(closed(U.copy()), float)
+                wrong = ~(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+                if wrong.any():
+                    k = int(wrong.argmax())
+                    raise ValueError(f"{self.name}: phi_coefficients give {part} = "
+                                     f"{float(want[k])!r} at U = {U[k]:g}, the closed form "
+                                     f"{float(got[k])!r}")
 
 
 def _derivative(c) -> list:

@@ -3,6 +3,7 @@
     PYTHONPATH=src python tests/golden.py            # rewrites tests/golden.json
     PYTHONPATH=src python tests/golden.py --digest   # prints digests, writes nothing
     PYTHONPATH=src python tests/golden.py --compare  # prints margins, writes nothing
+    PYTHONPATH=src python tests/golden.py --kernel [--sizes N ...]  # the kernel's bits
 
 `compute()` runs `nlvar reproduce fig1-fig4` and `nlvar minimize` on
 problem1, quad-mass, power:3 and bolza at n = 64 and 128 (stdout, exit code
@@ -15,6 +16,17 @@ meant to become the reference, and say so in CHANGES.md.
 `--digest` prints one line per entry, the sha256 of its JSON, in which
 floats are written as their repr and so exactly; two checkouts give the same
 numbers bit for bit when `diff` finds no difference between their outputs.
+
+`--kernel` prints one sha256 per density, n, profile and call of the
+energy kernel's bits at the sizes where the near/far path runs, which the
+entries above, at n <= 129, never reach: `energy_value`, and
+`value_and_grad`'s value and gradient, of every built-in density and
+`helpers.hand_built()` on `helpers.near_far_profiles`, at KERNEL_SIZES or
+the sizes given. Then one per benchmark workload and seed 1-3: its first
+round's fingerprints, read from perfbench/workloads.py. It reads only
+public entries of the package, so the same script runs against another
+checkout's `src`, and `diff` of the two outputs compares their bits. No
+hash is pinned: the FFT's bits depend on numpy's build.
 
 `--compare` prints, for each entry, the largest deviation from the committed
 file next to the pin tolerance of its kind (`deviations` gives both, and
@@ -32,10 +44,12 @@ import math
 import sys
 import tempfile
 from pathlib import Path
+from typing import Iterator
 from unittest import mock
 
 import numpy as np
 
+import nlvar
 from nlvar import cli
 from nlvar.energy import energy_value, value_and_grad
 from nlvar.grid import Grid1D, NodalFunction
@@ -54,6 +68,11 @@ PROFILES = {
 }
 FIXED_N = (64, 129)  # an even and an odd cell count
 SOLVE_N = (64, 128)
+# both sides of each crossover: the path from 256 at the fast FFT lengths
+# (256, 300, 384) and at every n from 512, the blocks from 2048
+KERNEL_SIZES = (64, 128, 129, 255, 256, 300, 384, 511, 512, 1024, 2049, 4096, 8192)
+WORKLOAD_SEEDS = (1, 2, 3)
+USAGE = "usage: {0} [--digest | --compare]\n       {0} --kernel [--sizes N ...]"
 
 # pin tolerances of each kind of number; test_golden.py says why
 NODAL = 100 * 1e-8
@@ -212,9 +231,43 @@ def compute() -> dict:
     return data
 
 
+def _sha256(*arrays) -> str:
+    return hashlib.sha256(b"".join(np.asarray(a, float).tobytes() for a in arrays)).hexdigest()
+
+
+def kernel_digests(sizes) -> Iterator[tuple[str, str]]:
+    """(sha256, label) of the kernel's bits, as `--kernel` prints them."""
+    from helpers import hand_built, near_far_profiles
+    for W in [integrand_by_name(name) for name in DENSITIES] + hand_built():
+        for n in sizes:
+            grid = Grid1D(n)
+            for profile, values in near_far_profiles(n).items():
+                u = NodalFunction(grid, values)
+                yield _sha256(energy_value(u, W)), f"{W.name} {n} {profile} value"
+                yield _sha256(*value_and_grad(u, W)), f"{W.name} {n} {profile} value+grad"
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from workloads import WORKLOADS
+    for name, workload in WORKLOADS.items():
+        for seed in WORKLOAD_SEEDS:
+            with tempfile.TemporaryDirectory() as workdir:
+                run = workload(nlvar, seed, Path(workdir))
+                run.setup()
+                fingerprints = run.fingerprints(run.run_round(0), 0)
+                run.cleanup()
+            digest = hashlib.sha256(repr(fingerprints).encode()).hexdigest()
+            yield digest, f"workload {name} seed {seed}"
+
+
 def main(argv: list[str]) -> None:
+    if argv[:1] == ["--kernel"]:
+        sizes = argv[2:] if argv[1:2] == ["--sizes"] else None
+        if len(argv) > 1 and not (sizes and all(a.isdigit() for a in sizes)):
+            sys.exit(USAGE.format(sys.argv[0]))
+        for digest, label in kernel_digests([int(a) for a in sizes] if sizes else KERNEL_SIZES):
+            print(f"{digest}  {label}", flush=True)
+        return
     if argv not in ([], ["--digest"], ["--compare"]):
-        sys.exit(f"usage: {sys.argv[0]} [--digest | --compare]")
+        sys.exit(USAGE.format(sys.argv[0]))
     data = compute()
     if argv == ["--digest"]:
         for key, value in data.items():

@@ -170,22 +170,11 @@ def near_far_profiles(n: int) -> dict[str, np.ndarray]:
             "x+1e-3sin": x + 1e-3 * np.sin(7.0 * x), "falling": 1.0 - x * x}
 
 
-def unsigned_cells(values: np.ndarray, integrand: Integrand) -> Optional[np.ndarray]:
-    """The far cells of values whose sign _unsigned_cells cannot certify, at
-    _split's band, for a phi with an odd coefficient; None otherwise."""
-    c = integrand.phi_coefficients
-    _, band = energy._split(values.size - 1, c)
-    return energy._unsigned_cells(values, band) if any(c[1::2]) else None
-
-
 def near_far(grid: Grid1D, values: np.ndarray, integrand: Integrand):
-    """(energy, gradient) from the near/far path at _split's near rows and
-    band, with the unsigned cells however many there are: the far terms,
-    then the fold's near rows, as _quadrature runs them."""
-    near, band = energy._split(grid.n, integrand.phi_coefficients)
-    far = energy._far_terms(grid, values, integrand, True, near, band,
-                            unsigned_cells(values, integrand))
-    return energy._fold(grid, values, integrand, True, near, far)
+    """(energy, gradient) from the near/far path on _plan, with the unsigned
+    cells however many there are, as _quadrature runs it."""
+    return energy._fold(grid, values, integrand, True,
+                        energy._plan(values, integrand.phi_coefficients))
 
 
 def hand_built() -> list[Integrand]:

@@ -48,7 +48,7 @@ def main(argv=None) -> None:
           f"{'gradient':>8} profile")
     for integrand in densities:
         for n in sizes:
-            near, band = energy._split(n, integrand.phi_coefficients)
+            near, band, _ = energy._plan(Grid1D(n).nodes, integrand.phi_coefficients)
             (e, e_at), (g, g_at) = errors(n, integrand)
             print(f"{integrand.name:<14} {n:>6} {band:>5} {near:>5}  {e:8.1e} {e_at:<10} "
                   f"{g:8.1e} {g_at}", flush=True)

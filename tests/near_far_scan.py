@@ -2,9 +2,10 @@
 density, size and profile, the side that _quadrature takes (path or fold,
 by _near_far), the CPU time of one value-and-gradient call on the path,
 forced as in helpers.near_far, and on the dense fold with its kept plan,
-best of interleaved calls, and their ratio. For a phi with an odd
-coefficient it also prints the share of the far pairs in the cells whose
-sign _unsigned_cells cannot certify (_unsigned_share), which _direct_pays
+each the best of --calls runs of consecutive calls that alternate between
+the two (best_times), and their ratio. For a phi with an odd coefficient
+it also prints the share of the far pairs in the cells whose sign
+_unsigned_cells cannot certify (_unsigned_share), which _direct_pays
 reads. The crossover (NEAR_FAR_FROM_N, NEAR_FAR_ABOVE_N and the sizes
 between that take the path) follows where the path won, and
 _direct_pays' cut where path and fold tie.
@@ -33,7 +34,7 @@ import time
 
 import numpy as np
 
-from helpers import near_far, near_far_profiles, stripped, unsigned_cells
+from helpers import near_far, near_far_profiles, stripped
 from nlvar import energy
 from nlvar.grid import Grid1D
 from nlvar.integrands import integrand_by_name
@@ -61,33 +62,44 @@ def calls(grid: Grid1D, values: np.ndarray, W, blocks: bool):
         dense = stripped(W)
         return (lambda: near_far(grid, values, W),
                 lambda: energy._quadrature(grid, values, dense, True))
-    _, band = energy._split(grid.n, W.phi_coefficients)
-
-    def path(near: int):
-        far = energy._far_terms(grid, values, W, True, near, band, None)
-        return energy._fold(grid, values, W, True, near, far)
-
-    return lambda: path(band // 4), lambda: path(band)
+    plan = energy._plan(values, W.phi_coefficients)
+    return (lambda: energy._fold(grid, values, W, True, plan._replace(near=plan.band // 4)),
+            lambda: energy._fold(grid, values, W, True, plan._replace(near=plan.band)))
 
 
 def share(values: np.ndarray, W) -> str:
     """The share of the far pairs in unsigned cells for a phi with an odd
     coefficient, "-" otherwise."""
-    unsigned = unsigned_cells(values, W)
-    if unsigned is None:
+    plan = energy._plan(values, W.phi_coefficients)
+    if plan.unsigned is None:
         return "-"
-    n = values.size - 1
-    return f"{energy._unsigned_share(unsigned, n, energy._split(n, W.phi_coefficients)[1]):.2f}"
+    return f"{energy._unsigned_share(plan.unsigned, values.size - 1, plan.band):.2f}"
+
+
+# each side is timed over runs of consecutive calls, which alternate
+# between the sides: at small n a call right after the other side's is
+# slower, and alternating single calls read two-well at n = 256 as 0.96
+# of the fold, against 0.75 by runs of 20 calls. A run takes about RUN_S
+# of CPU time, and at least one call
+RUN_S = 0.005
 
 
 def best_times(pair, repeats: int) -> list[float]:
-    """Best CPU time of each call, interleaved repeats times."""
+    """Best CPU time per call of each call, over repeats runs of it, the
+    runs alternating between the two."""
+    counts = []
+    for call in pair:
+        call()  # builds what the call keeps, such as spectra and plans
+        t0 = time.process_time()
+        call()
+        counts.append(max(1, round(RUN_S / max(time.process_time() - t0, 1e-9))))
     best = [np.inf, np.inf]
     for _ in range(repeats):
-        for k, call in enumerate(pair):
+        for k, (call, count) in enumerate(zip(pair, counts)):
             t0 = time.process_time()
-            call()
-            best[k] = min(best[k], time.process_time() - t0)
+            for _ in range(count):
+                call()
+            best[k] = min(best[k], (time.process_time() - t0) / count)
     return best
 
 

@@ -36,7 +36,6 @@ from helpers import (
     near_far_profiles,
     refine_and_compare,
     stripped,
-    unsigned_cells,
 )
 
 ALL = [power_p(2), power_p(3), power_p(4), half_square(), quadratic_mass(),
@@ -470,8 +469,7 @@ class TestNearFar:
         values = np.random.default_rng(5).uniform(-1, 1, n + 1)
         if rising:
             values = Grid1D(n).nodes + 0.05 * values
-            _, band = energy._split(n, W.phi_coefficients)
-            assert energy._direct_pays(unsigned_cells(values, W), n, band)
+            assert energy._near_far(values, W.phi_coefficients) is not None
         u = NodalFunction(Grid1D(n), scale * values)
         for kernel in (energy_value, value_and_grad):
             with pytest.raises(NonFiniteEnergyError) as want:
@@ -489,28 +487,24 @@ def five_smooth(n):
 
 
 class TestCrossover:
-    """_quadrature takes the near/far path for every n > NEAR_FAR_ABOVE_N
-    and, from NEAR_FAR_FROM_N on, at the n with no prime factor above 5
-    (a fast FFT length 2 n) where _split's near rows are at most n // 8;
-    the dense fold elsewhere."""
+    """_near_far gives _quadrature the near/far path's plan for every n >
+    NEAR_FAR_ABOVE_N and, from NEAR_FAR_FROM_N on, at the n with no prime
+    factor above 5 (a fast FFT length 2 n) where _split's near rows are at
+    most n // 8; None, the dense fold, elsewhere."""
 
-    def test_path_exactly_where_the_rule_says(self, monkeypatch):
-        # the decision only: the far terms are recorded, not summed, and
-        # the fold returns a finite stand-in. On a monotone profile every
-        # far cell of an odd phi is certified, so _direct_pays passes
-        taken = []
-        monkeypatch.setattr(energy, "_far_terms", lambda grid, *_: taken.append(grid.n))
-        monkeypatch.setattr(energy, "_fold", lambda *_, **__: (0.0, None))
+    def test_path_exactly_where_the_rule_says(self):
+        # on a monotone profile every far cell of an odd phi is certified,
+        # so _direct_pays passes
         sizes = range(130, 601)
         for W in POLYNOMIAL + hand_built():
-            taken.clear()
-            for n in sizes:
-                grid = Grid1D(n)
-                energy._quadrature(grid, grid.nodes, W, False)
-            splits = {n: energy._split(n, W.phi_coefficients) for n in sizes}
+            c = W.phi_coefficients
+            plans = {n: energy._near_far(Grid1D(n).nodes, c) for n in sizes}
+            taken = [n for n, plan in plans.items() if plan is not None]
+            splits = {n: energy._split(n, c) for n in sizes}
             assert taken == [n for n, split in splits.items() if split is not None and (
                 n > NEAR_FAR_ABOVE_N
                 or (n >= NEAR_FAR_FROM_N and five_smooth(n) and split[0] <= n // 8))], W.name
+            assert all(plans[n][:2] == splits[n] for n in taken)
             below = [n for n in taken if n <= NEAR_FAR_ABOVE_N]
             if W.phi_coefficients in ((0.0, 0.0, 0.5), (0.25, 0.0, -0.5, 0.0, 0.25)):
                 # degree 2 and the quartics: the fast sizes from 256 on
@@ -644,7 +638,7 @@ class TestSignCells:
                 certified = ~unsigned[i // L, t]
                 assert np.all(a[i + d][certified] >= a[i][certified]), (name, d)
             got = value_and_grad(NodalFunction(grid, values), W)
-            if energy._direct_pays(unsigned, n, band):
+            if energy._near_far(values, W.phi_coefficients) is not None:
                 assert same_bits(got, near_far(grid, values, W))
             else:
                 assert same_bits(got, energy._fold(grid, values, W, True))
@@ -705,9 +699,9 @@ class TestNearBand:
         grid = Grid1D(n)
         for W in (two_well_full(), two_well_bare(), power_p(4)):
             for values in near_far_profiles(n).values():
-                far = energy._far_terms(grid, values, W, True, n // 64, n // 16, None)
                 assert same_bits(value_and_grad(NodalFunction(grid, values), W),
-                                 energy._fold(grid, values, W, True, n // 64, far))
+                                 energy._fold(grid, values, W, True,
+                                              energy._Plan(n // 64, n // 16, None)))
 
     def test_half_the_fold_or_more_runs_the_dense_fold(self):
         n = 4096

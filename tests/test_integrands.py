@@ -260,6 +260,22 @@ class TestPhiCoefficients:
         with pytest.raises(ValueError, match=f"give {part} = "):
             replace(W, phi_coefficients=coefficients)
 
+    # no coefficient at all: the check compared nothing and accepted it,
+    # and the energy then raised IndexError from n = 256, where the far
+    # sums take phi's degree, -1
+    def test_empty_coefficients_are_refused(self):
+        zero = Integrand(w=np.zeros_like, w_U=np.zeros_like, w_UU=np.zeros_like,
+                         mass=np.zeros_like, w_u=np.zeros_like, w_uu=np.zeros_like, p=2.0,
+                         name="zero")
+        with pytest.raises(ValueError, match="^zero: phi_coefficients is empty"):
+            replace(zero, phi_coefficients=())
+
+    # an infinite coefficient gives phi = inf * 0 = nan at U = 0, which the
+    # check refuses without numpy's invalid-value warning (an error here)
+    def test_non_finite_coefficient_is_refused_without_a_warning(self):
+        with pytest.raises(ValueError, match="^half-square: phi_coefficients give w = nan"):
+            replace(half_square(), phi_coefficients=(0.0, 0.0, np.inf))
+
     def test_power_3_carries_the_cube_of_abs(self):
         assert integrand_by_name("power:3").phi_coefficients == (0.0, 0.0, 0.0, 1.0)
 

@@ -1,15 +1,28 @@
 """The measurement scripts beside the tests, run at their smallest sizes so
 that a rename of the kernel names they read fails here, not by hand."""
 
+import hashlib
 import json
 
+import numpy as np
+
+import golden
 import near_far_errors
 import near_far_scan
 import workload_ops
 from nlvar import energy
-from nlvar.integrands import half_square, power_p, quadratic_mass, two_well_bare, two_well_full
+from nlvar.energy import energy_value, value_and_grad
+from nlvar.grid import Grid1D, NodalFunction
+from nlvar.integrands import (
+    half_square,
+    integrand_by_name,
+    power_p,
+    quadratic_mass,
+    two_well_bare,
+    two_well_full,
+)
 
-from helpers import hand_built
+from helpers import hand_built, near_far_profiles
 
 
 def test_near_far_errors_prints_one_row_per_density_within_the_bounds(capsys):
@@ -89,3 +102,24 @@ def test_workload_ops_prints_a_median_per_operation(capsys):
                              for op in ("value", "gradient")]
     assert all(ms > 0 for ms in medians.values())
     assert capsys.readouterr().out.strip() == json.dumps(medians)
+
+
+# n = 64 on the dense fold, 256 on the path for degree 2 and the quartics:
+# one line per density, size, profile and call, then per workload and seed,
+# and each line the sha256 of the call's bits
+def test_kernel_digests_print_one_line_per_call_and_workload(capsys):
+    golden.main(["--kernel", "--sizes", "64", "256"])
+    lines = capsys.readouterr().out.splitlines()
+    densities = [integrand_by_name(name) for name in golden.DENSITIES] + hand_built()
+    labels = [f"{W.name} {n} {profile} {call}" for W in densities for n in (64, 256)
+              for profile in near_far_profiles(n) for call in ("value", "value+grad")]
+    labels += [f"workload {name} seed {seed}"
+               for name in ("solve", "figures", "residual", "large-n") for seed in (1, 2, 3)]
+    assert [line.split("  ", 1)[1] for line in lines] == labels
+    digests = dict(line.split("  ", 1)[::-1] for line in lines)
+    u = NodalFunction(Grid1D(256), near_far_profiles(256)["rough"])
+    value, grad = value_and_grad(u, two_well_full())
+    assert digests["two-well 256 rough value"] == hashlib.sha256(
+        np.float64(energy_value(u, two_well_full())).tobytes()).hexdigest()
+    assert digests["two-well 256 rough value+grad"] == hashlib.sha256(
+        np.float64(value).tobytes() + grad.tobytes()).hexdigest()

@@ -11,7 +11,7 @@ import pytest
 from scipy.linalg import lapack
 
 import nlvar
-from nlvar import solver
+from nlvar import energy, solver
 from nlvar.cli import EXIT_NUMERIC, main
 from nlvar.energy import (
     NonFiniteEnergyError,
@@ -235,6 +235,25 @@ class TestEvaluations:
         assert len(calls) == res.evaluations > res.iters + 1
         assert res.u.values.tobytes() == calls[-1].tobytes()
         assert all(v[0] == 0.0 and v[-1] == 0.0 for v in calls)
+
+    # the benchmark's largest cost: bolza, two-well at n = 256 from the
+    # seed-0 uniform noise of 0.05, takes the near/far path on every
+    # evaluation. The count itself moves with any bit, so it is not pinned
+    def test_bench_bolza_takes_the_path_on_every_evaluation(self, monkeypatch):
+        plans = []
+
+        def recorded(values, c):
+            plans.append(near_far(values, c))
+            return plans[-1]
+
+        near_far = energy._near_far
+        monkeypatch.setattr(energy, "_near_far", recorded)
+        grid = Grid1D(256)
+        noise = 0.05 * np.random.default_rng(0).uniform(-1.0, 1.0, grid.n - 1)
+        start = NodalFunction(grid, np.concatenate([[0.0], noise, [0.0]]), 0.0, 0.0)
+        res = minimize(two_well_full(), grid, (0.0, 0.0), start, SolverConfig(grad_tol=1e-6))
+        assert res.converged
+        assert sum(plan is not None for plan in plans) == res.evaluations == len(plans)
 
     def test_non_finite_trial_is_an_evaluation_error(self):
         # a trial with an infinite nodal value raises inside the kernel,
