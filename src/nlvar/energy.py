@@ -28,14 +28,15 @@ NEAR_FAR_ABOVE_N cells and, from NEAR_FAR_FROM_N, at the sizes with a
 fast FFT length where its near rows are few: _near_far gives the plan of
 the path, _Plan(near, band, unsigned), which _plan builds from _split(n,
 c) and, for an odd phi, _unsigned_cells, and _fold runs it. _far_terms
-sums every pair beyond the rows 0..near in O(n log n), by one engine,
-_far_pairs, over the whole grid beyond the band, where its kernels hold
-both orders of each pair, in blocks up to it (_block_pairs), and directly
-in the far cells whose sign is unknown (_unsigned_pairs). _quadrature
-alone decides which path runs. Either path checks only its total and
-gradient; where one is not finite, the dense fold reruns with a check per
-block, which names the first non-finite pair. The two paths agree to
-rounding (tests/near_far_errors.py).
+sums every pair beyond the rows 0..near in O(n log n) by one engine,
+_far_pairs, whose kernels hold both orders of each pair: over the whole
+grid beyond the band, and up to it on windows that overlap by the band
+(_block_pairs). The far cells whose sign is unknown it sums directly
+(_unsigned_pairs). _quadrature alone decides which path runs. Either
+path checks only its total and gradient; where one is not finite, the
+dense fold reruns with a check per block, which names the first
+non-finite pair. The two paths agree to rounding
+(tests/near_far_errors.py).
 """
 
 from __future__ import annotations
@@ -86,10 +87,12 @@ NEAR_FAR_FROM_N = 256
 SIGN_CELL = 64
 
 # an even phi of degree >= 4 sums the pairs at band // 4 < d <= band in
-# blocks (_block_pairs) where its band is at least this many rows: below
-# it the blocks lost to the fold rows they replace for the three quartics
-# at nearly every n up to 1504 (band 94), and from 1792 on they won
-# (tests/near_far_scan.py --blocks --sizes 512:2816:32, one BLAS thread)
+# blocks (_block_pairs) where its band is at least this many rows, from
+# n = 2048 for a quartic. Blocks of one-sided windows lost to the fold rows
+# they replace at nearly every n up to 1504 (band 94) and won from 1792 on;
+# the overlapping windows took 0.57-1.01 of the rows' time at n =
+# 1024-2048 (tests/near_far_scan.py --blocks, one BLAS thread), but a lower
+# cut would change the bits below n = 2048
 BLOCKS_FROM_BAND = 128
 
 
@@ -101,9 +104,10 @@ def _split(n: int, c: tuple[float, ...]) -> Optional[tuple[int, int]]:
     n // 4096 for k = 2, n // 64 for k = 3, n // 16 for k = 4. The fold
     sums the rows up to near = b, or b // 4 (n // 64 for a quartic) for an
     even phi of degree >= 4 whose band is at least BLOCKS_FROM_BAND, as the
-    blocks' windows of about 2 b values keep their powers small (U^6 keeps
-    3.5e-15 of max|g| at b // 4, 2.0e-13 at n // 64). The errors against
-    the dense fold are printed by tests/near_far_errors.py."""
+    blocks' windows of about 4 b values keep their powers small (U^6, whose
+    windows span about 0.76 n, keeps 9.9e-14 of max|g| at b // 4 and would
+    leave 2.9e-11 at n // 64, n = 2048-16384). The errors against the dense
+    fold are printed by tests/near_far_errors.py."""
     k, odd = len(c) - 1, any(c[1::2])
     b = max(SIGN_CELL if odd else 1, int(n * 2.0 ** (-12 / (k - 1))) if k > 1 else 1)
     if b >= n // 2:
@@ -356,12 +360,13 @@ def _fold(grid: Grid1D, values: np.ndarray, integrand: Integrand, with_grad: boo
 
 @np.errstate(over="ignore", invalid="ignore")
 def _far_terms(grid: Grid1D, values: np.ndarray, integrand: Integrand, with_grad: bool, plan: _Plan):
-    """(f, gradient of sum(f) in the midpoint values, or None) of the pairs
-    at the plan's near < d < n - near, each term at its first midpoint:
-    _far_pairs sums d > band around r, the midpoint values less the line
-    through the end values, centred on its midrange (the smaller max |r|,
-    the less its powers cancel), _block_pairs d <= band, and
-    _unsigned_pairs corrects the plan's unsigned cells."""
+    """(f, gradient of sum(f) in the midpoint values, or None): sum(f) is
+    the sum of phi(D_ij) over the pairs at the plan's near < d < n - near,
+    each term held half at each end, or at its first midpoint in the
+    unsigned cells. _far_pairs sums d > band around r, the midpoint values
+    less the line through the end values, centred on its midrange (the
+    smaller max |r|, the less its powers cancel), _block_pairs d <= band,
+    and _unsigned_pairs corrects the plan's unsigned cells."""
     near, band, unsigned = plan
     n, um = grid.n, 0.5 * (values[:-1] + values[1:])
     beta = values[-1] - values[0]
@@ -379,142 +384,119 @@ def _far_terms(grid: Grid1D, values: np.ndarray, integrand: Integrand, with_grad
 
 
 @lru_cache(maxsize=8)
-def _far_kernels(n: int, size: int, lo: int, hi: int, degree: int,
-                 symmetric: bool = False) -> np.ndarray:
-    """Spectra, read-only, of the length-size circulant embeddings of U_k for
-    k = 0..degree: the upper triangular Toeplitz matrix with (U_k)_ij =
-    ((j - i) h)^-k, h = 1 / n, where lo < j - i <= hi, zero elsewhere. The
-    embedding of U_k' has the conjugate spectrum. If symmetric, those of
-    Z_k = U_k + (-1)^k U_k', ((j - i) h)^-k where lo < |j - i| <= hi, which
-    is symmetric for an even k and antisymmetric for an odd one: its
-    spectrum, U_k's plus (-1)^k its conjugate, is real or imaginary."""
+def _far_kernels(n: int, size: int, lo: int, hi: int, degree: int) -> np.ndarray:
+    """Spectra, read-only, of the length-size circulant embeddings of Z_k for
+    k = 0..degree: the Toeplitz matrix with (Z_k)_ij = ((j - i) h)^-k, h =
+    1 / n, where lo < |j - i| <= hi, zero elsewhere, which is symmetric for
+    an even k and antisymmetric for an odd one. Z_k = U_k + (-1)^k U_k',
+    with U_k its upper triangle, whose embedding's spectrum is conjugated by
+    the transpose, so Z_k's is real or imaginary."""
     from numpy.fft import rfft  # here, so `import nlvar` loads no numpy.fft
     d = np.arange(lo + 1, hi + 1)
     column = np.zeros((degree + 1, size))
     column[:, size - d] = _powers(n / d, degree)
     spectra = rfft(column)
-    if symmetric:
-        spectra += spectra.conj() * (-1.0) ** np.arange(degree + 1)[:, None]
+    spectra += spectra.conj() * (-1.0) ** np.arange(degree + 1)[:, None]
     spectra.setflags(write=False)
     return spectra
 
 
 def _far_pairs(r: np.ndarray, beta, integrand: Integrand, n: int, lo: int, hi: int,
-               size: int, with_grad: bool, first: Optional[np.ndarray] = None,
-               second: Optional[np.ndarray] = None):
-    """(f, gradient of sum(f) in r, or None), each shaped like r, whose rows
-    are windows of midpoint values a = line + r on a grid of n cells, each
-    row with its own line of slope beta[t]. sum(f[t]) is the sum of P(s D_ij)
-    over the row's pairs i < j = i + d, lo < d <= hi, with i a first
-    midpoint (first[t, i]) and j a second one (second[t, j]), and f holds
-    each pair's term at its first midpoint. Without masks r is one row, a
-    1-D array with one slope beta, every position is both, f holds half of
-    each pair's term at each end, and size >= 2 r.size, so that no product
-    wraps. Here P(D) = sum_k c_k D^k and s = _sign(beta[t]). For an even P,
-    P(s D) = phi(D); otherwise only where s D >= 0 (_unsigned_pairs adds
-    the rest).
+               size: int, with_grad: bool, valid: Optional[np.ndarray] = None):
+    """(f, gradient of sum(f) in r, or None), each shaped like r: the
+    midpoint values a = line + r on a grid of n cells, either one row, a 1-D
+    r whose line has the slope beta, or rows of windows of them, each with
+    its own slope beta[t]. sum(f[t]) is the sum of P(s D_ij) over the row's
+    pairs i < j = i + d, lo < d <= hi, and f holds half of each pair's term
+    at each end. Given valid, a boolean mask shaped like r, a position
+    outside it pairs with nothing, and f and the gradient are 0 there. Here
+    P(D) = sum_k c_k D^k and s = _sign(beta[t]). For an even P, P(s D) =
+    phi(D); otherwise only where s D >= 0 (_unsigned_pairs adds the rest).
 
     There D_ij = beta + (r_j - r_i) / ((j - i) h), and P(s (beta + R)) =
     sum_k c'_k R^k with c' the Taylor shift of (c_k s^k) to beta, which
     phi's closed forms give for k <= 2. By the binomial expansion of (r_j -
-    r_i)^k, with w_pq = c'_(p+q) C(p+q, q),
+    r_i)^k, with w_pq = c'_(p+q) C(p+q, q) and Z_k of _far_kernels, which
+    holds each pair in both orders,
 
-        f = sum_p (-r)^p V_p,   V_p = sum_q w_pq U_(p+q) r^q,
+        f = sum_p (-r)^p V_p / 2,   V_p = sum_q w_pq Z_(p+q) r^q,
 
-    and the gradient is sum_p p r^(p-1) (T_p + (-1)^p V_p), with T_p =
-    sum_q (-1)^q w_pq U_(p+q)' r^q. The products come from one batched rfft
-    of the powers of r (zero off the second midpoints) and one batched irfft
-    of length size for the V_p, which value and gradient share bit for bit,
-    and one more irfft for the T_p, after one more rfft of the powers on
-    the first midpoints. A product may wrap only onto positions that the
-    masks clear: V_p is kept at the first midpoints, T_p at the second ones.
-
-    Without masks the V_p read Z_k = U_k + (-1)^k U_k' in place of U_k, so
-    that they sum each pair in both orders: f = sum_p (-r)^p V_p / 2, and
-    the gradient is -sum_p p (-r)^(p-1) V_p, from the same products. The
-    spectra of the Z_k are real or imaginary (_far_kernels), and the T_p
-    are not formed."""
+    and the gradient is -sum_p p (-r)^(p-1) V_p, from the same products:
+    one batched rfft of the powers of r, times valid, and one batched irfft
+    of length size. The products are circular: position i also pairs with
+    i + d +- size, so a row of at most size - hi positions sees no wrapped
+    term, and a longer one sees them only within hi of its ends."""
     from numpy.fft import irfft, rfft  # here, so `import nlvar` loads no numpy.fft
-    c, width, symmetric = integrand.phi_coefficients, r.shape[-1], first is None
+    c, width, windows = integrand.phi_coefficients, r.shape[-1], r.ndim > 1
     degree = len(c) - 1
     # one row's sign and coefficients as numbers, which numpy multiplies
     # into an array faster; a column per row of windows
-    s = float(_sign(beta)) if symmetric else _sign(beta)
+    s = _sign(beta) if windows else float(_sign(beta))
     # c'_k = phi^(k)(beta) / k!, from the closed forms for k <= 2: near a
     # root of phi the monomial sums cancel, and phi(beta) weighs every pair
     shifted = ([integrand.w(beta), integrand.w_U(beta), 0.5 * integrand.w_UU(beta)]
                + [sum(comb(j, k) * c[j] * s ** j * beta ** (j - k) for j in range(k, degree + 1))
                   for k in range(3, degree + 1)])[:degree + 1]
-    shifted = [float(x) if symmetric else x[:, None] for x in shifted]
-    K = _far_kernels(n, size, lo, hi, degree, symmetric)
+    shifted = [x[:, None] if windows else float(x) for x in shifted]
+    K = _far_kernels(n, size, lo, hi, degree)
     powers = _powers(r, degree)
-    if not symmetric:
-        powers *= second
+    if valid is not None:
+        powers *= valid
     R = rfft(powers, size)
-
-    def products(ps, R: np.ndarray, transposed: bool) -> np.ndarray:
-        spectra = np.empty((len(ps),) + R.shape[1:], complex)
-        for S, p in zip(spectra, ps):
-            for q in range(degree + 1 - p):
-                w = shifted[p + q] * comb(p + q, q)
-                wK = (-1) ** q * w * K[p + q].conj() if transposed else w * K[p + q]
-                if q:
-                    S += wK * R[q]
-                else:
-                    np.multiply(wK, R[q], out=S)
-        return irfft(spectra, size)[..., :width]
-
-    V = products(range(degree + 1), R, False)
-    if symmetric:
-        x = -r
-        f = _horner(V, x)
-        f *= 0.5
-        if not with_grad:
-            return f, None
-        # -sum_p p (-r)^(p-1) V_p, the sign taken into the coefficients
-        return f, _horner([-p * V[p] for p in range(1, degree + 1)], x)
-    V *= first
-    f = _horner(V, -r)
+    spectra = np.empty_like(R)
+    for p, S in enumerate(spectra):
+        for q in range(degree + 1 - p):
+            wK = shifted[p + q] * comb(p + q, q) * K[p + q]
+            if q:
+                S += wK * R[q]
+            else:
+                np.multiply(wK, R[q], out=S)
+    V = irfft(spectra, size)[..., :width]
+    x = -r
+    f = _horner(V, x)
+    f *= 0.5 if valid is None else 0.5 * valid
     if not with_grad:
         return f, None
-    T = products(range(1, degree + 1), rfft(powers * first, size), True)
-    T *= second
-    return f, _horner([p * (T[p - 1] + (-1) ** p * V[p]) for p in range(1, degree + 1)], r)
+    # -sum_p p (-r)^(p-1) V_p, the sign taken into the coefficients
+    grad = _horner([-p * V[p] for p in range(1, degree + 1)], x)
+    if valid is not None:
+        grad *= valid
+    return f, grad
 
 
 def _block_pairs(a: np.ndarray, integrand: Integrand, near: int, band: int, with_grad: bool):
     """(f, gradient of sum(f) in a, or None): sum(f) is the sum of phi(D_ij)
     over the pairs i < j = i + d, near < d <= band, of the midpoint values a,
-    for an even phi, with each pair's term at its first midpoint. Blocks of
-    B first midpoints, B the least 5-smooth number >= band, each read the
-    window of 2 B values from their first on; _far_pairs sums them by
-    circular products of length 2 B, whose wrapped terms its masks clear.
-    Each window is its own line, through its end values, plus r centred on
-    its midrange, far smaller than over the whole grid."""
-    n, B = a.size, _five_smooth(band)
+    for an even phi, with half of each pair's term at each end. Blocks of B
+    = width - 2 band values, width the least 5-smooth number >= 4 band, each
+    read the window of width values that holds them and band more on either
+    side, zero past the ends of a and masked there; _far_pairs sums each
+    window by circular products of length width, which wrap onto none of
+    its B central values. A central value's partners all lie in its window,
+    so its f and gradient are whole, and the blocks keep only those. Each
+    window is its own line, of the slope through its first and last valid
+    values, plus r centred on its midrange over them, far smaller than over
+    the whole grid."""
+    n, width = a.size, _five_smooth(4 * band)
+    B = width - 2 * band
     blocks = -(-n // B)
-    padded = np.zeros((blocks + 1) * B)
-    padded[:n] = a
-    window = _windows(padded, 0, B, (blocks, 2 * B))
-    k = np.arange(2 * B)
-    # values per window, at most 2 B: the last ones run past n
-    valid = np.minimum(n - B * np.arange(blocks), 2 * B)
-    second = k < valid[:, None]
-    first = second & (k < B)
-    beta = (window[np.arange(blocks), valid - 1] - window[:, 0]) * n / np.maximum(valid - 1, 1)
-    r = window - window[:, :1] - beta[:, None] * (k / n)
-    r -= 0.5 * (np.where(second, r, -np.inf).max(axis=1)
-                + np.where(second, r, np.inf).min(axis=1))[:, None]
-    r *= second
-    f, grad = _far_pairs(r, beta, integrand, n, near, band, 2 * B, with_grad, first, second)
-    f = f[:, :B].reshape(-1)[:n]
-    if not with_grad:
-        return f, None
-    # a window's second half is the next block's first
-    total = np.zeros((blocks + 1) * B)
-    total[:-B] += grad[:, :B].reshape(-1)
-    total[B:] += grad[:, B:].reshape(-1)
-    return f, total[:n]
+    padded = np.zeros((blocks - 1) * B + width)
+    padded[band:band + n] = a
+    window = _windows(padded, 0, B, (blocks, width))
+    k = np.arange(width)
+    # a[start + k] at position k; the valid ones run from first to last, at
+    # least band + 1 of them, as each window holds a central value of a
+    start = B * np.arange(blocks) - band
+    first, last = np.maximum(-start, 0), np.minimum(n - start, width) - 1
+    valid = (k >= first[:, None]) & (k <= last[:, None])
+    rows = np.arange(blocks)
+    beta = (window[rows, last] - window[rows, first]) * n / (last - first)
+    r = window - beta[:, None] * (k / n)
+    r -= 0.5 * (np.where(valid, r, -np.inf).max(axis=1)
+                + np.where(valid, r, np.inf).min(axis=1))[:, None]
+    f, grad = _far_pairs(r, beta, integrand, n, near, band, width, with_grad, valid)
+    f = f[:, band:band + B].reshape(-1)[:n]
+    return f, None if grad is None else grad[:, band:band + B].reshape(-1)[:n]
 
 
 def _five_smooth(b: int) -> int:

@@ -51,7 +51,9 @@ class Integrand:
     and the rest from the coefficients, so a density whose closed forms
     disagree with its coefficients at COEFFICIENT_PROBES raises ValueError
     naming the part. phi'(0) must be c_1, the slope from the right, which
-    the sums take at a zero slope of the end values.
+    the sums take at a zero slope of the end values. The sums read phi's
+    degree as len(c) - 1, so an empty tuple, or a last coefficient of 0
+    after others, raises ValueError too.
     """
 
     w: ArrayFn
@@ -71,6 +73,8 @@ class Integrand:
             return
         if not c:
             raise ValueError(f"{self.name}: phi_coefficients is empty")
+        if len(c) > 1 and c[-1] == 0:
+            raise ValueError(f"{self.name}: phi_coefficients end in 0")
         U = COEFFICIENT_PROBES
         a, first = np.abs(U), _derivative(c)
         # phi(U) = P(|U|), phi'(U) = _sign(U) P'(|U|) and phi''(U) = P''(|U|),

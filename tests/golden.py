@@ -70,7 +70,7 @@ FIXED_N = (64, 129)  # an even and an odd cell count
 SOLVE_N = (64, 128)
 # both sides of each crossover: the path from 256 at the fast FFT lengths
 # (256, 300, 384) and at every n from 512, the blocks from 2048
-KERNEL_SIZES = (64, 128, 129, 255, 256, 300, 384, 511, 512, 1024, 2049, 4096, 8192)
+KERNEL_SIZES = (64, 128, 129, 255, 256, 300, 384, 511, 512, 1024, 2048, 2049, 4096, 8192)
 WORKLOAD_SEEDS = (1, 2, 3)
 USAGE = "usage: {0} [--digest | --compare]\n       {0} --kernel [--sizes N ...]"
 

@@ -13,7 +13,7 @@ _direct_pays' cut where path and fold tie.
 With --blocks it times, for an even phi of degree >= 4, the path whose
 fold stops at row band // 4 and whose pairs from there to the band are
 summed in blocks (_block_pairs) against the path whose fold runs to the
-band; BLOCKS_FROM_BAND is set above the last band where the blocks lost.
+band; BLOCKS_FROM_BAND's comment gives what it measured.
 
     PYTHONPATH=src python tests/near_far_scan.py --sizes 130:600
     PYTHONPATH=src python tests/near_far_scan.py --densities power:3 \\

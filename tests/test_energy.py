@@ -517,7 +517,8 @@ def direct_pairs(r, beta, c, n, lo, hi, first, second):
     """(f, gradient) of the sum of P(s D_ij) over the pairs i < j = i + d,
     lo < d <= hi, of each row of r with first[t, i] and second[t, j], D_ij =
     beta[t] + (r_j - r_i) / ((j - i) h), h = 1 / n and s the sign of
-    beta[t], summed pair by pair."""
+    beta[t], summed pair by pair; f holds half of each pair's term at each
+    end."""
     f, grad = np.zeros(r.shape), np.zeros(r.shape)
     width = r.shape[1]
     d = np.arange(lo + 1, min(hi, width - 1) + 1)
@@ -529,7 +530,8 @@ def direct_pairs(r, beta, c, n, lo, hi, first, second):
         dm = (j - i) / n
         s = -1.0 if beta[t] < 0 else 1.0
         sD = s * (beta[t] + (r[t, j] - r[t, i]) / dm)
-        f[t] = np.bincount(i, polynomial.polyval(sD, c), width)
+        half = 0.5 * polynomial.polyval(sD, c)
+        f[t] = np.bincount(i, half, width) + np.bincount(j, half, width)
         slope = s * polynomial.polyval(sD, polynomial.polyder(c)) / dm
         grad[t] = np.bincount(j, slope, width) - np.bincount(i, slope, width)
     return f, grad
@@ -557,10 +559,11 @@ class TestFarPairs:
             assert f.shape == grad.shape == (n,)
             assert_near_far_matches((f.sum(), grad), (want.sum(), want_grad[0]))
 
-    # the global sums, symmetric, against the masked engine's V and T
-    # products with every position a first and a second midpoint, on r as
-    # _far_terms centres it; an odd phi's far sum on the hat (beta = 0)
-    # cancels to rounding, so the energies compare within the sum of |f|
+    # the global sums, one 1-D row with a scalar slope, against the same
+    # row as a batch of one window with its slope in a column and an
+    # all-true mask, on r as _far_terms centres it; an odd phi's far sum on
+    # the hat (beta = 0) cancels to rounding, so the energies compare
+    # within the sum of |f|
     @pytest.mark.parametrize("n", [512, 4096])
     @pytest.mark.parametrize("integrand", POLYNOMIAL + hand_built(), ids=lambda i: i.name)
     def test_symmetric_sums_match_the_masked_engine(self, integrand, n):
@@ -572,38 +575,43 @@ class TestFarPairs:
             r -= 0.5 * (r.max() + r.min())
             f, grad = energy._far_pairs(r, beta, integrand, n, band, n - band - 1, 2 * n, True)
             want, want_grad = energy._far_pairs(r[None], np.array([beta]), integrand, n, band,
-                                                n - band - 1, 2 * n, True, everywhere, everywhere)
+                                                n - band - 1, 2 * n, True, everywhere)
             assert abs(f.sum() - want.sum()) <= 1e-13 * np.abs(want).sum()
             assert np.max(np.abs(grad - want_grad[0])) <= 1e-13 * np.max(np.abs(want_grad))
 
-    # windows of 2 B values whose first B are first midpoints, as
-    # _block_pairs lays them out; the last window is ragged, with 2 B / 3
-    # values, and the three slopes have both signs and 0
+    # windows of 2 B values, each with its own slope and a mask of its valid
+    # positions: the first window's first B // 2 are masked, as the blocks'
+    # first window is left of a, and the last window is ragged, with 2 B / 3
+    # values; the three slopes have both signs and 0. The products have
+    # length 4 B, so that nothing wraps
     @pytest.mark.parametrize("B", [32, 100, 256])
     @pytest.mark.parametrize("integrand", POLYNOMIAL + hand_built(), ids=lambda i: i.name)
     def test_windows_match_a_direct_masked_sum(self, integrand, B):
         c = np.array(integrand.phi_coefficients)
         n, width, lo, hi = 4096, 2 * B, B // 4, B - 3
         k = np.arange(width)
-        valid = np.array([width, width, width // 3])[:, None]
-        second = k < valid
-        first = second & (k < B)
+        valid = ((k >= np.array([B // 2, 0, 0])[:, None])
+                 & (k < np.array([width, width, width // 3])[:, None]))
         rng = np.random.default_rng(B)
-        r = rng.uniform(-1.0, 1.0, (3, width)) * second
+        r = rng.uniform(-1.0, 1.0, (3, width))
         beta = np.array([0.7, 0.0, -1.3])
-        want, want_grad = direct_pairs(r, beta, c, n, lo, hi, first, second)
-        f, grad = energy._far_pairs(r, beta, integrand, n, lo, hi, width, True, first, second)
-        assert not f[~first].any() and not grad[~second].any()
+        want, want_grad = direct_pairs(r, beta, c, n, lo, hi, valid, valid)
+        f, grad = energy._far_pairs(r, beta, integrand, n, lo, hi, 2 * width, True, valid)
+        assert not f[~valid].any() and not grad[~valid].any()
         for t in range(3):
             assert_near_far_matches((f[t].sum(), grad[t]), (want[t].sum(), want_grad[t]))
             assert np.max(np.abs(f[t] - want[t])) <= 1e-11 * np.max(np.abs(want[t]))
-        value, _ = energy._far_pairs(r, beta, integrand, n, lo, hi, width, False, first, second)
+        value, _ = energy._far_pairs(r, beta, integrand, n, lo, hi, 2 * width, False, valid)
         assert np.array_equal(value, f)
 
-    # for a quartic, n = 2100 has the band 131 and blocks of B = 135 first
-    # midpoints, the least 5-smooth length >= 131, whose last one holds 75;
-    # n = 4096 the band 256 and 16 whole blocks
-    @pytest.mark.parametrize("n", [2100, 4096])
+    # windows of width, the least 5-smooth number >= 4 band, keep B = width
+    # - 2 band central values each. For a quartic, n = 2048 has the band
+    # 128, where the blocks start, and 8 whole blocks of 256; n = 2049 the
+    # same windows, whose 9th block holds one value; n = 2100 the band 131,
+    # width 540 and blocks of 278, the last holding 154; n = 4096 the band
+    # 256 and 8 whole blocks of 512. U^6's band is about n / 5, and its
+    # windows about 0.76 n
+    @pytest.mark.parametrize("n", [2048, 2049, 2100, 4096])
     @pytest.mark.parametrize("integrand", [two_well_full(), power_p(4), hand_built()[2]],
                              ids=lambda i: i.name)
     def test_blocks_match_a_direct_sum(self, integrand, n):
