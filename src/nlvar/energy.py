@@ -20,7 +20,14 @@ half-square Hessian P, and _packed_inverse factors both.
 What depends on n alone is kept per n, read-only: the midpoints laid out
 twice, the dense fold's pair distances for n <= FOLD_PLAN_MAX_N
 (_fold_distances) and the factor of P (_half_square_inverse), two sizes
-each for the last two; everything else computes its distances per block.
+each for the last two. So is what the near/far path's calls in one solve
+share, as its end values fix the slope beta: the size rule per (n, c)
+(_sizes_split, 64 entries of two numbers), the near rows' distances per
+(n, rows) for n <= FOLD_PLAN_MAX_N (_near_distances, 4 entries of at most
+2.0 MiB for a built-in density) and one row's far weights per (n, FFT
+length, pair range, bits of c') (_row_weights, 8 entries of 1.9 MiB for a
+quartic at n = 8192). Each fills on its first call; everything else
+computes its distances, and the windows their weights, per call.
 
 The fold sums n^2 / 2 pairs per call. A density that carries phi's
 coefficients (a polynomial phi) may take the near/far path instead, above
@@ -151,8 +158,19 @@ def _fold_distances(n: int) -> np.ndarray:
     (n // 2 + 1) bytes. The near/far path never builds it, so where that
     path runs only the densities without phi coefficients, or the dense
     fold's fallbacks, do."""
+    return _near_distances.__wrapped__(n, n // 2 + 1)
+
+
+# four entries: the benchmark's solves alternate three plans a round, at n =
+# 256 (two-well) and 512 (degree 2, power:3)
+@lru_cache(maxsize=4)
+def _near_distances(n: int, rows: int) -> np.ndarray:
+    """Rows 0..rows - 1 of _fold_distances(n), read-only, built on their
+    own: the near/far path's near rows for n <= FOLD_PLAN_MAX_N, 8 n rows
+    bytes, at most 2.0 MiB for a built-in density (a quartic's 128 rows at
+    n = 2047)."""
     m = Grid1D(n).midpoints
-    dm = _windows(_midpoints_twice(n), 0, 1, (n // 2 + 1, n)) - m
+    dm = _windows(_midpoints_twice(n), 0, 1, (rows, n)) - m
     dm[0] = np.inf
     dm.setflags(write=False)
     return dm
@@ -248,28 +266,41 @@ class _Plan(NamedTuple):
     unsigned: Optional[np.ndarray]
 
 
-def _plan(values: np.ndarray, c: tuple[float, ...]) -> Optional[_Plan]:
+def _plan(values: np.ndarray, c: tuple[float, ...],
+          split: Optional[tuple[int, int]] = None) -> Optional[_Plan]:
     """The plan of the near/far path on the n + 1 nodal values for phi's
-    coefficients c, at _split's near rows and band, with _unsigned_cells
-    for a phi with an odd coefficient; None where _split gives None."""
-    split = _split(values.size - 1, c)
+    coefficients c, at split's near rows and band (_split's by default),
+    with _unsigned_cells for a phi with an odd coefficient; None where
+    _split gives None."""
+    split = split or _split(values.size - 1, c)
     if split is None:
         return None
     near, band = split
     return _Plan(near, band, _unsigned_cells(values, band) if any(c[1::2]) else None)
 
 
+@lru_cache(maxsize=64)
+def _sizes_split(n: int, c: tuple[float, ...]) -> Optional[tuple[int, int]]:
+    """_split(n, c) where the size rule lets the near/far path run, None
+    where it does not: n below NEAR_FAR_FROM_N, or n up to NEAR_FAR_ABOVE_N
+    that is not 5-smooth or whose near rows exceed n // 8. It reads n and
+    c's degree and odd coefficients only, so it is kept per (n, c)."""
+    split = _split(n, c) if n >= NEAR_FAR_FROM_N else None
+    if split is None or (n <= NEAR_FAR_ABOVE_N and (_five_smooth(n) != n or split[0] > n // 8)):
+        return None
+    return split
+
+
 def _near_far(values: np.ndarray, c: Optional[tuple[float, ...]]) -> Optional[_Plan]:
     """_plan of the near/far path on the n + 1 nodal values for phi's
     coefficients c, or None where the dense fold runs: a density without
-    coefficients, _split's None, n below NEAR_FAR_FROM_N, n up to
-    NEAR_FAR_ABOVE_N that is not 5-smooth or whose near rows exceed n // 8,
-    and for an odd phi too many unsigned cells (_direct_pays)."""
+    coefficients, _split's None or the size rule's (_sizes_split), and for
+    an odd phi too many unsigned cells (_direct_pays)."""
     n = values.size - 1
-    split = _split(n, c) if c is not None and n >= NEAR_FAR_FROM_N else None
-    if split is None or (n <= NEAR_FAR_ABOVE_N and (_five_smooth(n) != n or split[0] > n // 8)):
+    split = None if c is None else _sizes_split(n, c)
+    if split is None:
         return None
-    plan = _plan(values, c)
+    plan = _plan(values, c, split)
     return plan if plan.unsigned is None or _direct_pays(plan.unsigned, n, plan.band) else None
 
 
@@ -323,7 +354,8 @@ def _fold(grid: Grid1D, values: np.ndarray, integrand: Integrand, with_grad: boo
         col, skew = np.zeros(n), np.zeros(n)
         pair = np.empty((min(rows, _block_rows(n)), 2 * n))
         flat = pair.reshape(-1)
-    distances = _fold_distances(n) if plan is None and n <= FOLD_PLAN_MAX_N else None
+    distances = None if n > FOLD_PLAN_MAX_N else (
+        _fold_distances(n) if plan is None else _near_distances(n, rows))
     column_sums = _column_sums if check else lambda P, *_, **__: P.sum(axis=0)
     require = _require_finite if check else lambda values, *_: values
     for d0, dm, D in _circulant_blocks(um, m, um, 0, 1, rows, distances):
@@ -401,6 +433,32 @@ def _far_kernels(n: int, size: int, lo: int, hi: int, degree: int) -> np.ndarray
     return spectra
 
 
+def _far_weights(K: np.ndarray, shifted: list) -> tuple[np.ndarray, ...]:
+    """W[q][p] = c'_(p+q) C(p+q, q) Z_(p+q) for p + q <= degree, the weights
+    of _far_pairs' products, from the spectra K of _far_kernels and c' =
+    shifted: numbers for one row, or columns for rows of windows."""
+    degree = len(shifted) - 1
+    return tuple(np.stack([shifted[p + q] * comb(p + q, q) * K[p + q]
+                           for p in range(degree + 1 - q)]) for q in range(degree + 1))
+
+
+# eight entries, as _far_kernels: a solve's end values fix beta, and so c',
+# for all its evaluations
+@lru_cache(maxsize=8)
+def _row_weights(n: int, size: int, lo: int, hi: int, shifted: bytes) -> tuple[np.ndarray, ...]:
+    """_far_weights, read-only, of one row with a scalar slope, keyed on the
+    bits of c' (float64 bytes): not on the density or beta, as two densities
+    with the same coefficients may round phi(beta) differently, nor on c' as
+    numbers, which would take -0.0 for 0.0. An entry holds (degree + 1)
+    (degree + 2) / 2 spectra of size // 2 + 1 complex values: 1.9 MiB for a
+    quartic at n = 8192 (size 2 n), where eight entries hold 15 MiB."""
+    c = np.frombuffer(shifted).tolist()
+    W = _far_weights(_far_kernels(n, size, lo, hi, len(c) - 1), c)
+    for w in W:
+        w.setflags(write=False)
+    return W
+
+
 def _far_pairs(r: np.ndarray, beta, integrand: Integrand, n: int, lo: int, hi: int,
                size: int, with_grad: bool, valid: Optional[np.ndarray] = None):
     """(f, gradient of sum(f) in r, or None), each shaped like r: the
@@ -422,35 +480,36 @@ def _far_pairs(r: np.ndarray, beta, integrand: Integrand, n: int, lo: int, hi: i
         f = sum_p (-r)^p V_p / 2,   V_p = sum_q w_pq Z_(p+q) r^q,
 
     and the gradient is -sum_p p (-r)^(p-1) V_p, from the same products:
-    one batched rfft of the powers of r, times valid, and one batched irfft
-    of length size. The products are circular: position i also pairs with
-    i + d +- size, so a row of at most size - hi positions sees no wrapped
-    term, and a longer one sees them only within hi of its ends."""
+    one batched rfft of the powers of r, times valid, one product per q of
+    the weights w_pq Z_(p+q) (_far_weights; kept per row by _row_weights)
+    for all p, and one batched irfft of length size. The products are
+    circular: position i also pairs with i + d +- size, so a row of at
+    most size - hi positions sees no wrapped term, and a longer one sees
+    them only within hi of its ends."""
     from numpy.fft import irfft, rfft  # here, so `import nlvar` loads no numpy.fft
     c, width, windows = integrand.phi_coefficients, r.shape[-1], r.ndim > 1
     degree = len(c) - 1
-    # one row's sign and coefficients as numbers, which numpy multiplies
-    # into an array faster; a column per row of windows
+    # one row's sign as a number, which numpy multiplies into an array
+    # faster, and its weights read by the bits of c'; a column of each per
+    # row of windows
     s = _sign(beta) if windows else float(_sign(beta))
     # c'_k = phi^(k)(beta) / k!, from the closed forms for k <= 2: near a
     # root of phi the monomial sums cancel, and phi(beta) weighs every pair
     shifted = ([integrand.w(beta), integrand.w_U(beta), 0.5 * integrand.w_UU(beta)]
                + [sum(comb(j, k) * c[j] * s ** j * beta ** (j - k) for j in range(k, degree + 1))
                   for k in range(3, degree + 1)])[:degree + 1]
-    shifted = [x[:, None] if windows else float(x) for x in shifted]
-    K = _far_kernels(n, size, lo, hi, degree)
+    if windows:
+        W = _far_weights(_far_kernels(n, size, lo, hi, degree), [x[:, None] for x in shifted])
+    else:
+        W = _row_weights(n, size, lo, hi, np.array(shifted, float).tobytes())
     powers = _powers(r, degree)
     if valid is not None:
         powers *= valid
     R = rfft(powers, size)
-    spectra = np.empty_like(R)
-    for p, S in enumerate(spectra):
-        for q in range(degree + 1 - p):
-            wK = shifted[p + q] * comb(p + q, q) * K[p + q]
-            if q:
-                S += wK * R[q]
-            else:
-                np.multiply(wK, R[q], out=S)
+    # V_p's spectrum sums q = 0, 1, ... in turn, one product per q for all p
+    spectra = np.multiply(W[0], R[0])
+    for q in range(1, degree + 1):
+        spectra[:degree + 1 - q] += W[q] * R[q]
     V = irfft(spectra, size)[..., :width]
     x = -r
     f = _horner(V, x)

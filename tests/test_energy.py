@@ -324,7 +324,8 @@ class TestBlockedKernel:
 
 class TestFoldPlan:
     """Up to FOLD_PLAN_MAX_N cells the dense fold reads its pair distances
-    from one read-only array per n, built on the first call at that n."""
+    from one read-only array per n, built on the first call at that n, and
+    the near/far path its near rows' from one per (n, rows)."""
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 127, 128, FOLD_PLAN_MAX_N])
     def test_rows_are_the_fold_distances(self, n):
@@ -358,6 +359,35 @@ class TestFoldPlan:
         value_and_grad(NodalFunction(Grid1D(FOLD_PLAN_MAX_N), rough[:FOLD_PLAN_MAX_N + 1]),
                        power_p(3))
         assert energy._fold_distances.cache_info().currsize == 1
+
+    # the near/far path reads the fold's rows 0..near from their own array
+    # per (n, near + 1), built on its own: rows 17 for a quartic at n = 256,
+    # 2 for degree 2, 65 for power:3 at 512 and FOLD_PLAN_MAX_N
+    @pytest.mark.parametrize("n", [256, 512, FOLD_PLAN_MAX_N])
+    def test_near_rows_are_the_first_fold_distances(self, n):
+        plans = [energy._near_far(Grid1D(n).nodes, W.phi_coefficients) for W in POLYNOMIAL]
+        for rows in {plan.near + 1 for plan in plans if plan is not None}:
+            near = energy._near_distances(n, rows)
+            mm = energy._windows(energy._midpoints_twice(n), 0, 1, (rows, n))
+            want = mm - Grid1D(n).midpoints
+            assert near.shape == want.shape and np.all(near[0] == np.inf)
+            assert near[1:].tobytes() == want[1:].tobytes()
+            with pytest.raises(ValueError):
+                near[1, 0] = 0.0
+
+    def test_near_rows_only_up_to_the_plan_size(self):
+        energy._near_distances.cache_clear()
+        for n in (FOLD_PLAN_MAX_N + 1, 4096):
+            u = NodalFunction(Grid1D(n), np.random.default_rng(n).uniform(-1, 1, n + 1))
+            for W in (half_square(), two_well_full()):
+                value_and_grad(u, W)
+        assert energy._near_distances.cache_info().currsize == 0
+        # one entry per (n, rows), read by every later call at that n
+        u = NodalFunction(Grid1D(256), np.random.default_rng(256).uniform(-1, 1, 257))
+        for _ in range(3):
+            value_and_grad(u, two_well_full())
+        info = energy._near_distances.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 2)
 
 
 def same_bits(got, want):
@@ -537,11 +567,29 @@ def direct_pairs(r, beta, c, n, lo, hi, first, second):
     return f, grad
 
 
+def centred_far_input(values):
+    """(r, beta) of the global far sums, as _far_terms centres them."""
+    n = values.size - 1
+    a, beta = 0.5 * (values[:-1] + values[1:]), values[-1] - values[0]
+    r = a - (values[0] + beta * Grid1D(n).midpoints)
+    return r - 0.5 * (r.max() + r.min()), beta
+
+
+def far_sums(n, integrand, r, beta):
+    """The bytes of the global far sums' f and gradient at _split's band."""
+    _, band = energy._split(n, integrand.phi_coefficients)
+    f, grad = energy._far_pairs(r, beta, integrand, n, band, n - band - 1, 2 * n, True)
+    return f.tobytes() + grad.tobytes()
+
+
 class TestFarPairs:
     """_far_pairs, whose powers are repeated products, against a direct sum
     of P(s D_ij) and its gradient in r, with max |r| near 1: over the far
     pairs band < j - i < n - band of one row, and over masked windows of
-    the pairs lo < j - i <= hi, one slope per window."""
+    the pairs lo < j - i <= hi, one slope per window. One row's weights
+    c'_(p+q) C(p+q, q) Z_(p+q) are kept per n, FFT length, pair range and
+    the bits of c' (_row_weights): a call that reads them gives the bits of
+    one that builds them."""
 
     @pytest.mark.parametrize("n", [300, 512])
     @pytest.mark.parametrize("integrand", POLYNOMIAL + hand_built(), ids=lambda i: i.name)
@@ -570,9 +618,7 @@ class TestFarPairs:
         _, band = energy._split(n, integrand.phi_coefficients)
         everywhere = np.ones((1, n), bool)
         for values in near_far_profiles(n).values():
-            a, beta = 0.5 * (values[:-1] + values[1:]), values[-1] - values[0]
-            r = a - (values[0] + beta * Grid1D(n).midpoints)
-            r -= 0.5 * (r.max() + r.min())
+            r, beta = centred_far_input(values)
             f, grad = energy._far_pairs(r, beta, integrand, n, band, n - band - 1, 2 * n, True)
             want, want_grad = energy._far_pairs(r[None], np.array([beta]), integrand, n, band,
                                                 n - band - 1, 2 * n, True, everywhere)
@@ -625,6 +671,64 @@ class TestFarPairs:
                                            everywhere)
             f, grad = energy._block_pairs(a, integrand, near, band, True)
             assert_near_far_matches((f.sum(), grad), (want.sum(), want_grad[0]))
+
+    @pytest.mark.parametrize("n", [256, 512, 4096])
+    @pytest.mark.parametrize("integrand", POLYNOMIAL, ids=lambda i: i.name)
+    def test_warm_weights_give_the_cold_bits(self, integrand, n):
+        for values in near_far_profiles(n).values():
+            r, beta = centred_far_input(values)
+            energy._row_weights.cache_clear()
+            cold = far_sums(n, integrand, r, beta)
+            assert far_sums(n, integrand, r, beta) == cold
+            assert energy._row_weights.cache_info()[:2] == (1, 1)  # hits, misses
+
+    # half-square's c'_1 = w_U(beta) is -0.0 at beta = -0.0: the key holds
+    # c''s bits, so neither zero reads the other's weights
+    @pytest.mark.parametrize("integrand", POLYNOMIAL + hand_built(), ids=lambda i: i.name)
+    def test_signed_zero_slopes_give_the_bits_of_a_cold_call(self, integrand):
+        n = 512
+        r, _ = centred_far_input(near_far_profiles(n)["hat"])
+        cold = {}
+        for beta in (0.0, -0.0):
+            energy._row_weights.cache_clear()
+            cold[beta.hex()] = far_sums(n, integrand, r, beta)
+        for first, second in ((0.0, -0.0), (-0.0, 0.0)):
+            energy._row_weights.cache_clear()
+            far_sums(n, integrand, r, first)
+            assert far_sums(n, integrand, r, second) == cold[second.hex()]
+        if integrand.name == "half-square":
+            assert energy._row_weights.cache_info().currsize == 2
+
+    def test_equal_coefficients_share_weights(self):
+        n = 512
+        r, beta = centred_far_input(near_far_profiles(n)["smooth"])
+        energy._row_weights.cache_clear()
+        half, mass = (far_sums(n, W, r, beta) for W in (half_square(), quadratic_mass()))
+        assert half == mass
+        info = energy._row_weights.cache_info()
+        assert (info.currsize, info.hits) == (1, 1)
+
+    def test_weights_are_read_only(self):
+        n = 512
+        _, band = energy._split(n, two_well_full().phi_coefficients)
+        weights = energy._row_weights(n, 2 * n, band, n - band - 1,
+                                      np.array([0.25, 0.0, -0.5, 0.0, 0.25]).tobytes())
+        assert [w.shape for w in weights] == [(5 - q, n + 1) for q in range(5)]
+        for w in weights:
+            with pytest.raises(ValueError):
+                w[0, 0] = 0.0
+
+    # a quartic's entry keeps the 15 spectra with p + q <= 4, not all 25
+    def test_weights_are_bounded_as_their_docstring_says(self):
+        n = 8192
+        _, band = energy._split(n, two_well_full().phi_coefficients)
+        weights = energy._row_weights(n, 2 * n, band, n - band - 1,
+                                      np.array([0.25, 0.0, -0.5, 0.0, 0.25]).tobytes())
+        mib = sum(w.nbytes for w in weights) / 2 ** 20
+        maxsize = energy._row_weights.cache_info().maxsize
+        assert f"{mib:.1f} MiB" == "1.9 MiB" and f"{maxsize * mib:.0f} MiB" == "15 MiB"
+        assert "1.9 MiB" in energy._row_weights.__doc__ and "15 MiB" in energy._row_weights.__doc__
+        energy._row_weights.cache_clear()
 
 
 class TestSignCells:

@@ -3,6 +3,8 @@ that a rename of the kernel names they read fails here, not by hand."""
 
 import hashlib
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -102,6 +104,23 @@ def test_workload_ops_prints_a_median_per_operation(capsys):
                              for op in ("value", "gradient")]
     assert all(ms > 0 for ms in medians.values())
     assert capsys.readouterr().out.strip() == json.dumps(medians)
+
+
+# against its own checkout, loaded a second time under another package
+# name whose caches are its own: both medians of each operation, side by
+# side, and their ratio
+def test_workload_ops_against_a_checkout_prints_both_medians(capsys):
+    root = Path(workload_ops.__file__).resolve().parent.parent
+    medians = workload_ops.main(["--workload", "large-n", "--rounds", "1", "--against",
+                                 str(root)])
+    assert list(medians) == [f"{name}/{op}" for name in ("half-square", "power:3", "two-well")
+                             for op in ("value", "gradient")]
+    assert all(this > 0 and other > 0 and ratio == round(this / other, 4)
+               for this, other, ratio in medians.values())
+    assert capsys.readouterr().out.strip() == json.dumps(medians)
+    against = sys.modules["nlvar_against"]
+    assert against.energy is not energy
+    assert Path(against.energy.__file__) == root / "src" / "nlvar" / "energy.py"
 
 
 # n = 64 on the dense fold, 256 on the path for degree 2 and the quartics:
