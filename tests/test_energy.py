@@ -1,5 +1,6 @@
 import dataclasses
 import warnings
+from math import comb
 
 import numpy as np
 import pytest
@@ -681,6 +682,28 @@ class TestFarPairs:
             cold = far_sums(n, integrand, r, beta)
             assert far_sums(n, integrand, r, beta) == cold
             assert energy._row_weights.cache_info()[:2] == (1, 1)  # hits, misses
+
+    # the reference: each spectrum p summed term by term, q = 0, 1, ..., of
+    # (c'_(p+q) C(p+q, q)) Z_(p+q) R_q, as _far_pairs did before its
+    # weights; the weights' products over all p at once, one q at a time,
+    # give its bits, for one row (numbers) and for windows (columns)
+    def test_weights_give_the_bits_of_the_term_by_term_products(self):
+        n, size, lo, hi, degree = 512, 1024, 32, 479, 4
+        K = energy._far_kernels(n, size, lo, hi, degree)
+        rng = np.random.default_rng(4)
+        for shape in ((), (3,)):
+            shifted = [rng.uniform(-1.0, 1.0, shape + (1,) * len(shape)) for _ in range(5)]
+            shifted = [x if shape else float(x) for x in shifted]
+            R = np.fft.rfft(rng.uniform(-1.0, 1.0, (degree + 1,) + shape + (size,)))
+            W = tuple(energy._far_weights(K, shifted))
+            got = np.multiply(W[0], R[0])
+            for q in range(1, degree + 1):
+                got[:degree + 1 - q] += W[q] * R[q]
+            for p in range(degree + 1):
+                want = shifted[p] * comb(p, 0) * K[p] * R[0]
+                for q in range(1, degree + 1 - p):
+                    want += shifted[p + q] * comb(p + q, q) * K[p + q] * R[q]
+                assert got[p].tobytes() == want.tobytes()
 
     # half-square's c'_1 = w_U(beta) is -0.0 at beta = -0.0: the key holds
     # c''s bits, so neither zero reads the other's weights
