@@ -12,10 +12,10 @@ one JSON object of milliseconds by operation. With --against DIR, it also
 loads DIR/src/nlvar, another checkout's package, as the package
 nlvar_against, builds the same workload on it, and runs each operation of
 both in turn every round, the first of the pair alternating; it prints, by
-operation, [this checkout's median, DIR's median, their ratio]. The host's
-speed can drift between processes (the same bolza solve took 88 and 157 ms
-a call in runs minutes apart), so only timings taken side by side in one
-process compare two checkouts. Run as a script, it first
+operation, [this checkout's median, DIR's median, their ratio]. A shared
+host's speed can drift between processes (a two-well call at n = 256 read
+192 us in one run and 300 us in one an hour later on a 2-vCPU VM), so only
+timings taken side by side in one process compare two checkouts. Run as a script, it first
 re-executes itself in perfbench/run.py's worker environment where that is
 missing (WORKER_ENV): one BLAS thread, and glibc malloc serving blocks
 under 32 MiB from a heap it never trims. Both malloc settings count:
@@ -50,11 +50,12 @@ WORKER_ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THRE
               "MALLOC_MMAP_THRESHOLD_": str(32 << 20), "MALLOC_TRIM_THRESHOLD_": str(1 << 32)}
 
 
-def load_package(checkout: Path, name: str = "nlvar_against"):
-    """checkout/src/nlvar imported as the package name, beside this
+def load_package(checkout: Path):
+    """checkout/src/nlvar imported as the package nlvar_against, beside this
     checkout's nlvar: its modules import each other relatively, so they
-    load as name's submodules, replacing any loaded before. The figures
+    load as its submodules, replacing any loaded before. The figures
     workload reads its cli."""
+    name = "nlvar_against"
     for key in [key for key in sys.modules if key == name or key.startswith(f"{name}.")]:
         del sys.modules[key]
     init = Path(checkout) / "src" / "nlvar" / "__init__.py"
