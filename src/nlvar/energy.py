@@ -17,17 +17,18 @@ the fold and _residuals (the kernel of optimality.py) read, and LAPACK's
 packed storage: _hessian gives the Newton steps' matrix and the
 half-square Hessian P, and _packed_inverse factors both.
 
-What depends on n alone is kept per n, read-only: the midpoints laid out
-twice, the dense fold's pair distances for n <= FOLD_PLAN_MAX_N
-(_fold_distances) and the factor of P (_half_square_inverse), two sizes
-each for the last two. So is what the near/far path's calls in one solve
-share, as its end values fix the slope beta: the size rule per (n, c)
-(_sizes_split, 64 entries of two numbers), the near rows' distances per
-(n, rows) for n <= FOLD_PLAN_MAX_N (_near_distances, 4 entries of at most
-2.0 MiB for a built-in density) and one row's far weights per (n, FFT
-length, pair range, bits of c') (_row_weights, 8 entries of 1.9 MiB for a
-quartic at n = 8192). Each fills on its first call; everything else
-computes its distances, and the windows their weights, per call.
+Six caches keep state between calls, read-only. Four hold what depends on
+the size alone: per n the midpoints laid out twice (_midpoints_twice), the
+fold's pair distances for n <= FOLD_PLAN_MAX_N (_fold_distances, whose
+rows 0..near the near/far path reads too) and the factor of P
+(_half_square_inverse), two sizes each for the last two, and per (n, FFT
+length, pair range, degree) the far kernels' spectra (_far_kernels). Two
+hold what the near/far path's calls in one solve share, as its end values
+fix the slope beta: the size rule per (n, c) (_sizes_split, 64 entries of
+two numbers) and one row's far weights per (n, FFT length, pair range,
+bits of c') (_row_weights, 8 entries of 1.9 MiB for a quartic at n =
+8192). Each fills on its first call; everything else computes its
+distances, and the windows their weights, per call.
 
 The fold sums n^2 / 2 pairs per call. A density that carries phi's
 coefficients (a polynomial phi) may take the near/far path instead, above
@@ -95,11 +96,9 @@ SIGN_CELL = 64
 
 # an even phi of degree >= 4 sums the pairs at band // 4 < d <= band in
 # blocks (_block_pairs) where its band is at least this many rows, from
-# n = 2048 for a quartic. Blocks of one-sided windows lost to the fold rows
-# they replace at nearly every n up to 1504 (band 94) and won from 1792 on;
-# the overlapping windows took 0.57-1.01 of the rows' time at n =
-# 1024-2048 (tests/near_far_scan.py --blocks, one BLAS thread), but a lower
-# cut would change the bits below n = 2048
+# n = 2048 for a quartic. The blocks took 0.57-1.01 of the time of the fold
+# rows they replace at n = 1024-2048 (tests/near_far_scan.py --blocks, one
+# BLAS thread), but a lower cut would change the bits below n = 2048
 BLOCKS_FROM_BAND = 128
 
 
@@ -142,35 +141,22 @@ def _midpoints_twice(n: int) -> np.ndarray:
     return m
 
 
-# the dense fold keeps its plan up to this many cells; above it the blocks
-# compute their distances, as the near rows' always do
+# the fold keeps its pair distances up to this many cells; above it the
+# blocks compute theirs
 FOLD_PLAN_MAX_N = 2048
 
 
-# two sizes: the benchmark's figures alternate n = 128 and 64 (fig4); its
-# solves read it only on power:3's fallback at 512, as two-well takes the
-# near/far path at 256
+# two sizes: the benchmark's figures alternate n = 128 and 64 (fig4), and
+# its solves 256 (two-well's near rows) and 512 (power:3's fallback)
 @lru_cache(maxsize=2)
 def _fold_distances(n: int) -> np.ndarray:
-    """The fold's dm = m_j - m_i, read-only, which the dense fold reads for
-    n <= FOLD_PLAN_MAX_N cells: row d, 0 <= d <= n // 2, column i holds j =
-    (i + d) mod n, and row 0, the diagonal of cell slopes, is infinite: 8 n
-    (n // 2 + 1) bytes. The near/far path never builds it, so where that
-    path runs only the densities without phi coefficients, or the dense
-    fold's fallbacks, do."""
-    return _near_distances.__wrapped__(n, n // 2 + 1)
-
-
-# four entries: the benchmark's solves alternate three plans a round, at n =
-# 256 (two-well) and 512 (degree 2, power:3)
-@lru_cache(maxsize=4)
-def _near_distances(n: int, rows: int) -> np.ndarray:
-    """Rows 0..rows - 1 of _fold_distances(n), read-only, built on their
-    own: the near/far path's near rows for n <= FOLD_PLAN_MAX_N, 8 n rows
-    bytes, at most 2.0 MiB for a built-in density (a quartic's 128 rows at
-    n = 2047)."""
+    """The fold's dm = m_j - m_i, read-only, for n <= FOLD_PLAN_MAX_N
+    cells: row d, 0 <= d <= n // 2, column i holds j = (i + d) mod n, and
+    row 0, the diagonal of cell slopes, is infinite: 8 n (n // 2 + 1)
+    bytes. The dense fold reads every row, the near/far path rows
+    0..near."""
     m = Grid1D(n).midpoints
-    dm = _windows(_midpoints_twice(n), 0, 1, (rows, n)) - m
+    dm = _windows(_midpoints_twice(n), 0, 1, (n // 2 + 1, n)) - m
     dm[0] = np.inf
     dm.setflags(write=False)
     return dm
@@ -354,8 +340,7 @@ def _fold(grid: Grid1D, values: np.ndarray, integrand: Integrand, with_grad: boo
         col, skew = np.zeros(n), np.zeros(n)
         pair = np.empty((min(rows, _block_rows(n)), 2 * n))
         flat = pair.reshape(-1)
-    distances = None if n > FOLD_PLAN_MAX_N else (
-        _fold_distances(n) if plan is None else _near_distances(n, rows))
+    distances = None if n > FOLD_PLAN_MAX_N else _fold_distances(n)[:rows]
     column_sums = _column_sums if check else lambda P, *_, **__: P.sum(axis=0)
     require = _require_finite if check else lambda values, *_: values
     for d0, dm, D in _circulant_blocks(um, m, um, 0, 1, rows, distances):
@@ -438,9 +423,7 @@ def _far_weights(K: np.ndarray, shifted: list) -> Iterator[np.ndarray]:
     q) Z_(p+q): the weights of _far_pairs' products, from the spectra K of
     _far_kernels and c' = shifted, numbers for one row or columns for rows
     of windows. Each W[q] is written in place when it is asked for, so the
-    windows' products read one q's weights at a time: with all of them
-    built first, two-well's blocks at n = 4096 took 1.09x as long as the
-    products of one (p, q) at a time, and 1.03x as long this way."""
+    windows' products read one q's weights at a time."""
     degree = len(shifted) - 1
     shape = np.broadcast_shapes(np.shape(shifted[0]), K.shape[1:])
     for q in range(degree + 1):

@@ -29,11 +29,13 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from .energy import NonFiniteEnergyError, _half_square_inverse, _hessian, _packed_inverse
-# minimize evaluates every iterate through this one name, which a tracer
-# can wrap; it takes raw nodal values, not a NodalFunction
+# minimize evaluates every iterate through this one name, on raw nodal
+# values, not a NodalFunction; the tests wrap it to count evaluations
 from .energy import _quadrature
-# the benchmark's tracer (perfbench/tracer.py) patches these two on this
-# module by name, so they stay importable from here
+# perfbench/tracer.py wraps these two on this module by name and sets the
+# wrapped ones as nlvar.energy_value and nlvar.energy_gradient, which its
+# workloads call; minimize calls neither, and the tracer wraps no
+# _quadrature, so the evaluations of a solve are not among its spans
 from .energy import energy_gradient, energy_value  # noqa: F401
 from .grid import Grid1D, NodalFunction
 from .integrands import Integrand
@@ -91,6 +93,12 @@ def default_grad_tol(n: int) -> float:
 
 @dataclass(frozen=True)
 class MinimizeResult:
+    """The solve's last iterate and its counts. converged says whether the
+    gradient norm met the tolerance. A solve that did not converge stopped
+    at max_iters, or earlier (iters < max_iters) after an accepted step
+    that left every bit of the iterate unchanged: from there on each
+    iteration would repeat the last one exactly."""
+
     u: NodalFunction
     energy: float
     grad_norm: float
@@ -181,8 +189,9 @@ def minimize(
     cfg: Optional[SolverConfig] = None,
 ) -> MinimizeResult:
     """Descend the discrete energy from init until the gradient norm meets
-    cfg.grad_tol (default_grad_tol(n) when None) or max_iters is exhausted,
-    with Newton steps near the minimizer where they apply (module docstring).
+    cfg.grad_tol (default_grad_tol(n) when None), max_iters is exhausted or
+    an accepted step leaves the iterate unchanged (MinimizeResult), with
+    Newton steps near the minimizer where they apply (module docstring).
 
     The energy trace is non-increasing at every accepted step. A trial step
     whose energy or gradient is non-finite is rejected like one without
@@ -255,6 +264,9 @@ def minimize(
                 )
 
         z_new = trial.copy()
+        # a step that moves no bit of z leaves z, f, g, the pairs and so the
+        # next direction as they were: every later iteration would repeat it
+        stalled = z_new.tobytes() == z.tobytes()
         s = z_new - z
         y = g_new - g
         sy = float(s.dot(y))
@@ -264,6 +276,8 @@ def minimize(
         gnorm = math.sqrt(g.dot(g))
         iters += 1
         trace.append((f, gnorm))
+        if stalled:
+            break
 
     vals[1:-1] = z
     return MinimizeResult(

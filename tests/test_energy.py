@@ -324,9 +324,9 @@ class TestBlockedKernel:
 
 
 class TestFoldPlan:
-    """Up to FOLD_PLAN_MAX_N cells the dense fold reads its pair distances
-    from one read-only array per n, built on the first call at that n, and
-    the near/far path its near rows' from one per (n, rows)."""
+    """Up to FOLD_PLAN_MAX_N cells the fold reads its pair distances from one
+    read-only array per n, built on the first call at that n: the dense
+    fold every row of it, the near/far path its rows 0..near."""
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 127, 128, FOLD_PLAN_MAX_N])
     def test_rows_are_the_fold_distances(self, n):
@@ -341,54 +341,83 @@ class TestFoldPlan:
             energy._fold_distances(8)[1, 0] = 0.0
 
     def test_none_above_the_crossover_or_for_residuals(self):
-        # the near/far path never builds the plan, from the crossover to
-        # FOLD_PLAN_MAX_N and above (at n = 4096 it would hold 67 MB), nor
-        # do the residual's two layouts (33 MB at n = 2048). power:3 takes
-        # the path on a monotone profile only
+        # the near/far path builds no table above FOLD_PLAN_MAX_N (at n =
+        # 4096 it would hold 67 MB), and the residual's two layouts none at
+        # all (33 MB at n = 2048). power:3 takes the path on a monotone
+        # profile only
         energy._fold_distances.cache_clear()
-        for n in (NEAR_FAR_ABOVE_N + 1, FOLD_PLAN_MAX_N, 4096):
+        residual_report(NodalFunction.linear(Grid1D(1024), 0.0, 1.0), power_p(3))
+        for n in (4096, NEAR_FAR_ABOVE_N + 1, FOLD_PLAN_MAX_N):
             grid = Grid1D(n)
             rough = np.random.default_rng(n).uniform(-1, 1, n + 1)
             for W, values in ((half_square(), rough), (power_p(3), grid.nodes ** 2)):
                 u = NodalFunction(grid, values)
                 energy_value(u, W)
                 value_and_grad(u, W)
-        residual_report(NodalFunction.linear(Grid1D(1024), 0.0, 1.0), power_p(3))
-        assert energy._fold_distances.cache_info().currsize == 0
-        # the dense fold builds it: power:3 on the rough profile, whose far
-        # pairs' sign is mostly unknown
+            if n == 4096:
+                assert energy._fold_distances.cache_info().currsize == 0
+        # up to FOLD_PLAN_MAX_N the path builds the table of its n, once
+        info = energy._fold_distances.cache_info()
+        assert (info.currsize, info.misses) == (2, 2)
+        # and the dense fold reads the same one: power:3 on the rough
+        # profile, whose far pairs' sign is mostly unknown
         value_and_grad(NodalFunction(Grid1D(FOLD_PLAN_MAX_N), rough[:FOLD_PLAN_MAX_N + 1]),
                        power_p(3))
-        assert energy._fold_distances.cache_info().currsize == 1
+        info = energy._fold_distances.cache_info()
+        assert (info.currsize, info.misses) == (2, 2)
 
-    # the near/far path reads the fold's rows 0..near from their own array
-    # per (n, near + 1), built on its own: rows 17 for a quartic at n = 256,
-    # 2 for degree 2, 65 for power:3 at 512 and FOLD_PLAN_MAX_N
+    # the near/far path hands the generator rows 0..near of the fold's
+    # table: 17 rows for a quartic at n = 256, 2 for degree 2, 65 for
+    # power:3 at 512 and FOLD_PLAN_MAX_N; the dense fold (power:3 at 256,
+    # whose near rows exceed n // 8) all n // 2 + 1
     @pytest.mark.parametrize("n", [256, 512, FOLD_PLAN_MAX_N])
-    def test_near_rows_are_the_first_fold_distances(self, n):
-        plans = [energy._near_far(Grid1D(n).nodes, W.phi_coefficients) for W in POLYNOMIAL]
-        for rows in {plan.near + 1 for plan in plans if plan is not None}:
-            near = energy._near_distances(n, rows)
-            mm = energy._windows(energy._midpoints_twice(n), 0, 1, (rows, n))
-            want = mm - Grid1D(n).midpoints
-            assert near.shape == want.shape and np.all(near[0] == np.inf)
-            assert near[1:].tobytes() == want[1:].tobytes()
+    def test_near_rows_are_the_first_fold_distances(self, n, monkeypatch):
+        handed = record_distances(monkeypatch)
+        grid = Grid1D(n)
+        paths = 0
+        for W in POLYNOMIAL:
+            plan = energy._near_far(grid.nodes, W.phi_coefficients)
+            handed.clear()
+            value_and_grad(NodalFunction(grid, grid.nodes), W)
+            rows = n // 2 + 1 if plan is None else plan.near + 1
+            table = energy._fold_distances(n)
+            assert len(handed) == 1 and handed[0].base is table
+            assert handed[0].shape == (rows, n)
+            assert handed[0].tobytes() == table[:rows].tobytes()
             with pytest.raises(ValueError):
-                near[1, 0] = 0.0
+                handed[0][1, 0] = 0.0
+            paths += plan is not None
+        assert paths >= 5
 
-    def test_near_rows_only_up_to_the_plan_size(self):
-        energy._near_distances.cache_clear()
+    def test_near_rows_only_up_to_the_plan_size(self, monkeypatch):
+        handed = record_distances(monkeypatch)
+        energy._fold_distances.cache_clear()
         for n in (FOLD_PLAN_MAX_N + 1, 4096):
             u = NodalFunction(Grid1D(n), np.random.default_rng(n).uniform(-1, 1, n + 1))
-            for W in (half_square(), two_well_full()):
+            # the near/far path, then the dense fold
+            for W in (two_well_full(), stripped(half_square())):
                 value_and_grad(u, W)
-        assert energy._near_distances.cache_info().currsize == 0
-        # one entry per (n, rows), read by every later call at that n
+        assert len(handed) == 4 and all(distances is None for distances in handed)
+        assert energy._fold_distances.cache_info().currsize == 0
+        # one entry per n, read by every later call at that n
         u = NodalFunction(Grid1D(256), np.random.default_rng(256).uniform(-1, 1, 257))
         for _ in range(3):
             value_and_grad(u, two_well_full())
-        info = energy._near_distances.cache_info()
+        info = energy._fold_distances.cache_info()
         assert (info.currsize, info.misses, info.hits) == (1, 1, 2)
+
+
+def record_distances(monkeypatch) -> list:
+    """The distances that each _circulant_blocks call is handed, in a list
+    that fills as the fold runs."""
+    handed, blocks = [], energy._circulant_blocks
+
+    def recording(um, x, ux, offset, step, rows, distances=None):
+        handed.append(distances)
+        return blocks(um, x, ux, offset, step, rows, distances)
+
+    monkeypatch.setattr(energy, "_circulant_blocks", recording)
+    return handed
 
 
 def same_bits(got, want):

@@ -11,6 +11,7 @@ import numpy as np
 import golden
 import near_far_errors
 import near_far_scan
+import solve_corpus
 import workload_ops
 from nlvar import energy
 from nlvar.energy import energy_value, value_and_grad
@@ -142,3 +143,23 @@ def test_kernel_digests_print_one_line_per_call_and_workload(capsys):
         np.float64(energy_value(u, two_well_full())).tobytes()).hexdigest()
     assert digests["two-well 256 rough value+grad"] == hashlib.sha256(
         np.float64(value).tobytes() + grad.tobytes()).hexdigest()
+
+
+# one density that converges and one that stalls at its round-off floor
+# from the zero start at n = 16 with the end values (0, 1), each with the
+# three end values: one line per solve, then the count by outcome
+def test_solve_corpus_prints_one_line_per_solve_and_the_counts(capsys):
+    counts = solve_corpus.main(["--densities", "half-square", "power:4", "--sizes", "16",
+                                "--starts", "zero"])
+    *lines, total = capsys.readouterr().out.splitlines()
+    assert [line.split()[:4] for line in lines] == [
+        [name, "16", "zero", ends] for name in ("half-square", "power:4")
+        for ends in ("0,1", "0,0", "-1,2")]
+    for line in lines:
+        end, iters, evaluations, newton, gnorm, digest = line.split()[4:]
+        assert end in ("converged", "stalled")
+        assert int(iters) < int(evaluations) and int(newton) <= int(iters)
+        assert float(gnorm) >= 0 and len(digest) == 64
+    assert lines[3].split()[4] == "stalled"
+    assert counts == {"converged": 5, "stalled": 1}
+    assert total == "outcomes: converged 5, stalled 1"

@@ -12,7 +12,7 @@ from scipy.linalg import lapack
 
 import nlvar
 from nlvar import energy, solver
-from nlvar.cli import EXIT_NUMERIC, main
+from nlvar.cli import EXIT_NOCONV, EXIT_NUMERIC, main
 from nlvar.energy import (
     NonFiniteEnergyError,
     _half_square_inverse,
@@ -609,6 +609,29 @@ class TestRoundOffStall:
         res = minimize(integrand_by_name(name), Grid1D(n), (0.0, 1.0), "linear", cfg)
         assert res.converged and res.grad_norm <= grad_tol
         assert res.newton_steps >= 1 and res.iters <= 30
+
+
+class TestUnchangedStep:
+    """With the default tolerance these convex solves reach a round-off floor
+    above it (|g| 2.1e-8 and 1.26e-8 against 1e-8), where an accepted Newton
+    step moves no bit of the iterate. The loop then repeated that step until
+    max_iters; it stops after the first such step instead, unconverged."""
+
+    @pytest.mark.parametrize("name, n, init", [("power:4", 16, "zero"), ("power:2.5", 33, "hat")])
+    def test_stops_unconverged_with_the_spun_values(self, name, n, init):
+        W, grid = integrand_by_name(name), Grid1D(n)
+        res = minimize(W, grid, (0.0, 1.0), init)
+        assert not res.converged and res.grad_norm > default_grad_tol(n)
+        assert res.iters < 30 and len(res.trace) == res.iters + 1
+        longer = minimize(W, grid, (0.0, 1.0), init, SolverConfig(max_iters=300))
+        assert res.u.values.tobytes() == longer.u.values.tobytes()
+        assert (res.energy, res.grad_norm, res.iters) == (longer.energy, longer.grad_norm,
+                                                          longer.iters)
+
+    def test_cli_exits_unconverged(self, tmp_path):
+        code = main(["minimize", "--integrand", "power:4", "--n", "16", "--init", "zero",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_NOCONV
 
 
 class TestContinuation:
