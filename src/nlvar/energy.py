@@ -17,17 +17,19 @@ the fold and _residuals (the kernel of optimality.py) read, and LAPACK's
 packed storage: _hessian gives the Newton steps' matrix and the
 half-square Hessian P, and _packed_inverse factors both.
 
-Six caches keep state between calls, read-only. Four hold what depends on
-the size alone: per n the midpoints laid out twice (_midpoints_twice), the
-fold's pair distances for n <= FOLD_PLAN_MAX_N (_fold_distances, whose
+Five caches keep state between calls, read-only. Four hold what depends
+on the size alone: per n the midpoints laid out twice (_midpoints_twice),
+the fold's pair distances for n <= FOLD_PLAN_MAX_N (_fold_distances, whose
 rows 0..near the near/far path reads too) and the factor of P
 (_half_square_inverse), two sizes each for the last two, and per (n, FFT
-length, pair range, degree) the far kernels' spectra (_far_kernels). Two
-hold what the near/far path's calls in one solve share, as its end values
-fix the slope beta: the size rule per (n, c) (_sizes_split, 64 entries of
-two numbers) and one row's far weights per (n, FFT length, pair range,
-bits of c') (_row_weights, 8 entries of 1.9 MiB for a quartic at n =
-8192). Each fills on its first call; everything else computes its
+length, pair range, degree) the far kernels' spectra (_far_kernels). One
+holds one row's far weights per (n, FFT length, pair range, bits of c')
+(_row_weights, 8 entries of 1.9 MiB for a quartic at n = 8192), which
+evaluators with the same n and end values share: the public entries build
+one evaluator per call. Each fills on its first call. What the calls of
+one solve share beyond these, its _Evaluator holds: the size rule's
+split, the fold's rows and scratch, and on the near/far path beta, c', the
+row's weights and the powers' buffer. Everything else computes its
 distances, and the windows their weights, per call.
 
 The fold sums n^2 / 2 pairs per call. A density that carries phi's
@@ -35,15 +37,15 @@ coefficients (a polynomial phi) may take the near/far path instead, above
 NEAR_FAR_ABOVE_N cells and, from NEAR_FAR_FROM_N, at the sizes with a
 fast FFT length where its near rows are few: _near_far gives the plan of
 the path, _Plan(near, band, unsigned), which _plan builds from _split(n,
-c) and, for an odd phi, _unsigned_cells, and _fold runs it. _far_terms
-sums every pair beyond the rows 0..near in O(n log n) by one engine,
-_far_pairs, whose kernels hold both orders of each pair: over the whole
-grid beyond the band, and up to it on windows that overlap by the band
-(_block_pairs). The far cells whose sign is unknown it sums directly
-(_unsigned_pairs). _quadrature alone decides which path runs. Either
-path checks only its total and gradient; where one is not finite, the
-dense fold reruns with a check per block, which names the first
-non-finite pair. The two paths agree to rounding
+c) and, for an odd phi, _unsigned_cells, and _Evaluator._fold runs it.
+Its _far_terms sums every pair beyond the rows 0..near in O(n log n) by
+one engine, _far_pairs' products, whose kernels hold both orders of each
+pair: over the whole grid beyond the band, and up to it on windows that
+overlap by the band (_block_pairs). The far cells whose sign is unknown
+it sums directly (_unsigned_pairs). _Evaluator alone decides which path
+runs. Either path checks only its total and gradient; where one is not
+finite, the dense fold reruns with a check per block, which names the
+first non-finite pair. The two paths agree to rounding
 (tests/near_far_errors.py).
 """
 
@@ -51,7 +53,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import zip_longest
-from math import comb
+from math import comb, isfinite
 from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -171,7 +173,8 @@ def _circulant_blocks(um: np.ndarray, x: np.ndarray, ux: np.ndarray, offset: int
     layout's dX computed once, the blocks slice it instead."""
     shape, b = (rows, x.size), _block_rows(um.size)
     # row r of these views is m and um rotated left by offset + step * r
-    mm = _windows(_midpoints_twice(um.size), offset, step, shape)
+    if distances is None:
+        mm = _windows(_midpoints_twice(um.size), offset, step, shape)
     uu = _windows(np.concatenate([um] * 2), offset, step, shape)
     for r0 in range(0, rows, b):
         dX = mm[r0:r0 + b] - x if distances is None else distances[r0:r0 + b]
@@ -227,7 +230,7 @@ def _total(per_row: np.ndarray, integrand: Integrand, m: np.ndarray) -> float:
 
 def energy_value(u: NodalFunction, integrand: Integrand) -> float:
     """Quadrature of the double integral of W over (0,1)^2."""
-    return _quadrature(u.grid, u.values, integrand, with_grad=False)[0]
+    return _Evaluator(u.grid, integrand, (u.values[0], u.values[-1]))(u.values, False)[0]
 
 
 def value_and_grad(u: NodalFunction, integrand: Integrand) -> tuple[float, np.ndarray]:
@@ -240,7 +243,7 @@ def value_and_grad(u: NodalFunction, integrand: Integrand) -> tuple[float, np.nd
     values are fixed, so the gradient has length n - 1. A non-finite value
     or gradient raises NonFiniteEnergyError.
     """
-    return _quadrature(u.grid, u.values, integrand, with_grad=True)
+    return _Evaluator(u.grid, integrand, (u.values[0], u.values[-1]))(u.values, True)
 
 
 class _Plan(NamedTuple):
@@ -265,139 +268,210 @@ def _plan(values: np.ndarray, c: tuple[float, ...],
     return _Plan(near, band, _unsigned_cells(values, band) if any(c[1::2]) else None)
 
 
-@lru_cache(maxsize=64)
-def _sizes_split(n: int, c: tuple[float, ...]) -> Optional[tuple[int, int]]:
+def _size_rule(n: int, c: Optional[tuple[float, ...]]) -> Optional[tuple[int, int]]:
     """_split(n, c) where the size rule lets the near/far path run, None
-    where it does not: n below NEAR_FAR_FROM_N, or n up to NEAR_FAR_ABOVE_N
-    that is not 5-smooth or whose near rows exceed n // 8. It reads n and
-    c's degree and odd coefficients only, so it is kept per (n, c)."""
-    split = _split(n, c) if n >= NEAR_FAR_FROM_N else None
+    where it does not: a density without coefficients, n below
+    NEAR_FAR_FROM_N, or n up to NEAR_FAR_ABOVE_N that is not 5-smooth or
+    whose near rows exceed n // 8. It reads n and c's degree and odd
+    coefficients only, so an _Evaluator applies it once."""
+    split = None if c is None or n < NEAR_FAR_FROM_N else _split(n, c)
     if split is None or (n <= NEAR_FAR_ABOVE_N and (_five_smooth(n) != n or split[0] > n // 8)):
         return None
     return split
 
 
-def _near_far(values: np.ndarray, c: Optional[tuple[float, ...]]) -> Optional[_Plan]:
+def _near_far(values: np.ndarray, c: Optional[tuple[float, ...]],
+              split: Optional[tuple[int, int]] = None) -> Optional[_Plan]:
     """_plan of the near/far path on the n + 1 nodal values for phi's
-    coefficients c, or None where the dense fold runs: a density without
-    coefficients, _split's None or the size rule's (_sizes_split), and for
-    an odd phi too many unsigned cells (_direct_pays)."""
+    coefficients c at split, the size rule's (_size_rule) by default, or
+    None where the dense fold runs: no split, and for an odd phi too many
+    unsigned cells (_direct_pays)."""
     n = values.size - 1
-    split = None if c is None else _sizes_split(n, c)
+    split = split or _size_rule(n, c)
     if split is None:
         return None
     plan = _plan(values, c, split)
     return plan if plan.unsigned is None or _direct_pays(plan.unsigned, n, plan.band) else None
 
 
-def _quadrature(grid: Grid1D, values: np.ndarray, integrand: Integrand, with_grad: bool):
-    """(energy, gradient or None) of the n + 1 nodal values on grid, which
-    need not form a NodalFunction: _fold on _near_far's plan, the dense
-    fold where it gives None. Where either gives a non-finite energy or
-    gradient, the dense fold reruns with its checks: it raises
-    NonFiniteEnergyError naming the first non-finite pair or point, or, where
-    only the path's sums overflowed, returns its own finite result."""
-    plan = _near_far(values, integrand.phi_coefficients)
-    result = _fold(grid, values, integrand, with_grad, plan)
-    return result if _finite(*result) else _fold(grid, values, integrand, with_grad, check=True)
-
-
 def _finite(value: float, grad: Optional[np.ndarray]) -> bool:
-    return np.isfinite(value) and (grad is None or np.isfinite(grad).all())
+    return isfinite(value) and (grad is None or np.isfinite(grad).all())
 
 
-# a non-finite value is returned for _quadrature to check, or raised with
-# check: numpy's warnings would only repeat it
-@np.errstate(over="ignore", invalid="ignore")
+class _Evaluator:
+    """The energy kernel of one solve: called with (values, with_grad), the
+    n + 1 nodal values on grid, which need not form a NodalFunction but end
+    in the end values it was built with, it gives (energy, gradient or
+    None) for integrand. Per call, _fold runs on _near_far's plan, or the
+    dense fold where it gives None. Where either gives a non-finite energy
+    or gradient, the dense fold reruns with its checks: it raises
+    NonFiniteEnergyError naming the first non-finite pair or point, or,
+    where only the path's sums overflowed, returns its own finite result.
+
+    What the calls share it holds, computed once: the size rule's split
+    (_size_rule), the fold's distances (_fold_distances), the buffers of
+    the midpoint values, the column sums and the pairs, and, where the
+    split lets the near/far path run, beta, the line through the end
+    values, one row's far weights from c' (_row_weights) and the powers of
+    r, zero-padded to the FFT length 2 n. counts holds the calls by how
+    they ended: on the dense fold, the path, the path with an unsigned cell
+    ("fold", "path", "unsigned"), or the checked rerun ("rerun", raised or
+    not)."""
+
+    def __init__(self, grid: Grid1D, integrand: Integrand, ends: tuple[float, float],
+                 split: Optional[tuple[int, int]] = None):
+        """split, the near rows and band of the near/far path, is the size
+        rule's where not given: _fold takes a plan's."""
+        n, c = grid.n, integrand.phi_coefficients
+        self.grid, self.integrand, self.n, self.h, self.m = grid, integrand, n, grid.h, grid.midpoints
+        self.split = split or _size_rule(n, c)
+        self.counts = {"fold": 0, "path": 0, "unsigned": 0, "rerun": 0}
+        self._table = None if n > FOLD_PLAN_MAX_N else _fold_distances(n)
+        self._um = np.empty(n)
+        # per midpoint: half the weighted phi of its column, and the sums of
+        # C = phi'(D) / dm over the pairs it comes first and second in
+        self._sums = np.empty((3, n))
+        # each block's C, then C again, for a strided view of [C C]
+        self._pair = np.empty((min(n // 2 + 1, _block_rows(n)), 2 * n))
+        # an even phi's plan is the split's for every call; an odd phi's
+        # sign cells are the values', which _near_far reads per call
+        self._odd = self.split is not None and any(c[1::2])
+        self._plan = None if self.split is None else _Plan(*self.split, None)
+        if self.split is None:
+            return
+        from numpy.fft import rfft  # here, so `import nlvar` loads no numpy.fft
+        near, band = self.split
+        # the end values fix beta, the line and so c'_k = phi^(k)(beta) / k!
+        # and the weights, which a beta past phi's range makes non-finite:
+        # then so is each call on the path, which the dense fold reruns
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.beta = ends[1] - ends[0]
+            self._line = ends[0] + self.beta * grid.midpoints
+            shifted = _shifted(integrand, self.beta, float(_sign(self.beta)))
+            self._weights = _row_weights(n, 2 * n, band, n - near - 1,
+                                         np.array(shifted, float).tobytes())
+            # the products of q = 0, with r^0 = 1 on the n midpoints
+            ones = np.zeros(2 * n)
+            ones[:n] = 1.0
+            self._first = np.multiply(self._weights[0], rfft(ones))
+        # the powers r^0..r^degree, zero-padded to the FFT length 2 n
+        self._padded = np.zeros((len(c), 2 * n))
+
+    def __call__(self, values: np.ndarray, with_grad: bool):
+        plan = self._plan
+        if self._odd:
+            plan = _near_far(values, self.integrand.phi_coefficients, self.split)
+        result = self._fold(values, with_grad, plan)
+        if _finite(*result):
+            self.counts["fold" if plan is None else "path" if plan.unsigned is None
+                        or not plan.unsigned.any() else "unsigned"] += 1
+            return result
+        self.counts["rerun"] += 1
+        return self._fold(values, with_grad, check=True)
+
+    # a non-finite value is returned for __call__ to check, or raised with
+    # check: numpy's warnings would only repeat it
+    @np.errstate(over="ignore", invalid="ignore")
+    def _fold(self, values: np.ndarray, with_grad: bool, plan: Optional[_Plan] = None,
+              check: bool = False):
+        """(energy, gradient or None) from every row of the fold, or, given a
+        plan, the near/far path: first _far_terms' (f, gradient or None) of
+        the plan's far pairs, then the fold's rows 0..near, the pairs at
+        index distance d <= near and d >= n - near. Non-finite values are
+        returned as they are; with check, the dense fold instead raises
+        NonFiniteEnergyError at the first block whose sums are not finite,
+        naming the pair, or at psi, psi' or the total, naming a midpoint, or
+        at the gradient, naming a node."""
+        integrand, h, n, m = self.integrand, self.h, self.n, self.m
+        um = self._um
+        np.add(values[:-1], values[1:], out=um)
+        um *= 0.5
+        # far terms first, so that the fold's blocks reuse the FFTs' heap
+        far = None if plan is None else self._far_terms(um, with_grad, plan)
+        name = integrand.name
+        self._sums.fill(0.0)
+        half_rows, col, skew = self._sums
+        if far is not None:
+            half_rows += far[0]
+        # the fold: row d, 0 <= d <= n // 2, holds the pair (i, j = (i + d) mod n)
+        # in column i, with dm = m_j - m_i. Row 0 is the diagonal of cell slopes,
+        # dm infinite as they do not depend on um; for even n, row n // 2 lists
+        # each of its pairs twice, as (i, j) and (j, i)
+        rows = n // 2 + 1 if plan is None else plan.near + 1
+        pair = self._pair
+        flat = pair.reshape(-1)
+        distances = None if self._table is None else self._table[:rows]
+        column_sums = _column_sums if check else lambda P, *_, **__: P.sum(axis=0)
+        require = _require_finite if check else lambda values, *_: values
+        for d0, dm, D in _circulant_blocks(um, m, um, 0, 1, rows, distances):
+            if d0 == 0:
+                # NodalFunction.slopes, np.diff written out
+                slopes = D[0]
+                np.subtract(values[1:], values[:-1], out=slopes)
+                slopes /= h
+                if distances is None:
+                    dm[0] = np.inf
+            P = _pair_weights(integrand.w(D), d0, n)
+            half_rows += column_sums(P, f"W({name})", d0, m)
+            if not with_grad:
+                continue
+            B = integrand.w_U(D)
+            if d0 == 0:
+                slope_B = B[0].copy()
+            k = B.shape[0]
+            C = _pair_weights(np.divide(B, dm, out=pair[:k, :n]), d0, n)
+            col += column_sums(C, f"dW/dU({name})", d0, m, source=B)
+            pair[:k, n:] = C
+            # row r of the view is C[r] rotated right by d0 + r
+            skew += _windows(flat, n - d0, 2 * n - 1, (k, n)).sum(axis=0)
+        psi = require(integrand.mass(um), f"W({name})", m)
+        per_row = h * h * 2.0 * half_rows + h * psi
+        value = _total(per_row, integrand, m) if check else float(per_row.sum())
+        if not with_grad:
+            return value, None
+        dpsi = require(integrand.w_u(um), f"dW/du({name})", m)
+        # d(2 phi(D_ij)) / d u(m_j) = 2 C_ij = -d(2 phi(D_ij)) / d u(m_i)
+        g_um = 2.0 * (skew - col) + n * dpsi
+        if far is not None:
+            g_um += 2.0 * far[1]
+        grad = h * h * (0.5 * (g_um[:-1] + g_um[1:]) + (slope_B[:-1] - slope_B[1:]) / h)
+        return value, require(grad, f"gradient of W({name})", self.grid.nodes[1:-1])
+
+    def _far_terms(self, um: np.ndarray, with_grad: bool, plan: _Plan):
+        """(f, gradient of sum(f) in the midpoint values um, or None):
+        sum(f) is the sum of phi(D_ij) over the pairs at the plan's near < d
+        < n - near, each term held half at each end, or at its first
+        midpoint in the unsigned cells. _far_pairs' products sum d > band
+        around r, um less the line through the end values, centred on its
+        midrange (the smaller max |r|, the less its powers cancel),
+        _block_pairs d <= band, and _unsigned_pairs corrects the plan's
+        unsigned cells."""
+        from numpy.fft import rfft  # here, so `import nlvar` loads no numpy.fft
+        near, band, unsigned = plan
+        n, powers = self.n, self._padded
+        r = um - self._line
+        r -= 0.5 * (r.max() + r.min())
+        _powers(r, len(powers) - 1, out=powers[:, :n])
+        f, grad = _far_products(r, self._first.copy(), self._weights[1:], rfft(powers[1:]),
+                                2 * n, with_grad)
+        parts = [_block_pairs(um, self.integrand, near, band, with_grad)] if near < band else []
+        if unsigned is not None:
+            parts.append(_unsigned_pairs(um, self.beta, self.integrand.phi_coefficients, band,
+                                         unsigned, with_grad))
+        for part, part_grad in parts:
+            f += part
+            if with_grad:
+                grad += part_grad
+        return f, grad
+
+
 def _fold(grid: Grid1D, values: np.ndarray, integrand: Integrand, with_grad: bool,
           plan: Optional[_Plan] = None, check: bool = False):
-    """(energy, gradient or None) from every row of the fold, or, given a
-    plan, the near/far path: first _far_terms' (f, gradient or None) of the
-    plan's far pairs, then the fold's rows 0..near, the pairs at index
-    distance d <= near and d >= n - near. Non-finite values are returned as
-    they are; with check, the dense fold instead raises
-    NonFiniteEnergyError at the first block whose sums are not finite,
-    naming the pair, or at psi, psi' or the total, naming a midpoint, or at
-    the gradient, naming a node."""
-    # far terms first, so that the fold's blocks reuse the FFTs' heap
-    far = None if plan is None else _far_terms(grid, values, integrand, with_grad, plan)
-    h, n, m = grid.h, grid.n, grid.midpoints
-    # midpoint values and NodalFunction.slopes, np.diff written out
-    um = 0.5 * (values[:-1] + values[1:])
-    slopes = (values[1:] - values[:-1]) / h
-    name = integrand.name
-    half_rows = np.zeros(n)  # per midpoint i: half the weighted phi of column i
-    if far is not None:
-        half_rows += far[0]
-    # the fold: row d, 0 <= d <= n // 2, holds the pair (i, j = (i + d) mod n)
-    # in column i, with dm = m_j - m_i. Row 0 is the diagonal of cell slopes,
-    # dm infinite as they do not depend on um; for even n, row n // 2 lists
-    # each of its pairs twice, as (i, j) and (j, i)
-    rows = n // 2 + 1 if plan is None else plan.near + 1
-    if with_grad:
-        # per midpoint: sums of C = phi'(D) / dm over the pairs it comes
-        # first in (col) and second in (skew, from a strided view of [C C])
-        col, skew = np.zeros(n), np.zeros(n)
-        pair = np.empty((min(rows, _block_rows(n)), 2 * n))
-        flat = pair.reshape(-1)
-    distances = None if n > FOLD_PLAN_MAX_N else _fold_distances(n)[:rows]
-    column_sums = _column_sums if check else lambda P, *_, **__: P.sum(axis=0)
-    require = _require_finite if check else lambda values, *_: values
-    for d0, dm, D in _circulant_blocks(um, m, um, 0, 1, rows, distances):
-        if d0 == 0:
-            D[0] = slopes
-            if distances is None:
-                dm[0] = np.inf
-        P = _pair_weights(integrand.w(D), d0, n)
-        half_rows += column_sums(P, f"W({name})", d0, m)
-        if not with_grad:
-            continue
-        B = integrand.w_U(D)
-        if d0 == 0:
-            slope_B = B[0].copy()
-        k = B.shape[0]
-        C = _pair_weights(np.divide(B, dm, out=pair[:k, :n]), d0, n)
-        col += column_sums(C, f"dW/dU({name})", d0, m, source=B)
-        pair[:k, n:] = C
-        # row r of the view is C[r] rotated right by d0 + r
-        skew += _windows(flat, n - d0, 2 * n - 1, (k, n)).sum(axis=0)
-    psi = require(integrand.mass(um), f"W({name})", m)
-    per_row = h * h * 2.0 * half_rows + h * psi
-    value = _total(per_row, integrand, m) if check else float(per_row.sum())
-    if not with_grad:
-        return value, None
-    dpsi = require(integrand.w_u(um), f"dW/du({name})", m)
-    # d(2 phi(D_ij)) / d u(m_j) = 2 C_ij = -d(2 phi(D_ij)) / d u(m_i)
-    g_um = 2.0 * (skew - col) + n * dpsi
-    if far is not None:
-        g_um += 2.0 * far[1]
-    grad = h * h * (0.5 * (g_um[:-1] + g_um[1:]) + (slope_B[:-1] - slope_B[1:]) / h)
-    return value, require(grad, f"gradient of W({name})", grid.nodes[1:-1])
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _far_terms(grid: Grid1D, values: np.ndarray, integrand: Integrand, with_grad: bool, plan: _Plan):
-    """(f, gradient of sum(f) in the midpoint values, or None): sum(f) is
-    the sum of phi(D_ij) over the pairs at the plan's near < d < n - near,
-    each term held half at each end, or at its first midpoint in the
-    unsigned cells. _far_pairs sums d > band around r, the midpoint values
-    less the line through the end values, centred on its midrange (the
-    smaller max |r|, the less its powers cancel), _block_pairs d <= band,
-    and _unsigned_pairs corrects the plan's unsigned cells."""
-    near, band, unsigned = plan
-    n, um = grid.n, 0.5 * (values[:-1] + values[1:])
-    beta = values[-1] - values[0]
-    r = um - (values[0] + beta * grid.midpoints)
-    r -= 0.5 * (r.max() + r.min())
-    f, grad = _far_pairs(r, beta, integrand, n, band, n - near - 1, 2 * n, with_grad)
-    parts = [_block_pairs(um, integrand, near, band, with_grad)] if near < band else []
-    if unsigned is not None:
-        parts.append(_unsigned_pairs(um, beta, integrand.phi_coefficients, band, unsigned, with_grad))
-    for part, part_grad in parts:
-        f += part
-        if with_grad:
-            grad += part_grad
-    return f, grad
+    """_Evaluator._fold of a one-off evaluator on values: the dense fold, or
+    the near/far path on plan wherever the size rule stands, as the tests
+    and scripts force it."""
+    evaluator = _Evaluator(grid, integrand, (values[0], values[-1]), plan and plan[:2])
+    return evaluator._fold(values, with_grad, plan, check)
 
 
 @lru_cache(maxsize=8)
@@ -434,7 +508,8 @@ def _far_weights(K: np.ndarray, shifted: list) -> Iterator[np.ndarray]:
 
 
 # eight entries, as _far_kernels: a solve's end values fix beta, and so c',
-# for all its evaluations
+# for all its evaluations, whose _Evaluator reads its entry once; so do the
+# public entries' evaluators, one per call, which share it
 @lru_cache(maxsize=8)
 def _row_weights(n: int, size: int, lo: int, hi: int, shifted: bytes) -> tuple[np.ndarray, ...]:
     """_far_weights, read-only, of one row with a scalar slope, keyed on the
@@ -477,17 +552,12 @@ def _far_pairs(r: np.ndarray, beta, integrand: Integrand, n: int, lo: int, hi: i
     circular: position i also pairs with i + d +- size, so a row of at
     most size - hi positions sees no wrapped term, and a longer one sees
     them only within hi of its ends."""
-    from numpy.fft import irfft, rfft  # here, so `import nlvar` loads no numpy.fft
-    c, width, windows = integrand.phi_coefficients, r.shape[-1], r.ndim > 1
-    degree = len(c) - 1
+    from numpy.fft import rfft  # here, so `import nlvar` loads no numpy.fft
+    windows = r.ndim > 1
+    degree = len(integrand.phi_coefficients) - 1
     # one row's sign as a number, which numpy multiplies into an array
     # faster; a column per row of windows
-    s = _sign(beta) if windows else float(_sign(beta))
-    # c'_k = phi^(k)(beta) / k!, from the closed forms for k <= 2: near a
-    # root of phi the monomial sums cancel, and phi(beta) weighs every pair
-    shifted = ([integrand.w(beta), integrand.w_U(beta), 0.5 * integrand.w_UU(beta)]
-               + [sum(comb(j, k) * c[j] * s ** j * beta ** (j - k) for j in range(k, degree + 1))
-                  for k in range(3, degree + 1)])[:degree + 1]
+    shifted = _shifted(integrand, beta, _sign(beta) if windows else float(_sign(beta)))
     if windows:
         W = _far_weights(_far_kernels(n, size, lo, hi, degree), [x[:, None] for x in shifted])
     else:
@@ -495,13 +565,33 @@ def _far_pairs(r: np.ndarray, beta, integrand: Integrand, n: int, lo: int, hi: i
     powers = _powers(r, degree)
     if valid is not None:
         powers *= valid
-    R = rfft(powers, size)
+    R, W = rfft(powers, size), iter(W)
+    return _far_products(r, np.multiply(next(W), R[0]), W, R[1:], size, with_grad, valid)
+
+
+def _shifted(integrand: Integrand, beta, s) -> list:
+    """c'_k = phi^(k)(beta) / k!, k = 0..degree, for the sign s of beta
+    (_far_pairs), from the closed forms for k <= 2: near a root of phi the
+    monomial sums cancel, and phi(beta) weighs every pair."""
+    c = integrand.phi_coefficients
+    degree = len(c) - 1
+    return ([integrand.w(beta), integrand.w_U(beta), 0.5 * integrand.w_UU(beta)]
+            + [sum(comb(j, k) * c[j] * s ** j * beta ** (j - k) for j in range(k, degree + 1))
+               for k in range(3, degree + 1)])[:degree + 1]
+
+
+def _far_products(r: np.ndarray, spectra: np.ndarray, W, R: np.ndarray, size: int,
+                  with_grad: bool, valid: Optional[np.ndarray] = None):
+    """_far_pairs' (f, gradient or None) from the spectra of its products
+    for q = 0, to which it adds those of q >= 1 in place: the weights W[q]
+    times R[q - 1], the spectra of length size of the powers r^q (times
+    valid)."""
+    from numpy.fft import irfft  # here, so `import nlvar` loads no numpy.fft
+    degree = len(R)
     # V_p's spectrum sums q = 0, 1, ... in turn, one product per q for all p
-    W = iter(W)
-    spectra = np.multiply(next(W), R[0])
     for q, w in enumerate(W, 1):
-        spectra[:degree + 1 - q] += w * R[q]
-    V = irfft(spectra, size)[..., :width]
+        spectra[:degree + 1 - q] += w * R[q - 1]
+    V = irfft(spectra, size)[..., :r.shape[-1]]
     x = -r
     f = _horner(V, x)
     f *= 0.5 if valid is None else 0.5 * valid
@@ -563,10 +653,11 @@ def _five_smooth(b: int) -> int:
         m += 1
 
 
-def _powers(x: np.ndarray, degree: int) -> np.ndarray:
-    """Rows x^0..x^degree by repeated products: ** with an array of
-    exponents calls pow once per element, about 100 times slower."""
-    powers = np.empty((degree + 1,) + x.shape)
+def _powers(x: np.ndarray, degree: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Rows x^0..x^degree by repeated products, in out where given: ** with
+    an array of exponents calls pow once per element, about 100 times
+    slower."""
+    powers = np.empty((degree + 1,) + x.shape) if out is None else out
     powers[0] = 1.0
     for q in range(1, degree + 1):
         np.multiply(powers[q - 1], x, out=powers[q])

@@ -100,11 +100,13 @@ def _derivative(c) -> list:
 
 
 def _horner(c, x: np.ndarray) -> np.ndarray:
-    """sum_k c_k x^k, for numbers or arrays c_k. numpy.polynomial's polyval
-    would add about 6 ms to `import nlvar`."""
+    """sum_k c_k x^k, for numbers or arrays c_k shaped like x, in one new
+    array. numpy.polynomial's polyval would add about 6 ms to `import
+    nlvar`."""
     y = np.zeros_like(x)
     for ck in reversed(c):
-        y = y * x + ck
+        y *= x
+        y += ck
     return y
 
 

@@ -29,13 +29,14 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from .energy import NonFiniteEnergyError, _half_square_inverse, _hessian, _packed_inverse
-# minimize evaluates every iterate through this one name, on raw nodal
-# values, not a NodalFunction; the tests wrap it to count evaluations
-from .energy import _quadrature
+# minimize builds one _Evaluator per solve and evaluates every iterate by
+# calling it, on raw nodal values, not a NodalFunction; the tests wrap
+# _Evaluator.__call__ to count or reject evaluations
+from .energy import _Evaluator
 # perfbench/tracer.py wraps these two on this module by name and sets the
 # wrapped ones as nlvar.energy_value and nlvar.energy_gradient, which its
 # workloads call; minimize calls neither, and the tracer wraps no
-# _quadrature, so the evaluations of a solve are not among its spans
+# _Evaluator, so the evaluations of a solve are not among its spans
 from .energy import energy_gradient, energy_value  # noqa: F401
 from .grid import Grid1D, NodalFunction
 from .integrands import Integrand
@@ -94,10 +95,12 @@ def default_grad_tol(n: int) -> float:
 @dataclass(frozen=True)
 class MinimizeResult:
     """The solve's last iterate and its counts. converged says whether the
-    gradient norm met the tolerance. A solve that did not converge stopped
-    at max_iters, or earlier (iters < max_iters) after an accepted step
-    that left every bit of the iterate unchanged: from there on each
-    iteration would repeat the last one exactly."""
+    gradient norm met the tolerance, and reason why the solve stopped:
+    "converged"; "max_iters"; or "stalled", after an accepted step that left
+    every bit of the iterate unchanged, as from there on each iteration
+    would repeat the last one exactly. paths counts the evaluations by the
+    path the energy kernel took (_Evaluator.counts: "fold", "path",
+    "unsigned" and "rerun"); they sum to evaluations."""
 
     u: NodalFunction
     energy: float
@@ -107,6 +110,8 @@ class MinimizeResult:
     converged: bool
     evaluations: int  # energy-and-gradient evaluations, the start included
     newton_steps: int  # iterations whose direction was the Newton one
+    reason: str
+    paths: dict[str, int]
 
 
 INITIAL_GUESSES = ("linear", "zero", "hat", "random")
@@ -216,7 +221,8 @@ def minimize(
     # cleared by the first Newton attempt that fails or does not descend:
     # each attempt costs an assembly and a factor
     try_newton = dense
-    f, g = _quadrature(grid, u.values, integrand, True)
+    evaluate = _Evaluator(grid, integrand, (vals[0], vals[-1]))
+    f, g = evaluate(u.values, True)
     evaluations = 1
     # np.linalg.norm of a float vector, bit for bit
     gnorm = math.sqrt(g.dot(g))
@@ -224,6 +230,7 @@ def minimize(
     trace = [(f, gnorm)]
     pairs: deque[_Pair] = deque(maxlen=MEMORY)
     iters = 0
+    stalled = False
 
     while gnorm > grad_tol and iters < cfg.max_iters:
         slope = 0.0
@@ -249,7 +256,7 @@ def minimize(
             with np.errstate(over="ignore", invalid="ignore"):
                 np.add(z, t * d, out=trial)
                 try:
-                    f_new, g_new = _quadrature(grid, vals, integrand, True)
+                    f_new, g_new = evaluate(vals, True)
                 except NonFiniteEnergyError:
                     f_new = np.inf
             evaluations += 1
@@ -280,13 +287,16 @@ def minimize(
             break
 
     vals[1:-1] = z
+    converged = gnorm <= grad_tol
     return MinimizeResult(
         u=NodalFunction(grid, vals, left_bc=bc[0], right_bc=bc[1]),
         energy=f,
         grad_norm=gnorm,
         iters=iters,
         trace=trace,
-        converged=gnorm <= grad_tol,
+        converged=converged,
         evaluations=evaluations,
         newton_steps=newton_steps,
+        reason="converged" if converged else "stalled" if stalled else "max_iters",
+        paths=dict(evaluate.counts),
     )

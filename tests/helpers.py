@@ -172,7 +172,7 @@ def near_far_profiles(n: int) -> dict[str, np.ndarray]:
 
 def near_far(grid: Grid1D, values: np.ndarray, integrand: Integrand):
     """(energy, gradient) from the near/far path on _plan, with the unsigned
-    cells however many there are, as _quadrature runs it."""
+    cells however many there are, as an _Evaluator runs it."""
     return energy._fold(grid, values, integrand, True,
                         energy._plan(values, integrand.phi_coefficients))
 

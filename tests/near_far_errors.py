@@ -3,7 +3,7 @@ band and near rows (the fold's last row; an even phi of degree >= 4 sums
 the pairs from there to the band in blocks): the largest relative energy
 error and the largest gradient error over max|g| across the profiles of
 helpers.near_far_profiles, each with the profile where it occurs. The path
-is forced even where _quadrature would run the dense fold (power:3 and abs
+is forced even where an _Evaluator would run the dense fold (power:3 and abs
 on the rough and hat profiles, where _direct_pays declines it).
 
     PYTHONPATH=src python tests/near_far_errors.py [--sizes 512 4096 ...]

@@ -1,9 +1,10 @@
 """Print how fast the near/far path runs against the dense fold: for each
-density, size and profile, the side that _quadrature takes (path or fold,
-by _near_far), the CPU time of one value-and-gradient call on the path,
-forced as in helpers.near_far, and on the dense fold with its kept plan,
-each the best of --calls runs of consecutive calls that alternate between
-the two (best_times), and their ratio. For a phi with an odd coefficient
+density, size and profile, the side that an _Evaluator takes (path or
+fold, by _near_far), the CPU time of one value-and-gradient call on the
+path, forced as in helpers.near_far, and on the dense fold, each from an
+evaluator built once as a solve builds it and the best of --calls runs of
+consecutive calls that alternate between the two (best_times), and their
+ratio. For a phi with an odd coefficient
 it also prints the share of the far pairs in the cells whose sign
 _unsigned_cells cannot certify (_unsigned_share), which _direct_pays
 reads. The crossover (NEAR_FAR_FROM_N, NEAR_FAR_ABOVE_N and the sizes
@@ -34,7 +35,7 @@ import time
 
 import numpy as np
 
-from helpers import near_far, near_far_profiles, stripped
+from helpers import near_far_profiles, stripped
 from nlvar import energy
 from nlvar.grid import Grid1D
 from nlvar.integrands import integrand_by_name
@@ -59,9 +60,11 @@ def calls(grid: Grid1D, values: np.ndarray, W, blocks: bool):
     the path with its fold to band // 4 and the path with its fold to the
     band."""
     if not blocks:
-        dense = stripped(W)
-        return (lambda: near_far(grid, values, W),
-                lambda: energy._quadrature(grid, values, dense, True))
+        c, ends = W.phi_coefficients, (values[0], values[-1])
+        path = energy._Evaluator(grid, W, ends, energy._split(grid.n, c))
+        dense = energy._Evaluator(grid, stripped(W), ends)
+        return (lambda: path._fold(values, True, energy._plan(values, c)),
+                lambda: dense(values, True))
     plan = energy._plan(values, W.phi_coefficients)
     return (lambda: energy._fold(grid, values, W, True, plan._replace(near=plan.band // 4)),
             lambda: energy._fold(grid, values, W, True, plan._replace(near=plan.band)))

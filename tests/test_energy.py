@@ -573,6 +573,50 @@ class TestCrossover:
                 assert below == []
 
 
+class TestEvaluator:
+    """A solve builds one _Evaluator from the grid, the density and the end
+    values, and calls it on every iterate: each call gives the bits of a
+    fresh public call, which builds its own, on the dense fold, the near/far
+    path and the path with unsigned cells, and for power:3 where
+    _direct_pays sends the call to the fold. Its counts name the path."""
+
+    @pytest.mark.parametrize("n", [64, 128, 256, 512, 4096])
+    @pytest.mark.parametrize("integrand", ALL + hand_built(), ids=lambda i: i.name)
+    def test_one_evaluator_gives_the_bits_of_fresh_calls(self, integrand, n):
+        grid = Grid1D(n)
+        wave = 0.1 * np.sin(3.0 * np.pi * grid.nodes)
+        for name, values in near_far_profiles(n).items():
+            evaluate = energy._Evaluator(grid, integrand, (values[0], values[-1]))
+            # iterates that keep the profile's end values bit for bit
+            moved = values.copy()
+            moved[1:-1] += wave[1:-1]
+            for v in (values, moved, values):
+                u = NodalFunction(grid, v)
+                value, grad = evaluate(v, True)
+                want, want_grad = value_and_grad(u, integrand)
+                assert value.hex() == want.hex() and grad.tobytes() == want_grad.tobytes()
+                assert evaluate(v, False)[0].hex() == energy_value(u, integrand).hex()
+            counts = evaluate.counts
+            assert sum(counts.values()) == 6 and counts["rerun"] == 0
+            if integrand.name == "power:3" and name in ("rough", "hat") and n in (512, 4096):
+                # at 512 the unsigned cells hold more than half of the far
+                # pairs, and the fold runs; at 4096 the path runs with them
+                assert counts["fold" if n == 512 else "unsigned"] == 6, name
+
+    # a non-finite energy reruns the checked dense fold, which raises, and
+    # the evaluator counts the call as a rerun
+    def test_rerun_is_counted(self):
+        grid = Grid1D(512)
+        values = near_far_profiles(512)["smooth"]
+        evaluate = energy._Evaluator(grid, two_well_full(), (values[0], values[-1]))
+        evaluate(values, True)
+        bad = values.copy()
+        bad[7] = 1e200
+        with pytest.raises(NonFiniteEnergyError):
+            evaluate(bad, True)
+        assert evaluate.counts == {"fold": 0, "path": 1, "unsigned": 0, "rerun": 1}
+
+
 def direct_pairs(r, beta, c, n, lo, hi, first, second):
     """(f, gradient) of the sum of P(s D_ij) over the pairs i < j = i + d,
     lo < d <= hi, of each row of r with first[t, i] and second[t, j], D_ij =

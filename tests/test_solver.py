@@ -225,12 +225,12 @@ class TestEvaluations:
         # is built for a trial
         calls = []
 
-        def counted(grid, values, integrand, with_grad):
-            calls.append(values.copy())
-            return quadrature(grid, values, integrand, with_grad)
+        class Counted(energy._Evaluator):
+            def __call__(self, values, with_grad):
+                calls.append(values.copy())
+                return super().__call__(values, with_grad)
 
-        quadrature = solver._quadrature
-        monkeypatch.setattr(solver, "_quadrature", counted)
+        monkeypatch.setattr(solver, "_Evaluator", Counted)
         res = minimize(two_well_full(), Grid1D(32), (0.0, 0.0), "random", TIGHT)
         assert len(calls) == res.evaluations > res.iters + 1
         assert res.u.values.tobytes() == calls[-1].tobytes()
@@ -239,21 +239,36 @@ class TestEvaluations:
     # the benchmark's largest cost: bolza, two-well at n = 256 from the
     # seed-0 uniform noise of 0.05, takes the near/far path on every
     # evaluation. The count itself moves with any bit, so it is not pinned
-    def test_bench_bolza_takes_the_path_on_every_evaluation(self, monkeypatch):
-        plans = []
-
-        def recorded(values, c):
-            plans.append(near_far(values, c))
-            return plans[-1]
-
-        near_far = energy._near_far
-        monkeypatch.setattr(energy, "_near_far", recorded)
+    def test_bench_bolza_takes_the_path_on_every_evaluation(self):
         grid = Grid1D(256)
         noise = 0.05 * np.random.default_rng(0).uniform(-1.0, 1.0, grid.n - 1)
         start = NodalFunction(grid, np.concatenate([[0.0], noise, [0.0]]), 0.0, 0.0)
         res = minimize(two_well_full(), grid, (0.0, 0.0), start, SolverConfig(grad_tol=1e-6))
         assert res.converged
-        assert sum(plan is not None for plan in plans) == res.evaluations == len(plans)
+        assert res.paths["path"] == res.evaluations == sum(res.paths.values())
+
+    # the kernel's counts by path sum to the evaluations on solves that take
+    # each path: the dense fold (two-well at n = 64), the near/far path (the
+    # bench's bolza start), power:3 from linear at 512, whose far pairs'
+    # sign is known, and from the hat at 1024, whose unsigned cells send
+    # some calls to the fold (_direct_pays), and power:40, whose overflowing
+    # trials the checked dense fold reruns
+    @pytest.mark.parametrize("W, n, bc, init, cfg, taken", [
+        (two_well_full(), 64, (0.0, 0.0), "random", None, {"fold"}),
+        (two_well_full(), 256, (0.0, 0.0), "bolza", SolverConfig(grad_tol=1e-6), {"path"}),
+        (power_p(3), 512, (0.0, 1.0), "linear", SolverConfig(grad_tol=1e-6), {"fold", "path"}),
+        (power_p(3), 1024, (0.0, 0.2), "hat", SolverConfig(max_iters=3), {"fold", "unsigned"}),
+        (power_p(40), 64, (0.0, 1.0), "hat", SolverConfig(max_iters=50), {"fold", "rerun"}),
+    ], ids=["fold", "bolza-path", "power3-path", "power3-unsigned", "power40-rerun"])
+    def test_path_counts_sum_to_the_evaluations(self, W, n, bc, init, cfg, taken):
+        grid = Grid1D(n)
+        if init == "bolza":
+            noise = 0.05 * np.random.default_rng(0).uniform(-1.0, 1.0, n - 1)
+            init = NodalFunction(grid, np.concatenate([[0.0], noise, [0.0]]), 0.0, 0.0)
+        res = minimize(W, grid, bc, init, cfg)
+        assert list(res.paths) == ["fold", "path", "unsigned", "rerun"]
+        assert sum(res.paths.values()) == res.evaluations
+        assert {path for path, count in res.paths.items() if count} == taken
 
     def test_non_finite_trial_is_an_evaluation_error(self):
         # a trial with an infinite nodal value raises inside the kernel,
@@ -262,7 +277,7 @@ class TestEvaluations:
         values = np.zeros(9)
         values[4] = np.inf
         with pytest.raises(NonFiniteEnergyError):
-            solver._quadrature(grid, values, two_well_full(), True)
+            solver._Evaluator(grid, two_well_full(), (values[0], values[-1]))(values, True)
 
 
 class TestLineSearchExits:
@@ -272,14 +287,14 @@ class TestLineSearchExits:
         the list records each call."""
         calls = []
 
-        def kernel(grid, values, integrand, with_grad):
-            calls.append(values.copy())
-            if len(calls) > 1:
-                raise NonFiniteEnergyError("trial rejected")
-            return quadrature(grid, values, integrand, with_grad)
+        class Rejecting(energy._Evaluator):
+            def __call__(self, values, with_grad):
+                calls.append(values.copy())
+                if len(calls) > 1:
+                    raise NonFiniteEnergyError("trial rejected")
+                return super().__call__(values, with_grad)
 
-        quadrature = solver._quadrature
-        monkeypatch.setattr(solver, "_quadrature", kernel)
+        monkeypatch.setattr(solver, "_Evaluator", Rejecting)
         return calls
 
     def test_underflow_raises_with_the_trace(self, rejecting_kernel):
@@ -632,6 +647,28 @@ class TestUnchangedStep:
         code = main(["minimize", "--integrand", "power:4", "--n", "16", "--init", "zero",
                      "--out", str(tmp_path)])
         assert code == EXIT_NOCONV
+
+
+class TestStopReason:
+    """MinimizeResult.reason says why the solve stopped: "converged",
+    "max_iters" or "stalled" (TestUnchangedStep's round-off floors)."""
+
+    @pytest.mark.parametrize("name, n, init", [("power:4", 16, "zero"), ("power:2.5", 33, "hat")])
+    def test_unchanged_step_reads_stalled(self, name, n, init):
+        res = minimize(integrand_by_name(name), Grid1D(n), (0.0, 1.0), init)
+        assert (res.reason, res.converged) == ("stalled", False)
+        assert res.iters < SolverConfig().max_iters
+
+    def test_exhausted_iterations_read_max_iters(self):
+        res = minimize(power_p(3), Grid1D(32), (0.0, 1.0), "linear", SolverConfig(max_iters=1))
+        assert (res.reason, res.converged, res.iters) == ("max_iters", False, 1)
+
+    # zero end values from "linear" start at a critical point, which stops
+    # the solve before its first iteration
+    @pytest.mark.parametrize("bc, iters", [((0.0, 0.0), 0), ((0.0, 1.0), 1)])
+    def test_converged_reads_converged(self, bc, iters):
+        res = minimize(half_square(), Grid1D(16), bc, "linear")
+        assert (res.reason, res.converged, res.iters) == ("converged", True, iters)
 
 
 class TestContinuation:
