@@ -311,9 +311,10 @@ class _Evaluator:
     What the calls share it holds, computed once: the size rule's split
     (_size_rule), the fold's distances (_fold_distances), the buffers of
     the midpoint values, the column sums and the pairs, and, where the
-    split lets the near/far path run, beta, the line through the end
-    values, one row's far weights from c' (_row_weights) and the powers of
-    r, zero-padded to the FFT length 2 n. counts holds the calls by how
+    split lets the near/far path run, an even phi's plan, beta, the line
+    through the end values, one row's far weights from c' (_row_weights)
+    with their products for q = 0, and the powers of r, zero-padded to the
+    FFT length 2 n. counts holds the calls by how
     they ended: on the dense fold, the path, the path with an unsigned cell
     ("fold", "path", "unsigned"), or the checked rerun ("rerun", raised or
     not)."""
@@ -321,9 +322,10 @@ class _Evaluator:
     def __init__(self, grid: Grid1D, integrand: Integrand, ends: tuple[float, float],
                  split: Optional[tuple[int, int]] = None):
         """split, the near rows and band of the near/far path, is the size
-        rule's where not given: _fold takes a plan's."""
+        rule's where not given; the module's _fold passes a plan's."""
         n, c = grid.n, integrand.phi_coefficients
-        self.grid, self.integrand, self.n, self.h, self.m = grid, integrand, n, grid.h, grid.midpoints
+        self.grid, self.integrand, self.n = grid, integrand, n
+        self.h, self.m = grid.h, grid.midpoints
         self.split = split or _size_rule(n, c)
         self.counts = {"fold": 0, "path": 0, "unsigned": 0, "rerun": 0}
         self._table = None if n > FOLD_PLAN_MAX_N else _fold_distances(n)

@@ -29,9 +29,9 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from .energy import NonFiniteEnergyError, _half_square_inverse, _hessian, _packed_inverse
-# minimize builds one _Evaluator per solve and evaluates every iterate by
-# calling it, on raw nodal values, not a NodalFunction; the tests wrap
-# _Evaluator.__call__ to count or reject evaluations
+# minimize builds one _Evaluator per solve, by this name, and evaluates
+# every iterate by calling it, on raw nodal values, not a NodalFunction;
+# the tests set a subclass here that counts or rejects evaluations
 from .energy import _Evaluator
 # perfbench/tracer.py wraps these two on this module by name and sets the
 # wrapped ones as nlvar.energy_value and nlvar.energy_gradient, which its

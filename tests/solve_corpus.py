@@ -11,9 +11,9 @@ solver.INITIAL_GUESSES, with the end values (0, 1), (0, 0) and (-1, 2):
 The options pick a slice of it.
 
 A line gives the density, n, start and end values, then the outcome:
-converged, stalled (not converged, stopped before max_iters: an accepted
-step moved no bit of the iterate), max_iters, or the class of the exception
-the solve raised. Then the iterations, evaluations and Newton steps, the
+MinimizeResult.reason (converged, stalled: an accepted step moved no bit
+of the iterate, or max_iters), or the class of the exception the solve
+raised. Then the iterations, evaluations and Newton steps, the
 gradient norm (its repr) and the sha256 of the nodal values, or a dash for
 each where the solve raised. `diff` of two checkouts' outputs, run in one
 environment, shows every solve whose outcome or bits moved; the solves at
@@ -43,10 +43,9 @@ def outcome(name: str, n: int, start: str, bc: tuple[float, float], cfg: SolverC
         res = minimize(integrand_by_name(name), Grid1D(n), bc, start, cfg)
     except Exception as exc:  # the corpus reports every way a solve ends
         return f"{type(exc).__name__} - - - - -"
-    end = ("converged" if res.converged
-           else "max_iters" if res.iters == cfg.max_iters else "stalled")
     digest = hashlib.sha256(res.u.values.tobytes()).hexdigest()
-    return f"{end} {res.iters} {res.evaluations} {res.newton_steps} {res.grad_norm!r} {digest}"
+    return (f"{res.reason} {res.iters} {res.evaluations} {res.newton_steps} "
+            f"{res.grad_norm!r} {digest}")
 
 
 def main(argv=None) -> Counter:
