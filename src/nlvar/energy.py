@@ -312,9 +312,9 @@ class _Evaluator:
     (_size_rule), the fold's distances (_fold_distances), the buffers of
     the midpoint values, the column sums and the pairs, and, where the
     split lets the near/far path run, an even phi's plan, beta, the line
-    through the end values, one row's far weights from c' (_row_weights)
-    with their products for q = 0, and the powers of r, zero-padded to the
-    FFT length 2 n. counts holds the calls by how
+    through the end values, one row's far weights from c' (_row_weights),
+    and the powers of r, zero-padded to the FFT length 2 n, with the
+    spectrum of r^0 = 1 from the first call. counts holds the calls by how
     they ended: on the dense fold, the path, the path with an unsigned cell
     ("fold", "path", "unsigned"), or the checked rerun ("rerun", raised or
     not)."""
@@ -341,7 +341,6 @@ class _Evaluator:
         self._plan = None if self.split is None else _Plan(*self.split, None)
         if self.split is None:
             return
-        from numpy.fft import rfft  # here, so `import nlvar` loads no numpy.fft
         near, band = self.split
         # the end values fix beta, the line and so c'_k = phi^(k)(beta) / k!
         # and the weights, which a beta past phi's range makes non-finite:
@@ -352,12 +351,10 @@ class _Evaluator:
             shifted = _shifted(integrand, self.beta, float(_sign(self.beta)))
             self._weights = _row_weights(n, 2 * n, band, n - near - 1,
                                          np.array(shifted, float).tobytes())
-            # the products of q = 0, with r^0 = 1 on the n midpoints
-            ones = np.zeros(2 * n)
-            ones[:n] = 1.0
-            self._first = np.multiply(self._weights[0], rfft(ones))
-        # the powers r^0..r^degree, zero-padded to the FFT length 2 n
+        # the powers r^0..r^degree, zero-padded to the FFT length 2 n, and
+        # the spectrum of r^0 = 1, kept from the first call on the path
         self._padded = np.zeros((len(c), 2 * n))
+        self._ones = None
 
     def __call__(self, values: np.ndarray, with_grad: bool):
         plan = self._plan
@@ -454,7 +451,14 @@ class _Evaluator:
         r = um - self._line
         r -= 0.5 * (r.max() + r.min())
         _powers(r, len(powers) - 1, out=powers[:, :n])
-        f, grad = _far_products(r, self._first.copy(), self._weights[1:], rfft(powers[1:]),
+        # r^0 = 1 in every call, so later calls transform r^1..r^degree
+        # only: numpy's FFT gives each row the bits it gives it alone
+        if self._ones is None:
+            R = rfft(powers)
+            self._ones, R = R[0], R[1:]
+        else:
+            R = rfft(powers[1:])
+        f, grad = _far_products(r, np.multiply(self._weights[0], self._ones), self._weights[1:], R,
                                 2 * n, with_grad)
         parts = [_block_pairs(um, self.integrand, near, band, with_grad)] if near < band else []
         if unsigned is not None:
