@@ -39,9 +39,9 @@ fast FFT length where its near rows are few: _near_far gives the plan of
 the path, _Plan(near, band, unsigned), which _plan builds from _split(n,
 c) and, for an odd phi, _unsigned_cells, and _Evaluator._fold runs it.
 Its _far_terms sums every pair beyond the rows 0..near in O(n log n) by
-one engine, _far_pairs' products, whose kernels hold both orders of each
-pair: over the whole grid beyond the band, and up to it on windows that
-overlap by the band (_block_pairs). The far cells whose sign is unknown
+one engine, _far_products, whose kernels hold both orders of each pair:
+over the whole grid beyond the band (_Evaluator._row), and up to it on
+windows that overlap by the band (_block_pairs, by _far_pairs). The far cells whose sign is unknown
 it sums directly (_unsigned_pairs). _Evaluator alone decides which path
 runs. Either path checks only its total and gradient; where one is not
 finite, the dense fold reruns with a check per block, which names the
@@ -310,19 +310,20 @@ class _Evaluator:
 
     What the calls share it holds, computed once: the size rule's split
     (_size_rule), the fold's distances (_fold_distances), the buffers of
-    the midpoint values, the column sums and the pairs, and, where the
-    split lets the near/far path run, an even phi's plan, beta, the line
-    through the end values, one row's far weights from c' (_row_weights),
-    and the powers of r, zero-padded to the FFT length 2 n, with the
-    spectrum of r^0 = 1 from the first call. counts holds the calls by how
-    they ended: on the dense fold, the path, the path with an unsigned cell
-    ("fold", "path", "unsigned"), or the checked rerun ("rerun", raised or
-    not)."""
+    the midpoint values and the column sums, and from the first call with
+    a gradient the pairs'; where the split lets the near/far path run, an
+    even phi's plan, beta and the line through the end values, and from
+    the first call on the path (_row) one row's far weights from c'
+    (_row_weights), the powers of r, zero-padded to the FFT length 2 n,
+    and the spectrum of r^0 = 1. counts holds the calls by how they ended:
+    on the dense fold, the path, the path with an unsigned cell ("fold",
+    "path", "unsigned"), or the checked rerun ("rerun", raised or not)."""
 
     def __init__(self, grid: Grid1D, integrand: Integrand, ends: tuple[float, float],
                  split: Optional[tuple[int, int]] = None):
         """split, the near rows and band of the near/far path, is the size
-        rule's where not given; the module's _fold passes a plan's."""
+        rule's where not given; a plan's forces the path where the rule
+        would not run it (tests/helpers.fold)."""
         n, c = grid.n, integrand.phi_coefficients
         self.grid, self.integrand, self.n = grid, integrand, n
         self.h, self.m = grid.h, grid.midpoints
@@ -333,28 +334,24 @@ class _Evaluator:
         # per midpoint: half the weighted phi of its column, and the sums of
         # C = phi'(D) / dm over the pairs it comes first and second in
         self._sums = np.empty((3, n))
-        # each block's C, then C again, for a strided view of [C C]
-        self._pair = np.empty((min(n // 2 + 1, _block_rows(n)), 2 * n))
+        # each block's C, then C again, for a strided view of [C C], from
+        # the first call with a gradient
+        self._pair = None
         # an even phi's plan is the split's for every call; an odd phi's
         # sign cells are the values', which _near_far reads per call
         self._odd = self.split is not None and any(c[1::2])
         self._plan = None if self.split is None else _Plan(*self.split, None)
+        # the row's weights and the powers' buffer, from the first call on
+        # the path (_row)
+        self._weights = None
         if self.split is None:
             return
-        near, band = self.split
         # the end values fix beta, the line and so c'_k = phi^(k)(beta) / k!
         # and the weights, which a beta past phi's range makes non-finite:
         # then so is each call on the path, which the dense fold reruns
         with np.errstate(over="ignore", invalid="ignore"):
             self.beta = ends[1] - ends[0]
             self._line = ends[0] + self.beta * grid.midpoints
-            shifted = _shifted(integrand, self.beta, float(_sign(self.beta)))
-            self._weights = _row_weights(n, 2 * n, band, n - near - 1,
-                                         np.array(shifted, float).tobytes())
-        # the powers r^0..r^degree, zero-padded to the FFT length 2 n, and
-        # the spectrum of r^0 = 1, kept from the first call on the path
-        self._padded = np.zeros((len(c), 2 * n))
-        self._ones = None
 
     def __call__(self, values: np.ndarray, with_grad: bool):
         plan = self._plan
@@ -397,8 +394,10 @@ class _Evaluator:
         # dm infinite as they do not depend on um; for even n, row n // 2 lists
         # each of its pairs twice, as (i, j) and (j, i)
         rows = n // 2 + 1 if plan is None else plan.near + 1
+        if with_grad and self._pair is None:
+            self._pair = np.empty((min(n // 2 + 1, _block_rows(n)), 2 * n))
         pair = self._pair
-        flat = pair.reshape(-1)
+        flat = None if pair is None else pair.reshape(-1)
         distances = None if self._table is None else self._table[:rows]
         column_sums = _column_sums if check else lambda P, *_, **__: P.sum(axis=0)
         require = _require_finite if check else lambda values, *_: values
@@ -440,26 +439,14 @@ class _Evaluator:
         """(f, gradient of sum(f) in the midpoint values um, or None):
         sum(f) is the sum of phi(D_ij) over the pairs at the plan's near < d
         < n - near, each term held half at each end, or at its first
-        midpoint in the unsigned cells. _far_pairs' products sum d > band
-        around r, um less the line through the end values, centred on its
-        midrange (the smaller max |r|, the less its powers cancel),
-        _block_pairs d <= band, and _unsigned_pairs corrects the plan's
-        unsigned cells."""
-        from numpy.fft import rfft  # here, so `import nlvar` loads no numpy.fft
+        midpoint in the unsigned cells. _row sums d > band around r, um less
+        the line through the end values, centred on its midrange (the
+        smaller max |r|, the less its powers cancel), _block_pairs d <=
+        band, and _unsigned_pairs corrects the plan's unsigned cells."""
         near, band, unsigned = plan
-        n, powers = self.n, self._padded
         r = um - self._line
         r -= 0.5 * (r.max() + r.min())
-        _powers(r, len(powers) - 1, out=powers[:, :n])
-        # r^0 = 1 in every call, so later calls transform r^1..r^degree
-        # only: numpy's FFT gives each row the bits it gives it alone
-        if self._ones is None:
-            R = rfft(powers)
-            self._ones, R = R[0], R[1:]
-        else:
-            R = rfft(powers[1:])
-        f, grad = _far_products(r, np.multiply(self._weights[0], self._ones), self._weights[1:], R,
-                                2 * n, with_grad)
+        f, grad = self._row(r, with_grad)
         parts = [_block_pairs(um, self.integrand, near, band, with_grad)] if near < band else []
         if unsigned is not None:
             parts.append(_unsigned_pairs(um, self.beta, self.integrand.phi_coefficients, band,
@@ -470,14 +457,35 @@ class _Evaluator:
                 grad += part_grad
         return f, grad
 
-
-def _fold(grid: Grid1D, values: np.ndarray, integrand: Integrand, with_grad: bool,
-          plan: Optional[_Plan] = None, check: bool = False):
-    """_Evaluator._fold of a one-off evaluator on values: the dense fold, or
-    the near/far path on plan wherever the size rule stands, as the tests
-    and scripts force it."""
-    evaluator = _Evaluator(grid, integrand, (values[0], values[-1]), plan and plan[:2])
-    return evaluator._fold(values, with_grad, plan, check)
+    def _row(self, r: np.ndarray, with_grad: bool):
+        """(f, gradient of sum(f) in r, or None) of the one row of midpoint
+        values line + r, of slope beta: sum(f) is the sum of P(s D_ij) over
+        its pairs i < j = i + d, band < d < n - near, half of each pair's
+        term at each end, with P and s as in _far_pairs, by _far_products
+        of length 2 n: the split's far weights of c' (_row_weights) times
+        the spectra of the powers r^0..r^degree, zero-padded in place. It
+        runs under _fold's floating-point state: a non-finite c' or r gives
+        a non-finite result, as on the rest of the path."""
+        from numpy.fft import rfft  # here, so `import nlvar` loads no numpy.fft
+        n = self.n
+        if self._weights is None:
+            near, band = self.split
+            shifted = _shifted(self.integrand, self.beta, float(_sign(self.beta)))
+            self._weights = _row_weights(n, 2 * n, band, n - near - 1,
+                                         np.array(shifted, float).tobytes())
+            self._padded = np.zeros((len(shifted), 2 * n))
+            self._ones = None
+        powers = self._padded
+        _powers(r, len(powers) - 1, out=powers[:, :n])
+        # r^0 = 1 in every call, so later calls transform r^1..r^degree
+        # only: numpy's FFT gives each row the bits it gives it alone
+        if self._ones is None:
+            R = rfft(powers)
+            self._ones, R = R[0], R[1:]
+        else:
+            R = rfft(powers[1:])
+        return _far_products(r, np.multiply(self._weights[0], self._ones), self._weights[1:], R,
+                             2 * n, with_grad)
 
 
 @lru_cache(maxsize=8)
@@ -531,17 +539,18 @@ def _row_weights(n: int, size: int, lo: int, hi: int, shifted: bytes) -> tuple[n
     return W
 
 
-def _far_pairs(r: np.ndarray, beta, integrand: Integrand, n: int, lo: int, hi: int,
-               size: int, with_grad: bool, valid: Optional[np.ndarray] = None):
-    """(f, gradient of sum(f) in r, or None), each shaped like r: the
-    midpoint values a = line + r on a grid of n cells, either one row, a 1-D
-    r whose line has the slope beta, or rows of windows of them, each with
-    its own slope beta[t]. sum(f[t]) is the sum of P(s D_ij) over the row's
-    pairs i < j = i + d, lo < d <= hi, and f holds half of each pair's term
-    at each end. Given valid, a boolean mask shaped like r, a position
-    outside it pairs with nothing, and f and the gradient are 0 there. Here
-    P(D) = sum_k c_k D^k and s = _sign(beta[t]). For an even P, P(s D) =
-    phi(D); otherwise only where s D >= 0 (_unsigned_pairs adds the rest).
+def _far_pairs(r: np.ndarray, beta: np.ndarray, integrand: Integrand, n: int, lo: int, hi: int,
+               size: int, with_grad: bool, valid: np.ndarray):
+    """(f, gradient of sum(f) in r, or None), each shaped like r: rows of
+    windows of the midpoint values a = line + r on a grid of n cells, each
+    row t with its own line of slope beta[t]. sum(f[t]) is the sum of P(s
+    D_ij) over the row's pairs i < j = i + d, lo < d <= hi, and f holds half
+    of each pair's term at each end. A position outside valid, a boolean
+    mask shaped like r, pairs with nothing, and f and the gradient are 0
+    there. Here P(D) = sum_k c_k D^k and s = _sign(beta[t]). For an even P,
+    P(s D) = phi(D); otherwise only where s D >= 0 (_unsigned_pairs adds the
+    rest). _Evaluator._row sums the one row of the whole grid the same way,
+    with its weights kept (_row_weights) and no mask.
 
     There D_ij = beta + (r_j - r_i) / ((j - i) h), and P(s (beta + R)) =
     sum_k c'_k R^k with c' the Taylor shift of (c_k s^k) to beta, which
@@ -551,27 +560,21 @@ def _far_pairs(r: np.ndarray, beta, integrand: Integrand, n: int, lo: int, hi: i
 
         f = sum_p (-r)^p V_p / 2,   V_p = sum_q w_pq Z_(p+q) r^q,
 
-    and the gradient is -sum_p p (-r)^(p-1) V_p, from the same products:
-    one batched rfft of the powers of r, times valid, one product per q of
-    the weights w_pq Z_(p+q) (_far_weights; kept per row by _row_weights)
-    for all p, and one batched irfft of length size. The products are
-    circular: position i also pairs with i + d +- size, so a row of at
-    most size - hi positions sees no wrapped term, and a longer one sees
-    them only within hi of its ends."""
+    and the gradient is -sum_p p (-r)^(p-1) V_p, from the same products
+    (_far_products): one batched rfft of the powers of r, times valid, one
+    product per q of the weights w_pq Z_(p+q) (_far_weights) for all p, and
+    one batched irfft of length size. The products are circular: position i
+    also pairs with i + d +- size, so a row of at most size - hi positions
+    sees no wrapped term, and a longer one sees them only within hi of its
+    ends."""
     from numpy.fft import rfft  # here, so `import nlvar` loads no numpy.fft
-    windows = r.ndim > 1
     degree = len(integrand.phi_coefficients) - 1
-    # one row's sign as a number, which numpy multiplies into an array
-    # faster; a column per row of windows
-    shifted = _shifted(integrand, beta, _sign(beta) if windows else float(_sign(beta)))
-    if windows:
-        W = _far_weights(_far_kernels(n, size, lo, hi, degree), [x[:, None] for x in shifted])
-    else:
-        W = _row_weights(n, size, lo, hi, np.array(shifted, float).tobytes())
+    # c' as columns, one entry per row of windows
+    shifted = _shifted(integrand, beta, _sign(beta))
+    W = _far_weights(_far_kernels(n, size, lo, hi, degree), [x[:, None] for x in shifted])
     powers = _powers(r, degree)
-    if valid is not None:
-        powers *= valid
-    R, W = rfft(powers, size), iter(W)
+    powers *= valid
+    R = rfft(powers, size)
     return _far_products(r, np.multiply(next(W), R[0]), W, R[1:], size, with_grad, valid)
 
 
@@ -588,10 +591,10 @@ def _shifted(integrand: Integrand, beta, s) -> list:
 
 def _far_products(r: np.ndarray, spectra: np.ndarray, W, R: np.ndarray, size: int,
                   with_grad: bool, valid: Optional[np.ndarray] = None):
-    """_far_pairs' (f, gradient or None) from the spectra of its products
-    for q = 0, to which it adds those of q >= 1 in place: the weights W[q]
-    times R[q - 1], the spectra of length size of the powers r^q (times
-    valid)."""
+    """The (f, gradient or None) of _far_pairs and _Evaluator._row from the
+    spectra of their products for q = 0, to which it adds those of q >= 1
+    in place: the weights W[q] times R[q - 1], the spectra of length size of
+    the powers r^q (times valid, where given)."""
     from numpy.fft import irfft  # here, so `import nlvar` loads no numpy.fft
     degree = len(R)
     # V_p's spectrum sums q = 0, 1, ... in turn, one product per q for all p

@@ -98,7 +98,9 @@ class MinimizeResult:
     gradient norm met the tolerance, and reason why the solve stopped:
     "converged"; "max_iters"; or "stalled", after an accepted step that left
     every bit of the iterate unchanged, as from there on each iteration
-    would repeat the last one exactly. paths counts the evaluations by the
+    would repeat the last one exactly. It says more than converged and
+    iters == max_iters only where a stall lands on the last allowed
+    iteration, which it reads as "stalled". paths counts the evaluations by the
     path the energy kernel took (_Evaluator.counts: "fold", "path",
     "unsigned" and "rerun"); they sum to evaluations."""
 

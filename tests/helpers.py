@@ -170,11 +170,20 @@ def near_far_profiles(n: int) -> dict[str, np.ndarray]:
             "x+1e-3sin": x + 1e-3 * np.sin(7.0 * x), "falling": 1.0 - x * x}
 
 
+def fold(grid: Grid1D, values: np.ndarray, integrand: Integrand,
+         plan: Optional[energy._Plan] = None):
+    """(energy, gradient) from _Evaluator._fold on the nodal values: the
+    dense fold, or the near/far path on plan, from an evaluator built at
+    the plan's near rows and band, which forces the path where the size
+    rule would not run it."""
+    ends = (values[0], values[-1])
+    return energy._Evaluator(grid, integrand, ends, plan and plan[:2])._fold(values, True, plan)
+
+
 def near_far(grid: Grid1D, values: np.ndarray, integrand: Integrand):
     """(energy, gradient) from the near/far path on _plan, with the unsigned
     cells however many there are, as an _Evaluator runs it."""
-    return energy._fold(grid, values, integrand, True,
-                        energy._plan(values, integrand.phi_coefficients))
+    return fold(grid, values, integrand, energy._plan(values, integrand.phi_coefficients))
 
 
 def hand_built() -> list[Integrand]:

@@ -19,7 +19,7 @@ import argparse
 
 import numpy as np
 
-from helpers import hand_built, near_far, near_far_profiles, stripped
+from helpers import fold, hand_built, near_far, near_far_profiles, stripped
 from nlvar import energy
 from nlvar.grid import Grid1D
 from nlvar.integrands import half_square, power_p, quadratic_mass, two_well_bare, two_well_full
@@ -30,7 +30,7 @@ def errors(n: int, integrand) -> tuple[tuple[float, str], tuple[float, str]]:
     grid, value, grad = Grid1D(n), (0.0, ""), (0.0, "")
     for name, values in near_far_profiles(n).items():
         got, got_grad = near_far(grid, values, integrand)
-        want, want_grad = energy._fold(grid, values, stripped(integrand), True)
+        want, want_grad = fold(grid, values, stripped(integrand))
         value = max(value, (abs(got - want) / abs(want), name))
         grad = max(grad, (np.max(np.abs(got_grad - want_grad)) / np.max(np.abs(want_grad)), name))
     return value, grad

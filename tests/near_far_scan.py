@@ -14,7 +14,8 @@ _direct_pays' cut where path and fold tie.
 With --blocks it times, for an even phi of degree >= 4, the path whose
 fold stops at row band // 4 and whose pairs from there to the band are
 summed in blocks (_block_pairs) against the path whose fold runs to the
-band; BLOCKS_FROM_BAND's comment gives what it measured.
+band, each from its own evaluator built once; BLOCKS_FROM_BAND's comment
+gives what it measured.
 
     PYTHONPATH=src python tests/near_far_scan.py --sizes 130:600
     PYTHONPATH=src python tests/near_far_scan.py --densities power:3 \\
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import time
+from functools import partial
 
 import numpy as np
 
@@ -59,15 +61,16 @@ def calls(grid: Grid1D, values: np.ndarray, W, blocks: bool):
     """The two calls to time: the path and the dense fold, or with blocks,
     the path with its fold to band // 4 and the path with its fold to the
     band."""
+    c, ends = W.phi_coefficients, (values[0], values[-1])
     if not blocks:
-        c, ends = W.phi_coefficients, (values[0], values[-1])
         path = energy._Evaluator(grid, W, ends, energy._split(grid.n, c))
         dense = energy._Evaluator(grid, stripped(W), ends)
         return (lambda: path._fold(values, True, energy._plan(values, c)),
                 lambda: dense(values, True))
-    plan = energy._plan(values, W.phi_coefficients)
-    return (lambda: energy._fold(grid, values, W, True, plan._replace(near=plan.band // 4)),
-            lambda: energy._fold(grid, values, W, True, plan._replace(near=plan.band)))
+    plan = energy._plan(values, c)
+    sides = [plan._replace(near=near) for near in (plan.band // 4, plan.band)]
+    return tuple(partial(energy._Evaluator(grid, W, ends, side[:2])._fold, values, True, side)
+                 for side in sides)
 
 
 def share(values: np.ndarray, W) -> str:

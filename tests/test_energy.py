@@ -31,6 +31,7 @@ from nlvar.optimality import residual_report
 from helpers import (
     constant,
     evaluate,
+    fold,
     hand_built,
     midpoint_values,
     near_far,
@@ -478,7 +479,7 @@ class TestNearFar:
         grid = Grid1D(n)
         for values in near_far_profiles(n).values():
             assert_near_far_matches(near_far(grid, values, integrand),
-                                    energy._fold(grid, values, integrand, True))
+                                    fold(grid, values, integrand))
 
     # every golden pin (n <= 129) and fig4 (64 and 128) stay on the dense
     # fold, bit for bit, as do the sizes whose FFT length 2 n has a large
@@ -493,7 +494,7 @@ class TestNearFar:
         grid = Grid1D(n)
         for values in near_far_profiles(n).values():
             assert same_bits(value_and_grad(NodalFunction(grid, values), integrand),
-                             energy._fold(grid, values, integrand, True))
+                             fold(grid, values, integrand))
 
     # phi = |U| on a profile with equal end values (beta = 0, s = +1), whose
     # far pairs on the plateau have D = 0 exactly: with phi'(0) = sign(0) =
@@ -649,18 +650,26 @@ def centred_far_input(values):
     return r - 0.5 * (r.max() + r.min()), beta
 
 
+def far_row(n, integrand, beta):
+    """_row of a fresh evaluator on n cells, with the end values (0, beta)
+    and both its near rows and band at _split's band: the global far sums
+    over band < d < n - band, as a solve's evaluator runs them."""
+    _, band = energy._split(n, integrand.phi_coefficients)
+    return energy._Evaluator(Grid1D(n), integrand, (0.0, beta), (band, band))._row
+
+
 def far_sums(n, integrand, r, beta):
     """The bytes of the global far sums' f and gradient at _split's band."""
-    _, band = energy._split(n, integrand.phi_coefficients)
-    f, grad = energy._far_pairs(r, beta, integrand, n, band, n - band - 1, 2 * n, True)
+    f, grad = far_row(n, integrand, beta)(r, True)
     return f.tobytes() + grad.tobytes()
 
 
 class TestFarPairs:
-    """_far_pairs, whose powers are repeated products, against a direct sum
-    of P(s D_ij) and its gradient in r, with max |r| near 1: over the far
-    pairs band < j - i < n - band of one row, and over masked windows of
-    the pairs lo < j - i <= hi, one slope per window. One row's weights
+    """The far sums, whose powers are repeated products, against a direct
+    sum of P(s D_ij) and its gradient in r, with max |r| near 1: an
+    evaluator's one row (_Evaluator._row) over the far pairs band < j - i <
+    n - band, and _far_pairs' masked windows of the pairs lo < j - i <= hi,
+    one slope per window. One row's weights
     c'_(p+q) C(p+q, q) Z_(p+q) are kept per n, FFT length, pair range and
     the bits of c' (_row_weights): a call that reads them gives the bits of
     one that builds them."""
@@ -677,13 +686,13 @@ class TestFarPairs:
             r -= 0.5 * (r.max() + r.min())
             want, want_grad = direct_pairs(r[None], [beta], c, n, band, n - band - 1,
                                            everywhere, everywhere)
-            f, grad = energy._far_pairs(r, beta, integrand, n, band, n - band - 1, 2 * n, True)
+            f, grad = far_row(n, integrand, beta)(r, True)
             assert f.shape == grad.shape == (n,)
             assert_near_far_matches((f.sum(), grad), (want.sum(), want_grad[0]))
 
-    # the global sums, one 1-D row with a scalar slope, against the same
-    # row as a batch of one window with its slope in a column and an
-    # all-true mask, on r as _far_terms centres it; an odd phi's far sum on
+    # the global sums, an evaluator's one row with a scalar slope, against
+    # the same row as a batch of one window with its slope in a column and
+    # an all-true mask, on r as _far_terms centres it; an odd phi's far sum on
     # the hat (beta = 0) cancels to rounding, so the energies compare
     # within the sum of |f|
     @pytest.mark.parametrize("n", [512, 4096])
@@ -693,7 +702,7 @@ class TestFarPairs:
         everywhere = np.ones((1, n), bool)
         for values in near_far_profiles(n).values():
             r, beta = centred_far_input(values)
-            f, grad = energy._far_pairs(r, beta, integrand, n, band, n - band - 1, 2 * n, True)
+            f, grad = far_row(n, integrand, beta)(r, True)
             want, want_grad = energy._far_pairs(r[None], np.array([beta]), integrand, n, band,
                                                 n - band - 1, 2 * n, True, everywhere)
             assert abs(f.sum() - want.sum()) <= 1e-13 * np.abs(want).sum()
@@ -849,7 +858,7 @@ class TestSignCells:
             if energy._near_far(values, W.phi_coefficients) is not None:
                 assert same_bits(got, near_far(grid, values, W))
             else:
-                assert same_bits(got, energy._fold(grid, values, W, True))
+                assert same_bits(got, fold(grid, values, W))
             if name not in ("rough", "hat"):
                 # a monotone profile: every far cell is certified
                 assert not unsigned.any()
@@ -908,8 +917,7 @@ class TestNearBand:
         for W in (two_well_full(), two_well_bare(), power_p(4)):
             for values in near_far_profiles(n).values():
                 assert same_bits(value_and_grad(NodalFunction(grid, values), W),
-                                 energy._fold(grid, values, W, True,
-                                              energy._Plan(n // 64, n // 16, None)))
+                                 fold(grid, values, W, energy._Plan(n // 64, n // 16, None)))
 
     def test_half_the_fold_or_more_runs_the_dense_fold(self):
         n = 4096
@@ -917,7 +925,7 @@ class TestNearBand:
         W = dataclasses.replace(power_p(14), phi_coefficients=(0.0,) * 14 + (1.0,))
         assert energy._split(n, W.phi_coefficients) is None
         assert same_bits(value_and_grad(NodalFunction(grid, values), W),
-                         energy._fold(grid, values, W, True))
+                         fold(grid, values, W))
 
 
 class TestRefineAndCompare:
