@@ -41,12 +41,12 @@ c) and, for an odd phi, _unsigned_cells, and _Evaluator._fold runs it.
 Its _far_terms sums every pair beyond the rows 0..near in O(n log n) by
 one engine, _far_products, whose kernels hold both orders of each pair:
 over the whole grid beyond the band (_Evaluator._row), and up to it on
-windows that overlap by the band (_block_pairs, by _far_pairs). The far cells whose sign is unknown
-it sums directly (_unsigned_pairs). _Evaluator alone decides which path
-runs. Either path checks only its total and gradient; where one is not
-finite, the dense fold reruns with a check per block, which names the
-first non-finite pair. The two paths agree to rounding
-(tests/near_far_errors.py).
+windows that overlap by the band (_block_pairs, by _far_pairs). The far
+cells whose sign is unknown it sums directly (_unsigned_pairs).
+_Evaluator alone decides which path runs. Either path checks only its
+total and gradient; where one is not finite, the dense fold reruns with
+a check per block, which names the first non-finite pair. The two paths
+agree to rounding (tests/near_far_errors.py).
 """
 
 from __future__ import annotations
@@ -341,9 +341,9 @@ class _Evaluator:
         # sign cells are the values', which _near_far reads per call
         self._odd = self.split is not None and any(c[1::2])
         self._plan = None if self.split is None else _Plan(*self.split, None)
-        # the row's weights and the powers' buffer, from the first call on
-        # the path (_row)
-        self._weights = None
+        # the row's weights, the powers' buffer and the spectrum of r^0,
+        # from the first call on the path (_row)
+        self._weights = self._padded = self._ones = None
         if self.split is None:
             return
         # the end values fix beta, the line and so c'_k = phi^(k)(beta) / k!
@@ -474,7 +474,6 @@ class _Evaluator:
             self._weights = _row_weights(n, 2 * n, band, n - near - 1,
                                          np.array(shifted, float).tobytes())
             self._padded = np.zeros((len(shifted), 2 * n))
-            self._ones = None
         powers = self._padded
         _powers(r, len(powers) - 1, out=powers[:, :n])
         # r^0 = 1 in every call, so later calls transform r^1..r^degree
