@@ -28,7 +28,7 @@ def write_curve(path, x: np.ndarray, u: np.ndarray) -> None:
     if x.shape != u.shape or x.ndim != 1:
         raise ValueError("x and u must be 1-D arrays of equal length")
     lines = ["x,u"]
-    lines += [f"{xi:.17g},{ui:.17g}" for xi, ui in zip(x, u)]
+    lines += [f"{xi:.17g},{ui:.17g}" for xi, ui in zip(x.tolist(), u.tolist())]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -114,9 +114,8 @@ def write_svg(
         )
     for idx, (label, cx, cy) in enumerate(curves):
         color = _SVG_COLORS[idx % len(_SVG_COLORS)]
-        pts = " ".join(
-            f"{sx(px):.2f},{sy(py):.2f}" for px, py in zip(np.asarray(cx), np.asarray(cy))
-        )
+        px, py = sx(np.asarray(cx, float)).tolist(), sy(np.asarray(cy, float)).tolist()
+        pts = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px, py))
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
             f'points="{pts}"/>'

@@ -15,22 +15,25 @@ _hessian gives its exact second derivatives from phi'' and psi''. Only this
 module knows the circulant layout of the pairs (_circulant_blocks), which
 the fold and _residuals (the kernel of optimality.py) read, and LAPACK's
 packed storage: _hessian gives the Newton steps' matrix and the
-half-square Hessian P, and _packed_inverse factors both.
+half-square Hessian P, and _packed_inverse factors both, by dpptrf and
+dpptrs from scipy's compiled _flapack, which _lapack loads on the first
+factor without importing scipy.linalg.
 
-Five caches keep state between calls, read-only. Four hold what depends
-on the size alone: per n the midpoints laid out twice (_midpoints_twice),
-the fold's pair distances for n <= FOLD_PLAN_MAX_N (_fold_distances, whose
-rows 0..near the near/far path reads too) and the factor of P
-(_half_square_inverse), two sizes each for the last two, and per (n, FFT
-length, pair range, degree) the far kernels' spectra (_far_kernels). One
-holds one row's far weights per (n, FFT length, pair range, bits of c')
-(_row_weights, 8 entries of 1.9 MiB for a quartic at n = 8192), which
-evaluators with the same n and end values share: the public entries build
-one evaluator per call. Each fills on its first call. What the calls of
-one solve share beyond these, its _Evaluator holds: the size rule's
-split, the fold's rows and scratch, and on the near/far path beta, c', the
-row's weights and the powers' buffer. Everything else computes its
-distances, and the windows their weights, per call.
+Six caches keep state between calls, read-only. One holds that LAPACK
+module (_lapack). Four hold what depends on the size alone: per n the
+midpoints laid out twice (_midpoints_twice), the fold's pair distances
+for n <= FOLD_PLAN_MAX_N (_fold_distances, whose rows 0..near the
+near/far path reads too) and the factor of P (_half_square_inverse), two
+sizes each for the last two, and per (n, FFT length, pair range, degree)
+the far kernels' spectra (_far_kernels). One holds one row's far weights
+per (n, FFT length, pair range, bits of c') (_row_weights, 8 entries of
+1.9 MiB for a quartic at n = 8192), which evaluators with the same n and
+end values share: the public entries build one evaluator per call. Each
+fills on its first call. What the calls of one solve share beyond these,
+its _Evaluator holds: the size rule's split, the fold's rows and
+scratch, and on the near/far path beta, c', the row's weights and the
+powers' buffer. Everything else computes its distances, and the windows
+their weights, per call.
 
 The fold sums n^2 / 2 pairs per call. A density that carries phi's
 coefficients (a polynomial phi) may take the near/far path instead, above
@@ -51,9 +54,12 @@ agree to rounding (tests/near_far_errors.py).
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from functools import lru_cache
 from itertools import zip_longest
 from math import comb, isfinite
+from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -870,19 +876,49 @@ def _hessian(grid: Grid1D, values: np.ndarray, integrand: Integrand) -> np.ndarr
     return ap
 
 
+@lru_cache(maxsize=1)
+def _lapack():
+    """The module whose dpptrf and dpptrs _packed_inverse calls: scipy's
+    compiled _flapack, the functions that scipy.linalg.lapack re-exports.
+    It is loaded from its file after importing only the top-level scipy
+    package, which sets up the wheel's library path, and is kept out of
+    sys.modules, so that no run executes scipy/linalg/__init__.py: that
+    loads some 330 modules (numpy.f2py, numpy.testing and numpy.ma among
+    them) and about 28 MiB, where the extension alone takes about 3 MiB.
+    Where scipy.linalg is loaded already, its _flapack is the module; where
+    the load fails, scipy.linalg.lapack is."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    try:
+        import scipy
+        import sysconfig
+        suffix = sysconfig.get_config_var("EXT_SUFFIX")
+        spec = importlib.util.spec_from_file_location(
+            name, Path(scipy.__file__).parent / "linalg" / f"_flapack{suffix}")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except Exception:
+        from scipy.linalg import lapack
+        return lapack
+    sys.modules.pop(name, None)  # a compiled module enters it as it loads
+    return module
+
+
 def _packed_inverse(ap: np.ndarray, m: int) -> Optional[Callable[[np.ndarray], np.ndarray]]:
     """q -> M^-1 q for the m x m matrix M in packed storage ap, which it
     overwrites with the Cholesky factor; None where ap is not finite or M is
     not positive definite. The packed factor (dpptrf) gives the same bits
-    for any BLAS thread count, where a full one (dpotrf) does not."""
-    from scipy.linalg.lapack import dpptrf, dpptrs  # here, so `import nlvar` loads no scipy
+    for any BLAS thread count, where a full one (dpotrf) does not. LAPACK
+    loads on the first call (_lapack), so `import nlvar` loads no scipy."""
     if not np.isfinite(ap).all():
         return None
-    factor, info = dpptrf(m, ap, lower=1, overwrite_ap=1)
+    lapack = _lapack()
+    factor, info = lapack.dpptrf(m, ap, lower=1, overwrite_ap=1)
     if info != 0:
         return None
     factor.setflags(write=False)
-    return lambda q: dpptrs(m, factor, q, lower=1)[0]
+    return lambda q: lapack.dpptrs(m, factor, q, lower=1)[0]
 
 
 # two sizes, for solves that alternate two grids, such as n and 2n

@@ -9,6 +9,7 @@ normalization).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -47,6 +48,9 @@ def _shape(x: np.ndarray) -> np.ndarray:
     return out
 
 
+# built on first use: numpy.polynomial, which gives the nodes, adds about
+# 1 MiB and 8 ms to every process that imports nlvar
+@lru_cache(maxsize=1)
 def _half_rule() -> tuple[np.ndarray, np.ndarray]:
     """20-point Gauss-Legendre in t on [0, 1], moved to x = t^4/2 in [0, 1/2]
     so that the x log x singularities of _shape at 0 and 1 are smooth in t."""
@@ -54,14 +58,12 @@ def _half_rule() -> tuple[np.ndarray, np.ndarray]:
     return (xi + 1.0) ** 4 / 32.0, w * (xi + 1.0) ** 3 / 8.0  # w/2 times dx/dt = 2 t^3
 
 
-_HALF_X, _HALF_W = _half_rule()
-
-
 def _cell_integrals(nodes: np.ndarray) -> np.ndarray:
     """Integral of _shape over every cell [a, b]: the half rule from a and from b."""
+    half_x, half_w = _half_rule()
     a, b = nodes[:-1, None], nodes[1:, None]
     h = b - a
-    return h[:, 0] * ((_shape(a + h * _HALF_X) + _shape(b - h * _HALF_X)) @ _HALF_W)
+    return h[:, 0] * ((_shape(a + h * half_x) + _shape(b - h * half_x)) @ half_w)
 
 
 def ode_approx_derivative(x, k: float):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import nlvar
+from nlvar import energy
 from nlvar.cli import (
     EXIT_NOCONV,
     EXIT_NUMERIC,
@@ -250,7 +251,7 @@ class TestBadInput:
 
     def test_failed_factor_of_p_exits_3(self, tmp_path, capsys, monkeypatch, cold_p_factor):
         # LinAlgError is a ValueError, yet a failed factor is numeric, not a bad spec
-        monkeypatch.setattr("scipy.linalg.lapack.dpptrf", lambda m, ap, **kw: (ap, 1))
+        monkeypatch.setattr(energy._lapack(), "dpptrf", lambda m, ap, **kw: (ap, 1))
         argv = ["minimize", "--problem", "problem1", "--n", "16", "--out", str(tmp_path)]
         assert main(argv) == EXIT_NUMERIC
         assert capsys.readouterr().err == (

@@ -99,3 +99,41 @@ class TestSvg:
         write_svg(a, [("u", x, np.sin(x))])
         write_svg(b, [("u", x, np.sin(x))])
         assert a.read_bytes() == b.read_bytes()
+
+
+# -0.0, the smallest subnormal and +-1e300, then a flat curve and a single
+# point, whose ranges write_svg widens to 1. The points map into its
+# 640 x 480 box with a margin of 50.
+EDGE_CURVES = [
+    ("edges", np.array([-0.0, 5e-324, 0.5, 1.0]), np.array([-0.0, 5e-324, 1e300, -1e300])),
+    ("flat", np.linspace(0.0, 1.0, 5), np.full(5, -0.0)),
+    ("point", np.array([0.5]), np.array([5e-324])),
+]
+
+
+class TestFormattingByArrays:
+    """Both writers map and format whole arrays; the text is that of one
+    numpy scalar at a time."""
+
+    @pytest.mark.parametrize("label, x, u", EDGE_CURVES, ids=[c[0] for c in EDGE_CURVES])
+    def test_curve_rows(self, label, x, u, tmp_path):
+        path = tmp_path / "c.csv"
+        write_curve(path, x, u)
+        rows = "".join(f"{xi:.17g},{ui:.17g}\n" for xi, ui in zip(x, u))
+        assert path.read_text() == "x,u\n" + rows
+
+    @pytest.mark.parametrize("curves", [EDGE_CURVES[:1], EDGE_CURVES[1:2], EDGE_CURVES[2:],
+                                        EDGE_CURVES[1:]], ids=["edges", "flat", "point", "two"])
+    def test_svg_points(self, curves, tmp_path):
+        path = tmp_path / "c.svg"
+        write_svg(path, curves)
+        text = path.read_text()
+        xs = np.concatenate([c[1] for c in curves])
+        ys = np.concatenate([c[2] for c in curves])
+        x0, x1, y0, y1 = float(xs.min()), float(xs.max()), float(ys.min()), float(ys.max())
+        x1, y1 = x0 + 1.0 if x1 == x0 else x1, y0 + 1.0 if y1 == y0 else y1
+        for _, cx, cy in curves:
+            points = " ".join(f"{50 + (px - x0) / (x1 - x0) * 540:.2f},"
+                              f"{430 - (py - y0) / (y1 - y0) * 380:.2f}"
+                              for px, py in zip(cx, cy))
+            assert f'points="{points}"' in text

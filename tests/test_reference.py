@@ -124,9 +124,10 @@ class TestAgainstTightQuad:
 
 
 def test_import_leaves_out_scipy_integrate():
-    # scipy.integrate is a test-side reference only, scipy.linalg loads
-    # when a solve first factors and numpy.fft when an energy first takes
-    # the near/far path: importing any of them costs start-up time
+    # scipy.integrate is a test-side reference only, scipy's LAPACK loads
+    # when a solve first factors, numpy.fft when an energy first takes the
+    # near/far path and numpy.polynomial when a profile first needs the
+    # Gauss-Legendre rule: importing any of them costs start-up time
     src = str(Path(nlvar.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -134,9 +135,9 @@ def test_import_leaves_out_scipy_integrate():
         [sys.executable, "-c",
          "import nlvar, nlvar.cli, sys; "
          "print('scipy.integrate' in sys.modules, 'scipy.linalg' in sys.modules, "
-         "'numpy.fft' in sys.modules)"],
+         "'numpy.fft' in sys.modules, 'numpy.polynomial' in sys.modules)"],
         capture_output=True, text=True, env=env, timeout=60, check=True)
-    assert proc.stdout == "False False False\n"
+    assert proc.stdout == "False False False False\n"
 
 
 class TestHolderExponent:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
+import cli_cost
 import golden
 import near_far_errors
 import near_far_scan
@@ -163,3 +164,17 @@ def test_solve_corpus_prints_one_line_per_solve_and_the_counts(capsys):
     assert lines[3].split()[4] == "stalled"
     assert counts == {"converged": 5, "stalled": 1}
     assert total == "outcomes: converged 5, stalled 1"
+
+
+# one process of a small solve: the header, then the command and its
+# medians, which main also returns; the default set is the end-to-end one
+def test_cli_cost_prints_a_row_of_medians_per_command(capsys):
+    command = "minimize --problem problem1 --n 16"
+    rows = cli_cost.main(["--runs", "1", "--command", command])
+    header, row = capsys.readouterr().out.splitlines()
+    assert header.split() == ["command", "wall_s", "cpu_s", "rss_mib"]
+    assert list(rows) == [command] and row.startswith(command)
+    assert [float(x) for x in row[len(command):].split()] == rows[command]
+    wall, cpu, rss = rows[command]
+    assert wall > 0 and cpu > 0 and rss > 10  # the interpreter and numpy alone
+    assert len(cli_cost.commands(large=False)) == 11 and len(cli_cost.commands(large=True)) == 15

@@ -8,7 +8,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.linalg import lapack
 
 import nlvar
 from nlvar import energy, solver
@@ -367,6 +366,16 @@ class TestTwoLoop:
             assert textbook_two_loop(grad, s_list, y_list, solve).tobytes() == d.tobytes()
 
 
+def run_python(script: str, **env: str) -> str:
+    """Standard output of script in a fresh interpreter that imports this
+    checkout's nlvar, with env added to the environment."""
+    src = str(Path(nlvar.__file__).resolve().parents[1])
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120, check=True).stdout
+
+
 def unpack_lower(packed: np.ndarray, m: int) -> np.ndarray:
     """Symmetric m x m matrix from LAPACK's lower packed storage."""
     full = np.zeros((m, m))
@@ -399,9 +408,11 @@ class TestPreconditioner:
         def refuse(*args, **kwargs):
             raise AssertionError("dpptrf called")
 
-        monkeypatch.setattr(lapack, "dpptrf", refuse)
+        monkeypatch.setattr(energy._lapack(), "dpptrf", refuse)
         res = minimize(W, Grid1D(n), (0.0, 1.0), "random", SolverConfig(max_iters=1))
         assert res.iters == 1 and res.trace[0][1] > NEWTON_SWITCH
+        with pytest.raises(AssertionError, match="dpptrf called"):  # a factor meets the patch
+            _packed_inverse(np.ones(1), 1)
 
     def test_factors_p_for_a_convex_density(self, monkeypatch, cold_p_factor):
         # the same solve as above, on a density where P applies
@@ -411,22 +422,23 @@ class TestPreconditioner:
             calls.append(m)
             return factor(m, ap, **kwargs)
 
-        factor = lapack.dpptrf
-        monkeypatch.setattr(lapack, "dpptrf", recording)
+        factor = energy._lapack().dpptrf
+        monkeypatch.setattr(energy._lapack(), "dpptrf", recording)
         res = minimize(power_p(3), Grid1D(64), (0.0, 1.0), "random", SolverConfig(max_iters=1))
         assert res.iters == 1 and res.trace[0][1] > NEWTON_SWITCH and calls == [63]
 
     @pytest.fixture
     def dpptrf_calls(self, monkeypatch):
-        """The order of each dpptrf call from here on."""
+        """The order of each dpptrf call from here on, as _packed_inverse
+        makes it."""
         calls = []
 
         def recording(m, ap, **kwargs):
             calls.append(m)
             return factor(m, ap, **kwargs)
 
-        factor = lapack.dpptrf
-        monkeypatch.setattr(lapack, "dpptrf", recording)
+        factor = energy._lapack().dpptrf
+        monkeypatch.setattr(energy._lapack(), "dpptrf", recording)
         return calls
 
     def test_factors_p_once_per_n(self, cold_p_factor, dpptrf_calls):
@@ -436,11 +448,11 @@ class TestPreconditioner:
         assert dpptrf_calls == [63]
 
     def test_failed_factor_is_not_kept(self, monkeypatch, cold_p_factor, dpptrf_calls):
-        recording = lapack.dpptrf
-        monkeypatch.setattr(lapack, "dpptrf", lambda m, ap, **kw: (ap, 1))
+        recording = energy._lapack().dpptrf
+        monkeypatch.setattr(energy._lapack(), "dpptrf", lambda m, ap, **kw: (ap, 1))
         with pytest.raises(np.linalg.LinAlgError):
             minimize(power_p(3), Grid1D(64), (0.0, 1.0))
-        monkeypatch.setattr(lapack, "dpptrf", recording)
+        monkeypatch.setattr(energy._lapack(), "dpptrf", recording)
         res = minimize(power_p(3), Grid1D(64), (0.0, 1.0))
         assert res.converged and dpptrf_calls[0] == 63
 
@@ -463,11 +475,14 @@ class TestPreconditioner:
     def test_outputs_do_not_depend_on_blas_threads(self):
         # a full Cholesky (dpotrf) changes its bits with the thread count
         # from n = 256 on; the packed ones must not, nor the Hessian's
-        # assembly, which the Newton steps of all three solves read
+        # assembly, which the Newton steps of all three solves read. The
+        # last line is a factor and a solve at n = 1499, by the _flapack
+        # that nlvar loads without scipy.linalg.
         script = (
+            "import hashlib\n"
             "import sys\n"
             "import numpy as np\n"
-            "from nlvar import Grid1D, NodalFunction, integrand_by_name, minimize\n"
+            "from nlvar import Grid1D, NodalFunction, energy, integrand_by_name, minimize\n"
             "for name in ('power:3', 'quad-mass'):\n"
             "    res = minimize(integrand_by_name(name), Grid1D(512), (0.0, 1.0))\n"
             "    sys.stdout.write(res.u.values.tobytes().hex() + '\\n')\n"
@@ -477,17 +492,94 @@ class TestPreconditioner:
             "res = minimize(integrand_by_name('two-well'), grid, (0.0, 0.0), start)\n"
             "assert res.newton_steps > 0\n"
             "sys.stdout.write(res.u.values.tobytes().hex() + '\\n')\n"
+            "grid = Grid1D(1499)\n"
+            "x = grid.nodes\n"
+            "ap = energy._hessian(grid, x + 0.3 * np.sin(3.0 * x), integrand_by_name('power:3'))\n"
+            "solve = energy._packed_inverse(ap, 1498)\n"
+            "assert 'scipy.linalg' not in sys.modules\n"
+            "print(hashlib.sha256(ap.tobytes() + solve(np.ones(1498)).tobytes()).hexdigest())\n"
         )
-        src = str(Path(nlvar.__file__).resolve().parents[1])
-        outputs = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
-                filter(None, [src, os.environ.get("PYTHONPATH")])))
-            proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                                  text=True, env=env, timeout=120, check=True)
-            outputs.append(proc.stdout)
-        assert len(outputs[0].split()) == 3
+        outputs = [run_python(script, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2")]
+        assert len(outputs[0].split()) == 4
         assert outputs[0] == outputs[1]
+
+
+# what a process has loaded of scipy.linalg, by name
+LOADED_LINALG = "sorted(k for k in sys.modules if k.split('.')[:2] == ['scipy', 'linalg'])"
+
+
+class TestLapack:
+    """_packed_inverse's dpptrf and dpptrs come from scipy's compiled
+    _flapack, which energy._lapack loads without scipy.linalg."""
+
+    def test_solves_and_the_cli_load_no_scipy_linalg(self, tmp_path):
+        # quad-mass factors P, then takes Newton steps; fig2 factors P
+        script = (
+            "import sys\n"
+            "from nlvar import Grid1D, energy, integrand_by_name, minimize\n"
+            "from nlvar.cli import main\n"
+            "res = minimize(integrand_by_name('quad-mass'), Grid1D(64), (0.0, 1.0))\n"
+            "assert res.converged and res.newton_steps > 0\n"
+            "assert energy._half_square_inverse.cache_info().currsize == 1\n"
+            f"assert main(['reproduce', 'fig2-problem1', '--out', {str(tmp_path)!r}]) == 0\n"
+            f"print({LOADED_LINALG}, energy._lapack().__name__)\n"
+        )
+        assert run_python(script).splitlines()[-1] == "[] scipy.linalg._flapack"
+
+    def test_gives_the_bits_of_scipy_linalg_lapack(self):
+        # the factor and the solve of a packed power:3 Hessian, by nlvar's
+        # dpptrf and dpptrs, then by scipy.linalg.lapack's, imported after
+        script = (
+            "import hashlib\n"
+            "import sys\n"
+            "import numpy as np\n"
+            "from nlvar import Grid1D, energy, integrand_by_name\n"
+            "grid = Grid1D(300)\n"
+            "x = grid.nodes\n"
+            "ap = energy._hessian(grid, x + 0.3 * np.sin(3.0 * x), integrand_by_name('power:3'))\n"
+            "q = np.random.default_rng(0).standard_normal(299)\n"
+            "solved = energy._packed_inverse(ap.copy(), 299)(q)\n"
+            f"print({LOADED_LINALG})\n"
+            "from scipy.linalg import lapack\n"
+            "for module in (energy._lapack(), lapack):\n"
+            "    factor, info = module.dpptrf(299, ap.copy(), lower=1)\n"
+            "    z, info_s = module.dpptrs(299, factor, q, lower=1)\n"
+            "    print(info, info_s, hashlib.sha256(factor.tobytes() + z.tobytes()).hexdigest(),\n"
+            "          z.tobytes() == solved.tobytes())\n"
+        )
+        loaded, ours, theirs = run_python(script).splitlines()
+        assert loaded == "[]"
+        assert ours == theirs and ours.startswith("0 0 ") and ours.endswith(" True")
+
+    def test_falls_back_to_scipy_linalg_lapack(self, monkeypatch, tmp_path, cold_p_factor):
+        # scipy's top-level package moved, so no _flapack file is where
+        # _lapack looks: solves factor through scipy.linalg.lapack, with
+        # the same bits
+        import scipy
+        from scipy.linalg import lapack
+
+        W, grid = quadratic_mass(), Grid1D(64)
+        expected = minimize(W, grid, (0.0, 1.0))
+        energy._half_square_inverse.cache_clear()
+        calls = []
+
+        def recording(m, ap, **kwargs):
+            calls.append(m)
+            return factor(m, ap, **kwargs)
+
+        factor = lapack.dpptrf
+        monkeypatch.setattr(lapack, "dpptrf", recording)
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
+        energy._lapack.cache_clear()
+        try:
+            assert energy._lapack() is lapack
+            res = minimize(W, grid, (0.0, 1.0))
+        finally:
+            energy._lapack.cache_clear()
+        assert calls == [63] * (1 + res.newton_steps) and res.newton_steps > 0
+        assert (res.iters, res.newton_steps) == (expected.iters, expected.newton_steps)
+        assert res.u.values.tobytes() == expected.u.values.tobytes()
 
 
 DENSITIES = ("power:2", "power:3", "power:4", "half-square", "quad-mass", "two-well",
