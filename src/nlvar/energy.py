@@ -884,7 +884,8 @@ def _lapack():
     package, which sets up the wheel's library path, and is kept out of
     sys.modules, so that no run executes scipy/linalg/__init__.py: that
     loads some 330 modules (numpy.f2py, numpy.testing and numpy.ma among
-    them) and about 28 MiB, where the extension alone takes about 3 MiB.
+    them), about 27 MiB and 250 ms, where the top-level package and the
+    extension take about 3.4 MiB and 21 ms.
     Where scipy.linalg is loaded already, its _flapack is the module; where
     the load fails, scipy.linalg.lapack is."""
     name = "scipy.linalg._flapack"
@@ -898,7 +899,7 @@ def _lapack():
             name, Path(scipy.__file__).parent / "linalg" / f"_flapack{suffix}")
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
-    except Exception:
+    except ImportError:  # no such file, or one that does not load here
         from scipy.linalg import lapack
         return lapack
     sys.modules.pop(name, None)  # a compiled module enters it as it loads
